@@ -35,7 +35,12 @@ from .instance import (
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            )
 
 
 def _load_instance(path: str) -> Instance:
@@ -223,7 +228,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    inst = generate_random(args.men, args.women, args.density, args.seed)
+    try:
+        inst = generate_random(args.men, args.women, args.density, args.seed)
+    except ValueError as exc:
+        raise InstanceError(str(exc))
     text = serialize_instance(inst)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -155,21 +155,33 @@ def popular_edges(inst: Instance, max_edges: Optional[int] = None) -> Set[Tuple[
 
 
 def maximum_matching_size(inst: Instance) -> int:
-    """Size of a maximum matching, by alternating-path augmentation."""
+    """Size of a maximum matching, by alternating-path augmentation (a
+    depth-first search with an explicit stack)."""
     match: dict = {}
-
-    def try_augment(m: str, seen: Set[str]) -> bool:
-        for w in inst.pref[m]:
-            if w in seen:
-                continue
-            seen.add(w)
-            if w not in match or try_augment(match[w], seen):
-                match[w] = m
-                return True
-        return False
-
     size = 0
-    for m in inst.men:
-        if try_augment(m, set()):
-            size += 1
+    for root in inst.men:
+        seen: Set[str] = set()
+        # stack[i] is the i-th man on the search path with his untried
+        # women; path[i] is the woman he tries, held by stack[i + 1]
+        stack = [(root, iter(inst.pref[root]))]
+        path: List[str] = []
+        while stack:
+            m, untried = stack[-1]
+            for w in untried:
+                if w in seen:
+                    continue
+                seen.add(w)
+                path.append(w)
+                if w not in match:
+                    for (man, _), woman in zip(stack, path):
+                        match[woman] = man
+                    size += 1
+                    stack = []
+                else:
+                    stack.append((match[w], iter(inst.pref[match[w]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
     return size

@@ -210,3 +210,20 @@ def test_bad_instance_is_exit_2(tmp_path, capsys):
     path.write_text("men: a1\nwomen: b1\na1: b9\nb1: a1\n")
     code, _, err = run_cli(capsys, "solve", "--property", "stable", "-i", str(path))
     assert code == 2 and "error:" in err
+
+
+def test_gen_bad_density_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "gen.pref"
+    code, _, err = run_cli(
+        capsys, "gen", "--men", "3", "--women", "3", "--density", "2",
+        "--seed", "1", "-o", str(path),
+    )
+    assert code == 2 and "error:" in err and "density" in err
+    assert not path.exists()
+
+
+def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.pref"
+    path.write_bytes(b"men: a\xff\n")
+    code, _, err = run_cli(capsys, "solve", "--property", "stable", "-i", str(path))
+    assert code == 2 and "error:" in err and "UTF-8" in err

@@ -2,6 +2,7 @@ import pytest
 
 from popmatch import (
     EnumerationGuardError,
+    Instance,
     Matching,
     classify,
     enumerate_matchings,
@@ -88,3 +89,17 @@ def test_maximum_matching_size(shared_top, contested_hub, nested_fan):
         inst = generate_random(4, 5, 0.5, seed=seed)
         by_enum = max(len(m) for m in enumerate_matchings(inst))
         assert maximum_matching_size(inst) == by_enum
+
+
+def test_maximum_matching_size_long_augmenting_path():
+    # a1..a1200 take b1..b1200 greedily; a1201 then needs one augmenting
+    # path through all of them to b1201
+    n = 1200
+    men = [f"a{i}" for i in range(1, n + 2)]
+    women = [f"b{i}" for i in range(1, n + 2)]
+    pref = {f"a{i}": (f"b{i}", f"b{i + 1}") for i in range(1, n + 1)}
+    pref[f"a{n + 1}"] = ("b1",)
+    pref["b1"] = ("a1", f"a{n + 1}")
+    for i in range(2, n + 2):
+        pref[f"b{i}"] = tuple(f"a{j}" for j in (i - 1, i) if j <= n)
+    assert maximum_matching_size(Instance(men, women, pref)) == n + 1

@@ -1,5 +1,61 @@
-from popmatch import Matching, is_dominant, is_popular, partition
+import time
+
+from popmatch import (
+    Instance,
+    Matching,
+    classify,
+    dominant_two_level,
+    generate_random,
+    is_dominant,
+    is_popular,
+    parse_instance,
+    partition,
+)
 from conftest import assert_certificate_replays
+
+# Everyone is matched to b_i / a_i and (a1,b2) is the only (+,+) edge;
+# the (+,-) edges (a2,b3) and (a3,b1) close the alternating cycle
+# a1-b2-a2-b3-a3-b1-a1 through it.
+PP_CYCLE_TEXT = """\
+men: a1 a2 a3
+women: b1 b2 b3
+a1: b2 b1
+a2: b3 b2
+a3: b1 b3
+b1: a1 a3
+b2: a1 a2
+b3: a3 a2
+"""
+
+# Everyone is matched to b_i / a_i; (a1,b2) and (a3,b4) are (+,+) edges
+# joined by the alternating path a1-b2-a2-b3-a3-b4, and no alternating
+# cycle exists.
+TWO_PP_PATH_TEXT = """\
+men: a1 a2 a3 a4
+women: b1 b2 b3 b4
+a1: b2 b1
+a2: b3 b2
+a3: b4 b3
+a4: b4
+b1: a1
+b2: a1 a2
+b3: a3 a2
+b4: a3 a4
+"""
+
+# Everyone is matched to b_i / a_i.  (a1,b2) is a (+,+) edge on the
+# alternating cycle a1-b2-a2-b1-a1 and also starts the path
+# a1-b2-a2-b3 through the second (+,+) edge (a2,b3).
+CYCLE_AND_TWO_PP_TEXT = """\
+men: a1 a2 a3
+women: b1 b2 b3
+a1: b2 b1
+a2: b3 b1 b2
+a3: b3
+b1: a1 a2
+b2: a1 a2
+b3: a2 a3
+"""
 
 
 def test_partition_seeded_by_unmatched(nested_fan):
@@ -121,3 +177,102 @@ def test_dominance_equals_undefeated_by_larger(small_ensemble):
                 if len(other) > len(m)
             )
             assert is_dominant(inst, m)[0] == (not beaten_by_larger)
+
+
+def test_pp_cycle_is_the_only_violation():
+    inst = parse_instance(PP_CYCLE_TEXT)
+    m = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
+    assert m not in classify(inst).popular_set()
+    for verifier in (is_popular, is_dominant):
+        ok, cert = verifier(inst, m)
+        assert not ok and cert.kind == "pp-cycle"
+        assert cert.path == ("b2", "a2", "b3", "a3", "b1", "a1", "b2")
+        assert cert.pp_edges == (("a1", "b2"),)
+        assert_certificate_replays(inst, m, cert)
+
+
+def test_two_pp_path_is_the_only_violation():
+    inst = parse_instance(TWO_PP_PATH_TEXT)
+    m = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3"), ("a4", "b4")])
+    assert m not in classify(inst).popular_set()
+    for verifier in (is_popular, is_dominant):
+        ok, cert = verifier(inst, m)
+        assert not ok and cert.kind == "two-pp-path"
+        assert cert.path == ("a1", "b2", "a2", "b3", "a3", "b4")
+        assert cert.pp_edges == (("a1", "b2"), ("a3", "b4"))
+        assert_certificate_replays(inst, m, cert)
+
+
+def test_cycle_witness_preferred_to_two_pp_path():
+    inst = parse_instance(CYCLE_AND_TWO_PP_TEXT)
+    m = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
+    ok, cert = is_popular(inst, m)
+    assert not ok and cert.kind == "pp-cycle"
+    assert cert.path == ("b2", "a2", "b1", "a1", "b2")
+    assert_certificate_replays(inst, m, cert)
+
+
+def deep_chain(n, closed):
+    """Men a0..an matched to b0..bn.  (a0,b1) is the only (+,+) edge and
+    (+,-) edges (a_i,b_{i+1}) continue the alternating path a0-b1-a1-...-an;
+    when closed, (an,b0) turns it into one alternating cycle."""
+    men = [f"a{i}" for i in range(n + 1)]
+    women = [f"b{i}" for i in range(n + 1)]
+    pref = {men[i]: (women[i + 1], women[i]) for i in range(n)}
+    pref[men[n]] = (women[0], women[n]) if closed else (women[n],)
+    pref[women[0]] = (men[0], men[n]) if closed else (men[0],)
+    pref[women[1]] = (men[0], men[1])
+    for i in range(2, n + 1):
+        pref[women[i]] = (men[i], men[i - 1])
+    inst = Instance(men, women, pref)
+    return inst, Matching(zip(men, women))
+
+
+def test_deep_chain_small_cases_match_oracle():
+    for closed in (False, True):
+        inst, m = deep_chain(4, closed)
+        report = classify(inst)
+        assert is_popular(inst, m)[0] == (m in report.popular_set()) == (not closed)
+        assert is_dominant(inst, m)[0] == (m in report.dominant_set()) == (not closed)
+
+
+def test_deep_chain_needs_no_recursion():
+    n = 50_000
+    inst, m = deep_chain(n, closed=False)
+    assert is_popular(inst, m) == (True, None)
+    assert is_dominant(inst, m) == (True, None)
+    inst, m = deep_chain(n, closed=True)
+    ok, cert = is_dominant(inst, m)
+    assert not ok and cert.kind == "pp-cycle" and len(cert.path) == 2 * (n + 1) + 1
+    assert_certificate_replays(inst, m, cert)
+
+
+def test_verify_at_scale():
+    inst = generate_random(10_000, 10_000, 0.002, seed=7)
+    dom = dominant_two_level(inst)
+    start = time.perf_counter()
+    ok, cert = is_dominant(inst, dom)
+    seconds = time.perf_counter() - start
+    assert ok and cert is None
+    assert seconds < 5.0, f"is_dominant took {seconds:.2f}s"
+
+    # Swap (a,b), (a2,b2) into (a,b2), (a2,b) where a and b prefer each
+    # other to their new partners and (a2,b2) is not (-,-): the cycle
+    # a-b-a2-b2-a then runs through the (+,+) edge (a,b).
+    rank = inst.rank
+    swapped = next(
+        Matching((dom.pairs - {(a, b), (a2, b2)}) | {(a, b2), (a2, b)})
+        for a, b in dom.sorted_pairs()
+        for b2 in inst.pref[a][rank[a][b] + 1 :]
+        for a2 in [dom.partner_of(b2)]
+        if a2 is not None
+        and b in rank[a2]
+        and rank[b][a] < rank[b][a2]
+        and (rank[a2][b2] < rank[a2][b] or rank[b2][a2] < rank[b2][a])
+    )
+    start = time.perf_counter()
+    ok, cert = is_popular(inst, swapped)
+    seconds = time.perf_counter() - start
+    assert not ok, "the swap closes an alternating cycle through a (+,+) edge"
+    assert seconds < 5.0, f"is_popular took {seconds:.2f}s"
+    assert_certificate_replays(inst, swapped, cert)
