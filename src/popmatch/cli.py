@@ -261,12 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("-i", "--instance", required=True, help="instance file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; output never depends on it",
-        )
 
     p = sub.add_parser("solve", help="compute a stable or dominant matching")
     p.add_argument("--property", choices=("stable", "dominant"), required=True)
@@ -323,10 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, oracles.EnumerationGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InstanceError, oracles.EnumerationGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

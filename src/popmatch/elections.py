@@ -104,15 +104,3 @@ def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:
     gm_adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
     return LabeledGraph(label=label, gm_edges=frozenset(gm), gm_adj=gm_adj)
 
-
-def blocking_pairs(inst: Instance, matching: Matching):
-    """Yield the (+,+) edges in lexicographic order."""
-    for a, b in sorted(inst.edges):
-        if (a, b) in matching.pairs:
-            continue
-        pa = matching.partner_of(a)
-        pb = matching.partner_of(b)
-        if (pa is None or inst.rank[a][b] < inst.rank[a][pa]) and (
-            pb is None or inst.rank[b][a] < inst.rank[b][pb]
-        ):
-            yield (a, b)

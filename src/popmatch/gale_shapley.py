@@ -1,15 +1,15 @@
 """A deterministic men-proposing engine with rule hooks.
 
 One proposal loop covers plain deferred acceptance, forced-edge runs
-(via per-woman acceptance floors), restricted-acceptance runs (per-woman
-proposer predicates), and warm starts from a partial matching.
+(via per-woman acceptance floors), forced rejections, and warm starts
+from a partial matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .instance import Instance, InstanceError, Matching
 
@@ -23,29 +23,22 @@ class ProposalRules:
     """Restrictions a woman applies before considering a proposal.
 
     acceptance_floor: woman -> man; she rejects proposers she ranks
-    strictly below him.  level_filter: woman -> predicate deciding which
-    proposers she considers at all.  forced_rejections: (man, woman)
-    pairs she always rejects.  A rejected proposer simply moves on to
-    his next choice.
+    strictly below him.  forced_rejections: (man, woman) pairs she
+    always rejects.  A rejected proposer simply moves on to his next
+    choice.
     """
 
     acceptance_floor: Mapping[str, str] = field(default_factory=dict)
-    level_filter: Mapping[str, Callable[[str], bool]] = field(default_factory=dict)
     forced_rejections: frozenset = frozenset()
 
     def allows(self, inst: Instance, man: str, woman: str) -> bool:
         if (man, woman) in self.forced_rejections:
             return False
         floor = self.acceptance_floor.get(woman)
-        if floor is not None and inst.rank[woman][man] > inst.rank[woman][floor]:
-            return False
-        predicate = self.level_filter.get(woman)
-        if predicate is not None and not predicate(man):
-            return False
-        return True
+        return floor is None or inst.rank[woman][man] <= inst.rank[woman][floor]
 
     def is_empty(self) -> bool:
-        return not (self.acceptance_floor or self.level_filter or self.forced_rejections)
+        return not (self.acceptance_floor or self.forced_rejections)
 
 
 EMPTY_RULES = ProposalRules()

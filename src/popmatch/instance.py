@@ -317,6 +317,8 @@ def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Inst
     determined by the seed."""
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+    if n_men < 0 or n_women < 0:
+        raise ValueError("the numbers of men and women must not be negative")
     rng = np.random.default_rng(seed)
     men = tuple(f"a{i + 1}" for i in range(n_men))
     women = tuple(f"b{j + 1}" for j in range(n_women))

@@ -172,10 +172,9 @@ def inverse_map(
     """
     level = inst if isinstance(inst, LevelInstance) else build_level_graph(inst)
     base = level.base
-    ok, cert = verify.is_dominant(base, matching)
-    if not ok:
+    cert, part = verify.checked_partition(base, matching, dominant=True)
+    if cert is not None:
         raise NotDominantError(f"matching is not dominant: {cert.kind}", cert)
-    part = verify.partition(base, matching, seed_unmatched=True)
     overlap = part.a0 & part.a1
     if overlap:
         raise NotDominantError(

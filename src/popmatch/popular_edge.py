@@ -42,17 +42,12 @@ class Decomposition:
     z: Tuple[str, ...]
 
 
-def _require_popular(inst: Instance, matching: Matching) -> None:
-    ok, cert = verify.is_popular(inst, matching)
-    if not ok:
-        raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
-
-
 def decompose(inst: Instance, matching: Matching) -> Decomposition:
     """Split a popular matching into its blocking-pair closure part and
     the remainder."""
-    _require_popular(inst, matching)
-    part = verify.partition(inst, matching, seed_unmatched=False)
+    cert, part = verify.checked_partition(inst, matching, dominant=False)
+    if cert is not None:
+        raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
     a_side = part.a0 | part.a1
     m0 = []
     m1 = []
@@ -170,10 +165,7 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:
     then the dominant route; a miss on both proves no popular matching
     contains the edge.
     """
-    u, v = edge
-    if (u, v) not in inst.edges:
-        raise InstanceError(f"({u},{v}) is not an edge of the instance")
-    got = gale_shapley.stable_with_edge(inst, (u, v))
+    got = gale_shapley.stable_with_edge(inst, edge)
     if got is not None:
         return got
-    return dominant_with_edge(inst, (u, v))
+    return dominant_with_edge(inst, edge)

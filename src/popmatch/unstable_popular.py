@@ -63,8 +63,11 @@ def _probe_edge(
     """The per-edge probe: force (a,b) to block the projected matching."""
     a0, a1 = level.copies[a]
     cut = inst.rank[a][b]
+    # b's auxiliary list ranks every level-1 copy above every level-0
+    # copy, so a floor at the level-1 copy of her last man admits only
+    # level-1 proposers.
     rules = ProposalRules(
-        level_filter={b: lambda man: level.origin[man][1] == 1},
+        acceptance_floor={b: level.copies[inst.pref[b][-1]][1]},
         forced_rejections=frozenset((a0, w) for w in inst.pref[a][:cut]),
     )
     result = gale_shapley.run(level.graph, rules)

@@ -1,33 +1,33 @@
 """Certificate-producing verifiers for popularity and dominance.
 
-Popularity is checked in the pruned subgraph G_M (Huang and Kavitha): a
-matching fails exactly when some (+,+) edge sits on an alternating path
-from an unmatched vertex, on an alternating cycle, or on an alternating
-path together with a second (+,+) edge.  The first condition is one
-alternating-walk search from the unmatched men and one from the
-unmatched women.  The other two are questions about the digraph D over
-men with an arc x -> M(w) for each non-matching G_M edge (x, w) whose
-woman w is matched, where the arcs of (+,+) edges are marked: a marked
-arc inside a strongly connected component closes a cycle, and a marked
-arc whose head reaches the tail of another marked arc gives a two-edge
-path.  One SCC pass and one reverse search answer both, so the whole
-check takes O(|V| + |E|) time and nothing in it recurses.  Witnesses
-are reported in that order: unmatched path, then cycle, then two-edge
-path.  Dominance additionally requires the absence of an augmenting
-path in the pruned subgraph.  Every negative verdict carries a
-replayable certificate.
+Every question here is one of alternating reachability in the pruned
+subgraph G_M, asked of one digraph over both sides with an arc x -> M(y)
+for each non-matching G_M edge (x, y) whose y is matched; no arc joins
+the men's part to the women's.  A matching is unpopular (Huang and
+Kavitha) exactly when some (+,+) edge sits on an alternating path from
+an unmatched vertex, on an alternating cycle, or on an alternating path
+with a second (+,+) edge.  The first condition is one search from the
+unmatched vertices.  For the other two, mark the arcs of (+,+) edges in
+the men's part: a marked arc inside a strongly connected component
+closes a cycle, and a marked head that reaches another marked tail
+gives a two-edge path.  The check takes O(|V| + |E|) time, nothing in
+it recurses, and witnesses are reported in that order.  Dominance also
+requires the absence of an augmenting path, and the partition is the
+closure of the blocking edges (and optionally the unmatched vertices)
+under the same arcs.  Every negative verdict carries a replayable
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .elections import PLUS, LabeledGraph, label_edges
 from .instance import Instance, Matching
 
 Edge = Tuple[str, str]
-Reach = Tuple[Dict[str, Optional[Tuple[str, str]]], List[str]]
 
 
 @dataclass(frozen=True)
@@ -62,113 +62,9 @@ class Partition:
     via_blocking: FrozenSet[str]
 
 
-def _closure(
-    matching: Matching, adj, a0: Set[str], a1: Set[str], b0: Set[str], b1: Set[str]
-) -> Tuple[Set[str], Set[str], Set[str], Set[str]]:
-    """Close the four sets in place under the rules of `partition`: a
-    matched vertex next to a b0 woman or an a1 man in the pruned subgraph
-    joins a0 or b1, and its partner joins b0 or a1."""
-    for entered, left in ((a0, b0), (b1, a1)):
-        queue = list(left)
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            for u in adj[v]:
-                p = matching.partner_of(u)
-                if p is None or u in entered:
-                    continue
-                entered.add(u)
-                if p not in left:
-                    left.add(p)
-                    queue.append(p)
-    return a0, a1, b0, b1
-
-
-def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Partition:
-    """Seed the four sets and close them under adjacency in the pruned
-    subgraph.  The sets are least fixpoints, so each is the union of one
-    worklist search from the unmatched seeds and one from the blocking
-    seeds."""
-    labeled = label_edges(inst, matching)
-    unmatched_men: Set[str] = set()
-    unmatched_women: Set[str] = set()
-    if seed_unmatched:
-        unmatched_men.update(m for m in inst.men if not matching.is_matched(m))
-        unmatched_women.update(w for w in inst.women if not matching.is_matched(w))
-    a0: Set[str] = set()
-    a1: Set[str] = set()
-    b0: Set[str] = set()
-    b1: Set[str] = set()
-    for (y, z), lab in labeled.label.items():
-        if lab != (PLUS, PLUS):
-            continue
-        a0.add(y)
-        b1.add(z)
-        py = matching.partner_of(y)
-        if py is not None:
-            b0.add(py)
-        pz = matching.partner_of(z)
-        if pz is not None:
-            a1.add(pz)
-
-    adj = labeled.gm_adj
-    from_unmatched = _closure(matching, adj, set(), unmatched_men, unmatched_women, set())
-    from_blocking = _closure(matching, adj, a0, a1, b0, b1)
-    a0, a1, b0, b1 = (x | y for x, y in zip(from_unmatched, from_blocking))
-    return Partition(
-        a0=frozenset(a0),
-        a1=frozenset(a1),
-        b0=frozenset(b0),
-        b1=frozenset(b1),
-        via_unmatched=frozenset().union(*from_unmatched),
-        via_blocking=frozenset().union(*from_blocking),
-    )
-
-
-def _reach(matching: Matching, labeled: LabeledGraph, sources: List[str]) -> Reach:
-    """Vertices reachable by an alternating walk that is ready to leave
-    along a non-matching edge: from a man the walk crosses to a woman
-    and on to her partner, and from a woman the other way round.
-    Returns parent links (vertex -> (previous vertex on the same side,
-    vertex crossed)) and the BFS order."""
-    parent: Dict[str, Optional[Tuple[str, str]]] = {}
-    order: List[str] = []
-    for s in sources:
-        if s not in parent:
-            parent[s] = None
-            order.append(s)
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for w in labeled.gm_adj[x]:
-            if matching.partner_of(x) == w:
-                continue
-            nxt = matching.partner_of(w)
-            if nxt is None or nxt in parent:
-                continue
-            parent[nxt] = (x, w)
-            order.append(nxt)
-    return parent, order
-
-
-def _chain_to(parent: Dict[str, Optional[Tuple[str, str]]], target: str) -> List[str]:
-    """Unwind parent links into the vertex sequence source ... target."""
-    out: List[str] = [target]
-    cur = target
-    while parent[cur] is not None:
-        prev, via = parent[cur]
-        out.append(via)
-        out.append(prev)
-        cur = prev
-    out.reverse()
-    return out
-
-
-def _bfs(adj: List[List[int]], sources: List[int]) -> List[int]:
-    """Parent pointers of a BFS over an int-indexed digraph: -1 at a
-    source, -2 where unreached."""
+def _bfs(adj: List[List[int]], sources: List[int]) -> Tuple[List[int], List[int]]:
+    """Parent pointers of a BFS over an int-indexed digraph (-1 at a
+    source, -2 where unreached) and the order it visited vertices in."""
     parent = [-2] * len(adj)
     queue = []
     for s in sources:
@@ -180,18 +76,19 @@ def _bfs(adj: List[List[int]], sources: List[int]) -> List[int]:
             if parent[w] == -2:
                 parent[w] = v
                 queue.append(w)
-    return parent
+    return parent, queue
 
 
-def _components(adj: List[List[int]]) -> List[int]:
-    """A strongly-connected-component label for every vertex (Tarjan's
-    algorithm with an explicit call stack)."""
+def _components(adj: List[List[int]], roots: int) -> List[int]:
+    """A strongly-connected-component label for every vertex reachable
+    from the first `roots` vertices, -1 elsewhere (Tarjan's algorithm
+    with an explicit call stack)."""
     index = [-1] * len(adj)
     low = [0] * len(adj)
     comp = [-1] * len(adj)
     stack: List[int] = []
     counter = 0
-    for root in range(len(adj)):
+    for root in range(roots):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -225,91 +122,175 @@ def _components(adj: List[List[int]]) -> List[int]:
     return comp
 
 
-def _violation(
-    inst: Instance,
-    matching: Matching,
-    labeled: LabeledGraph,
-    men_reach: Optional[Reach] = None,
-) -> Optional[Certificate]:
-    """The certificate `is_popular` reports, or None if the matching is
-    popular.  men_reach is the alternating reach of the unmatched men,
-    if the caller already has it."""
-    pp = sorted(e for e, lab in labeled.label.items() if lab == (PLUS, PLUS))
-    if not pp:
-        return None
+class _Graph:
+    """The alternating digraph of a matching: vertex ids are the men,
+    then the women; mate[v] is v's partner or -1; succ[x] lists M(y) for
+    each non-matching G_M edge (x, y) whose y is matched, in gm_adj
+    order; pp holds the (+,+) edges in lexicographic order."""
 
-    for a, b in pp:
+    def __init__(self, inst: Instance, matching: Matching, labeled: LabeledGraph):
+        self.matching = matching
+        self.labeled = labeled
+        self.names = inst.men + inst.women
+        self.n_men = len(inst.men)
+        self.index = {v: i for i, v in enumerate(self.names)}
+        self.mate = [-1] * len(self.names)
+        for m, w in matching.pairs:
+            i, j = self.index[m], self.index[w]
+            self.mate[i], self.mate[j] = j, i
+        self.pp = sorted(e for e, lab in labeled.label.items() if lab == (PLUS, PLUS))
+
+    @cached_property
+    def succ(self) -> List[List[int]]:
+        mate_of = dict(zip(self.names, self.mate)).__getitem__
+        adj = self.labeled.gm_adj
+        return [
+            [y for y in map(mate_of, adj[x]) if y >= 0 and y != i]
+            for i, x in enumerate(self.names)
+        ]
+
+    @cached_property
+    def reach(self) -> Tuple[List[int], List[int]]:
+        """`_bfs` from every unmatched vertex."""
+        return _bfs(self.succ, [v for v, p in enumerate(self.mate) if p < 0])
+
+    def walk(self, ids: List[int]) -> Tuple[str, ...]:
+        """Vertices x0 -> ... -> xk as the alternating path x0, M(x1), x1, ..., xk."""
+        names, mate = self.names, self.mate
+        out = [names[ids[0]]]
+        for v in ids[1:]:
+            out += (names[mate[v]], names[v])
+        return tuple(out)
+
+    def path(self, parent: List[int], v: int) -> Tuple[str, ...]:
+        """The alternating path from a BFS source to v."""
+        ids = [v]
+        while parent[ids[-1]] >= 0:
+            ids.append(parent[ids[-1]])
+        return self.walk(ids[::-1])
+
+
+def _violation(g: _Graph) -> Optional[Certificate]:
+    """The certificate `is_popular` reports, or None if the matching is
+    popular."""
+    if not g.pp:
+        return None
+    for a, b in g.pp:
         for x, y in ((a, b), (b, a)):
-            if not matching.is_matched(x):
+            if not g.matching.is_matched(x):
                 return Certificate("pp-path-from-unmatched", (x, y), ((a, b),))
 
-    if men_reach is None:
-        unmatched_men = [m for m in inst.men if not matching.is_matched(m)]
-        men_reach = _reach(matching, labeled, unmatched_men)
-    unmatched_women = [w for w in inst.women if not matching.is_matched(w)]
-    women_parent = _reach(matching, labeled, unmatched_women)[0]
-    for a, b in pp:
-        for x, y, parent in ((a, b, men_reach[0]), (b, a, women_parent)):
-            if x not in parent:
+    parent = g.reach[0]
+    for a, b in g.pp:
+        for x, y in ((a, b), (b, a)):
+            if parent[g.index[x]] == -2:
                 continue
-            chain = _chain_to(parent, x)
+            chain = g.path(parent, g.index[x])
             if y in chain:
                 # the walk closes on itself: the suffix from y is an
                 # alternating cycle through the (+,+) edge
-                cycle = tuple(chain[chain.index(y) :]) + (y,)
+                cycle = chain[chain.index(y) :] + (y,)
                 return Certificate("pp-cycle", cycle, ((a, b),))
-            path = tuple(chain) + (y,)
-            return Certificate("pp-path-from-unmatched", path, ((a, b),))
+            return Certificate("pp-path-from-unmatched", chain + (y,), ((a, b),))
 
-    # Every (+,+) edge now has both ends matched.  D: man x -> M(w) for
-    # each non-matching pruned edge (x, w) with w matched; the woman an
-    # arc crosses is the partner of its head.
-    men = inst.men
-    partner = matching.partner_of
-    index = {m: i for i, m in enumerate(men)}
-    succ = [
-        [index[y] for y in map(partner, labeled.gm_adj[x]) if y is not None and y != x]
-        for x in men
-    ]
-    marked = [(index[a], index[partner(b)]) for a, b in pp]
-
-    def walk(path: List[int]) -> Tuple[str, ...]:
-        """Men x0 -> ... -> xk of D as the alternating path x0, M(x1), x1, ..., xk."""
-        out = [men[path[0]]]
-        for i in path[1:]:
-            out += (partner(men[i]), men[i])
-        return tuple(out)
-
-    comp = _components(succ)
-    for (a, b), (u, v) in zip(pp, marked):
+    # Every (+,+) edge now has both ends matched and marks the arc
+    # a -> M(b) of the men's part; the woman an arc crosses is the
+    # partner of its head.
+    succ, men = g.succ, range(g.n_men)
+    marked = [(g.index[a], g.mate[g.index[b]]) for a, b in g.pp]
+    comp = _components(succ, g.n_men)
+    for (a, b), (u, v) in zip(g.pp, marked):
         if comp[u] == comp[v]:
             # Every path from v to u stays inside their component.
-            parent = _bfs(succ, [v])
-            path = [u]
-            while path[-1] != v:
-                path.append(parent[path[-1]])
-            return Certificate("pp-cycle", (b,) + walk(path[::-1]) + (b,), ((a, b),))
+            cycle = g.path(_bfs(succ, [v])[0], u)
+            return Certificate("pp-cycle", (b,) + cycle + (b,), ((a, b),))
 
     # No marked arc lies on a cycle, so a head never reaches its own
     # tail and every path found below is simple.
     pred: List[List[int]] = [[] for _ in men]
-    for x, heads in enumerate(succ):
-        for y in heads:
+    for x in men:
+        for y in succ[x]:
             pred[y].append(x)
     first_pp: Dict[int, Edge] = {}
-    for e, (u, _) in zip(pp, marked):
+    for e, (u, _) in zip(g.pp, marked):
         first_pp.setdefault(u, e)
-    toward = _bfs(pred, list(first_pp))
-    for (a, b), (u, v) in zip(pp, marked):
+    toward = _bfs(pred, list(first_pp))[0]
+    for (a, b), (u, v) in zip(g.pp, marked):
         if toward[v] != -2:
-            path = [v]
-            while toward[path[-1]] != -1:
-                path.append(toward[path[-1]])
-            second = first_pp[path[-1]]
+            ids = [v]
+            while toward[ids[-1]] != -1:
+                ids.append(toward[ids[-1]])
+            second = first_pp[ids[-1]]
             return Certificate(
-                "two-pp-path", (a, b) + walk(path) + (second[1],), ((a, b), second)
+                "two-pp-path", (a, b) + g.walk(ids) + (second[1],), ((a, b), second)
             )
     return None
+
+
+def _dominance_violation(g: _Graph) -> Optional[Certificate]:
+    """The certificate `is_dominant` reports, or None if the matching is
+    dominant: a popularity violation, else an augmenting path from the
+    first man in BFS order with an unmatched G_M neighbour."""
+    cert = _violation(g)
+    if cert is not None:
+        return cert
+    parent, order = g.reach
+    for x in order:
+        if x >= g.n_men:
+            continue
+        for w in g.labeled.gm_adj[g.names[x]]:
+            if not g.matching.is_matched(w):
+                return Certificate("augmenting-path", g.path(parent, x) + (w,))
+    return None
+
+
+def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
+    """One `_bfs` per seeding: a1 and b0 are the men and women reached
+    from the seeds, and a0 and b1 add the partners of what was reached."""
+    names, mate = g.names, g.mate
+
+    def close(parent: List[int], a0: Set[str], b1: Set[str]):
+        a1: Set[str] = set()
+        b0: Set[str] = set()
+        for v, p in enumerate(parent):
+            if p != -2:
+                (a1 if v < g.n_men else b0).add(names[v])
+                if mate[v] >= 0:
+                    (b1 if v < g.n_men else a0).add(names[mate[v]])
+        return a0, a1, b0, b1
+
+    sources = [mate[g.index[v]] for e in g.pp for v in e]
+    from_blocking = close(
+        _bfs(g.succ, [v for v in sources if v >= 0])[0],
+        {y for y, _ in g.pp},
+        {z for _, z in g.pp},
+    )
+    from_unmatched = close(g.reach[0] if seed_unmatched else [], set(), set())
+    both = (from_unmatched, from_blocking)
+    a0, a1, b0, b1 = (frozenset(x | y) for x, y in zip(*both))
+    via_unmatched, via_blocking = (frozenset().union(*sets) for sets in both)
+    return Partition(a0, a1, b0, b1, via_unmatched, via_blocking)
+
+
+def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Partition:
+    """Seed the four sets and close them under adjacency in the pruned
+    subgraph: a matched vertex next to a b0 woman or an a1 man joins a0
+    or b1, and its partner joins b0 or a1."""
+    g = _Graph(inst, matching, label_edges(inst, matching))
+    return _partition(g, seed_unmatched)
+
+
+def checked_partition(
+    inst: Instance, matching: Matching, dominant: bool
+) -> Tuple[Optional[Certificate], Optional[Partition]]:
+    """The certificate of `is_popular` (of `is_dominant` if dominant)
+    and, when there is none, the `partition` seeded by the unmatched
+    vertices exactly when dominant, from one labelling."""
+    g = _Graph(inst, matching, label_edges(inst, matching))
+    cert = _dominance_violation(g) if dominant else _violation(g)
+    if cert is not None:
+        return cert, None
+    return None, _partition(g, seed_unmatched=dominant)
 
 
 def is_popular(
@@ -320,7 +301,7 @@ def is_popular(
     certificate found, preferring unmatched-path, then cycle, then
     two-edge-path witnesses and taking (+,+) edges in lexicographic
     order within each kind."""
-    cert = _violation(inst, matching, label_edges(inst, matching))
+    cert = _violation(_Graph(inst, matching, label_edges(inst, matching)))
     return cert is None, cert
 
 
@@ -329,15 +310,5 @@ def is_dominant(
 ) -> Tuple[bool, Optional[Certificate]]:
     """Popularity plus the absence of an augmenting path in the pruned
     subgraph."""
-    labeled = label_edges(inst, matching)
-    unmatched_men = [m for m in inst.men if not matching.is_matched(m)]
-    parent, order = men_reach = _reach(matching, labeled, unmatched_men)
-    cert = _violation(inst, matching, labeled, men_reach)
-    if cert is not None:
-        return False, cert
-    for x in order:
-        for w in labeled.gm_adj[x]:
-            if matching.partner_of(w) is None and matching.partner_of(x) != w:
-                path = tuple(_chain_to(parent, x)) + (w,)
-                return False, Certificate("augmenting-path", path)
-    return True, None
+    cert = _dominance_violation(_Graph(inst, matching, label_edges(inst, matching)))
+    return cert is None, cert

@@ -222,6 +222,16 @@ def test_gen_bad_density_is_exit_2(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_gen_negative_size_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "gen.pref"
+    code, _, err = run_cli(
+        capsys, "gen", "--men", "-3", "--women", "3", "--density", "0.5",
+        "--seed", "1", "-o", str(path),
+    )
+    assert code == 2 and "error:" in err and "negative" in err
+    assert not path.exists()
+
+
 def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
     path = tmp_path / "latin1.pref"
     path.write_bytes(b"men: a\xff\n")

@@ -58,11 +58,6 @@ def test_acceptance_floor_rules(nested_fan):
     assert run(nested_fan, loose) == run(nested_fan)
 
 
-def test_level_filter_rules(shared_top):
-    rules = ProposalRules(level_filter={"b1": lambda m: m == "a2"})
-    assert run(shared_top, rules) == Matching([("a1", "b2"), ("a2", "b1")])
-
-
 def test_forced_rejection_rules(shared_top):
     rules = ProposalRules(forced_rejections=frozenset({("a1", "b1"), ("a1", "b2")}))
     assert run(shared_top, rules) == Matching([("a2", "b1")])

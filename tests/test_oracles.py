@@ -68,11 +68,11 @@ def test_classification_matches_definitions(small_ensemble):
 
 
 def test_stable_set_matches_blocking_pair_scan(small_ensemble):
-    from popmatch.elections import blocking_pairs
+    from popmatch.gale_shapley import is_stable
 
     for inst, report in small_ensemble[:15]:
         for m, stable in zip(report.family, report.stable):
-            assert stable == (next(blocking_pairs(inst, m), None) is None)
+            assert stable == is_stable(inst, m)[0]
 
 
 def test_stable_and_popular_helpers_agree(shared_top):

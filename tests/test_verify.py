@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from popmatch import (
     Instance,
     Matching,
@@ -93,22 +95,55 @@ def test_partition_empty_when_everyone_has_top_choice():
 
 def test_partition_closure_fixed_point(small_ensemble):
     # no man outside the level-0 side touches a level-0 woman in the
-    # pruned subgraph, and symmetrically for the level-1 side
+    # pruned subgraph, and symmetrically for the level-1 side: for
+    # popular matchings seeded by blocking pairs only (as in decompose)
+    # and for dominant ones seeded by unmatched vertices too (as in
+    # inverse_map)
     from popmatch import label_edges
 
     for inst, report in small_ensemble[:15]:
-        for m, popular in zip(report.family, report.popular):
-            if not popular:
-                continue
-            part = partition(inst, m, seed_unmatched=False)
+        for m, popular, dominant in zip(report.family, report.popular, report.dominant):
             adj = label_edges(inst, m).gm_adj
-            for a in inst.men:
-                if a not in part.a0:
-                    assert not any(w in part.b0 for w in adj[a])
-            for b in inst.women:
-                if b not in part.b1:
-                    assert not any(x in part.a1 for x in adj[b])
-            assert not (part.a0 & part.a1)
+            for seeded, applies in ((False, popular), (True, dominant)):
+                if not applies:
+                    continue
+                part = partition(inst, m, seed_unmatched=seeded)
+                for a in inst.men:
+                    if a not in part.a0:
+                        assert not any(w in part.b0 for w in adj[a])
+                for b in inst.women:
+                    if b not in part.b1:
+                        assert not any(x in part.a1 for x in adj[b])
+                assert not (part.a0 & part.a1)
+                if seeded:
+                    assert {a for a in inst.men if not m.is_matched(a)} <= part.a1
+                    assert {b for b in inst.women if not m.is_matched(b)} <= part.b0
+
+
+def test_decompose_and_inverse_map_label_once(small_ensemble, monkeypatch):
+    # the verdict and the partition come from one labelling, also when
+    # the verdict is negative
+    import popmatch.verify
+    from popmatch import InstanceError, decompose, inverse_map
+
+    calls = []
+    original = popmatch.verify.label_edges
+
+    def counting(inst, m):
+        calls.append(m)
+        return original(inst, m)
+
+    monkeypatch.setattr(popmatch.verify, "label_edges", counting)
+    for inst, report in small_ensemble[:10]:
+        for m, popular, dominant in zip(report.family, report.popular, report.dominant):
+            for fn, ok in ((decompose, popular), (inverse_map, dominant)):
+                calls.clear()
+                if ok:
+                    fn(inst, m)
+                else:
+                    with pytest.raises(InstanceError):
+                        fn(inst, m)
+                assert len(calls) == 1
 
 
 def test_is_popular_examples(contested_hub):
