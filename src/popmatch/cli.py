@@ -180,6 +180,10 @@ def _cmd_min_cost(args) -> int:
     inst = _load_instance(args.instance)
     costs = min_cost.parse_costs(_read(args.costs), inst)
     matching, total = min_cost.min_cost_dominant(inst, costs, limit=_max_enum())
+    try:
+        decimal = str(float(total))
+    except OverflowError:
+        decimal = "inf" if total > 0 else "-inf"
     if args.json:
         print(
             json.dumps(
@@ -188,14 +192,14 @@ def _cmd_min_cost(args) -> int:
                     "cost": {
                         "numerator": total.numerator,
                         "denominator": total.denominator,
-                        "decimal": str(float(total)),
+                        "decimal": decimal,
                     },
                 }
             )
         )
     else:
         _print_matching(matching)
-        print(f"cost: {total} ({float(total)})")
+        print(f"cost: {total} ({decimal})")
     return 0
 
 

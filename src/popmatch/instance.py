@@ -17,7 +17,8 @@ File format (PREF v1):
 The first two content lines declare the sides; every further line gives
 one vertex's neighbors in decreasing order of preference.  Vertex ids
 are opaque tokens without whitespace or ':'.  A matching file has one
-``<man> <woman>`` pair per line.
+``<man> <woman>`` pair per line.  An error in a file is a ParseError
+that names its line.
 """
 
 from __future__ import annotations
@@ -41,9 +42,58 @@ class ParseError(InstanceError):
         self.line = line
 
 
-def _check_token(tok: str) -> None:
-    if not tok or ":" in tok or any(c.isspace() for c in tok):
-        raise InstanceError(f"invalid vertex id {tok!r}")
+def _error(message: str, line: Optional[int]) -> InstanceError:
+    """What the instance checks below raise: a ParseError naming the file
+    line, or a plain InstanceError when line is None."""
+    return InstanceError(message) if line is None else ParseError(message, line)
+
+
+def _check_ids(ids: Iterable[str], known: set, line: Optional[int] = None) -> None:
+    """Add declared ids to known, rejecting repeated and malformed ones."""
+    for v in ids:
+        if v in known:
+            raise _error(f"duplicate vertex id {v!r}", line)
+        if ":" in v or v.split() != [v]:  # or empty, or holding whitespace
+            raise _error(f"invalid vertex id {v!r}", line)
+        known.add(v)
+
+
+def _check_lists(inst: "Instance", lines: Mapping[str, Optional[int]]) -> None:
+    """Check the lists of the vertices in `lines`, in that order: each
+    vertex is declared and names distinct vertices of the other side.
+    Then adjacency is symmetric: every man is on the lists of the women
+    on his, and both sides list as many entries in total.  The women's
+    lists are scanned only when the totals differ, to name the edge."""
+    men, women = inst._men_set, inst._women_set
+    pref, rank = inst.pref, inst.rank
+    for v, line in lines.items():
+        if v not in pref:
+            raise _error(f"preference list for unknown vertex {v!r}", line)
+        lst = pref[v]
+        own, other = (men, women) if v in men else (women, men)
+        if len(rank[v]) == len(lst) and other.issuperset(lst):
+            continue
+        seen = set()
+        for x in lst:
+            if x in own:
+                raise _error(f"{v!r} lists {x!r} on its own side", line)
+            if x not in other:
+                raise _error(f"unknown neighbor {x!r} in list of {v!r}", line)
+            if x in seen:
+                raise _error(f"duplicate entry {x!r} in list of {v!r}", line)
+            seen.add(x)
+    listers = inst.men
+    if sum(len(pref[m]) for m in inst.men) != sum(len(pref[w]) for w in inst.women):
+        listers += inst.women
+    for v in listers:
+        for x in pref[v]:
+            if v not in rank[x]:
+                m, w = (v, x) if v in men else (x, v)
+                raise _error(
+                    f"asymmetric adjacency: edge ({m},{w}) — "
+                    f"{v!r} lists {x!r} but {x!r} does not list {v!r}",
+                    lines.get(v),
+                )
 
 
 class Instance:
@@ -67,54 +117,16 @@ class Instance:
     ):
         self.men = tuple(men)
         self.women = tuple(women)
+        vertices = self.men + self.women
+        if check:
+            _check_ids(vertices, set())
         self._men_set = frozenset(self.men)
         self._women_set = frozenset(self.women)
-        vertices = self.men + self.women
         self.pref = {v: tuple(pref.get(v, ())) for v in vertices}
-        if check:
-            self._validate(pref)
         self.rank = {v: {x: i for i, x in enumerate(lst)} for v, lst in self.pref.items()}
         self._edges: Optional[frozenset] = None
-
-    def _validate(self, raw_pref: Mapping[str, Iterable[str]]) -> None:
-        vertices = self.men + self.women
-        if len(set(vertices)) != len(vertices):
-            seen = set()
-            for v in vertices:
-                if v in seen:
-                    raise InstanceError(f"duplicate vertex id {v!r}")
-                seen.add(v)
-        for v in vertices:
-            _check_token(v)
-        for v in raw_pref:
-            if v not in self._men_set and v not in self._women_set:
-                raise InstanceError(f"preference list for unknown vertex {v!r}")
-        nbr = {}
-        for v, lst in self.pref.items():
-            if len(set(lst)) != len(lst):
-                raise InstanceError(f"duplicate entry in preference list of {v!r}")
-            own_side = self._men_set if v in self._men_set else self._women_set
-            other_side = self._women_set if v in self._men_set else self._men_set
-            for x in lst:
-                if x in own_side:
-                    raise InstanceError(f"{v!r} lists {x!r} on its own side")
-                if x not in other_side:
-                    raise InstanceError(f"unknown neighbor {x!r} in list of {v!r}")
-            nbr[v] = set(lst)
-        for m in self.men:
-            for w in self.pref[m]:
-                if m not in nbr[w]:
-                    raise InstanceError(
-                        f"asymmetric adjacency: edge ({m},{w}) — "
-                        f"{m!r} lists {w!r} but {w!r} does not list {m!r}"
-                    )
-        for w in self.women:
-            for m in self.pref[w]:
-                if w not in nbr[m]:
-                    raise InstanceError(
-                        f"asymmetric adjacency: edge ({m},{w}) — "
-                        f"{w!r} lists {m!r} but {m!r} does not list {w!r}"
-                    )
+        if check:
+            _check_lists(self, dict.fromkeys((*vertices, *pref)))
 
     @property
     def edges(self) -> frozenset:
@@ -223,10 +235,10 @@ class Matching:
 
 def parse_instance(text: str) -> Instance:
     """Parse the PREF v1 format into a validated Instance."""
-    men: Optional[list] = None
-    women: Optional[list] = None
+    sides: list = []
     pref: dict = {}
     known: set = set()
+    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -236,40 +248,22 @@ def parse_instance(text: str) -> Instance:
             raise ParseError("malformed line (missing ':')", lineno)
         head = head.strip()
         items = tail.split()
-        if men is None:
-            if head != "men":
-                raise ParseError("expected 'men:' declaration", lineno)
-            if len(set(items)) != len(items):
-                raise ParseError("duplicate vertex id on men: line", lineno)
-            men = items
-            known.update(items)
+        if len(sides) < 2:
+            side = ("men", "women")[len(sides)]
+            if head != side:
+                raise ParseError(f"expected '{side}:' declaration", lineno)
+            _check_ids(items, known, lineno)
+            sides.append(items)
             continue
-        if women is None:
-            if head != "women":
-                raise ParseError("expected 'women:' declaration", lineno)
-            for w in items:
-                if w in known:
-                    raise ParseError(f"duplicate vertex id {w!r}", lineno)
-                known.add(w)
-            if len(set(items)) != len(items):
-                raise ParseError("duplicate vertex id on women: line", lineno)
-            women = items
-            continue
-        if head not in known:
-            raise ParseError(f"unknown vertex id {head!r}", lineno)
         if head in pref:
             raise ParseError(f"duplicate preference line for {head!r}", lineno)
-        seen_items = set()
-        for x in items:
-            if x not in known:
-                raise ParseError(f"unknown neighbor id {x!r}", lineno)
-            if x in seen_items:
-                raise ParseError(f"duplicate entry {x!r} in list of {head!r}", lineno)
-            seen_items.add(x)
         pref[head] = items
-    if men is None or women is None:
+        lines[head] = lineno
+    if len(sides) < 2:
         raise ParseError("missing men:/women: declarations")
-    return Instance(men, women, pref)
+    inst = Instance(*sides, pref, check=False)
+    _check_lists(inst, lines)
+    return inst
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -94,14 +94,11 @@ def _lift(inst: Instance, matching: Matching) -> _LiftDetails:
         level.graph, start=StartState(Matching(start_pairs), tuple(sorted(free)))
     )
     lifted = level_graph.map_T(level, aux)
-    y1 = frozenset(
-        y for y in sub.men if aux.partner_of(level.copies[y][0]) == level.dummy[y]
-    )
-    z1 = frozenset(
-        z
-        for z in sub.women
-        if aux.partner_of(z) is not None and level.origin[aux.partner_of(z)][1] == 1
-    )
+    # Every dummy woman is matched in a stable matching of G', so a man's
+    # level-0 copy holds his dummy exactly when his level-1 copy does not.
+    f = level_graph.f_values(level, aux)
+    y1 = frozenset(y for y in sub.men if f[y])
+    z1 = frozenset(z for z in sub.women if f[z])
     return _LiftDetails(
         matching=Matching(dec.m0.pairs | lifted.pairs),
         decomposition=dec,

@@ -150,6 +150,26 @@ def test_min_cost_dominant_command(shared_top_file, tmp_path, capsys):
     assert doc["cost"] == {"numerator": 20, "denominator": 1, "decimal": "20.0"}
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_min_cost_dominant_total_beyond_float(tmp_path, capsys, sign):
+    inst = tmp_path / "one.pref"
+    inst.write_text("men: a\nwomen: b\na: b\nb: a\n")
+    costs = tmp_path / "c.costs"
+    costs.write_text(f"a b {sign}1e400\n")
+    exact = int(f"{sign}1" + "0" * 400)
+    code, out, err = run_cli(
+        capsys, "min-cost-dominant", "-i", str(inst), "--costs", str(costs)
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["a b", f"cost: {exact} ({sign}inf)"]
+    code, out, err = run_cli(
+        capsys, "min-cost-dominant", "--json", "-i", str(inst), "--costs", str(costs)
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["cost"] == {"numerator": exact, "denominator": 1, "decimal": f"{sign}inf"}
+
+
 def test_enumerate_variants(shared_top_file, capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--what", "matchings", "-i", shared_top_file)
     assert code == 0
@@ -210,6 +230,22 @@ def test_bad_instance_is_exit_2(tmp_path, capsys):
     path.write_text("men: a1\nwomen: b1\na1: b9\nb1: a1\n")
     code, _, err = run_cli(capsys, "solve", "--property", "stable", "-i", str(path))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "men: a1 a2\nwomen: b1\na1: a2\n",
+        "men: a1\nwomen: b1\na1: b1\nb1:\n",
+        "men: a1:x\nwomen: b1\n",
+    ],
+    ids=["own-side", "asymmetric", "colon-in-id"],
+)
+def test_invalid_instance_file_is_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.pref"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--property", "stable", "-i", str(path))
+    assert code == 2 and out == "" and err.startswith("error: line ")
 
 
 def test_gen_bad_density_is_exit_2(tmp_path, capsys):

@@ -33,24 +33,41 @@ def test_empty_preference_lists_allowed():
     assert inst.edges == frozenset()
 
 
+PARSE_ERRORS = [
+    # (text, fragment of the message, line the error names)
+    ("men: a\na: b\n", "women", 2),
+    ("women: b\nmen: a\n", "men", 1),
+    ("men: a\nwomen: b\nc: b\n", "unknown vertex", 3),
+    ("men: a\nwomen: b\na: x\n", "unknown neighbor", 3),
+    ("men: a a\nwomen: b\n", "duplicate", 1),
+    ("men: a\nwomen: a\n", "duplicate", 2),
+    ("men: a\nwomen: b c\na: b c b\n", "duplicate", 3),
+    ("men: a\nwomen: b\na b\n", "':'", 3),
+    ("men: a\nwomen: b\na: b\na: b\n", "duplicate preference line", 4),
+    ("men: a c\nwomen: b\nc:\na: c\n", "'a' lists 'c' on its own side", 4),
+    ("men: a\nwomen: b\na: b\nb:\n", "asymmetric adjacency: edge (a,b)", 3),
+    ("men: a\nwomen: b\na:\nb: a\n", "'b' lists 'a' but 'a' does not list 'b'", 4),
+    ("men: a:x\nwomen: b\n", "invalid vertex id 'a:x'", 1),
+    ("# no declarations\n", "missing men:/women:", None),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("men: a\na: b\n", "women"),
-        ("women: b\nmen: a\n", "men"),
-        ("men: a\nwomen: b\nc: b\n", "unknown vertex"),
-        ("men: a\nwomen: b\na: x\n", "unknown neighbor"),
-        ("men: a a\nwomen: b\n", "duplicate"),
-        ("men: a\nwomen: a\n", "duplicate"),
-        ("men: a\nwomen: b c\na: b c b\n", "duplicate"),
-        ("men: a\nwomen: b\na b\n", "':'"),
-        ("men: a\nwomen: b\na: b\na: b\n", "duplicate preference line"),
-    ],
+    "text,fragment,line", PARSE_ERRORS, ids=[f"{t}-{f}" for t, f, _ in PARSE_ERRORS]
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, line):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+    assert err.value.line == line
+
+
+def test_parse_checks_lists_in_line_order():
+    # the own-side list on line 3 is reported before the unknown
+    # neighbor on line 4
+    with pytest.raises(ParseError) as err:
+        parse_instance("men: a c\nwomen: b\nc: a\na: x\n")
+    assert err.value.line == 3 and "own side" in str(err.value)
 
 
 def test_parse_error_carries_line_number():
@@ -72,8 +89,45 @@ def test_own_side_neighbor_rejected():
         Instance(("a", "c"), ("b",), {"a": ("c",), "c": (), "b": ()})
 
 
+INSTANCE_ERRORS = [
+    # (check, men, women, pref, fragment of the message)
+    ("duplicate-id", ("a", "a"), ("b",), {}, "duplicate vertex id 'a'"),
+    ("duplicate-id-across-sides", ("a",), ("b", "a"), {}, "duplicate vertex id 'a'"),
+    ("colon-in-id", ("a:x",), ("b",), {}, "invalid vertex id 'a:x'"),
+    ("space-in-id", ("a x",), ("b",), {}, "invalid vertex id"),
+    ("empty-id", ("",), ("b",), {}, "invalid vertex id"),
+    ("unknown-owner", ("a",), ("b",), {"c": ()}, "preference list for unknown vertex 'c'"),
+    ("unknown-neighbor", ("a",), ("b",), {"a": ("x",)}, "unknown neighbor 'x' in list of 'a'"),
+    ("own-side", ("a", "c"), ("b",), {"a": ("c",)}, "'a' lists 'c' on its own side"),
+    (
+        "duplicate-entry",
+        ("a",),
+        ("b", "c"),
+        {"a": ("b", "c", "b")},
+        "duplicate entry 'b' in list of 'a'",
+    ),
+    ("asymmetric-man", ("a",), ("b",), {"a": ("b",)}, "'a' lists 'b' but 'b' does not list 'a'"),
+    ("asymmetric-woman", ("a",), ("b",), {"b": ("a",)}, "'b' lists 'a' but 'a' does not list 'b'"),
+]
+
+
+@pytest.mark.parametrize(
+    "men,women,pref,fragment",
+    [case[1:] for case in INSTANCE_ERRORS],
+    ids=[case[0] for case in INSTANCE_ERRORS],
+)
+def test_instance_checks(men, women, pref, fragment):
+    with pytest.raises(InstanceError) as err:
+        Instance(men, women, pref)
+    assert fragment in str(err.value)
+    assert not isinstance(err.value, ParseError)
+    Instance(men, women, pref, check=False)
+
+
 def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
-    for inst in (shared_top, contested_hub, nested_fan):
+    shapes = [(0, 3, 0.5), (4, 0, 0.5), (6, 5, 0.3), (9, 12, 0.6)] * 5
+    randoms = [generate_random(*shape, seed) for seed, shape in enumerate(shapes)]
+    for inst in (shared_top, contested_hub, nested_fan, *randoms):
         assert parse_instance(serialize_instance(inst)) == inst
     assert serialize_instance(shared_top) == SHARED_TOP_TEXT
 
