@@ -246,7 +246,7 @@ def _cmd_gen(args) -> int:
                     "written": args.output,
                     "men": len(inst.men),
                     "women": len(inst.women),
-                    "edges": len(inst.edges),
+                    "edges": sum(len(inst.pref[m]) for m in inst.men),
                 }
             )
         )

@@ -7,10 +7,10 @@ abstains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .instance import Instance, InstanceError, Matching
+from .instance import EdgeSlots, Instance, InstanceError, Matching
 
 PLUS = 1
 ZERO = 0
@@ -24,18 +24,55 @@ class ElectionResult(NamedTuple):
     for_second: int
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """Per-edge vote pairs on non-matching edges plus the pruned subgraph.
+# (man's vote, woman's vote) by 2 * plus_a + plus_b
+_VOTE_PAIRS = ((MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS))
 
-    label maps each non-matching edge (a, b) to (a's vote for b vs its
-    partner, b's vote for a vs its partner).  gm_edges keeps the matching
-    edges and every non-(-,-) labeled edge; gm_adj is its adjacency.
+
+class LabeledGraph:
+    """The votes on the edges of an instance under a matching, as
+    boolean arrays over the instance's edge slots (`Instance.slots`).
+
+    in_m marks the matching edges; plus_a (plus_b) marks the edges the
+    man (the woman) votes for against his (her) partner, which is every
+    edge of an unmatched vertex and no matching edge.  mate[v] is the
+    partner of vertex number v, or -1.  The pruned subgraph G_M keeps
+    the matching edges and every edge with a vote for it.
+
+    label, gm_edges and gm_adj are views by vertex name, built on first
+    access: label maps each non-matching edge (a, b) to (a's vote for b
+    vs its partner, b's vote for a vs its partner), gm_edges holds the
+    edges of G_M, and gm_adj[v] lists v's G_M neighbours in name order.
     """
 
-    label: Mapping[Tuple[str, str], Tuple[int, int]]
-    gm_edges: frozenset
-    gm_adj: Mapping[str, Tuple[str, ...]]
+    def __init__(self, slots: EdgeSlots, mate, in_m, plus_a, plus_b):
+        self.slots = slots
+        self.mate = mate
+        self.in_m = in_m
+        self.plus_a = plus_a
+        self.plus_b = plus_b
+
+    @cached_property
+    def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
+        s, names = self.slots, self.slots.names
+        order = s.by_man_name[~self.in_m[s.by_man_name]]
+        men = map(names.__getitem__, s.man[order].tolist())
+        women = map(names.__getitem__, s.woman[order].tolist())
+        codes = (2 * self.plus_a[order] + self.plus_b[order]).tolist()
+        return dict(zip(zip(men, women), map(_VOTE_PAIRS.__getitem__, codes)))
+
+    @cached_property
+    def gm_edges(self) -> frozenset:
+        s, names = self.slots, self.slots.names
+        keep = self.in_m | self.plus_a | self.plus_b
+        men = map(names.__getitem__, s.man[keep].tolist())
+        return frozenset(zip(men, map(names.__getitem__, s.woman[keep].tolist())))
+
+    @cached_property
+    def gm_adj(self) -> Dict[str, Tuple[str, ...]]:
+        s, names = self.slots, self.slots.names
+        keep = self.in_m | self.plus_a | self.plus_b
+        rows = s.rows(False, keep, s.woman) + s.rows(True, keep, s.man)
+        return {v: tuple(map(names.__getitem__, row)) for v, row in zip(names, rows)}
 
 
 def vote(inst: Instance, u: str, x: str, y: Optional[str] = None) -> int:
@@ -81,26 +118,25 @@ def defeats(inst: Instance, first: Matching, second: Matching) -> bool:
 
 
 def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:
-    """Label every non-matching edge with its endpoint votes and prune
-    the (-,-) edges to obtain the reduced subgraph."""
-    label = {}
-    adj: dict = {v: [] for v in inst.men + inst.women}
-    for m, w in matching.pairs:
-        adj[m].append(w)
-        adj[w].append(m)
-    gm = set(matching.pairs)
-    for a, b in sorted(inst.edges):
-        if (a, b) in matching.pairs:
-            continue
-        pa = matching.partner_of(a)
-        pb = matching.partner_of(b)
-        va = PLUS if pa is None or inst.rank[a][b] < inst.rank[a][pa] else MINUS
-        vb = PLUS if pb is None or inst.rank[b][a] < inst.rank[b][pb] else MINUS
-        label[(a, b)] = (va, vb)
-        if va == PLUS or vb == PLUS:
-            gm.add((a, b))
-            adj[a].append(b)
-            adj[b].append(a)
-    gm_adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-    return LabeledGraph(label=label, gm_edges=frozenset(gm), gm_adj=gm_adj)
+    """Label every edge with its endpoint votes, as vector operations
+    over the instance's edge slots."""
+    import numpy as np
 
+    slots = inst.slots
+    index, rank = slots.index, inst.rank
+    mate = np.full(len(slots.names), -1, dtype=np.intp)
+    # mate_rank[v]: v's rank of its partner
+    mate_rank = np.zeros(len(slots.names), dtype=np.intp)
+    for m, w in matching.pairs:
+        i, j = index[m], index[w]
+        mate[i], mate[j] = j, i
+        mate_rank[i], mate_rank[j] = rank[m][w], rank[w][m]
+    man, woman = slots.man, slots.woman
+    of_man, of_woman = mate[man], mate[woman]
+    return LabeledGraph(
+        slots,
+        mate,
+        in_m=of_man == woman,
+        plus_a=(of_man < 0) | (slots.man_rank < mate_rank[man]),
+        plus_b=(of_woman < 0) | (slots.woman_rank < mate_rank[woman]),
+    )

@@ -60,7 +60,7 @@ class StartState:
 def _check_start(inst: Instance, rules: ProposalRules, start: StartState) -> None:
     matching = start.matching
     for m, w in matching.pairs:
-        if (m, w) not in inst.edges:
+        if not inst.has_edge(m, w):
             raise InvalidStartState(f"start pair ({m},{w}) is not an edge")
     for m, w in matching.pairs:
         # Women above m's current partner must already hold someone they
@@ -165,7 +165,7 @@ def stable_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching
     stable in the unmodified instance.
     """
     u, v = edge
-    if (u, v) not in inst.edges:
+    if not inst.has_edge(u, v):
         raise InstanceError(f"({u},{v}) is not an edge of the instance")
     result = run(inst, ProposalRules(acceptance_floor={v: u}))
     if (u, v) in result.pairs and is_stable(inst, result)[0]:

@@ -23,9 +23,7 @@ that names its line.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
-
-import numpy as np
+from typing import Iterable, Iterator, List, Mapping, Optional
 
 
 class InstanceError(ValueError):
@@ -96,6 +94,80 @@ def _check_lists(inst: "Instance", lines: Mapping[str, Optional[int]]) -> None:
                 )
 
 
+class EdgeSlots:
+    """The edges of an instance as int slots, for array code.
+
+    Vertices are numbered men first, then women, in declared order
+    (`names`, `index`).  The men's lists are laid end to end, one slot
+    per edge: `man`, `woman`, `man_rank` and `woman_rank` are numpy int
+    arrays giving each slot's ends and each end's rank of the other.
+    `by_man_name` orders the slots by (man name, woman name) and
+    `by_woman_name` by (woman name, man name); `men_by_name` and
+    `women_by_name` list the vertex numbers of each side in name order.
+    """
+
+    __slots__ = (
+        "names", "index", "n_men", "man", "woman", "man_rank", "woman_rank",
+        "by_man_name", "by_woman_name", "men_by_name", "women_by_name",
+    )
+
+    def __init__(self, inst: "Instance"):
+        import numpy as np
+
+        self.names = names = inst.men + inst.women
+        self.index = index = {v: i for i, v in enumerate(names)}
+        self.n_men = n = len(inst.men)
+
+        def laid_out(side: tuple, first: int):
+            """The side's lists end to end: each slot's owner, the other
+            end, and the owner's rank of the other end."""
+            ends: list = []
+            for v in side:
+                ends += map(index.__getitem__, inst.pref[v])
+            degree = np.array([len(inst.pref[v]) for v in side], dtype=np.intp)
+            start = np.repeat(np.cumsum(degree) - degree, degree)
+            owner = np.repeat(np.arange(first, first + len(side)), degree)
+            return owner, np.array(ends, dtype=np.intp), np.arange(len(ends)) - start
+
+        self.man, self.woman, self.man_rank = laid_out(inst.men, 0)
+        w_owner, w_man, w_rank = laid_out(inst.women, n)
+        # a woman's slot and a man's slot of one edge meet when both
+        # sides are sorted by (man, woman)
+        self.woman_rank = np.empty_like(w_rank)
+        self.woman_rank[np.argsort(self.man * len(names) + self.woman)] = w_rank[
+            np.argsort(w_man * len(names) + w_owner)
+        ]
+        self.men_by_name = sorted(range(n), key=names.__getitem__)
+        self.women_by_name = sorted(range(n, len(names)), key=names.__getitem__)
+        name_rank = np.empty(len(names), dtype=np.intp)
+        name_rank[self.men_by_name] = np.arange(n)
+        name_rank[self.women_by_name] = np.arange(len(names) - n)
+        man_key, woman_key = name_rank[self.man], name_rank[self.woman]
+        self.by_man_name = np.argsort(man_key * len(names) + woman_key)
+        self.by_woman_name = np.argsort(woman_key * len(names) + man_key)
+
+    def rows(self, women: bool, mask, values) -> List[list]:
+        """Per man (per woman if `women`), in vertex-number order, the
+        list of values[s] over his slots s where mask[s] holds, ordered
+        by the name of the other end."""
+        import numpy as np
+
+        if women:
+            order, owner, ids = self.by_woman_name, self.woman, self.women_by_name
+        else:
+            order, owner, ids = self.by_man_name, self.man, self.men_by_name
+        kept = order[mask[order]]
+        flat = values[kept].tolist()
+        counts = np.bincount(owner[kept], minlength=len(self.names))[ids].tolist()
+        first = self.n_men if women else 0
+        out: List[list] = [[] for _ in ids]
+        start = 0
+        for v, count in zip(ids, counts):
+            out[v - first] = flat[start : start + count]
+            start += count
+        return out
+
+
 class Instance:
     """A bipartite graph with strict two-sided preference lists.
 
@@ -105,7 +177,9 @@ class Instance:
         rank: vertex id -> {neighbor: position}; lower is better.
     """
 
-    __slots__ = ("men", "women", "pref", "rank", "_edges", "_men_set", "_women_set")
+    __slots__ = (
+        "men", "women", "pref", "rank", "_edges", "_slots", "_men_set", "_women_set"
+    )
 
     def __init__(
         self,
@@ -125,6 +199,7 @@ class Instance:
         self.pref = {v: tuple(pref.get(v, ())) for v in vertices}
         self.rank = {v: {x: i for i, x in enumerate(lst)} for v, lst in self.pref.items()}
         self._edges: Optional[frozenset] = None
+        self._slots: Optional[EdgeSlots] = None
         if check:
             _check_lists(self, dict.fromkeys((*vertices, *pref)))
 
@@ -134,6 +209,17 @@ class Instance:
         if self._edges is None:
             self._edges = frozenset((m, w) for m in self.men for w in self.pref[m])
         return self._edges
+
+    @property
+    def slots(self) -> EdgeSlots:
+        """The edges as int slots, built on first use."""
+        if self._slots is None:
+            self._slots = EdgeSlots(self)
+        return self._slots
+
+    def has_edge(self, m: str, w: str) -> bool:
+        """True if (m, w) is an edge with m a man."""
+        return m in self._men_set and w in self.rank[m]
 
     def is_man(self, v: str) -> bool:
         return v in self._men_set
@@ -172,7 +258,8 @@ class Instance:
         return hash((self.men, self.women, tuple(sorted(self.pref.items()))))
 
     def __repr__(self) -> str:
-        return f"Instance(men={len(self.men)}, women={len(self.women)}, edges={len(self.edges)})"
+        edges = sum(len(self.pref[m]) for m in self.men)
+        return f"Instance(men={len(self.men)}, women={len(self.women)}, edges={edges})"
 
 
 class Matching:
@@ -198,7 +285,7 @@ class Matching:
         """Build a matching and check every pair is an edge of inst."""
         matching = cls(pairs)
         for m, w in matching.pairs:
-            if (m, w) not in inst.edges:
+            if not inst.has_edge(m, w):
                 raise InstanceError(f"pair ({m},{w}) is not an edge of the instance")
         return matching
 
@@ -254,10 +341,14 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"expected '{side}:' declaration", lineno)
             _check_ids(items, known, lineno)
             sides.append(items)
+            # list entries and heads share the declared id objects, so
+            # that rank-map lookups hit on identity
+            ids = dict(zip(known, known))
             continue
+        head = ids.get(head, head)
         if head in pref:
             raise ParseError(f"duplicate preference line for {head!r}", lineno)
-        pref[head] = items
+        pref[head] = list(map(ids.get, items, items))
         lines[head] = lineno
     if len(sides) < 2:
         raise ParseError("missing men:/women: declarations")
@@ -289,7 +380,7 @@ def parse_matching(text: str, inst: Instance) -> Matching:
         if len(parts) != 2:
             raise ParseError("expected '<man> <woman>'", lineno)
         m, w = parts
-        if (m, w) not in inst.edges:
+        if not inst.has_edge(m, w):
             raise ParseError(f"pair ({m},{w}) is not an edge of the instance", lineno)
         if m in used:
             raise ParseError(f"vertex {m!r} matched twice", lineno)
@@ -309,6 +400,8 @@ def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Inst
     """A random instance: each pair is an edge with the given probability,
     every preference list a uniform permutation of the neighbors.  Fully
     determined by the seed."""
+    import numpy as np
+
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     if n_men < 0 or n_women < 0:

@@ -36,7 +36,7 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
         if len(parts) != 3:
             raise ParseError("expected '<man> <woman> <cost>'", lineno)
         m, w, val = parts
-        if (m, w) not in inst.edges:
+        if not inst.has_edge(m, w):
             raise ParseError(f"pair ({m},{w}) is not an edge of the instance", lineno)
         if (m, w) in costs:
             raise ParseError(f"duplicate cost for ({m},{w})", lineno)

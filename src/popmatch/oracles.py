@@ -8,11 +8,12 @@ used by the fast verifiers.  Guarded by an edge-count limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from .instance import Instance, Matching
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_EDGES = 36
 
@@ -55,6 +56,8 @@ def enumerate_matchings(inst: Instance, max_edges: Optional[int] = None) -> List
 def _partner_ranks(inst: Instance, family: List[Matching]) -> np.ndarray:
     """Rank-of-partner array, one row per matching, one column per vertex;
     unmatched vertices get a sentinel worse than any rank."""
+    import numpy as np
+
     vertices = inst.men + inst.women
     index = {v: i for i, v in enumerate(vertices)}
     pr = np.full((len(family), len(vertices)), _UNMATCHED_RANK, dtype=np.int16)
@@ -87,6 +90,8 @@ class OracleReport:
 def classify(inst: Instance, max_edges: Optional[int] = None) -> OracleReport:
     """Run every pairwise election among all matchings and mark the
     popular (never beaten) and dominant (never defeated) ones."""
+    import numpy as np
+
     family = enumerate_matchings(inst, max_edges)
     k = len(family)
     pr = _partner_ranks(inst, family)

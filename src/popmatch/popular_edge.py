@@ -145,7 +145,7 @@ def dominant_with_edge(
     onto each copy of the man in the auxiliary instance and project the
     first stable result down."""
     u, v = edge
-    if (u, v) not in inst.edges:
+    if not inst.has_edge(u, v):
         raise InstanceError(f"({u},{v}) is not an edge of the instance")
     level = level_graph.build_level_graph(inst)
     for copy in level.copies[u]:

@@ -27,11 +27,11 @@ def unstable_via_pair(inst: Instance, e1: Edge, e2: Edge) -> Optional[Matching]:
     a, v = e1
     u, b = e2
     for e in (e1, e2):
-        if e not in inst.edges:
+        if not inst.has_edge(*e):
             raise InstanceError(f"({e[0]},{e[1]}) is not an edge of the instance")
     if len({a, v, u, b}) < 4:
         return None
-    if (a, b) not in inst.edges:
+    if not inst.has_edge(a, b):
         raise InstanceError(f"({a},{b}) is not an edge, so it cannot block")
     if not (inst.prefers(a, b, v) and inst.prefers(b, a, u)):
         raise InstanceError(f"({a},{b}) does not mutually improve on ({a},{v}), ({u},{b})")

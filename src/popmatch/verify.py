@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .elections import PLUS, LabeledGraph, label_edges
+from .elections import LabeledGraph, label_edges
 from .instance import Instance, Matching
 
 Edge = Tuple[str, str]
@@ -124,30 +124,40 @@ def _components(adj: List[List[int]], roots: int) -> List[int]:
 
 class _Graph:
     """The alternating digraph of a matching: vertex ids are the men,
-    then the women; mate[v] is v's partner or -1; succ[x] lists M(y) for
-    each non-matching G_M edge (x, y) whose y is matched, in gm_adj
-    order; pp holds the (+,+) edges in lexicographic order."""
+    then the women (`EdgeSlots` numbering); mate[v] is v's partner or
+    -1; succ[x] lists M(y) for each non-matching G_M edge (x, y) whose y
+    is matched, in the name order of y; pp holds the (+,+) edges in
+    lexicographic order."""
 
-    def __init__(self, inst: Instance, matching: Matching, labeled: LabeledGraph):
-        self.matching = matching
+    def __init__(self, labeled: LabeledGraph):
+        slots = self.slots = labeled.slots
         self.labeled = labeled
-        self.names = inst.men + inst.women
-        self.n_men = len(inst.men)
-        self.index = {v: i for i, v in enumerate(self.names)}
-        self.mate = [-1] * len(self.names)
-        for m, w in matching.pairs:
-            i, j = self.index[m], self.index[w]
-            self.mate[i], self.mate[j] = j, i
-        self.pp = sorted(e for e, lab in labeled.label.items() if lab == (PLUS, PLUS))
+        self.names, self.index, self.n_men = slots.names, slots.index, slots.n_men
+        self.mate = labeled.mate.tolist()
+        order = slots.by_man_name
+        pp = order[(labeled.plus_a & labeled.plus_b)[order]]
+        names = self.names
+        self.pp = [
+            (names[a], names[b])
+            for a, b in zip(slots.man[pp].tolist(), slots.woman[pp].tolist())
+        ]
 
     @cached_property
     def succ(self) -> List[List[int]]:
-        mate_of = dict(zip(self.names, self.mate)).__getitem__
-        adj = self.labeled.gm_adj
-        return [
-            [y for y in map(mate_of, adj[x]) if y >= 0 and y != i]
-            for i, x in enumerate(self.names)
-        ]
+        s, lab = self.slots, self.labeled
+        # a matching edge has no vote for it, so these are the
+        # non-matching edges of G_M
+        arc = lab.plus_a | lab.plus_b
+        head_of_man, head_of_woman = lab.mate[s.woman], lab.mate[s.man]
+        return s.rows(False, arc & (head_of_man >= 0), head_of_man) + s.rows(
+            True, arc & (head_of_woman >= 0), head_of_woman
+        )
+
+    @cached_property
+    def free(self) -> List[List[int]]:
+        """Per man, his unmatched neighbours (all in G_M) in name order."""
+        s = self.slots
+        return s.rows(False, self.labeled.mate[s.woman] < 0, s.woman)
 
     @cached_property
     def reach(self) -> Tuple[List[int], List[int]]:
@@ -177,7 +187,7 @@ def _violation(g: _Graph) -> Optional[Certificate]:
         return None
     for a, b in g.pp:
         for x, y in ((a, b), (b, a)):
-            if not g.matching.is_matched(x):
+            if g.mate[g.index[x]] < 0:
                 return Certificate("pp-path-from-unmatched", (x, y), ((a, b),))
 
     parent = g.reach[0]
@@ -236,11 +246,9 @@ def _dominance_violation(g: _Graph) -> Optional[Certificate]:
         return cert
     parent, order = g.reach
     for x in order:
-        if x >= g.n_men:
-            continue
-        for w in g.labeled.gm_adj[g.names[x]]:
-            if not g.matching.is_matched(w):
-                return Certificate("augmenting-path", g.path(parent, x) + (w,))
+        if x < g.n_men and g.free[x]:
+            w = g.names[g.free[x][0]]
+            return Certificate("augmenting-path", g.path(parent, x) + (w,))
     return None
 
 
@@ -276,7 +284,7 @@ def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Parti
     """Seed the four sets and close them under adjacency in the pruned
     subgraph: a matched vertex next to a b0 woman or an a1 man joins a0
     or b1, and its partner joins b0 or a1."""
-    g = _Graph(inst, matching, label_edges(inst, matching))
+    g = _Graph(label_edges(inst, matching))
     return _partition(g, seed_unmatched)
 
 
@@ -286,7 +294,7 @@ def checked_partition(
     """The certificate of `is_popular` (of `is_dominant` if dominant)
     and, when there is none, the `partition` seeded by the unmatched
     vertices exactly when dominant, from one labelling."""
-    g = _Graph(inst, matching, label_edges(inst, matching))
+    g = _Graph(label_edges(inst, matching))
     cert = _dominance_violation(g) if dominant else _violation(g)
     if cert is not None:
         return cert, None
@@ -301,7 +309,7 @@ def is_popular(
     certificate found, preferring unmatched-path, then cycle, then
     two-edge-path witnesses and taking (+,+) edges in lexicographic
     order within each kind."""
-    cert = _violation(_Graph(inst, matching, label_edges(inst, matching)))
+    cert = _violation(_Graph(label_edges(inst, matching)))
     return cert is None, cert
 
 
@@ -310,5 +318,5 @@ def is_dominant(
 ) -> Tuple[bool, Optional[Certificate]]:
     """Popularity plus the absence of an augmenting path in the pruned
     subgraph."""
-    cert = _dominance_violation(_Graph(inst, matching, label_edges(inst, matching)))
+    cert = _dominance_violation(_Graph(label_edges(inst, matching)))
     return cert is None, cert

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import popmatch
 from popmatch.cli import main
 from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT
 
@@ -273,3 +278,15 @@ def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
     path.write_bytes(b"men: a\xff\n")
     code, _, err = run_cli(capsys, "solve", "--property", "stable", "-i", str(path))
     assert code == 2 and "error:" in err and "UTF-8" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported on first use: labelling, gen and the oracles
+    src = str(Path(popmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, popmatch.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,6 +1,23 @@
+import random
+
 import pytest
 
-from popmatch import InstanceError, Matching, compare, defeats, label_edges, vote
+from popmatch import (
+    Instance,
+    InstanceError,
+    Matching,
+    compare,
+    defeats,
+    generate_random,
+    is_dominant,
+    label_edges,
+    parse_instance,
+    parse_matching,
+    run,
+    serialize_instance,
+    serialize_matching,
+    vote,
+)
 from popmatch.elections import MINUS, PLUS
 
 
@@ -78,14 +95,72 @@ def test_blocking_pairs_in_lex_order(shared_top, contested_hub):
     assert blocking_pairs(contested_hub, stable) == []
 
 
+def per_edge_labelling(inst, m):
+    """label, gm_edges and gm_adj computed edge by edge from `vote`."""
+    label = {}
+    gm_edges = set(m.pairs)
+    for a, b in sorted(inst.edges):
+        if (a, b) not in m:
+            label[(a, b)] = (
+                vote(inst, a, b, m.partner_of(a)),
+                vote(inst, b, a, m.partner_of(b)),
+            )
+            if label[(a, b)] != (MINUS, MINUS):
+                gm_edges.add((a, b))
+    adj = {v: [] for v in inst.vertices()}
+    for a, b in gm_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return label, gm_edges, {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+
+
+def assert_labelling_matches_votes(inst, m):
+    labeled = label_edges(inst, m)
+    label, gm_edges, gm_adj = per_edge_labelling(inst, m)
+    assert labeled.label == label
+    assert list(labeled.label) == sorted(label)
+    assert labeled.gm_edges == gm_edges
+    # every adjacency tuple in name order, the vertices in declared order
+    assert labeled.gm_adj == gm_adj
+    assert list(labeled.gm_adj) == list(inst.vertices())
+
+
 def test_labels_against_every_matching(small_ensemble):
     # the label of each non-matching edge is the two endpoint votes
-    for inst, report in small_ensemble[:12]:
+    for inst, report in small_ensemble:
         for m in report.family:
-            labeled = label_edges(inst, m)
-            for (a, b), (va, vb) in labeled.label.items():
-                assert va == vote(inst, a, b, m.partner_of(a))
-                assert vb == vote(inst, b, a, m.partner_of(b))
-                assert (va == MINUS and vb == MINUS) == (
-                    (a, b) not in labeled.gm_edges
-                )
+            assert_labelling_matches_votes(inst, m)
+
+
+def random_matching(inst, rng):
+    """A random matching: men in random order take a random free woman,
+    or stay single one time in four."""
+    used = set()
+    pairs = []
+    for a in rng.sample(inst.men, len(inst.men)):
+        free = [b for b in inst.pref[a] if b not in used]
+        if free and rng.random() < 0.75:
+            b = rng.choice(free)
+            used.add(b)
+            pairs.append((a, b))
+    return Matching(pairs)
+
+
+def test_array_labelling_follows_names_not_declared_order():
+    # multi-digit ids sort by name as a1 < a10 < a2, and the sides are
+    # declared in reverse, so name order differs from vertex order
+    rng = random.Random(5)
+    for seed in range(6):
+        base = generate_random(13, 12, 0.3, seed)
+        inst = Instance(base.men[::-1], base.women[::-1], base.pref)
+        for m in [run(inst)] + [random_matching(inst, rng) for _ in range(20)]:
+            assert_labelling_matches_votes(inst, m)
+
+
+def test_verify_leaves_the_edge_set_unbuilt():
+    inst = generate_random(20, 20, 0.3, 4)
+    text = serialize_instance(inst)
+    matching_text = serialize_matching(run(inst))
+    fresh = parse_instance(text)
+    is_dominant(fresh, parse_matching(matching_text, fresh))
+    assert fresh._edges is None

@@ -163,6 +163,23 @@ def test_matching_of_checks_edges(shared_top):
     assert Matching.of(shared_top, [("a1", "b1")]).sorted_pairs() == (("a1", "b1"),)
 
 
+def test_has_edge():
+    inst = parse_instance(SHARED_TOP_TEXT)
+    edges = {(m, w) for m in inst.men for w in inst.pref[m]}
+    for u in inst.vertices() + ("x",):
+        for v in inst.vertices() + ("x",):
+            assert inst.has_edge(u, v) == ((u, v) in edges)
+    assert inst._edges is None
+
+
+def test_parse_shares_declared_ids():
+    inst = parse_instance(SHARED_TOP_TEXT)
+    declared = {v: v for v in inst.vertices()}
+    for v, lst in inst.pref.items():
+        assert v is declared[v]
+        assert all(x is declared[x] for x in lst)
+
+
 def test_parse_matching(shared_top):
     m = parse_matching("# witness\na1 b2\na2 b1\n", shared_top)
     assert m == Matching([("a1", "b2"), ("a2", "b1")])
