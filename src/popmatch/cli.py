@@ -98,14 +98,12 @@ def _cmd_solve(args) -> int:
         if args.algo not in (None, "gs"):
             raise InstanceError("--property stable only supports --algo gs")
         result = gale_shapley.run(inst)
+    elif args.algo == "gs":
+        raise InstanceError("--property dominant needs --algo level-graph or two-level")
+    elif args.algo == "level-graph":
+        result = level_graph.dominant_via_level_graph(inst)
     else:
-        algo = args.algo or "level-graph"
-        if algo == "gs":
-            raise InstanceError("--property dominant needs --algo level-graph or two-level")
-        if algo == "two-level":
-            result = level_graph.dominant_two_level(inst)
-        else:
-            result = level_graph.dominant_via_level_graph(inst)
+        result = level_graph.dominant_two_level(inst)
     if args.json:
         print(json.dumps({"matching": _pairs(result)}))
     else:
@@ -154,19 +152,11 @@ def _cmd_popular_vs_stable(args) -> int:
     inst = _load_instance(args.instance)
     found = unstable_popular.exists_unstable_popular(inst, cubic=args.cubic)
     if args.json:
-        if found is None:
-            print(json.dumps({"all_stable": True}))
-        else:
-            matching, pair = found
-            print(
-                json.dumps(
-                    {
-                        "all_stable": False,
-                        "matching": _pairs(matching),
-                        "blocking_pair": list(pair),
-                    }
-                )
-            )
+        out = {"all_stable": found is None}
+        if found is not None:
+            out["matching"] = _pairs(found[0])
+            out["blocking_pair"] = list(found[1])
+        print(json.dumps(out))
     elif found is None:
         print("all popular matchings are stable")
     else:
@@ -268,7 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a stable or dominant matching")
     p.add_argument("--property", choices=("stable", "dominant"), required=True)
-    p.add_argument("--algo", choices=("gs", "level-graph", "two-level"))
+    p.add_argument("--algo", choices=("gs", "level-graph", "two-level"), help=(
+        "stable: gs; dominant: two-level (default, the proposal engine on the "
+        "implicit G') or level-graph (the explicit G', a cross-check)"))
     common(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -270,13 +270,18 @@ class Matching:
     def __init__(self, pairs: Iterable[tuple] = ()):
         self.pairs = frozenset((m, w) for m, w in pairs)
         partner = {}
-        for m, w in sorted(self.pairs):
-            if m in partner:
-                raise InstanceError(f"vertex {m!r} matched twice")
-            if w in partner:
-                raise InstanceError(f"vertex {w!r} matched twice")
+        for m, w in self.pairs:
             partner[m] = w
             partner[w] = m
+        if len(partner) != 2 * len(self.pairs):
+            # a vertex repeats: rescan in order to name the first one
+            partner = {}
+            for m, w in sorted(self.pairs):
+                for v in (m, w):
+                    if v in partner:
+                        raise InstanceError(f"vertex {v!r} matched twice")
+                partner[m] = w
+                partner[w] = m
         self._partner = partner
         self._hash = hash(self.pairs)
 

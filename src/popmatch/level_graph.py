@@ -1,20 +1,21 @@
-"""The two-copy auxiliary instance and dominant-matching routines.
+"""The two-copy auxiliary instance G' and dominant-matching routines.
 
 Each man a of the base instance is split into a level-0 copy and a
 level-1 copy sharing a private dummy woman d(a); base women rank every
-level-1 copy above every level-0 copy.  Stable matchings of the
-auxiliary instance project exactly onto the dominant matchings of the
-base instance, and the projection is inverted here via the
-alternating-reachability partition.
+level-1 copy above every level-0 copy.  Stable matchings of G' project
+exactly onto the dominant matchings of the base instance, and the
+projection is inverted here via the alternating-reachability partition.
+The engine's two-level run is deferred acceptance on G' without
+building it; the explicit G' is the reference route and the lattice.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from . import gale_shapley, verify
+from .gale_shapley import LevelledMatching
 from .instance import Instance, InstanceError, Matching
 from .verify import Certificate
 
@@ -128,37 +129,22 @@ def dominant_via_level_graph(inst: Instance) -> Matching:
 
 
 def dominant_two_level(inst: Instance) -> Matching:
-    """A dominant matching by the dummy-free two-phase proposal process.
+    """A dominant matching: the engine's two-level run, which is deferred
+    acceptance on G' without building it."""
+    return gale_shapley.run(inst, levels=2)
 
-    Each man proposes at level 0 until his list is exhausted, then
-    reactivates once at level 1 from the top of his list; women prefer
-    any level-1 proposer to any level-0 proposer and use their base
-    ranking within a level.
-    """
-    rank = inst.rank
-    pref = inst.pref
-    holds: Dict[str, Tuple[int, str]] = {}
-    next_ix: Dict[Tuple[str, int], int] = {}
-    queue = deque((m, 0) for m in sorted(inst.men))
-    while queue:
-        m, lvl = queue.popleft()
-        lst = pref[m]
-        i = next_ix.get((m, lvl), 0)
-        placed = False
-        while i < len(lst):
-            w = lst[i]
-            i += 1
-            cur = holds.get(w)
-            if cur is None or (lvl, -rank[w][m]) > (cur[0], -rank[w][cur[1]]):
-                if cur is not None:
-                    queue.append((cur[1], cur[0]))
-                holds[w] = (lvl, m)
-                placed = True
-                break
-        next_ix[(m, lvl)] = i
-        if not placed and lvl == 0:
-            queue.append((m, 1))
-    return Matching((m, w) for w, (_, m) in holds.items())
+
+def forced_two_level(
+    inst: Instance, held: Mapping[str, Tuple[str, int]]
+) -> Optional[LevelledMatching]:
+    """The men-optimal stable matching of G' in which each woman w of
+    `held` holds the man at the level held[w], if one exists: she refuses
+    anyone below him, and the result must be stable in G'."""
+    got = gale_shapley.run(inst, gale_shapley.ProposalRules(held), levels=2)
+    for w, (m, lvl) in held.items():
+        if got.partner_of(w) != m or got.level[m] != lvl:
+            return None
+    return got if gale_shapley.is_stable_two_level(inst, got) else None
 
 
 def inverse_map(

@@ -1,10 +1,11 @@
 """Deciding which edges lie in some popular matching.
 
 An edge lies in a popular matching iff it lies in a stable matching or
-in a dominant one, so two forced-edge proposal runs settle the question.
-The decomposition machinery splits any popular matching into a dominant
-core and a stable remainder and can push the whole matching to either
-extreme while keeping the relevant half fixed.
+in a dominant one, so forced-edge proposal runs on the instance and on
+its implicit G' settle the question.  The decomposition machinery splits
+any popular matching into a dominant core and a stable remainder and
+can push the whole matching to either extreme while keeping the
+relevant half fixed.
 """
 
 from __future__ import annotations
@@ -78,27 +79,9 @@ class _LiftDetails:
 def _lift(inst: Instance, matching: Matching) -> _LiftDetails:
     dec = decompose(inst, matching)
     sub = inst.induced(dec.y + dec.z)
-    level = level_graph.build_level_graph(sub)
-    start_pairs = []
-    free = []
-    for y in sub.men:
-        y_lo, y_hi = level.copies[y]
-        z = dec.m1.partner_of(y)
-        if z is None:
-            start_pairs.append((y_lo, level.dummy[y]))
-            free.append(y_hi)
-        else:
-            start_pairs.append((y_lo, z))
-            start_pairs.append((y_hi, level.dummy[y]))
-    aux = gale_shapley.run(
-        level.graph, start=StartState(Matching(start_pairs), tuple(sorted(free)))
-    )
-    lifted = level_graph.map_T(level, aux)
-    # Every dummy woman is matched in a stable matching of G', so a man's
-    # level-0 copy holds his dummy exactly when his level-1 copy does not.
-    f = level_graph.f_values(level, aux)
-    y1 = frozenset(y for y in sub.men if f[y])
-    z1 = frozenset(z for z in sub.women if f[z])
+    lifted = gale_shapley.run(sub, start=StartState(dec.m1), levels=2)
+    y1 = frozenset(y for y in sub.men if lifted.level[y])
+    z1 = frozenset(lifted.partner_of(y) for y in y1) - {None}
     return _LiftDetails(
         matching=Matching(dec.m0.pairs | lifted.pairs),
         decomposition=dec,
@@ -113,9 +96,9 @@ def lift_to_dominant(inst: Instance, matching: Matching) -> Matching:
     """Transform a popular matching into a dominant one that keeps the
     closure part intact.
 
-    The remainder side is re-solved through its own two-copy auxiliary
-    instance, warm-started from the remainder matching with only the
-    level-1 copies of its unmatched men proposing.
+    The remainder side is re-solved by a two-level run of the engine
+    (deferred acceptance on its implicit G'), warm-started from the
+    remainder matching with its unmatched men proposing.
     """
     return _lift(inst, matching).matching
 
@@ -132,9 +115,7 @@ def lower_to_stable(inst: Instance, matching: Matching) -> Matching:
     a_side = part.a0 | part.a1
     sub = inst.induced(a_side | part.b0 | part.b1)
     start = Matching((m, w) for m, w in dec.m0.pairs if m in part.a1)
-    redone = gale_shapley.run(
-        sub, start=StartState(start, tuple(sorted(part.a0)))
-    )
+    redone = gale_shapley.run(sub, start=StartState(start))
     return Matching(redone.pairs | dec.m1.pairs)
 
 
@@ -142,16 +123,14 @@ def dominant_with_edge(
     inst: Instance, edge: Tuple[str, str]
 ) -> Optional[Matching]:
     """A dominant matching containing the edge, if any: force the edge
-    onto each copy of the man in the auxiliary instance and project the
-    first stable result down."""
+    onto the man at level 0, then at level 1, in G'."""
     u, v = edge
     if not inst.has_edge(u, v):
         raise InstanceError(f"({u},{v}) is not an edge of the instance")
-    level = level_graph.build_level_graph(inst)
-    for copy in level.copies[u]:
-        got = gale_shapley.stable_with_edge(level.graph, (copy, v))
+    for lvl in (0, 1):
+        got = level_graph.forced_two_level(inst, {v: (u, lvl)})
         if got is not None:
-            return level_graph.map_T(level, got)
+            return got
     return None
 
 

@@ -1,9 +1,10 @@
 """Deciding whether every popular matching is stable.
 
 If any popular matching is unstable then some dominant matching is
-unstable, so the search runs over forced-blocking-pair probes on the
-two-copy auxiliary instance: a quadratic per-edge scan (default) and a
-cubic per-edge-pair scan kept as a cross-check.
+unstable, so the search runs over forced-blocking-pair probes: two-level
+runs of the engine, which run on the two-copy instance G' without
+building it.  The quadratic per-edge scan is the default; the cubic
+per-edge-pair scan is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ def unstable_via_pair(inst: Instance, e1: Edge, e2: Edge) -> Optional[Matching]:
     """A dominant matching containing e1 = (a,v) and e2's woman side
     (u,b) with (a,b) blocking it, if one exists.
 
-    Probes the auxiliary instance for a stable matching containing
-    (a-level-0, v) and (u-level-1, b) via two acceptance floors.
+    Probes G' for a stable matching in which v holds a at level 0 and b
+    holds u at level 1.
     """
     a, v = e1
     u, b = e2
@@ -35,50 +36,30 @@ def unstable_via_pair(inst: Instance, e1: Edge, e2: Edge) -> Optional[Matching]:
         raise InstanceError(f"({a},{b}) is not an edge, so it cannot block")
     if not (inst.prefers(a, b, v) and inst.prefers(b, a, u)):
         raise InstanceError(f"({a},{b}) does not mutually improve on ({a},{v}), ({u},{b})")
-    return _probe_pair(level_graph.build_level_graph(inst), e1, e2)
+    return level_graph.forced_two_level(inst, {v: (a, 0), b: (u, 1)})
 
 
-def _probe_pair(
-    level: "level_graph.LevelInstance", e1: Edge, e2: Edge
-) -> Optional[Matching]:
-    a, v = e1
-    u, b = e2
-    a0 = level.copies[a][0]
-    u1 = level.copies[u][1]
-    result = gale_shapley.run(
-        level.graph, ProposalRules(acceptance_floor={v: a0, b: u1})
-    )
-    if (
-        (a0, v) in result.pairs
-        and (u1, b) in result.pairs
-        and gale_shapley.is_stable(level.graph, result)[0]
-    ):
-        return level_graph.map_T(level, result)
-    return None
+def _probe_edge(inst: Instance, a: str, b: str) -> Optional[Matching]:
+    """The per-edge probe: force (a,b) to block the projected matching.
 
-
-def _probe_edge(
-    inst: Instance, level: "level_graph.LevelInstance", a: str, b: str
-) -> Optional[Matching]:
-    """The per-edge probe: force (a,b) to block the projected matching."""
-    a0, a1 = level.copies[a]
+    b accepts only level-1 proposers (a floor at her last man at level
+    1), and a at level 0 is refused by every woman he prefers to b.
+    """
     cut = inst.rank[a][b]
-    # b's auxiliary list ranks every level-1 copy above every level-0
-    # copy, so a floor at the level-1 copy of her last man admits only
-    # level-1 proposers.
     rules = ProposalRules(
-        acceptance_floor={b: level.copies[inst.pref[b][-1]][1]},
-        forced_rejections=frozenset((a0, w) for w in inst.pref[a][:cut]),
+        acceptance_floor={b: (inst.pref[b][-1], 1)},
+        forced_rejections=frozenset((a, w) for w in inst.pref[a][:cut]),
     )
-    result = gale_shapley.run(level.graph, rules)
-    if not gale_shapley.is_stable(level.graph, result)[0]:
-        return None
-    if result.partner_of(a0) == level.dummy[a]:
+    result = gale_shapley.run(inst, rules, levels=2)
+    if result.level[a]:
         return None
     pb = result.partner_of(b)
-    if pb is None or level.graph.rank[b][pb] < level.graph.rank[b][a1]:
+    # b holds only level-1 men, so she must not hold one she ranks above a
+    if pb is None or inst.rank[b][pb] < inst.rank[b][a]:
         return None
-    return level_graph.map_T(level, result)
+    if not gale_shapley.is_stable_two_level(inst, result):
+        return None
+    return result
 
 
 def exists_unstable_popular(
@@ -91,7 +72,6 @@ def exists_unstable_popular(
     returned matching is in fact dominant.  cubic switches to the
     edge-pair scan, which must agree.
     """
-    level = level_graph.build_level_graph(inst)
     if cubic:
         for a, b in sorted(inst.edges):
             for v in inst.pref[a]:
@@ -100,12 +80,12 @@ def exists_unstable_popular(
                 for u in inst.pref[b]:
                     if u == a or not inst.prefers(b, a, u):
                         continue
-                    got = _probe_pair(level, (a, v), (u, b))
+                    got = level_graph.forced_two_level(inst, {v: (a, 0), b: (u, 1)})
                     if got is not None:
                         return got, (a, b)
         return None
     for a, b in sorted(inst.edges):
-        got = _probe_edge(inst, level, a, b)
+        got = _probe_edge(inst, a, b)
         if got is not None:
             return got, (a, b)
     return None

@@ -1,12 +1,26 @@
 """Shared fixtures: three hand-checkable instances, random ensembles
-classified by the exhaustive oracle, and a certificate replay checker.
+classified by the exhaustive oracle, a certificate replay checker, and
+the explicit-G' reference for the engine's two-level runs.
 """
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from popmatch import classify, generate_random, parse_instance
+from popmatch import (
+    Matching,
+    ProposalRules,
+    StartState,
+    build_level_graph,
+    classify,
+    f_values,
+    generate_random,
+    is_stable,
+    map_T,
+    parse_instance,
+    run,
+)
 from popmatch.elections import PLUS, label_edges
 
 # Two men both ranking b1 first; the unique stable matching {(a1,b1)}
@@ -138,3 +152,42 @@ def assert_certificate_replays(inst, matching, cert):
         assert not in_m[0] and not in_m[-1]
     else:
         raise AssertionError(f"unknown certificate kind {cert.kind!r}")
+
+
+def explicit_level_run(inst, held=None, forced=(), start=None):
+    """Deferred acceptance on the explicit two-copy instance G', the
+    reference for the engine's two-level runs.
+
+    held maps a woman to (man, level): she refuses every copy she ranks
+    below that man's copy.  forced lists (man, woman) pairs that the
+    man's level-0 copy is refused.  A start matching puts its pairs on
+    level-0 copies and its unmatched men's level-0 copies on their
+    dummies, with their level-1 copies proposing.  Returns G' as
+    `level`, the G' matching `aux`, whether it is `stable` in G', its
+    projection `matching` and the level `f` of every base vertex.
+    """
+    level = build_level_graph(inst)
+    rules = ProposalRules(
+        {w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()},
+        frozenset((level.copies[m][0], w) for m, w in forced),
+    )
+    pairs, free = [], None
+    if start is not None:
+        free = []
+        for a in inst.men:
+            lo, hi = level.copies[a]
+            w = start.partner_of(a)
+            if w is None:
+                pairs.append((lo, level.dummy[a]))
+                free.append(hi)
+            else:
+                pairs += [(lo, w), (hi, level.dummy[a])]
+        free = tuple(sorted(free))
+    aux = run(level.graph, rules, StartState(Matching(pairs), free))
+    return SimpleNamespace(
+        level=level,
+        aux=aux,
+        stable=is_stable(level.graph, aux)[0],
+        matching=map_T(level, aux),
+        f=f_values(level, aux),
+    )

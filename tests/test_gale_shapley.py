@@ -51,11 +51,29 @@ def test_is_stable_returns_least_blocking_pair(shared_top, contested_hub):
 
 def test_acceptance_floor_rules(nested_fan):
     # b2 refuses anyone worse than a1, which strands a2 entirely
-    rules = ProposalRules(acceptance_floor={"b2": "a1"})
+    rules = ProposalRules(acceptance_floor={"b2": ("a1", 0)})
     assert run(nested_fan, rules) == Matching([("a1", "b1")])
     # a floor at the bottom of the list changes nothing
-    loose = ProposalRules(acceptance_floor={"b1": "a3"})
+    loose = ProposalRules(acceptance_floor={"b1": ("a3", 0)})
     assert run(nested_fan, loose) == run(nested_fan)
+
+
+def test_two_level_run(shared_top):
+    # a2 runs out of women at level 0, comes back at level 1 and takes b1
+    # from a1, who holds his level-0 proposal
+    result = run(shared_top, levels=2)
+    assert result == Matching([("a1", "b2"), ("a2", "b1")])
+    assert result.level == {"a1": 0, "a2": 1}
+    assert run(shared_top).level == {"a1": 0, "a2": 0}
+    # a floor at a1's level-1 copy refuses every level-0 proposer and a2
+    # at level 1 too
+    floor = ProposalRules(acceptance_floor={"b1": ("a1", 1)})
+    result = run(shared_top, floor, levels=2)
+    assert result == Matching([("a1", "b2")])
+    assert result.level == {"a1": 0, "a2": 1}
+    # a forced rejection holds at level 0 only
+    forced = ProposalRules(forced_rejections=frozenset({("a2", "b1")}))
+    assert run(shared_top, forced, levels=2) == Matching([("a1", "b2"), ("a2", "b1")])
 
 
 def test_forced_rejection_rules(shared_top):
@@ -82,6 +100,8 @@ def test_warm_start_rejects_non_edge_and_matched_free(shared_top):
         run(shared_top, start=StartState(Matching([("a2", "b2")])))
     with pytest.raises(InvalidStartState, match="is matched"):
         run(shared_top, start=StartState(Matching([("a1", "b1")]), free=("a1",)))
+    with pytest.raises(InvalidStartState, match="free proposer 'a1' listed twice"):
+        run(shared_top, start=StartState(Matching(), free=("a1", "a1")))
 
 
 def test_stable_with_edge(shared_top, contested_hub):
