@@ -10,7 +10,14 @@ layer for ground truth at small scale, and a CLI.
 """
 
 from .elections import ElectionResult, LabeledGraph, compare, defeats, label_edges, vote
-from .gale_shapley import ProposalRules, StartState, is_stable, run, stable_with_edge
+from .gale_shapley import (
+    LevelledMatching,
+    ProposalRules,
+    StartState,
+    is_stable,
+    run,
+    stable_with_edge,
+)
 from .instance import (
     Instance,
     InstanceError,
@@ -22,16 +29,8 @@ from .instance import (
     serialize_instance,
     serialize_matching,
 )
-from .level_graph import (
-    LevelInstance,
-    build_level_graph,
-    dominant_two_level,
-    dominant_via_level_graph,
-    f_values,
-    inverse_map,
-    map_T,
-)
-from .min_cost import extend_costs, min_cost_dominant, parse_costs, stable_matchings
+from .level_graph import dominant_two_level, inverse_map
+from .min_cost import min_cost_dominant, parse_costs, stable_matchings
 from .oracles import (
     EnumerationGuardError,
     classify,
@@ -62,25 +61,21 @@ __all__ = [
     "Instance",
     "InstanceError",
     "LabeledGraph",
-    "LevelInstance",
+    "LevelledMatching",
     "Matching",
     "ParseError",
     "Partition",
     "ProposalRules",
     "StartState",
-    "build_level_graph",
     "classify",
     "compare",
     "decompose",
     "defeats",
     "dominant_set",
     "dominant_two_level",
-    "dominant_via_level_graph",
     "dominant_with_edge",
     "enumerate_matchings",
     "exists_unstable_popular",
-    "extend_costs",
-    "f_values",
     "generate_random",
     "inverse_map",
     "is_dominant",
@@ -89,7 +84,6 @@ __all__ = [
     "label_edges",
     "lift_to_dominant",
     "lower_to_stable",
-    "map_T",
     "min_cost_dominant",
     "parse_costs",
     "parse_instance",

@@ -100,8 +100,6 @@ def _cmd_solve(args) -> int:
         result = gale_shapley.run(inst)
     elif args.algo == "gs":
         raise InstanceError("--property dominant needs --algo level-graph or two-level")
-    elif args.algo == "level-graph":
-        result = level_graph.dominant_via_level_graph(inst)
     else:
         result = level_graph.dominant_two_level(inst)
     if args.json:
@@ -150,7 +148,7 @@ def _cmd_popular_edge(args) -> int:
 
 def _cmd_popular_vs_stable(args) -> int:
     inst = _load_instance(args.instance)
-    found = unstable_popular.exists_unstable_popular(inst, cubic=args.cubic)
+    found = unstable_popular.exists_unstable_popular(inst)
     if args.json:
         out = {"all_stable": found is None}
         if found is not None:
@@ -258,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a stable or dominant matching")
     p.add_argument("--property", choices=("stable", "dominant"), required=True)
-    p.add_argument("--algo", choices=("gs", "level-graph", "two-level"), help=(
-        "stable: gs; dominant: two-level (default, the proposal engine on the "
-        "implicit G') or level-graph (the explicit G', a cross-check)"))
+    p.add_argument("--algo", choices=("gs", "two-level"), help=(
+        "stable: gs; dominant: two-level (the proposal engine on the implicit "
+        "G'); each property has this one algorithm, which is also the default"))
     common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -278,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "popular-vs-stable", help="decide whether every popular matching is stable"
     )
-    p.add_argument("--cubic", action="store_true", help="use the edge-pair scan")
     common(p)
     p.set_defaults(func=_cmd_popular_vs_stable)
 

@@ -49,7 +49,9 @@ class StartState:
 
 
 class LevelledMatching(Matching):
-    """A matching plus `level`: man -> the level he ended his run on."""
+    """A matching plus `level`: man -> the level he ended on.  With two
+    levels it stands for a matching of G' (see `level_graph`).  Equality
+    compares the pairs only."""
 
     __slots__ = ("level",)
 
@@ -108,6 +110,9 @@ def run(
     higher level beats any of a lower one, and her own ranking decides
     within a level.  Deterministic for fixed inputs.
     """
+    for w, (m, _) in rules.acceptance_floor.items():
+        if not inst.has_edge(m, w):
+            raise InstanceError(f"acceptance floor ({m},{w}) is not an edge")
     floor = {w: _position(inst, w, *f) for w, f in rules.acceptance_floor.items()}
     forced = rules.forced_rejections
 

@@ -1,24 +1,26 @@
 """Minimum-cost dominant matchings with exact rational arithmetic.
 
 Dominant matchings are the projections of the stable matchings of the
-two-copy auxiliary instance, and projection preserves cost when copy
-edges inherit the base cost and dummy edges cost nothing.  So the
-problem reduces to min-cost stable matching there, solved here by
-walking the stable-matching lattice from the proposer-optimal matching
-through exposed rotations.
+two-copy instance G' (see `level_graph`), and a G' matching costs what
+its projection costs when copy edges inherit the base cost and dummy
+edges cost nothing.  So the problem reduces to min-cost stable matching
+in G', solved here by walking the stable-matching lattice from the
+proposer-optimal matching through exposed rotations.  The walk runs on
+levelled proposers, as `gale_shapley.run` does, so G' is never built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from . import gale_shapley, level_graph
-from .instance import Instance, InstanceError, Matching, ParseError
-from .level_graph import LevelInstance
+from . import gale_shapley
+from .gale_shapley import LevelledMatching, _position
+from .instance import Instance, InstanceError, ParseError
 from .oracles import EnumerationGuardError
 
 Edge = Tuple[str, str]
+Proposer = Tuple[str, int]  # a man at a level: his copy of that level in G'
 CostFunction = Dict[Edge, Fraction]
 
 DEFAULT_MAX_STABLE = 100_000
@@ -47,111 +49,130 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
     return costs
 
 
-def extend_costs(
-    inst: Union[Instance, LevelInstance], costs: CostFunction
-) -> CostFunction:
-    """Push a base cost function up to the auxiliary instance: both
-    copies of an edge inherit its cost, dummy edges cost zero."""
-    level = inst if isinstance(inst, LevelInstance) else level_graph.build_level_graph(inst)
-    base = level.base
-    out: CostFunction = {}
-    for a in base.men:
-        a0, a1 = level.copies[a]
-        for b in base.pref[a]:
-            if (a, b) not in costs:
-                raise InstanceError(f"missing cost for edge ({a},{b})")
-            out[(a0, b)] = costs[(a, b)]
-            out[(a1, b)] = costs[(a, b)]
-        out[(a0, level.dummy[a])] = Fraction(0)
-        out[(a1, level.dummy[a])] = Fraction(0)
-    return out
+def _exposed_rotations(
+    inst: Instance, matching: LevelledMatching, levels: int
+) -> List[List[Proposer]]:
+    """Cycles of the successor map on proposers: the proposer holding w
+    points at the holder of the first woman below w who strictly prefers
+    him (an unmatched such woman ends the chain: moving past her would
+    create a blocking pair).
 
+    A man at level l is the proposer (m, l) holding his partner.  With
+    two levels, a man at level 0 also has the proposer (m, 1), which
+    holds his dummy and scans his whole list at level-1 positions, and
+    (m, 0) points at (m, 1) when no woman below his partner will have
+    him: his level-0 copy takes the dummy instead.
+    """
+    top = levels - 1
+    level = matching.level
+    partner = matching.partner_of
 
-def _exposed_rotations(inst: Instance, matching: Matching) -> List[List[str]]:
-    """Cycles of the successor map m -> partner of the first woman below
-    m's partner who strictly prefers m (an unmatched such woman ends the
-    chain: moving m past her would create a blocking pair)."""
-    nxt: Dict[str, str] = {}
+    def successor(m: str, lvl: int, start: int) -> Optional[Proposer]:
+        for w in inst.pref[m][start:]:
+            h = partner(w)
+            if h is None:
+                return None
+            if _position(inst, w, m, lvl) < _position(inst, w, h, level[h]):
+                return (h, level[h])
+        return (m, lvl + 1) if lvl < top else None
+
+    nxt: Dict[Proposer, Proposer] = {}
     for m in inst.men:
-        w = matching.partner_of(m)
-        if w is None:
-            continue
-        for cand in inst.pref[m][inst.rank[m][w] + 1 :]:
-            p = matching.partner_of(cand)
-            if p is None:
-                break
-            if inst.rank[cand][m] < inst.rank[cand][p]:
-                nxt[m] = p
-                break
-    cycles: List[List[str]] = []
-    color: Dict[str, int] = {}
-    for m in inst.men:
-        if m in color:
-            continue
+        w = partner(m)
+        lvl = level[m]
+        if w is not None:
+            s = successor(m, lvl, inst.rank[m][w] + 1)
+            if s is not None:
+                nxt[(m, lvl)] = s
+        if lvl < top:
+            s = successor(m, top, 0)
+            if s is not None:
+                nxt[(m, top)] = s
+    cycles: List[List[Proposer]] = []
+    color: Dict[Proposer, int] = {}
+    for x in nxt:
         path = []
-        cur = m
+        cur = x
         while cur in nxt and cur not in color:
             color[cur] = 1
             path.append(cur)
             cur = nxt[cur]
-        if cur in color and color[cur] == 1 and cur in nxt:
+        if color.get(cur) == 1:
             cycles.append(path[path.index(cur) :])
         for v in path:
             color[v] = 2
-        color.setdefault(cur, 2)
     return cycles
 
 
-def _eliminate(matching: Matching, cycle: List[str]) -> Matching:
-    """Rotate the cycle: each man takes the next man's current partner."""
-    pairs = dict(matching.sorted_pairs())
-    old = [pairs[m] for m in cycle]
-    for i, m in enumerate(cycle):
-        pairs[m] = old[(i + 1) % len(cycle)]
-    return Matching(pairs.items())
+def _eliminate(matching: LevelledMatching, cycle: List[Proposer]) -> LevelledMatching:
+    """Rotate the cycle: each proposer takes the next one's partner.  A
+    proposer holds his man's partner when at his man's level and the
+    dummy otherwise; a level-0 proposer taking the dummy moves his man up
+    a level, and the man's level-1 proposer, also on the cycle, brings
+    his new partner."""
+    pairs = dict(matching.pairs)
+    level = dict(matching.level)
+    held = [pairs[m] if level[m] == lvl else None for m, lvl in cycle]
+    for (m, lvl), w in zip(cycle, held[1:] + held[:1]):
+        if w is None:
+            level[m] = lvl + 1
+        else:
+            pairs[m] = w
+            level[m] = lvl
+    return LevelledMatching(pairs.items(), level)
 
 
 def stable_matchings(
-    inst: Instance, limit: Optional[int] = None
-) -> List[Matching]:
+    inst: Instance, limit: Optional[int] = None, levels: int = 1
+) -> List[LevelledMatching]:
     """All stable matchings, by closing the proposer-optimal matching
-    under exposed-rotation elimination.  Guarded by a count limit."""
+    under exposed-rotation elimination.  Guarded by a count limit.
+
+    With levels=2 these are the stable matchings of G', each given by its
+    pairs and the level every man ends on.  Two of them may share their
+    pairs, so they are told apart by both.  Sorted by pairs, then levels.
+    """
     cap = DEFAULT_MAX_STABLE if limit is None else limit
-    start = gale_shapley.run(inst)
-    seen = {start}
+
+    def key(m: LevelledMatching) -> tuple:
+        return m.pairs, tuple(m.level.values())
+
+    start = gale_shapley.run(inst, levels=levels)
+    seen = {key(start): start}
     stack = [start]
     while stack:
         cur = stack.pop()
-        for cycle in _exposed_rotations(inst, cur):
+        for cycle in _exposed_rotations(inst, cur, levels):
             new = _eliminate(cur, cycle)
-            if new not in seen:
+            k = key(new)
+            if k not in seen:
                 if len(seen) >= cap:
                     raise EnumerationGuardError(
                         f"more than {cap} stable matchings; raise the guard"
                     )
-                seen.add(new)
+                seen[k] = new
                 stack.append(new)
-    return sorted(seen, key=lambda m: m.sorted_pairs())
+    return sorted(seen.values(), key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
 
 
 def min_cost_dominant(
     inst: Instance, costs: CostFunction, limit: Optional[int] = None
-) -> Tuple[Matching, Fraction]:
-    """A minimum-cost dominant matching and its exact cost.
+) -> Tuple[LevelledMatching, Fraction]:
+    """A minimum-cost dominant matching and its exact cost: the cheapest
+    stable matching of G', costed by its own pairs.
 
-    Ties broken toward the lexicographically least projected matching,
-    so the result is deterministic.
+    Ties broken toward the lexicographically least matching, so the
+    result is deterministic.
     """
-    level = level_graph.build_level_graph(inst)
-    lifted_costs = extend_costs(level, costs)
-    best: Optional[Tuple[Fraction, Tuple[Edge, ...], Matching]] = None
-    for aux in stable_matchings(level.graph, limit):
-        total = sum(
-            (lifted_costs[e] for e in aux.pairs), start=Fraction(0)
-        )
-        projected = level_graph.map_T(level, aux)
-        key = (total, projected.sorted_pairs())
-        if best is None or key < (best[0], best[1]):
-            best = (total, projected.sorted_pairs(), projected)
-    assert best is not None  # the proposer-optimal matching always exists
-    return best[2], best[0]
+    for a in inst.men:
+        for b in inst.pref[a]:
+            if (a, b) not in costs:
+                raise InstanceError(f"missing cost for edge ({a},{b})")
+    total, _, best = min(
+        (
+            (sum((costs[e] for e in m.pairs), Fraction(0)), m.sorted_pairs(), m)
+            for m in stable_matchings(inst, limit, levels=2)
+        ),
+        key=lambda t: t[:2],
+    )
+    return best, total

@@ -3,8 +3,8 @@
 If any popular matching is unstable then some dominant matching is
 unstable, so the search runs over forced-blocking-pair probes: two-level
 runs of the engine, which run on the two-copy instance G' without
-building it.  The quadratic per-edge scan is the default; the cubic
-per-edge-pair scan is kept as a cross-check.
+building it.  One probe per edge makes the scan quadratic;
+`unstable_via_pair` probes a single pair of edges.
 """
 
 from __future__ import annotations
@@ -62,28 +62,13 @@ def _probe_edge(inst: Instance, a: str, b: str) -> Optional[Matching]:
     return result
 
 
-def exists_unstable_popular(
-    inst: Instance, cubic: bool = False
-) -> Optional[Tuple[Matching, Edge]]:
+def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Edge]]:
     """An unstable popular matching with a pair blocking it, or None if
     every popular matching is stable.
 
     Scans edges in id order and returns the first successful probe; any
-    returned matching is in fact dominant.  cubic switches to the
-    edge-pair scan, which must agree.
+    returned matching is in fact dominant.
     """
-    if cubic:
-        for a, b in sorted(inst.edges):
-            for v in inst.pref[a]:
-                if not inst.prefers(a, b, v):
-                    continue
-                for u in inst.pref[b]:
-                    if u == a or not inst.prefers(b, a, u):
-                        continue
-                    got = level_graph.forced_two_level(inst, {v: (a, 0), b: (u, 1)})
-                    if got is not None:
-                        return got, (a, b)
-        return None
     for a, b in sorted(inst.edges):
         got = _probe_edge(inst, a, b)
         if got is not None:

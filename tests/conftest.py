@@ -1,6 +1,7 @@
 """Shared fixtures: three hand-checkable instances, random ensembles
 classified by the exhaustive oracle, a certificate replay checker, and
-the explicit-G' reference for the engine's two-level runs.
+the explicit two-copy instance G' with deferred acceptance on it, the
+reference for everything the library does on the implicit G'.
 """
 
 import time
@@ -9,17 +10,17 @@ from types import SimpleNamespace
 import pytest
 
 from popmatch import (
+    Instance,
+    InstanceError,
     Matching,
     ProposalRules,
     StartState,
-    build_level_graph,
     classify,
-    f_values,
     generate_random,
     is_stable,
-    map_T,
     parse_instance,
     run,
+    unstable_via_pair,
 )
 from popmatch.elections import PLUS, label_edges
 
@@ -60,6 +61,18 @@ b1: a1 a2 a3
 b2: a1 a2
 b3: a1
 """
+
+
+def blocks_text(count):
+    """count disjoint 2x2 cyclic blocks; each has two stable matchings,
+    and four stable matchings of G'."""
+    men, women, lines = [], [], []
+    for k in range(count):
+        x, y, u, v = f"x{k}", f"y{k}", f"u{k}", f"v{k}"
+        men += [x, y]
+        women += [u, v]
+        lines += [f"{x}: {u} {v}", f"{y}: {v} {u}", f"{u}: {y} {x}", f"{v}: {x} {y}"]
+    return f"men: {' '.join(men)}\nwomen: {' '.join(women)}\n" + "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")
@@ -152,6 +165,118 @@ def assert_certificate_replays(inst, matching, cert):
         assert not in_m[0] and not in_m[-1]
     else:
         raise AssertionError(f"unknown certificate kind {cert.kind!r}")
+
+
+def build_level_graph(inst):
+    """The explicit G': every man split into a level-0 and a level-1 copy
+    sharing a dummy woman, with base women ranking every level-1 copy
+    above every level-0 copy.
+
+    Returns the base instance, the G' `graph`, and the maps `copies`
+    (man -> (level-0 id, level-1 id)), `dummy` (man -> dummy id),
+    `origin` (copy id -> (man, level)) and `dummy_base` (dummy id ->
+    man).  Copy ids live in a reserved namespace derived from the base
+    id; the separator grows until it collides with no existing vertex id.
+    """
+    vertices = set(inst.men) | set(inst.women)
+    sep = "#"
+    while any(
+        f"{a}{sep}{tag}" in vertices for a in inst.men for tag in ("0", "1", "d")
+    ):
+        sep += "#"
+    copies = {a: (f"{a}{sep}0", f"{a}{sep}1") for a in inst.men}
+    dummy = {a: f"{a}{sep}d" for a in inst.men}
+
+    men = []
+    pref: dict = {}
+    origin = {}
+    for a in inst.men:
+        a0, a1 = copies[a]
+        men.extend((a0, a1))
+        origin[a0] = (a, 0)
+        origin[a1] = (a, 1)
+        pref[a0] = inst.pref[a] + (dummy[a],)
+        pref[a1] = (dummy[a],) + inst.pref[a]
+    women = list(inst.women) + [dummy[a] for a in inst.men]
+    for b in inst.women:
+        lst = inst.pref[b]
+        pref[b] = tuple(copies[m][1] for m in lst) + tuple(copies[m][0] for m in lst)
+    for a in inst.men:
+        pref[dummy[a]] = copies[a]
+    return SimpleNamespace(
+        base=inst,
+        graph=Instance(men, women, pref, check=False),
+        copies=copies,
+        dummy=dummy,
+        origin=origin,
+        dummy_base={d: a for a, d in dummy.items()},
+    )
+
+
+def map_T(level, matching):
+    """Project a G' matching down: drop dummy edges, then merge the two
+    copies of each man back into one vertex."""
+    pairs = {}
+    for x, y in sorted(matching.pairs):
+        if x not in level.origin:
+            raise InstanceError(f"{x!r} is not a copy vertex of the auxiliary instance")
+        if y in level.dummy_base:
+            continue
+        base = level.origin[x][0]
+        if base in pairs:
+            raise InstanceError(
+                f"cannot collapse: both copies of {base!r} are matched to base women"
+            )
+        pairs[base] = y
+    return Matching(pairs.items())
+
+
+def f_values(level, matching):
+    """The level each base vertex ends up on under a G' matching: a man
+    is level 0 exactly when his level-1 copy took the dummy; a woman is
+    level 1 exactly when matched to a level-1 copy."""
+    f = {}
+    for a in level.base.men:
+        _, a1 = level.copies[a]
+        f[a] = 0 if matching.partner_of(a1) == level.dummy[a] else 1
+    for b in level.base.women:
+        p = matching.partner_of(b)
+        f[b] = 1 if p is not None and level.origin[p][1] == 1 else 0
+    return f
+
+
+def to_level_graph(level, result):
+    """The G' matching a levelled result stands for: each man's copy at
+    his level holds his partner, and his other copy his dummy."""
+    pairs = []
+    for a in level.base.men:
+        copies = level.copies[a]
+        w = result.partner_of(a)
+        if w is not None:
+            pairs.append((copies[result.level[a]], w))
+        pairs.append((copies[1 - result.level[a]], level.dummy[a]))
+    return Matching(pairs)
+
+
+def blocking_candidates(inst, a, b):
+    """The (v, u) of every edge pair (a,v), (u,b) that (a,b) can block."""
+    for v in inst.pref[a]:
+        if inst.prefers(a, b, v):
+            for u in inst.pref[b]:
+                if u != a and inst.prefers(b, a, u):
+                    yield v, u
+
+
+def pair_scan_unstable_popular(inst):
+    """The per-edge-pair scan, the reference for `exists_unstable_popular`:
+    edges in id order, and for each every pair of edges it can block,
+    probed with `unstable_via_pair`."""
+    for a, b in sorted(inst.edges):
+        for v, u in blocking_candidates(inst, a, b):
+            got = unstable_via_pair(inst, (a, v), (u, b))
+            if got is not None:
+                return got, (a, b)
+    return None
 
 
 def explicit_level_run(inst, held=None, forced=(), start=None):

@@ -9,13 +9,13 @@ import math
 import time
 from fractions import Fraction
 
+from conftest import build_level_graph, map_T, pair_scan_unstable_popular, to_level_graph
 from popmatch import (
     Matching,
-    build_level_graph,
     compare,
     decompose,
     defeats,
-    dominant_via_level_graph,
+    dominant_two_level,
     exists_unstable_popular,
     generate_random,
     inverse_map,
@@ -24,7 +24,6 @@ from popmatch import (
     is_stable,
     lift_to_dominant,
     lower_to_stable,
-    map_T,
     min_cost_dominant,
     popular_edge,
     popular_edges,
@@ -116,11 +115,12 @@ def test_criterion_4_level_graph_surjectivity(full_ensemble, capsys):
             level = build_level_graph(inst)
             dset = set(report.dominant_set())
             for d in dset:
-                aux = inverse_map(level, d)
+                aux = to_level_graph(level, inverse_map(inst, d))
                 assert is_stable(level.graph, aux)[0]
                 assert map_T(level, aux) == d
             for aux in stable_matchings(level.graph):
                 assert map_T(level, aux) in dset
+            assert {Matching(m.pairs) for m in stable_matchings(inst, levels=2)} == dset
 
     criterion(4, "level-graph-surjectivity", capsys, body)
 
@@ -158,7 +158,7 @@ def test_criterion_6_unstable_popular(full_ensemble, capsys):
                 for popular, stable in zip(report.popular, report.stable)
             )
             fast = exists_unstable_popular(inst)
-            slow = exists_unstable_popular(inst, cubic=True)
+            slow = pair_scan_unstable_popular(inst)
             assert (fast is not None) == expected
             assert (slow is not None) == expected
             for got in (fast, slow):
@@ -218,7 +218,7 @@ def test_criterion_9_scalability(capsys):
         assert 150_000 <= len(inst.edges) <= 250_000
 
         start = time.perf_counter()
-        dom = dominant_via_level_graph(inst)
+        dom = dominant_two_level(inst)
         dominant_seconds = time.perf_counter() - start
         assert dominant_seconds < 5.0, f"dominant took {dominant_seconds:.2f}s"
         assert len(dom) > 0

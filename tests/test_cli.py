@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import popmatch
+from popmatch import parse_instance
 from popmatch.cli import main
-from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT
+from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text
 
 
 @pytest.fixture
@@ -37,14 +38,28 @@ def test_solve_stable(shared_top_file, capsys):
     assert out == "a1 b1\n"
 
 
+def run_cli_usage_error(capsys, *argv):
+    # argparse rejects the command line by exiting 2 itself
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
+
+
 def test_solve_dominant_both_algos(shared_top_file, capsys):
-    for algo in ("level-graph", "two-level"):
+    # the default and --algo two-level run the one dominant algorithm
+    for extra in ([], ["--algo", "two-level"]):
         code, out, _ = run_cli(
-            capsys, "solve", "--property", "dominant", "--algo", algo,
-            "-i", shared_top_file,
+            capsys, "solve", "--property", "dominant", *extra, "-i", shared_top_file
         )
         assert code == 0
         assert out == "a1 b2\na2 b1\n"
+    err = run_cli_usage_error(
+        capsys, "solve", "--property", "dominant", "--algo", "level-graph",
+        "-i", shared_top_file,
+    )
+    assert "invalid choice: 'level-graph'" in err
 
 
 def test_solve_json(shared_top_file, capsys):
@@ -121,12 +136,11 @@ def test_popular_edge_bad_edge_syntax(shared_top_file, capsys):
 
 
 def test_popular_vs_stable(shared_top_file, contested_hub_file, tmp_path, capsys):
-    for extra in ([], ["--cubic"]):
-        code, out, _ = run_cli(
-            capsys, "popular-vs-stable", "-i", shared_top_file, *extra
-        )
-        assert code == 1
-        assert "blocking pair: a1 b1" in out
+    code, out, _ = run_cli(capsys, "popular-vs-stable", "-i", shared_top_file)
+    assert code == 1
+    assert "blocking pair: a1 b1" in out
+    err = run_cli_usage_error(capsys, "popular-vs-stable", "--cubic", "-i", shared_top_file)
+    assert "unrecognized arguments: --cubic" in err
     single = tmp_path / "single.pref"
     single.write_text("men: a1\nwomen: b1\na1: b1\nb1: a1\n")
     code, out, _ = run_cli(capsys, "popular-vs-stable", "-i", str(single))
@@ -173,6 +187,39 @@ def test_min_cost_dominant_total_beyond_float(tmp_path, capsys, sign):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["cost"] == {"numerator": exact, "denominator": 1, "decimal": f"{sign}inf"}
+
+
+def test_min_cost_dominant_missing_cost(shared_top_file, tmp_path, capsys):
+    costs = tmp_path / "c.costs"
+    costs.write_text("a1 b1 0\na2 b1 10\n")
+    code, out, err = run_cli(
+        capsys, "min-cost-dominant", "-i", shared_top_file, "--costs", str(costs)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: missing cost for edge (a1,b2)\n"
+
+
+def test_min_cost_dominant_guard_env(tmp_path, capsys, monkeypatch):
+    # two blocks: 16 stable matchings of G', all of cost 4
+    inst = tmp_path / "blocks.pref"
+    inst.write_text(blocks_text(2))
+    costs = tmp_path / "c.costs"
+    costs.write_text("".join(f"{m} {w} 1\n" for m, w in parse_instance(blocks_text(2)).edges))
+    argv = ("min-cost-dominant", "-i", str(inst), "--costs", str(costs))
+    monkeypatch.setenv("POPMATCH_MAX_ENUM", "15")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: more than 15 stable matchings; raise the guard\n"
+    monkeypatch.setenv("POPMATCH_MAX_ENUM", "16")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out.endswith("cost: 4 (4.0)\n")
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from popmatch import *", namespace)
+    assert all(namespace[name] is getattr(popmatch, name) for name in popmatch.__all__)
+    assert "LevelledMatching" in popmatch.__all__
 
 
 def test_enumerate_variants(shared_top_file, capsys):

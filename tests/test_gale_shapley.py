@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popmatch import (
+    InstanceError,
     Matching,
     ProposalRules,
     StartState,
@@ -47,6 +48,14 @@ def test_is_stable_returns_least_blocking_pair(shared_top, contested_hub):
     ok, pair = is_stable(contested_hub, Matching([("a1", "b1"), ("a2", "b2")]))
     assert not ok and pair == ("a2", "b1")
     assert is_stable(contested_hub, Matching())[0] is False
+
+
+def test_floor_must_name_an_edge(shared_top):
+    # a2 is not on b2's list, and zz is no woman of the instance
+    with pytest.raises(InstanceError, match=r"^acceptance floor \(a2,b2\) is not an edge$"):
+        run(shared_top, ProposalRules({"b2": ("a2", 0)}))
+    with pytest.raises(InstanceError, match=r"^acceptance floor \(a1,zz\) is not an edge$"):
+        run(shared_top, ProposalRules({"zz": ("a1", 0)}), levels=2)
 
 
 def test_acceptance_floor_rules(nested_fan):

@@ -1,28 +1,43 @@
-"""The engine's two-level runs against deferred acceptance on the explicit
-two-copy instance G' (`conftest.explicit_level_run`): every G' consumer
-must give what it gave when it built G', and none of them may build it.
+"""The library on the implicit two-copy instance G' against the explicit
+G' (`conftest.build_level_graph`): every two-level run must give what
+deferred acceptance on the explicit G' gives (`conftest.explicit_level_run`),
+the levelled lattice walk must find the explicit walk's stable
+matchings, and no path in the library may build G'.
 """
 
-from conftest import SHARED_TOP_TEXT, explicit_level_run
-from popmatch import (
-    Matching,
+from fractions import Fraction
+
+from conftest import (
+    SHARED_TOP_TEXT,
+    blocking_candidates,
+    blocks_text,
     build_level_graph,
+    explicit_level_run,
+    f_values,
+    map_T,
+    pair_scan_unstable_popular,
+    to_level_graph,
+)
+from popmatch import (
+    Instance,
+    LevelledMatching,
+    Matching,
     cli,
     decompose,
     dominant_two_level,
-    dominant_via_level_graph,
     dominant_with_edge,
     exists_unstable_popular,
-    f_values,
     generate_random,
+    inverse_map,
     is_stable,
     lift_to_dominant,
-    map_T,
+    min_cost_dominant,
+    parse_instance,
     popular_edge,
     stable_matchings,
     unstable_via_pair,
 )
-from popmatch.gale_shapley import LevelledMatching, is_stable_two_level
+from popmatch.gale_shapley import is_stable_two_level
 from popmatch.popular_edge import _lift
 
 
@@ -57,15 +72,6 @@ def ref_probe_pair(inst, a, v, u, b):
     return None
 
 
-def blocking_candidates(inst, a, b):
-    """The (v, u) of every edge pair (a,v), (u,b) that (a,b) can block."""
-    for v in inst.pref[a]:
-        if inst.prefers(a, b, v):
-            for u in inst.pref[b]:
-                if u != a and inst.prefers(b, a, u):
-                    yield v, u
-
-
 def ref_exists_unstable_popular(inst, cubic):
     for a, b in sorted(inst.edges):
         if cubic:
@@ -88,7 +94,7 @@ def test_dominant_two_level_matches_explicit(small_ensemble):
 def test_dominant_two_level_matches_explicit_at_scale():
     inst = generate_random(10_000, 10_000, 0.002, seed=7)
     got = dominant_two_level(inst)
-    assert got == dominant_via_level_graph(inst)
+    assert got == explicit_level_run(inst).matching
     assert is_stable_two_level(inst, got)
 
 
@@ -103,8 +109,8 @@ def test_dominant_with_edge_matches_explicit(small_ensemble):
 def test_unstable_popular_witness_matches_explicit(small_ensemble):
     found = 0
     for inst, _ in small_ensemble:
-        for cubic in (False, True):
-            got = exists_unstable_popular(inst, cubic=cubic)
+        for scan, cubic in ((exists_unstable_popular, False), (pair_scan_unstable_popular, True)):
+            got = scan(inst)
             assert got == ref_exists_unstable_popular(inst, cubic)
             found += got is not None
     assert found
@@ -139,19 +145,6 @@ def test_lift_matches_explicit(small_ensemble):
             assert details.z0 == set(sub.women) - details.z1
 
 
-def to_level_graph(level, result):
-    """The G' matching a levelled result stands for: each man's copy at
-    his level holds his partner, and his other copy his dummy."""
-    pairs = []
-    for a in level.base.men:
-        copies = level.copies[a]
-        w = result.partner_of(a)
-        if w is not None:
-            pairs.append((copies[result.level[a]], w))
-        pairs.append((copies[1 - result.level[a]], level.dummy[a]))
-    return Matching(pairs)
-
-
 def test_is_stable_two_level_matches_explicit(small_ensemble):
     verdicts = set()
     for inst, _ in small_ensemble[:20]:
@@ -176,34 +169,96 @@ def test_is_stable_two_level_matches_explicit(small_ensemble):
     assert verdicts == {True, False}
 
 
+def explicit_stable_matchings(inst):
+    """The stable matchings of the explicit G', as (pairs, level) keys."""
+    level = build_level_graph(inst)
+    out = set()
+    for aux in stable_matchings(level.graph):
+        f = f_values(level, aux)
+        out.add((map_T(level, aux).pairs, tuple(f[a] for a in inst.men)))
+    return out
+
+
+def test_levelled_walk_matches_explicit(small_ensemble):
+    shared = 0
+    for inst in [inst for inst, _ in small_ensemble] + [parse_instance(blocks_text(k)) for k in range(2, 6)]:
+        got = stable_matchings(inst, levels=2)
+        keys = {(m.pairs, tuple(m.level[a] for a in inst.men)) for m in got}
+        assert len(keys) == len(got)
+        assert keys == explicit_stable_matchings(inst)
+        shared += len({m.pairs for m in got}) < len(got)
+        assert all(is_stable_two_level(inst, m) for m in got)
+    # some instances have two stable matchings of G' with the same pairs
+    assert shared
+    # the last instance is 5 blocks, with four stable matchings of G' each
+    assert len(got) == 4**5
+
+
+def explicit_min_cost_dominant(inst, costs):
+    """The cheapest projected stable matching of the explicit G', copy
+    edges costing what the base edge costs and dummy edges nothing; ties
+    go to the lexicographically least projection."""
+    level = build_level_graph(inst)
+    best = None
+    for aux in stable_matchings(level.graph):
+        total = sum(
+            (costs[(level.origin[x][0], y)] for x, y in aux.pairs if y not in level.dummy_base),
+            Fraction(0),
+        )
+        projected = map_T(level, aux)
+        key = (total, projected.sorted_pairs())
+        if best is None or key < best[:2]:
+            best = (total, projected.sorted_pairs(), projected)
+    return best[2], best[0]
+
+
+def test_min_cost_dominant_matches_explicit(small_ensemble):
+    import random
+
+    rng = random.Random(5)
+    for inst, _ in small_ensemble:
+        for _ in range(3):
+            # few distinct values, so ties and the tie-break show
+            costs = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for e in sorted(inst.edges)}
+            m, total = min_cost_dominant(inst, costs)
+            ref, ref_total = explicit_min_cost_dominant(inst, costs)
+            assert m.sorted_pairs() == ref.sorted_pairs() and total == ref_total
+
+
 def test_per_query_paths_build_no_level_graph(
     small_ensemble, shared_top, contested_hub, tmp_path, monkeypatch, capsys
 ):
-    import popmatch.level_graph
+    # G' has two copies of every man, so a path that built it would
+    # construct an instance with more men than its input
+    sizes = []
+    original = Instance.__init__
 
-    calls = []
-    original = popmatch.level_graph.build_level_graph
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        sizes.append(len(self.men))
 
-    def counting(inst):
-        calls.append(inst)
-        return original(inst)
-
-    monkeypatch.setattr(popmatch.level_graph, "build_level_graph", counting)
+    monkeypatch.setattr(Instance, "__init__", recording)
     for inst, report in small_ensemble[:10]:
         for e in sorted(inst.edges):
             popular_edge(inst, e)
             dominant_with_edge(inst, e)
         exists_unstable_popular(inst)
-        exists_unstable_popular(inst, cubic=True)
         for p in report.popular_set():
             lift_to_dominant(inst, p)
+        for d in report.dominant_set():
+            inverse_map(inst, d)
+        stable_matchings(inst, levels=2)
+        min_cost_dominant(inst, dict.fromkeys(inst.edges, Fraction(1)))
+        assert max(sizes, default=0) <= len(inst.men)
+        sizes.clear()
     unstable_via_pair(shared_top, ("a1", "b2"), ("a2", "b1"))
     unstable_via_pair(contested_hub, ("a2", "b2"), ("a3", "b1"))
     path = tmp_path / "inst.pref"
     path.write_text(SHARED_TOP_TEXT)
     assert cli.main(["solve", "--property", "dominant", "-i", str(path)]) == 0
     assert capsys.readouterr().out == "a1 b2\na2 b1\n"
-    assert calls == []
-    # the counter does see the explicit route
-    dominant_via_level_graph(shared_top)
-    assert len(calls) == 1
+    assert max(sizes) <= len(shared_top.men)
+    # the recorder does see the explicit G' being built
+    sizes.clear()
+    build_level_graph(shared_top)
+    assert sizes == [4]

@@ -1,19 +1,21 @@
+"""The explicit two-copy instance G' (the reference in `conftest`), and
+the library's dominant matchings and inverse projection checked
+against it."""
+
 import pytest
 
+from conftest import build_level_graph, explicit_level_run, f_values, map_T, to_level_graph
 from popmatch import (
     InstanceError,
+    LevelledMatching,
     Matching,
-    build_level_graph,
     dominant_two_level,
-    dominant_via_level_graph,
-    f_values,
     inverse_map,
-    is_dominant,
     is_stable,
-    map_T,
     parse_instance,
-    run,
+    stable_matchings,
 )
+from popmatch.gale_shapley import is_stable_two_level
 from popmatch.level_graph import NotDominantError
 
 
@@ -75,14 +77,11 @@ def test_map_T_collapses_and_drops_dummies(shared_top):
 
 
 def test_dominant_via_level_graph_fixtures(shared_top, nested_fan):
-    assert dominant_via_level_graph(shared_top) == Matching(
-        [("a1", "b2"), ("a2", "b1")]
-    )
-    assert dominant_via_level_graph(nested_fan) == Matching(
-        [("a1", "b2"), ("a2", "b1")]
-    )
+    # deferred acceptance on the explicit G', projected down
+    for inst in (shared_top, nested_fan):
+        assert explicit_level_run(inst).matching == Matching([("a1", "b2"), ("a2", "b1")])
     empty = parse_instance("men: a1\nwomen: b1\na1:\nb1:\n")
-    assert dominant_via_level_graph(empty) == Matching()
+    assert explicit_level_run(empty).matching == Matching()
 
 
 def test_dominant_two_level_fixtures(shared_top):
@@ -94,13 +93,11 @@ def test_dominant_two_level_fixtures(shared_top):
 def test_both_dominant_routines_against_oracle(small_ensemble):
     for inst, report in small_ensemble:
         dset = set(report.dominant_set())
-        assert dominant_via_level_graph(inst) in dset
+        assert explicit_level_run(inst).matching in dset
         assert dominant_two_level(inst) in dset
 
 
 def test_every_aux_stable_matching_projects_to_dominant(small_ensemble):
-    from popmatch import stable_matchings
-
     for inst, report in small_ensemble[:20]:
         level = build_level_graph(inst)
         dset = set(report.dominant_set())
@@ -115,32 +112,28 @@ def test_every_aux_stable_matching_projects_to_dominant(small_ensemble):
 
 
 def test_inverse_map_round_trip(shared_top, small_ensemble):
-    level = build_level_graph(shared_top)
     m = Matching([("a1", "b2"), ("a2", "b1")])
-    aux = inverse_map(level, m)
-    a1_0 = level.copies["a1"][0]
-    a2_1 = level.copies["a2"][1]
-    assert (a1_0, "b2") in aux.pairs and (a2_1, "b1") in aux.pairs
-    assert is_stable(level.graph, aux)[0]
-    assert map_T(level, aux) == m
+    lifted = inverse_map(shared_top, m)
+    assert isinstance(lifted, LevelledMatching)
+    assert lifted == m and lifted.level == {"a1": 0, "a2": 1}
     for inst, report in small_ensemble:
-        lvl = build_level_graph(inst)
+        level = build_level_graph(inst)
         for d in report.dominant_set():
-            lifted = inverse_map(lvl, d)
-            assert is_stable(lvl.graph, lifted)[0]
-            assert map_T(lvl, lifted) == d
+            lifted = inverse_map(inst, d)
+            assert lifted.pairs == d.pairs
+            assert is_stable_two_level(inst, lifted)
+            aux = to_level_graph(level, lifted)
+            assert is_stable(level.graph, aux)[0]
+            assert map_T(level, aux) == d
 
 
 def test_inverse_map_top_choice_case():
     inst = parse_instance(
         "men: a1 a2\nwomen: b1 b2\na1: b1\na2: b2\nb1: a1\nb2: a2\n"
     )
-    level = build_level_graph(inst)
-    aux = inverse_map(level, Matching([("a1", "b1"), ("a2", "b2")]))
-    for a in inst.men:
-        a0, a1 = level.copies[a]
-        assert aux.partner_of(a0) in inst.women
-        assert aux.partner_of(a1) == level.dummy[a]
+    lifted = inverse_map(inst, Matching([("a1", "b1"), ("a2", "b2")]))
+    # each man's level-0 copy holds his partner
+    assert lifted.level == {"a1": 0, "a2": 0}
 
 
 def test_inverse_map_rejects_non_dominant(nested_fan):
@@ -152,7 +145,7 @@ def test_inverse_map_rejects_non_dominant(nested_fan):
 
 def test_f_values(shared_top, small_ensemble):
     level = build_level_graph(shared_top)
-    aux = inverse_map(level, Matching([("a1", "b2"), ("a2", "b1")]))
+    aux = to_level_graph(level, inverse_map(shared_top, Matching([("a1", "b2"), ("a2", "b1")])))
     f = f_values(level, aux)
     assert f == {"a1": 0, "a2": 1, "b1": 1, "b2": 0}
     # blocking pairs only run from level-0 men to level-1 women, and
@@ -162,7 +155,9 @@ def test_f_values(shared_top, small_ensemble):
     for inst, report in small_ensemble[:15]:
         lvl = build_level_graph(inst)
         for d in report.dominant_set():
-            f = f_values(lvl, inverse_map(lvl, d))
+            lifted = inverse_map(inst, d)
+            f = f_values(lvl, to_level_graph(lvl, lifted))
+            assert {a: f[a] for a in inst.men} == lifted.level
             labeled = label_edges(inst, d)
             for (a, b), lab in labeled.label.items():
                 if lab == (PLUS, PLUS):

@@ -2,15 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import build_level_graph, map_T
 from popmatch import (
     EnumerationGuardError,
     InstanceError,
     Matching,
     ParseError,
-    build_level_graph,
-    extend_costs,
     generate_random,
-    map_T,
     min_cost_dominant,
     parse_costs,
     stable_matchings,
@@ -53,24 +51,31 @@ def test_parse_costs_errors(shared_top, text, lineno):
     assert err.value.line == lineno
 
 
-def test_extend_costs_values(shared_top):
-    level = build_level_graph(shared_top)
-    base = all_edge_costs(shared_top, lambda e: 1 + shared_top.rank[e[0]][e[1]])
-    lifted = extend_costs(level, base)
-    a1_0, a1_1 = level.copies["a1"]
-    assert lifted[(a1_0, "b2")] == lifted[(a1_1, "b2")] == Fraction(2)
-    assert lifted[(a1_0, level.dummy["a1"])] == Fraction(0)
-    assert len(lifted) == 2 * len(shared_top.edges) + 2 * len(shared_top.men)
-    with pytest.raises(InstanceError, match="missing cost"):
-        extend_costs(level, {("a1", "b1"): Fraction(1)})
+def test_min_cost_dominant_needs_every_cost():
+    # the first missing edge in declared-man, then list, order is named,
+    # before the walk can hit its guard
+    inst = generate_random(5, 5, 1.0, seed=11)
+    first = (inst.men[1], inst.pref[inst.men[1]][2])
+    costs = dict.fromkeys(inst.edges, Fraction(1))
+    del costs[first]
+    del costs[(inst.men[3], inst.pref[inst.men[3]][0])]
+    with pytest.raises(InstanceError, match=rf"^missing cost for edge \({first[0]},{first[1]}\)$"):
+        min_cost_dominant(inst, costs, limit=1)
 
 
 def test_projection_preserves_cost(small_ensemble):
+    # copy edges inherit the base cost and dummy edges cost nothing, so
+    # min_cost_dominant may cost each stable matching of G' by its pairs
     for inst, _ in small_ensemble[:15]:
         level = build_level_graph(inst)
+        g = level.graph
         base = all_edge_costs(inst, lambda e: rank_mix(inst, e))
-        lifted = extend_costs(level, base)
-        for aux in stable_matchings(level.graph):
+        lifted = {
+            (x, y): Fraction(0) if y in level.dummy_base else base[(level.origin[x][0], y)]
+            for x in g.men
+            for y in g.pref[x]
+        }
+        for aux in stable_matchings(g):
             proj = map_T(level, aux)
             assert sum((lifted[e] for e in aux.pairs), Fraction(0)) == sum(
                 (base[e] for e in proj.pairs), Fraction(0)

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import pair_scan_unstable_popular
 from popmatch import (
     InstanceError,
     Matching,
@@ -28,7 +29,7 @@ def test_exists_contested_hub(contested_hub):
 def test_exists_none_when_all_popular_are_stable():
     inst = parse_instance("men: a1\nwomen: b1\na1: b1\nb1: a1\n")
     assert exists_unstable_popular(inst) is None
-    assert exists_unstable_popular(inst, cubic=True) is None
+    assert pair_scan_unstable_popular(inst) is None
 
 
 def test_unstable_via_pair_fixture(shared_top, contested_hub):
@@ -60,7 +61,7 @@ def test_unstable_via_pair_unsatisfiable_probe(contested_hub):
 def test_variants_agree(small_ensemble):
     for inst, _ in small_ensemble:
         fast = exists_unstable_popular(inst)
-        slow = exists_unstable_popular(inst, cubic=True)
+        slow = pair_scan_unstable_popular(inst)
         assert (fast is None) == (slow is None)
 
 
@@ -75,8 +76,8 @@ def test_existence_matches_oracle(small_ensemble):
 
 def test_witness_soundness(small_ensemble):
     for inst, _ in small_ensemble:
-        for cubic in (False, True):
-            got = exists_unstable_popular(inst, cubic=cubic)
+        for scan in (exists_unstable_popular, pair_scan_unstable_popular):
+            got = scan(inst)
             if got is None:
                 continue
             m, (a, b) = got
