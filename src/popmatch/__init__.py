@@ -13,7 +13,6 @@ from .elections import ElectionResult, LabeledGraph, compare, defeats, label_edg
 from .gale_shapley import (
     LevelledMatching,
     ProposalRules,
-    StartState,
     is_stable,
     run,
     stable_with_edge,
@@ -66,7 +65,6 @@ __all__ = [
     "ParseError",
     "Partition",
     "ProposalRules",
-    "StartState",
     "classify",
     "compare",
     "decompose",

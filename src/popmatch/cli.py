@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
             raise InstanceError("--property stable only supports --algo gs")
         result = gale_shapley.run(inst)
     elif args.algo == "gs":
-        raise InstanceError("--property dominant needs --algo level-graph or two-level")
+        raise InstanceError("--property dominant needs --algo two-level")
     else:
         result = level_graph.dominant_two_level(inst)
     if args.json:
@@ -172,22 +172,26 @@ def _cmd_min_cost(args) -> int:
         decimal = str(float(total))
     except OverflowError:
         decimal = "inf" if total > 0 else "-inf"
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "matching": _pairs(matching),
-                    "cost": {
-                        "numerator": total.numerator,
-                        "denominator": total.denominator,
-                        "decimal": decimal,
-                    },
-                }
-            )
+    try:
+        # Python refuses to print an int of more digits than
+        # sys.get_int_max_str_digits(), so format before printing.
+        if args.json:
+            cost = {
+                "numerator": total.numerator,
+                "denominator": total.denominator,
+                "decimal": decimal,
+            }
+            out = json.dumps({"matching": _pairs(matching), "cost": cost})
+        else:
+            out = f"cost: {total} ({decimal})"
+    except ValueError:
+        raise InstanceError(
+            f"the total cost has more than {sys.get_int_max_str_digits()} "
+            "digits, too many to print"
         )
-    else:
+    if not args.json:
         _print_matching(matching)
-        print(f"cost: {total} ({decimal})")
+    print(out)
     return 0
 
 

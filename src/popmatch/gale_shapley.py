@@ -4,7 +4,9 @@ One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors), forced rejections, warm starts from a
 partial matching, and levelled proposers.  With two levels it runs
 deferred acceptance on the two-copy instance G' of `level_graph`
-without building G'.
+without building G'.  The blocking-pair scan `is_stable` and the
+forced-edge query `forced` take the same `levels`, so one of each
+serves both G and G'.
 """
 
 from __future__ import annotations
@@ -34,20 +36,6 @@ class ProposalRules:
     forced_rejections: frozenset = frozenset()
 
 
-@dataclass(frozen=True, eq=False)
-class StartState:
-    """Initial matching plus the queue of initially free proposers.
-
-    free=None means all unmatched men in id order.  Start pairs are held
-    at level 0, and free men propose from level 0.  Matched men resume
-    proposing below their current partner if freed later, so the start
-    matching must not admit a blocking pair whose man is matched.
-    """
-
-    matching: Matching = field(default_factory=Matching)
-    free: Optional[Tuple[str, ...]] = None
-
-
 class LevelledMatching(Matching):
     """A matching plus `level`: man -> the level he ended on.  With two
     levels it stands for a matching of G' (see `level_graph`).  Equality
@@ -66,12 +54,11 @@ def _position(inst: Instance, w: str, m: str, level: int) -> int:
     return inst.rank[w][m] - level * len(inst.pref[w])
 
 
-def _check_start(inst: Instance, start: StartState, refuses) -> None:
-    matching = start.matching
-    for m, w in matching.pairs:
+def _check_start(inst: Instance, start: Matching, refuses) -> None:
+    for m, w in start.pairs:
         if not inst.has_edge(m, w):
             raise InvalidStartState(f"start pair ({m},{w}) is not an edge")
-    for m, w in matching.pairs:
+    for m, w in start.pairs:
         # Women above m's current partner must already hold someone they
         # prefer, otherwise resuming below the partner skips a proposal
         # that should have happened.
@@ -79,26 +66,17 @@ def _check_start(inst: Instance, start: StartState, refuses) -> None:
         for other in inst.pref[m][:cutoff]:
             if refuses(m, 0, other, inst.rank[other][m]):
                 continue
-            holder = matching.partner_of(other)
+            holder = start.partner_of(other)
             if holder is None or inst.prefers(other, m, holder):
                 raise InvalidStartState(
                     f"start matching admits blocking pair ({m},{other})"
                 )
-    seen = set()
-    for m in start.free or ():
-        if m not in inst.rank or not inst.is_man(m):
-            raise InvalidStartState(f"free proposer {m!r} is not a man")
-        if matching.is_matched(m):
-            raise InvalidStartState(f"free proposer {m!r} is matched in the start")
-        if m in seen:
-            raise InvalidStartState(f"free proposer {m!r} listed twice")
-        seen.add(m)
 
 
 def run(
     inst: Instance,
     rules: ProposalRules = ProposalRules(),
-    start: StartState = StartState(),
+    start: Matching = Matching(),
     levels: int = 1,
 ) -> LevelledMatching:
     """Men-proposing deferred acceptance under the given rules.
@@ -109,19 +87,24 @@ def run(
     woman holds the best acceptable proposer seen so far: any of a
     higher level beats any of a lower one, and her own ranking decides
     within a level.  Deterministic for fixed inputs.
+
+    A warm start holds its pairs at level 0, and the men it leaves
+    unmatched start proposing, in id order, from level 0.  A matched man
+    resumes below his start partner if freed, so the start must not
+    admit a blocking pair whose man is matched (InvalidStartState).
     """
     for w, (m, _) in rules.acceptance_floor.items():
         if not inst.has_edge(m, w):
             raise InstanceError(f"acceptance floor ({m},{w}) is not an edge")
     floor = {w: _position(inst, w, *f) for w, f in rules.acceptance_floor.items()}
-    forced = rules.forced_rejections
+    rejected = rules.forced_rejections
 
     def refuses(m: str, lvl: int, w: str, p: int) -> bool:
-        return p > floor.get(w, p) or (lvl == 0 and (m, w) in forced)
+        return p > floor.get(w, p) or (lvl == 0 and (m, w) in rejected)
 
     _check_start(inst, start, refuses)
 
-    restricted = bool(floor or forced)
+    restricted = bool(floor or rejected)
     top = levels - 1
     rank = inst.rank
     pref = inst.pref
@@ -130,17 +113,14 @@ def run(
     next_ix: dict = {}
     level = dict.fromkeys(inst.men, 0)
     for m in inst.men:
-        w = start.matching.partner_of(m)
+        w = start.partner_of(m)
         if w is None:
             next_ix[m] = 0
         else:
             holds[w] = m
             pos[w] = rank[w][m]
             next_ix[m] = rank[m][w] + 1
-    if start.free is not None:
-        queue = deque(start.free)
-    else:
-        queue = deque(sorted(m for m in inst.men if not start.matching.is_matched(m)))
+    queue = deque(sorted(m for m in inst.men if not start.is_matched(m)))
 
     while queue:
         m = queue.popleft()
@@ -174,63 +154,68 @@ def run(
 
 
 def is_stable(
-    inst: Instance, matching: Matching
-) -> Tuple[bool, Optional[Tuple[str, str]]]:
-    """Verdict plus the lexicographically least blocking pair, if any."""
-    best: Optional[Tuple[str, str]] = None
-    rank = inst.rank
+    inst: Instance, matching: Matching, levels: int = 1
+) -> Tuple[bool, Optional[Tuple[str, Optional[str]]]]:
+    """Verdict plus the lexicographically least blocking pair, if any.
+
+    With levels=2 the matching is a `LevelledMatching` and the test is
+    against G', without building it.  A man at level l holding w stands
+    for his level-l copy holding w and his other copy holding his dummy,
+    so a dummy pair blocks only when a man at level 0 is unmatched, and
+    that man is named by his dummy pair (m, None) alone.  Of the real
+    edges, he scans the women above w at level l and, at level 1, those
+    below w at level 0, where his level-0 copy holds the dummy at the
+    bottom of its list.  A woman prefers any man of a higher level, and
+    her own ranking decides within a level.
+    """
+    best: Optional[Tuple[str, Optional[str]]] = None
+    rank, pref = inst.rank, inst.pref
+    partner = matching.partner_of
+    level = matching.level if levels > 1 else None
     for m in inst.men:
-        pm = matching.partner_of(m)
-        cut = len(inst.pref[m]) if pm is None else rank[m][pm]
-        for w in inst.pref[m][:cut]:
-            pw = matching.partner_of(w)
-            if pw is None or rank[w][m] < rank[w][pw]:
-                pair = (m, w)
-                if best is None or pair < best:
-                    best = pair
+        pm = partner(m)
+        lst = pref[m]
+        lvl = 0 if level is None else level[m]
+        if pm is None and level is not None and lvl == 0:
+            if best is None or m < best[0]:
+                best = (m, None)
+            continue
+        cut = len(lst) if pm is None else rank[m][pm]
+        scans = ((lst[:cut], lvl), (lst[cut + 1 :], 0)) if lvl else ((lst[:cut], 0),)
+        for women, lv in scans:
+            for w in women:
+                pw = partner(w)
+                if pw is None or (
+                    rank[w][m] < rank[w][pw]
+                    if level is None or lv == level[pw]
+                    else lv > level[pw]
+                ):
+                    pair = (m, w)
+                    if best is None or pair < best:
+                        best = pair
     return (best is None, best)
 
 
-def is_stable_two_level(inst: Instance, result: LevelledMatching) -> bool:
-    """Whether a two-level run's result is stable in G', without building it.
+def forced(
+    inst: Instance, held: Mapping[str, Tuple[str, int]], levels: int = 1
+) -> Optional[LevelledMatching]:
+    """The men-optimal stable matching (of G' with levels=2) in which each
+    woman w of `held` holds the man at the level held[w], if one exists.
 
-    A man at level l holding w stands for his level-l copy holding w and
-    his other copy holding his dummy, so a dummy pair blocks only when a
-    man at level 0 is unmatched.  Of the real edges, he scans the women
-    above w at level l and, at level 1, those below w at level 0, where
-    his level-0 copy holds the dummy at the bottom of its list.
+    Each such woman refuses anyone below her man at his level, and the
+    result counts only if she holds him there and it passes `is_stable`.
     """
-    pref, level = inst.pref, result.level
-
-    def blocks(m: str, lvl: int, w: str) -> bool:
-        holder = result.partner_of(w)
-        return holder is None or _position(inst, w, m, lvl) < _position(
-            inst, w, holder, level[holder]
-        )
-
-    for m in inst.men:
-        w = result.partner_of(m)
-        if w is None and level[m] == 0:
-            return False
-        cut = len(pref[m]) if w is None else inst.rank[m][w]
-        if any(blocks(m, level[m], x) for x in pref[m][:cut]):
-            return False
-        if level[m] and any(blocks(m, 0, x) for x in pref[m][cut + 1 :]):
-            return False
-    return True
+    for w, (m, _) in held.items():
+        if not inst.has_edge(m, w):
+            raise InstanceError(f"({m},{w}) is not an edge of the instance")
+    got = run(inst, ProposalRules(held), levels=levels)
+    for w, (m, lvl) in held.items():
+        if got.partner_of(w) != m or got.level[m] != lvl:
+            return None
+    return got if is_stable(inst, got, levels)[0] else None
 
 
 def stable_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:
-    """The men-optimal stable matching containing the edge, if one exists.
-
-    Runs the engine with the woman refusing anyone worse than the forced
-    man, then accepts the result only if it contains the edge and is
-    stable in the unmodified instance.
-    """
+    """The men-optimal stable matching containing the edge, if one exists."""
     u, v = edge
-    if not inst.has_edge(u, v):
-        raise InstanceError(f"({u},{v}) is not an edge of the instance")
-    result = run(inst, ProposalRules({v: (u, 0)}))
-    if (u, v) in result.pairs and is_stable(inst, result)[0]:
-        return result
-    return None
+    return forced(inst, {v: (u, 0)})

@@ -7,13 +7,14 @@ exactly onto the dominant matchings of the base instance.  G' is never
 built: a stable matching of G' is a levelled matching of the base
 instance, in which a man at level l stands for his level-l copy holding
 his partner (or nothing) and his other copy holding d(a).  The engine's
-two-level run is deferred acceptance on G', and the inverse projection
-reads the levels off the alternating-reachability partition.
+two-level run is deferred acceptance on G', `gale_shapley.is_stable`
+with levels=2 tests stability in G', and the inverse projection reads
+the levels off the alternating-reachability partition.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Optional
 
 from . import gale_shapley, verify
 from .gale_shapley import LevelledMatching
@@ -33,19 +34,6 @@ def dominant_two_level(inst: Instance) -> Matching:
     """A dominant matching: the engine's two-level run, which is deferred
     acceptance on G' without building it."""
     return gale_shapley.run(inst, levels=2)
-
-
-def forced_two_level(
-    inst: Instance, held: Mapping[str, Tuple[str, int]]
-) -> Optional[LevelledMatching]:
-    """The men-optimal stable matching of G' in which each woman w of
-    `held` holds the man at the level held[w], if one exists: she refuses
-    anyone below him, and the result must be stable in G'."""
-    got = gale_shapley.run(inst, gale_shapley.ProposalRules(held), levels=2)
-    for w, (m, lvl) in held.items():
-        if got.partner_of(w) != m or got.level[m] != lvl:
-            return None
-    return got if gale_shapley.is_stable_two_level(inst, got) else None
 
 
 def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:

@@ -11,6 +11,7 @@ levelled proposers, as `gale_shapley.run` does, so G' is never built.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +29,11 @@ DEFAULT_MAX_STABLE = 100_000
 
 def parse_costs(text: str, inst: Instance) -> CostFunction:
     """Parse '<man> <woman> <cost>' lines; costs may be integers,
-    decimals, or p/q fractions, all kept exact."""
+    decimals, or p/q fractions, all kept exact.  A cost of more digits
+    than Python prints (`sys.get_int_max_str_digits()`) is an error, its
+    exponent checked first: expanding 1e999999999 would not finish."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bound = 10**digits
     costs: CostFunction = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -42,10 +47,14 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
             raise ParseError(f"pair ({m},{w}) is not an edge of the instance", lineno)
         if (m, w) in costs:
             raise ParseError(f"duplicate cost for ({m},{w})", lineno)
+        exp = val.lower().partition("e")[2]
         try:
-            costs[(m, w)] = Fraction(val)
+            cost = Fraction(val) if not exp or abs(int(exp)) <= digits else None
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"invalid cost {val!r}", lineno)
+        if cost is None or abs(cost.numerator) >= bound or cost.denominator >= bound:
+            raise ParseError(f"cost {val!r} exceeds {digits} digits", lineno)
+        costs[(m, w)] = cost
     return costs
 
 

@@ -1,11 +1,11 @@
 """Deciding which edges lie in some popular matching.
 
 An edge lies in a popular matching iff it lies in a stable matching or
-in a dominant one, so forced-edge proposal runs on the instance and on
-its implicit G' settle the question.  The decomposition machinery splits
-any popular matching into a dominant core and a stable remainder and
-can push the whole matching to either extreme while keeping the
-relevant half fixed.
+in a dominant one, so the engine's forced-edge query on the instance
+and on its implicit G' settles the question.  The decomposition
+machinery splits any popular matching into a dominant core and a stable
+remainder and can push the whole matching to either extreme while
+keeping the relevant half fixed.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from . import gale_shapley, level_graph, verify
-from .gale_shapley import StartState
+from . import gale_shapley, verify
 from .instance import Instance, InstanceError, Matching
 from .verify import Certificate
 
@@ -79,7 +78,7 @@ class _LiftDetails:
 def _lift(inst: Instance, matching: Matching) -> _LiftDetails:
     dec = decompose(inst, matching)
     sub = inst.induced(dec.y + dec.z)
-    lifted = gale_shapley.run(sub, start=StartState(dec.m1), levels=2)
+    lifted = gale_shapley.run(sub, start=dec.m1, levels=2)
     y1 = frozenset(y for y in sub.men if lifted.level[y])
     z1 = frozenset(lifted.partner_of(y) for y in y1) - {None}
     return _LiftDetails(
@@ -115,7 +114,7 @@ def lower_to_stable(inst: Instance, matching: Matching) -> Matching:
     a_side = part.a0 | part.a1
     sub = inst.induced(a_side | part.b0 | part.b1)
     start = Matching((m, w) for m, w in dec.m0.pairs if m in part.a1)
-    redone = gale_shapley.run(sub, start=StartState(start))
+    redone = gale_shapley.run(sub, start=start)
     return Matching(redone.pairs | dec.m1.pairs)
 
 
@@ -125,10 +124,8 @@ def dominant_with_edge(
     """A dominant matching containing the edge, if any: force the edge
     onto the man at level 0, then at level 1, in G'."""
     u, v = edge
-    if not inst.has_edge(u, v):
-        raise InstanceError(f"({u},{v}) is not an edge of the instance")
     for lvl in (0, 1):
-        got = level_graph.forced_two_level(inst, {v: (u, lvl)})
+        got = gale_shapley.forced(inst, {v: (u, lvl)}, 2)
         if got is not None:
             return got
     return None

@@ -3,15 +3,16 @@
 If any popular matching is unstable then some dominant matching is
 unstable, so the search runs over forced-blocking-pair probes: two-level
 runs of the engine, which run on the two-copy instance G' without
-building it.  One probe per edge makes the scan quadratic;
-`unstable_via_pair` probes a single pair of edges.
+building it, each checked by `gale_shapley.is_stable` with levels=2.
+One probe per edge makes the scan quadratic; `unstable_via_pair` probes
+a single pair of edges with the engine's forced-edge query.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from . import gale_shapley, level_graph
+from . import gale_shapley
 from .gale_shapley import ProposalRules
 from .instance import Instance, InstanceError, Matching
 
@@ -36,7 +37,7 @@ def unstable_via_pair(inst: Instance, e1: Edge, e2: Edge) -> Optional[Matching]:
         raise InstanceError(f"({a},{b}) is not an edge, so it cannot block")
     if not (inst.prefers(a, b, v) and inst.prefers(b, a, u)):
         raise InstanceError(f"({a},{b}) does not mutually improve on ({a},{v}), ({u},{b})")
-    return level_graph.forced_two_level(inst, {v: (a, 0), b: (u, 1)})
+    return gale_shapley.forced(inst, {v: (a, 0), b: (u, 1)}, 2)
 
 
 def _probe_edge(inst: Instance, a: str, b: str) -> Optional[Matching]:
@@ -57,7 +58,7 @@ def _probe_edge(inst: Instance, a: str, b: str) -> Optional[Matching]:
     # b holds only level-1 men, so she must not hold one she ranks above a
     if pb is None or inst.rank[b][pb] < inst.rank[b][a]:
         return None
-    if not gale_shapley.is_stable_two_level(inst, result):
+    if not gale_shapley.is_stable(inst, result, 2)[0]:
         return None
     return result
 

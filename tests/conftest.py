@@ -14,7 +14,6 @@ from popmatch import (
     InstanceError,
     Matching,
     ProposalRules,
-    StartState,
     classify,
     generate_random,
     is_stable,
@@ -287,7 +286,8 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
     below that man's copy.  forced lists (man, woman) pairs that the
     man's level-0 copy is refused.  A start matching puts its pairs on
     level-0 copies and its unmatched men's level-0 copies on their
-    dummies, with their level-1 copies proposing.  Returns G' as
+    dummies, so the free level-1 copies of its unmatched men propose, in
+    id order.  Returns G' as
     `level`, the G' matching `aux`, whether it is `stable` in G', its
     projection `matching` and the level `f` of every base vertex.
     """
@@ -296,19 +296,16 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
         {w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()},
         frozenset((level.copies[m][0], w) for m, w in forced),
     )
-    pairs, free = [], None
+    pairs = []
     if start is not None:
-        free = []
         for a in inst.men:
             lo, hi = level.copies[a]
             w = start.partner_of(a)
             if w is None:
                 pairs.append((lo, level.dummy[a]))
-                free.append(hi)
             else:
                 pairs += [(lo, w), (hi, level.dummy[a])]
-        free = tuple(sorted(free))
-    aux = run(level.graph, rules, StartState(Matching(pairs), free))
+    aux = run(level.graph, rules, Matching(pairs))
     return SimpleNamespace(
         level=level,
         aux=aux,

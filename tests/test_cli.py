@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,11 +72,12 @@ def test_solve_json(shared_top_file, capsys):
 
 
 def test_solve_rejects_algo_mismatch(shared_top_file, capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "solve", "--property", "dominant", "--algo", "gs",
         "-i", shared_top_file,
     )
-    assert code == 2 and "error:" in err
+    assert code == 2 and out == ""
+    assert err == "error: --property dominant needs --algo two-level\n"
 
 
 def test_verify_exit_codes(shared_top_file, tmp_path, capsys):
@@ -187,6 +189,40 @@ def test_min_cost_dominant_total_beyond_float(tmp_path, capsys, sign):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["cost"] == {"numerator": exact, "denominator": 1, "decimal": f"{sign}inf"}
+
+
+@pytest.mark.parametrize("cost", ["1e5000", "1e-5000", "1e999999999"])
+def test_min_cost_dominant_cost_too_long(tmp_path, capsys, cost):
+    # Python prints no int of more than sys.get_int_max_str_digits()
+    # digits, and expanding the last exponent alone would not finish
+    inst = tmp_path / "one.pref"
+    inst.write_text("men: a1\nwomen: b1\na1: b1\nb1: a1\n")
+    costs = tmp_path / "c.costs"
+    costs.write_text(f"a1 b1 {cost}\n")
+    digits = sys.get_int_max_str_digits()
+    for extra in ([], ["--json"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "min-cost-dominant", *extra, "-i", str(inst), "--costs", str(costs)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: line 1: cost '{cost}' exceeds {digits} digits\n"
+
+
+def test_min_cost_dominant_total_too_long(tmp_path, capsys):
+    # each cost prints, but their sum's denominator has about 8,000 digits
+    inst = tmp_path / "two.pref"
+    inst.write_text("men: a1 a2\nwomen: b1 b2\na1: b1\na2: b2\nb1: a1\nb2: a2\n")
+    costs = tmp_path / "c.costs"
+    costs.write_text(f"a1 b1 1/{10**4000 + 1}\na2 b2 1/{10**4000 + 3}\n")
+    digits = sys.get_int_max_str_digits()
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(
+            capsys, "min-cost-dominant", *extra, "-i", str(inst), "--costs", str(costs)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: the total cost has more than {digits} digits, too many to print\n"
 
 
 def test_min_cost_dominant_missing_cost(shared_top_file, tmp_path, capsys):

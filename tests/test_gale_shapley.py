@@ -3,15 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from popmatch import (
     InstanceError,
+    LevelledMatching,
     Matching,
     ProposalRules,
-    StartState,
     generate_random,
     is_stable,
     run,
     stable_with_edge,
 )
-from popmatch.gale_shapley import InvalidStartState
+from popmatch.gale_shapley import InvalidStartState, forced
 
 
 def test_run_shared_top(shared_top):
@@ -48,6 +48,31 @@ def test_is_stable_returns_least_blocking_pair(shared_top, contested_hub):
     ok, pair = is_stable(contested_hub, Matching([("a1", "b1"), ("a2", "b2")]))
     assert not ok and pair == ("a2", "b1")
     assert is_stable(contested_hub, Matching())[0] is False
+
+
+def test_is_stable_two_levels(shared_top):
+    dominant = run(shared_top, levels=2)
+    assert is_stable(shared_top, dominant, 2) == (True, None)
+    # one level ignores the levels: (a1,b1) blocks in G
+    assert is_stable(shared_top, dominant) == (False, ("a1", "b1"))
+    # the stable matching with a2 unmatched at level 0: his level-0 copy
+    # and his dummy block
+    stable = run(shared_top, levels=1)
+    assert is_stable(shared_top, stable, 2) == (False, ("a2", None))
+    # at level 1 he blocks with b1, who holds a1 at level 0
+    up = LevelledMatching(stable.pairs, {"a1": 0, "a2": 1})
+    assert is_stable(shared_top, up, 2) == (False, ("a2", "b1"))
+
+
+def test_forced_query(shared_top):
+    # (a2,b1) is in no stable matching, and in the dominant one only with
+    # a2 at level 1
+    assert forced(shared_top, {"b1": ("a2", 0)}) is None
+    assert forced(shared_top, {"b1": ("a2", 0)}, 2) is None
+    got = forced(shared_top, {"b1": ("a2", 1)}, 2)
+    assert got == Matching([("a1", "b2"), ("a2", "b1")]) and got.level == {"a1": 0, "a2": 1}
+    with pytest.raises(InstanceError, match=r"^\(a2,b2\) is not an edge of the instance$"):
+        forced(shared_top, {"b2": ("a2", 0)}, 2)
 
 
 def test_floor_must_name_an_edge(shared_top):
@@ -92,25 +117,22 @@ def test_forced_rejection_rules(shared_top):
 
 def test_warm_start_resumes_below_partner(nested_fan):
     # a2 starts on b1, gets bumped by a1 and must resume below b1
-    start = StartState(Matching([("a2", "b1")]), free=("a1", "a3"))
-    result = run(nested_fan, start=start)
+    # a1 and a3, unmatched in the start, propose in id order
+    result = run(nested_fan, start=Matching([("a2", "b1")]))
     assert result == Matching([("a1", "b1"), ("a2", "b2")])
 
 
 def test_warm_start_rejects_skipped_blocking_pair(shared_top):
     # a1 on b2 while b1 is free: the engine would never repair (a1,b1)
-    start = StartState(Matching([("a1", "b2")]), free=("a2",))
     with pytest.raises(InvalidStartState, match="blocking pair"):
-        run(shared_top, start=start)
+        run(shared_top, start=Matching([("a1", "b2")]))
 
 
-def test_warm_start_rejects_non_edge_and_matched_free(shared_top):
+def test_warm_start_rejects_non_edge(shared_top):
+    with pytest.raises(InvalidStartState, match=r"^start pair \(a2,b2\) is not an edge$"):
+        run(shared_top, start=Matching([("a2", "b2")]))
     with pytest.raises(InvalidStartState, match="not an edge"):
-        run(shared_top, start=StartState(Matching([("a2", "b2")])))
-    with pytest.raises(InvalidStartState, match="is matched"):
-        run(shared_top, start=StartState(Matching([("a1", "b1")]), free=("a1",)))
-    with pytest.raises(InvalidStartState, match="free proposer 'a1' listed twice"):
-        run(shared_top, start=StartState(Matching(), free=("a1", "a1")))
+        run(shared_top, start=Matching([("a2", "b2")]), levels=2)
 
 
 def test_stable_with_edge(shared_top, contested_hub):

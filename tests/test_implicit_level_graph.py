@@ -37,7 +37,6 @@ from popmatch import (
     stable_matchings,
     unstable_via_pair,
 )
-from popmatch.gale_shapley import is_stable_two_level
 from popmatch.popular_edge import _lift
 
 
@@ -95,7 +94,7 @@ def test_dominant_two_level_matches_explicit_at_scale():
     inst = generate_random(10_000, 10_000, 0.002, seed=7)
     got = dominant_two_level(inst)
     assert got == explicit_level_run(inst).matching
-    assert is_stable_two_level(inst, got)
+    assert is_stable(inst, got, 2) == (True, None)
 
 
 def test_dominant_with_edge_matches_explicit(small_ensemble):
@@ -146,7 +145,7 @@ def test_lift_matches_explicit(small_ensemble):
 
 
 def test_is_stable_two_level_matches_explicit(small_ensemble):
-    verdicts = set()
+    verdicts, named = set(), set()
     for inst, _ in small_ensemble[:20]:
         level = build_level_graph(inst)
         for aux in stable_matchings(level.graph):
@@ -163,10 +162,27 @@ def test_is_stable_two_level_matches_explicit(small_ensemble):
                 if w is not None:
                     variants.append(LevelledMatching(stable.pairs - {(a, w)}, stable.level))
             for result in variants:
-                expected = is_stable(level.graph, to_level_graph(level, result))[0]
-                assert is_stable_two_level(inst, result) == expected
+                aux = to_level_graph(level, result)
+                expected = is_stable(level.graph, aux)[0]
+                ok, pair = is_stable(inst, result, 2)
+                assert ok == expected and (pair is None) == ok
+                if pair is not None:
+                    # a man unmatched at level 0 is named with his dummy
+                    m, w = pair
+                    w = level.dummy[m] if w is None else w
+                    assert any(blocks(level.graph, aux, c, w) for c in level.copies[m])
                 verdicts.add(expected)
+                named.add(pair is not None and pair[1] is None)
     assert verdicts == {True, False}
+    assert named == {True, False}
+
+
+def blocks(g, matching, x, y):
+    """Whether (x, y) is an edge of g that blocks the matching."""
+    if not g.has_edge(x, y):
+        return False
+    px, py = matching.partner_of(x), matching.partner_of(y)
+    return (px is None or g.prefers(x, y, px)) and (py is None or g.prefers(y, x, py))
 
 
 def explicit_stable_matchings(inst):
@@ -187,7 +203,7 @@ def test_levelled_walk_matches_explicit(small_ensemble):
         assert len(keys) == len(got)
         assert keys == explicit_stable_matchings(inst)
         shared += len({m.pairs for m in got}) < len(got)
-        assert all(is_stable_two_level(inst, m) for m in got)
+        assert all(is_stable(inst, m, 2) == (True, None) for m in got)
     # some instances have two stable matchings of G' with the same pairs
     assert shared
     # the last instance is 5 blocks, with four stable matchings of G' each

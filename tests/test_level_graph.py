@@ -15,7 +15,6 @@ from popmatch import (
     parse_instance,
     stable_matchings,
 )
-from popmatch.gale_shapley import is_stable_two_level
 from popmatch.level_graph import NotDominantError
 
 
@@ -121,7 +120,7 @@ def test_inverse_map_round_trip(shared_top, small_ensemble):
         for d in report.dominant_set():
             lifted = inverse_map(inst, d)
             assert lifted.pairs == d.pairs
-            assert is_stable_two_level(inst, lifted)
+            assert is_stable(inst, lifted, 2) == (True, None)
             aux = to_level_graph(level, lifted)
             assert is_stable(level.graph, aux)[0]
             assert map_T(level, aux) == d
