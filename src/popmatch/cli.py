@@ -238,7 +238,7 @@ def _cmd_gen(args) -> int:
                     "written": args.output,
                     "men": len(inst.men),
                     "women": len(inst.women),
-                    "edges": sum(len(inst.pref[m]) for m in inst.men),
+                    "edges": sum(map(len, inst.adj[: len(inst.men)])),
                 }
             )
         )

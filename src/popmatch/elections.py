@@ -8,9 +8,10 @@ abstains.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import lt
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .instance import EdgeSlots, Instance, InstanceError, Matching
+from .instance import Instance, InstanceError, Matching
 
 PLUS = 1
 ZERO = 0
@@ -44,16 +45,13 @@ class LabeledGraph:
     edges of G_M, and gm_adj[v] lists v's G_M neighbours in name order.
     """
 
-    def __init__(self, slots: EdgeSlots, mate, in_m, plus_a, plus_b):
-        self.slots = slots
-        self.mate = mate
-        self.in_m = in_m
-        self.plus_a = plus_a
-        self.plus_b = plus_b
+    def __init__(self, inst: Instance, mate, in_m, plus_a, plus_b):
+        self.inst, self.slots, self.mate = inst, inst.slots, mate
+        self.in_m, self.plus_a, self.plus_b = in_m, plus_a, plus_b
 
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
-        s, names = self.slots, self.slots.names
+        s, names = self.slots, self.inst.names
         order = s.by_man_name[~self.in_m[s.by_man_name]]
         men = map(names.__getitem__, s.man[order].tolist())
         women = map(names.__getitem__, s.woman[order].tolist())
@@ -62,14 +60,14 @@ class LabeledGraph:
 
     @cached_property
     def gm_edges(self) -> frozenset:
-        s, names = self.slots, self.slots.names
+        s, names = self.slots, self.inst.names
         keep = self.in_m | self.plus_a | self.plus_b
         men = map(names.__getitem__, s.man[keep].tolist())
         return frozenset(zip(men, map(names.__getitem__, s.woman[keep].tolist())))
 
     @cached_property
     def gm_adj(self) -> Dict[str, Tuple[str, ...]]:
-        s, names = self.slots, self.slots.names
+        s, names = self.slots, self.inst.names
         keep = self.in_m | self.plus_a | self.plus_b
         rows = s.rows(False, keep, s.woman) + s.rows(True, keep, s.man)
         return {v: tuple(map(names.__getitem__, row)) for v, row in zip(names, rows)}
@@ -91,22 +89,9 @@ def vote(inst: Instance, u: str, x: str, y: Optional[str] = None) -> int:
 
 def compare(inst: Instance, first: Matching, second: Matching) -> ElectionResult:
     """Count the vertices preferring each matching."""
-    for_first = 0
-    for_second = 0
-    for u in inst.men + inst.women:
-        p = first.partner_of(u)
-        q = second.partner_of(u)
-        if p == q:
-            continue
-        if q is None:
-            for_first += 1
-        elif p is None:
-            for_second += 1
-        elif inst.rank[u][p] < inst.rank[u][q]:
-            for_first += 1
-        else:
-            for_second += 1
-    return ElectionResult(for_first, for_second)
+    # ranks of partners: an absent one ranks below every neighbour
+    p, q = inst.mates(first)[1], inst.mates(second)[1]
+    return ElectionResult(sum(map(lt, p, q)), sum(map(lt, q, p)))
 
 
 def defeats(inst: Instance, first: Matching, second: Matching) -> bool:
@@ -123,20 +108,13 @@ def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:
     import numpy as np
 
     slots = inst.slots
-    index, rank = slots.index, inst.rank
-    mate = np.full(len(slots.names), -1, dtype=np.intp)
-    # mate_rank[v]: v's rank of its partner
-    mate_rank = np.zeros(len(slots.names), dtype=np.intp)
-    for m, w in matching.pairs:
-        i, j = index[m], index[w]
-        mate[i], mate[j] = j, i
-        mate_rank[i], mate_rank[j] = rank[m][w], rank[w][m]
-    man, woman = slots.man, slots.woman
-    of_man, of_woman = mate[man], mate[woman]
+    mate, pos = (np.array(a, dtype=np.intp) for a in inst.mates(matching))
+    # an unmatched vertex ranks its partner below every neighbour, so it
+    # votes for every edge
     return LabeledGraph(
-        slots,
+        inst,
         mate,
-        in_m=of_man == woman,
-        plus_a=(of_man < 0) | (slots.man_rank < mate_rank[man]),
-        plus_b=(of_woman < 0) | (slots.woman_rank < mate_rank[woman]),
+        in_m=mate[slots.man] == slots.woman,
+        plus_a=slots.man_rank < pos[slots.man],
+        plus_b=slots.woman_rank < pos[slots.woman],
     )

@@ -48,29 +48,25 @@ class LevelledMatching(Matching):
         self.level = level
 
 
-def _position(inst: Instance, w: str, m: str, level: int) -> int:
-    """w's position for m proposing at the given level: lower is better,
-    and every level-1 position lies below every level-0 one."""
-    return inst.rank[w][m] - level * len(inst.pref[w])
-
-
-def _check_start(inst: Instance, start: Matching, refuses) -> None:
+def _check_start(inst: Instance, start: Matching, refuses) -> Tuple[list, list]:
+    """`Instance.mates` of a start that passes the checks."""
     for m, w in start.pairs:
         if not inst.has_edge(m, w):
             raise InvalidStartState(f"start pair ({m},{w}) is not an edge")
-    for m, w in start.pairs:
+    mate, pos = inst.mates(start)
+    adj, back, names = inst.adj, inst.back, inst.names
+    for m in range(len(inst.men)):
+        if mate[m] < 0:
+            continue
         # Women above m's current partner must already hold someone they
         # prefer, otherwise resuming below the partner skips a proposal
         # that should have happened.
-        cutoff = inst.rank[m][w]
-        for other in inst.pref[m][:cutoff]:
-            if refuses(m, 0, other, inst.rank[other][m]):
-                continue
-            holder = start.partner_of(other)
-            if holder is None or inst.prefers(other, m, holder):
+        for other, p in zip(adj[m][: pos[m]], back[m]):
+            if not refuses(m, 0, other, p) and p < pos[other]:
                 raise InvalidStartState(
-                    f"start matching admits blocking pair ({m},{other})"
+                    f"start matching admits blocking pair ({names[m]},{names[other]})"
                 )
+    return mate, pos
 
 
 def run(
@@ -81,50 +77,53 @@ def run(
 ) -> LevelledMatching:
     """Men-proposing deferred acceptance under the given rules.
 
-    A proposer is a man at a level.  Free men propose in FIFO order down
-    their lists, skipping targets the rules forbid, and a man whose list
-    runs out below the top level starts it again one level up.  Each
-    woman holds the best acceptable proposer seen so far: any of a
-    higher level beats any of a lower one, and her own ranking decides
-    within a level.  Deterministic for fixed inputs.
+    A proposer is a man at a level, and levels is 1 or 2.  Free men
+    propose in FIFO order down their lists, skipping targets the rules
+    forbid, and a man whose list runs out below the top level starts it
+    again one level up.  Each woman holds the best acceptable proposer
+    seen so far: any of a higher level beats any of a lower one, and her
+    own ranking decides within a level.  Deterministic for fixed inputs.
 
     A warm start holds its pairs at level 0, and the men it leaves
     unmatched start proposing, in id order, from level 0.  A matched man
     resumes below his start partner if freed, so the start must not
     admit a blocking pair whose man is matched (InvalidStartState).
     """
-    for w, (m, _) in rules.acceptance_floor.items():
-        if not inst.has_edge(m, w):
+    if levels not in (1, 2):
+        raise ValueError(f"levels must be 1 or 2, got {levels!r}")
+    adj, back, names = inst.adj, inst.back, inst.names
+    # her position for a proposer: her rank of him less her list length
+    # per level he is on, so lower is better
+    floor = {}
+    for w, (m, lvl) in rules.acceptance_floor.items():
+        s = inst.slot(m, w)
+        if s is None:
             raise InstanceError(f"acceptance floor ({m},{w}) is not an edge")
-    floor = {w: _position(inst, w, *f) for w, f in rules.acceptance_floor.items()}
-    rejected = rules.forced_rejections
+        if lvl not in range(levels):
+            raise ValueError(f"acceptance floor ({m},{w}) at level {lvl!r} of {levels}")
+        i, j, k = s
+        floor[j] = back[i][k] - lvl * len(adj[j])
+    index = inst.index
+    rejected = {(index.get(m), index.get(w)) for m, w in rules.forced_rejections}
 
-    def refuses(m: str, lvl: int, w: str, p: int) -> bool:
+    def refuses(m: int, lvl: int, w: int, p: int) -> bool:
         return p > floor.get(w, p) or (lvl == 0 and (m, w) in rejected)
 
-    _check_start(inst, start, refuses)
+    mate, pos = _check_start(inst, start, refuses)
 
     restricted = bool(floor or rejected)
     top = levels - 1
-    rank = inst.rank
-    pref = inst.pref
-    holds: dict = {}
-    pos: dict = {}  # woman -> her position for the proposer she holds
-    next_ix: dict = {}
-    level = dict.fromkeys(inst.men, 0)
-    for m in inst.men:
-        w = start.partner_of(m)
-        if w is None:
-            next_ix[m] = 0
-        else:
-            holds[w] = m
-            pos[w] = rank[w][m]
-            next_ix[m] = rank[m][w] + 1
-    queue = deque(sorted(m for m in inst.men if not start.is_matched(m)))
+    n = len(inst.men)
+    # holds[w], pos[w]: the proposer woman w holds and her position for
+    # him; a woman who holds no one ranks him at her list length
+    holds = mate
+    next_ix = [pos[m] + 1 if mate[m] >= 0 else 0 for m in range(n)]
+    level = [0] * n
+    queue = deque(sorted((m for m in range(n) if mate[m] < 0), key=names.__getitem__))
 
     while queue:
         m = queue.popleft()
-        lst = pref[m]
+        lst, ranks = adj[m], back[m]
         i = next_ix[m]
         lvl = level[m]
         while True:
@@ -135,22 +134,22 @@ def run(
                 i = 0
                 continue
             w = lst[i]
+            p = ranks[i]
             i += 1
-            p = rank[w][m]  # _position(inst, w, m, lvl), inlined in the hot loop
             if lvl:
-                p -= lvl * len(pref[w])
+                p -= lvl * len(adj[w])
             if restricted and refuses(m, lvl, w, p):
                 continue
-            held = pos.get(w)
-            if held is None or p < held:
-                if held is not None:
+            if p < pos[w]:
+                if holds[w] >= 0:
                     queue.append(holds[w])
                 holds[w] = m
                 pos[w] = p
                 break
         next_ix[m] = i
         level[m] = lvl
-    return LevelledMatching(((m, w) for w, m in holds.items()), level)
+    pairs = ((names[holds[w]], names[w]) for w in range(n, len(names)) if holds[w] >= 0)
+    return LevelledMatching(pairs, dict(zip(inst.men, level)))
 
 
 def is_stable(
@@ -168,31 +167,30 @@ def is_stable(
     bottom of its list.  A woman prefers any man of a higher level, and
     her own ranking decides within a level.
     """
-    best: Optional[Tuple[str, Optional[str]]] = None
-    rank, pref = inst.rank, inst.pref
-    partner = matching.partner_of
-    level = matching.level if levels > 1 else None
-    for m in inst.men:
-        pm = partner(m)
-        lst = pref[m]
-        lvl = 0 if level is None else level[m]
-        if pm is None and level is not None and lvl == 0:
-            if best is None or m < best[0]:
-                best = (m, None)
-            continue
-        cut = len(lst) if pm is None else rank[m][pm]
-        scans = ((lst[:cut], lvl), (lst[cut + 1 :], 0)) if lvl else ((lst[:cut], 0),)
-        for women, lv in scans:
-            for w in women:
-                pw = partner(w)
-                if pw is None or (
-                    rank[w][m] < rank[w][pw]
-                    if level is None or lv == level[pw]
-                    else lv > level[pw]
-                ):
-                    pair = (m, w)
-                    if best is None or pair < best:
-                        best = pair
+    if levels not in (1, 2):
+        raise ValueError(f"levels must be 1 or 2, got {levels!r}")
+    adj, back, names = inst.adj, inst.back, inst.names
+    mate, pos = inst.mates(matching)
+    n = len(inst.men)
+    level = [0] * n if levels == 1 else list(map(matching.level.__getitem__, inst.men))
+
+    def blocking_pairs():
+        for m in range(n):
+            lvl = level[m]
+            if mate[m] < 0 and levels == 2 and lvl == 0:
+                yield (names[m], None)
+                continue
+            lst, ranks, cut = adj[m], back[m], pos[m]
+            scans = [(lst[:cut], ranks[:cut], lvl)]
+            if lvl:
+                scans.append((lst[cut + 1 :], ranks[cut + 1 :], 0))
+            for women, their_ranks, lv in scans:
+                for w, p in zip(women, their_ranks):
+                    pw = mate[w]
+                    if pw < 0 or (p < pos[w] if lv == level[pw] else lv > level[pw]):
+                        yield (names[m], names[w])
+
+    best = min(blocking_pairs(), default=None)
     return (best is None, best)
 
 

@@ -4,6 +4,10 @@ An instance is a bipartite graph whose two sides are called *men* and
 *women*; every vertex ranks its neighbors strictly.  Instances and
 matchings are immutable after construction and safe to share.
 
+An Instance holds each list once, as vertex numbers, and parsing, the
+constructor and the generator build it through the same checks.  A
+Matching is a set of (man, woman) id pairs; `Instance.mates` numbers it.
+
 File format (PREF v1):
 
     # comment lines and blank lines are ignored
@@ -23,7 +27,10 @@ that names its line.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Mapping, Optional
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class InstanceError(ValueError):
@@ -46,8 +53,12 @@ def _error(message: str, line: Optional[int]) -> InstanceError:
     return InstanceError(message) if line is None else ParseError(message, line)
 
 
-def _check_ids(ids: Iterable[str], known: set, line: Optional[int] = None) -> None:
+def _check_ids(ids: Sequence[str], known: set, line: Optional[int] = None) -> None:
     """Add declared ids to known, rejecting repeated and malformed ones."""
+    joined = "".join(ids)
+    if all(ids) and ":" not in joined and [joined] == joined.split():
+        if known.isdisjoint(ids) and len(set(ids)) == len(ids):
+            return known.update(ids)
     for v in ids:
         if v in known:
             raise _error(f"duplicate vertex id {v!r}", line)
@@ -56,87 +67,26 @@ def _check_ids(ids: Iterable[str], known: set, line: Optional[int] = None) -> No
         known.add(v)
 
 
-def _check_lists(inst: "Instance", lines: Mapping[str, Optional[int]]) -> None:
-    """Check the lists of the vertices in `lines`, in that order: each
-    vertex is declared and names distinct vertices of the other side.
-    Then adjacency is symmetric: every man is on the lists of the women
-    on his, and both sides list as many entries in total.  The women's
-    lists are scanned only when the totals differ, to name the edge."""
-    men, women = inst._men_set, inst._women_set
-    pref, rank = inst.pref, inst.rank
-    for v, line in lines.items():
-        if v not in pref:
-            raise _error(f"preference list for unknown vertex {v!r}", line)
-        lst = pref[v]
-        own, other = (men, women) if v in men else (women, men)
-        if len(rank[v]) == len(lst) and other.issuperset(lst):
-            continue
-        seen = set()
-        for x in lst:
-            if x in own:
-                raise _error(f"{v!r} lists {x!r} on its own side", line)
-            if x not in other:
-                raise _error(f"unknown neighbor {x!r} in list of {v!r}", line)
-            if x in seen:
-                raise _error(f"duplicate entry {x!r} in list of {v!r}", line)
-            seen.add(x)
-    listers = inst.men
-    if sum(len(pref[m]) for m in inst.men) != sum(len(pref[w]) for w in inst.women):
-        listers += inst.women
-    for v in listers:
-        for x in pref[v]:
-            if v not in rank[x]:
-                m, w = (v, x) if v in men else (x, v)
-                raise _error(
-                    f"asymmetric adjacency: edge ({m},{w}) — "
-                    f"{v!r} lists {x!r} but {x!r} does not list {v!r}",
-                    lines.get(v),
-                )
-
-
 class EdgeSlots:
-    """The edges of an instance as int slots, for array code.
-
-    Vertices are numbered men first, then women, in declared order
-    (`names`, `index`).  The men's lists are laid end to end, one slot
-    per edge: `man`, `woman`, `man_rank` and `woman_rank` are numpy int
-    arrays giving each slot's ends and each end's rank of the other.
-    `by_man_name` orders the slots by (man name, woman name) and
-    `by_woman_name` by (woman name, man name); `men_by_name` and
-    `women_by_name` list the vertex numbers of each side in name order.
-    """
-
-    __slots__ = (
-        "names", "index", "n_men", "man", "woman", "man_rank", "woman_rank",
-        "by_man_name", "by_woman_name", "men_by_name", "women_by_name",
-    )
+    """The men's lists laid end to end as numpy int arrays, one slot per
+    edge: its ends `man`, `woman` and their ranks of each other,
+    `man_rank`, `woman_rank`.  Certificates list names in order, so
+    `by_man_name` (`by_woman_name`) orders the slots by the names of
+    (man, woman) ((woman, man)), and `men_by_name` (`women_by_name`)
+    lists a side's vertex numbers in name order."""
 
     def __init__(self, inst: "Instance"):
         import numpy as np
 
-        self.names = names = inst.men + inst.women
-        self.index = index = {v: i for i, v in enumerate(names)}
+        names = inst.names
         self.n_men = n = len(inst.men)
-
-        def laid_out(side: tuple, first: int):
-            """The side's lists end to end: each slot's owner, the other
-            end, and the owner's rank of the other end."""
-            ends: list = []
-            for v in side:
-                ends += map(index.__getitem__, inst.pref[v])
-            degree = np.array([len(inst.pref[v]) for v in side], dtype=np.intp)
-            start = np.repeat(np.cumsum(degree) - degree, degree)
-            owner = np.repeat(np.arange(first, first + len(side)), degree)
-            return owner, np.array(ends, dtype=np.intp), np.arange(len(ends)) - start
-
-        self.man, self.woman, self.man_rank = laid_out(inst.men, 0)
-        w_owner, w_man, w_rank = laid_out(inst.women, n)
-        # a woman's slot and a man's slot of one edge meet when both
-        # sides are sorted by (man, woman)
-        self.woman_rank = np.empty_like(w_rank)
-        self.woman_rank[np.argsort(self.man * len(names) + self.woman)] = w_rank[
-            np.argsort(w_man * len(names) + w_owner)
-        ]
+        lists = inst.adj[:n]
+        degree = np.fromiter(map(len, lists), np.intp, n)
+        edges = int(degree.sum())
+        self.man = np.repeat(np.arange(n), degree)
+        self.woman = np.fromiter(chain.from_iterable(lists), np.intp, edges)
+        self.man_rank = np.arange(edges) - np.repeat(np.cumsum(degree) - degree, degree)
+        self.woman_rank = np.fromiter(chain.from_iterable(inst.back), np.intp, edges)
         self.men_by_name = sorted(range(n), key=names.__getitem__)
         self.women_by_name = sorted(range(n, len(names)), key=names.__getitem__)
         name_rank = np.empty(len(names), dtype=np.intp)
@@ -158,8 +108,8 @@ class EdgeSlots:
             order, owner, ids = self.by_man_name, self.man, self.men_by_name
         kept = order[mask[order]]
         flat = values[kept].tolist()
-        counts = np.bincount(owner[kept], minlength=len(self.names))[ids].tolist()
         first = self.n_men if women else 0
+        counts = np.bincount(owner[kept], minlength=first + len(ids))[ids].tolist()
         out: List[list] = [[] for _ in ids]
         start = 0
         for v, count in zip(ids, counts):
@@ -171,94 +121,172 @@ class EdgeSlots:
 class Instance:
     """A bipartite graph with strict two-sided preference lists.
 
-    Attributes:
-        men, women: vertex ids in declared order.
-        pref: vertex id -> neighbors in decreasing preference.
-        rank: vertex id -> {neighbor: position}; lower is better.
+    Vertex v is numbered men first, then women, in declared order;
+    `names[v]` is its id and `index` the inverse.  `adj[v]` lists its
+    neighbours' numbers in decreasing preference, and `back[m][k]` is the
+    rank of man m on the list of his k-th woman.  `pref`, `rank` and
+    `edges` are views by id, built on first access: id -> neighbour ids,
+    id -> {neighbour id: position} (lower is better), and the set of
+    (man, woman) edges.  Construction checks the instance and raises
+    InstanceError on the first fault.
     """
 
-    __slots__ = (
-        "men", "women", "pref", "rank", "_edges", "_slots", "_men_set", "_women_set"
-    )
-
     def __init__(
-        self,
-        men: Iterable[str],
-        women: Iterable[str],
-        pref: Mapping[str, Iterable[str]],
-        *,
-        check: bool = True,
+        self, men: Iterable[str], women: Iterable[str], pref: Mapping[str, Iterable[str]]
     ):
-        self.men = tuple(men)
-        self.women = tuple(women)
-        vertices = self.men + self.women
-        if check:
-            _check_ids(vertices, set())
-        self._men_set = frozenset(self.men)
-        self._women_set = frozenset(self.women)
-        self.pref = {v: tuple(pref.get(v, ())) for v in vertices}
-        self.rank = {v: {x: i for i, x in enumerate(lst)} for v, lst in self.pref.items()}
-        self._edges: Optional[frozenset] = None
-        self._slots: Optional[EdgeSlots] = None
-        if check:
-            _check_lists(self, dict.fromkeys((*vertices, *pref)))
+        men, women = tuple(men), tuple(women)
+        _check_ids(men + women, set())
+        index = {v: i for i, v in enumerate(men + women)}
+        pref = {v: tuple(lst) for v, lst in pref.items()}
+        # lists numbered (None if undeclared); declared owners first, in order
+        lists = dict.fromkeys(men + women, ())
+        lists.update(zip(pref, map(tuple, map(map, repeat(index.get), pref.values()))))
+        self._build(men, women, index, lists, {}, pref)
 
-    @property
+    @classmethod
+    def _from_lists(cls, men, women, index, lists, lines, spelled) -> "Instance":
+        inst = cls.__new__(cls)
+        inst._build(men, women, index, lists, lines, spelled)
+        return inst
+
+    def _build(self, men, women, index, lists, lines, spelled) -> None:
+        """Set the lists from `lists`, owner id -> entry numbers (None for
+        an undeclared id, which `spelled[owner]` then spells).  A valid
+        instance passes in bulk: owners declared, each man found on his
+        women's lists, no repeats, equal totals.  Else the first fault in
+        order is raised, with its line from `lines`."""
+        self.men, self.women, self.index = men, women, index
+        self.names = names = men + women
+        n = len(men)
+        adj = list(map(lists.get, names, repeat((), len(names))))
+        back = None
+        if all(map(index.__contains__, lists)):
+            # a woman's rank of each man on her list; both loops run in C
+            rank_of = [{}] * n + list(map(dict, map(zip, adj[n:], repeat(range(n)))))
+            try:  # back[m] = tuple(rank_of[w][m] for w in adj[m])
+                back = list(map(tuple, map(map, map(itemgetter, range(n)),
+                                           map(map, repeat(rank_of.__getitem__), adj[:n]))))
+            except (KeyError, TypeError):  # also for own-side or undeclared entries
+                pass
+            sides = (adj[:n], map(set, adj[:n]), adj[n:], rank_of)
+            if len({sum(map(len, side)) for side in sides}) > 1:
+                back = None
+        if back is None:
+            for head, ids in lists.items():
+                fault = self._list_fault(head, ids, spelled.get(head), lines.get(head))
+                if fault:
+                    raise fault
+            # the first entry, men's lists first, that is not listed back
+            v, x = next((v, x) for v, lst in enumerate(adj) for x in lst if v not in adj[x])
+            m, w = (v, x) if v < n else (x, v)
+            v, x = names[v], names[x]
+            raise _error(
+                f"asymmetric adjacency: edge ({names[m]},{names[w]}) — "
+                f"{v!r} lists {x!r} but {x!r} does not list {v!r}",
+                lines.get(v),
+            )
+        self.adj, self.back = adj, back
+
+    def _list_fault(self, head: str, ids: tuple, spelled, line) -> Optional[InstanceError]:
+        """The first fault of one list: an undeclared owner, or an entry of
+        the owner's side, undeclared (see `spelled`) or repeated."""
+        names, n, v = self.names, len(self.men), self.index.get(head)
+        if v is None:
+            return _error(f"preference list for unknown vertex {head!r}", line)
+        if None not in ids and len(set(ids)) == len(ids) and (
+                not ids or (min(ids) >= n if v < n else max(ids) < n)):
+            return None
+        seen = set()
+        for k, x in enumerate(ids):
+            if x is not None and (x < n) == (v < n):
+                return _error(f"{head!r} lists {names[x]!r} on its own side", line)
+            if x is None:
+                return _error(f"unknown neighbor {spelled[k]!r} in list of {head!r}", line)
+            if x in seen:
+                return _error(f"duplicate entry {names[x]!r} in list of {head!r}", line)
+            seen.add(x)
+
+    @cached_property
+    def pref(self) -> Dict[str, Tuple[str, ...]]:
+        names = self.names
+        return {v: tuple(map(names.__getitem__, lst)) for v, lst in zip(names, self.adj)}
+
+    @cached_property
+    def rank(self) -> Dict[str, Dict[str, int]]:
+        return {v: {x: i for i, x in enumerate(lst)} for v, lst in self.pref.items()}
+
+    @cached_property
     def edges(self) -> frozenset:
-        """All edges as (man, woman) pairs."""
-        if self._edges is None:
-            self._edges = frozenset((m, w) for m in self.men for w in self.pref[m])
-        return self._edges
+        names = self.names
+        return frozenset(
+            (names[m], names[w]) for m in range(len(self.men)) for w in self.adj[m]
+        )
 
-    @property
+    @cached_property
     def slots(self) -> EdgeSlots:
-        """The edges as int slots, built on first use."""
-        if self._slots is None:
-            self._slots = EdgeSlots(self)
-        return self._slots
+        """The edges as numpy int slots, built on first use."""
+        return EdgeSlots(self)
+
+    def slot(self, m: str, w: str) -> Optional[Tuple[int, int, int]]:
+        """(m's number, w's number, w's position on m's list) when (m, w)
+        is an edge with m a man, else None."""
+        i, j = self.index.get(m), self.index.get(w)
+        if i is None or j is None or i >= len(self.men) or j not in self.adj[i]:
+            return None
+        return i, j, self.adj[i].index(j)
+
+    def mates(self, matching: "Matching") -> Tuple[List[int], List[int]]:
+        """Per vertex number: its partner's number, or -1, and its rank of
+        the partner, or its list length (below every neighbour) if it has
+        none.  Raises InstanceError naming the least pair not an edge."""
+        mate = [-1] * len(self.names)
+        pos = list(map(len, self.adj))
+        for m, w in matching.pairs:
+            s = self.slot(m, w)
+            if s is None:
+                m, w = min(p for p in matching.pairs if self.slot(*p) is None)
+                raise InstanceError(f"pair ({m},{w}) is not an edge of the instance")
+            i, j, k = s
+            mate[i], mate[j] = j, i
+            pos[i], pos[j] = k, self.back[i][k]
+        return mate, pos
 
     def has_edge(self, m: str, w: str) -> bool:
         """True if (m, w) is an edge with m a man."""
-        return m in self._men_set and w in self.rank[m]
+        return self.slot(m, w) is not None
 
     def is_man(self, v: str) -> bool:
-        return v in self._men_set
-
-    def is_woman(self, v: str) -> bool:
-        return v in self._women_set
+        return self.index.get(v, len(self.men)) < len(self.men)
 
     def vertices(self) -> tuple:
-        return self.men + self.women
+        return self.names
 
     def prefers(self, u: str, x: str, y: str) -> bool:
         """True if u ranks neighbor x strictly above neighbor y."""
-        r = self.rank[u]
-        return r[x] < r[y]
+        lst = self.adj[self.index[u]]
+        return lst.index(self.index[x]) < lst.index(self.index[y])
 
     def induced(self, keep: Iterable[str]) -> "Instance":
         """The subgraph induced on the given vertex set."""
         keep = frozenset(keep)
         men = tuple(m for m in self.men if m in keep)
         women = tuple(w for w in self.women if w in keep)
-        pref = {
-            v: tuple(x for x in self.pref[v] if x in keep) for v in men + women
-        }
-        return Instance(men, women, pref, check=False)
+        index = {v: i for i, v in enumerate(men + women)}
+        new = {self.index[v]: i for v, i in index.items()}
+        lists = {v: tuple(x for x in map(new.get, self.adj[old]) if x is not None)
+                 for old, v in zip(new, index)}
+        return Instance._from_lists(men, women, index, lists, {}, {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return (
-            self.men == other.men
-            and self.women == other.women
-            and self.pref == other.pref
-        )
+        return (self.men, self.women, self.adj) == (other.men, other.women, other.adj)
 
     def __hash__(self) -> int:
-        return hash((self.men, self.women, tuple(sorted(self.pref.items()))))
+        return hash((self.men, self.women, tuple(self.adj)))
 
     def __repr__(self) -> str:
-        edges = sum(len(self.pref[m]) for m in self.men)
+        edges = sum(map(len, self.adj[: len(self.men)]))
         return f"Instance(men={len(self.men)}, women={len(self.women)}, edges={edges})"
 
 
@@ -289,9 +317,7 @@ class Matching:
     def of(cls, inst: Instance, pairs: Iterable[tuple]) -> "Matching":
         """Build a matching and check every pair is an edge of inst."""
         matching = cls(pairs)
-        for m, w in matching.pairs:
-            if not inst.has_edge(m, w):
-                raise InstanceError(f"pair ({m},{w}) is not an edge of the instance")
+        inst.mates(matching)
         return matching
 
     def partner_of(self, u: str) -> Optional[str]:
@@ -328,9 +354,8 @@ class Matching:
 def parse_instance(text: str) -> Instance:
     """Parse the PREF v1 format into a validated Instance."""
     sides: list = []
-    pref: dict = {}
+    lists, lines, spelled = {}, {}, {}
     known: set = set()
-    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -345,31 +370,26 @@ def parse_instance(text: str) -> Instance:
             if head != side:
                 raise ParseError(f"expected '{side}:' declaration", lineno)
             _check_ids(items, known, lineno)
-            sides.append(items)
-            # list entries and heads share the declared id objects, so
-            # that rank-map lookups hit on identity
-            ids = dict(zip(known, known))
+            sides.append(tuple(items))
+            index = {v: i for i, v in enumerate(chain(*sides))}
             continue
-        head = ids.get(head, head)
-        if head in pref:
+        if head in lists:
             raise ParseError(f"duplicate preference line for {head!r}", lineno)
-        pref[head] = list(map(ids.get, items, items))
+        lists[head] = ids = tuple(map(index.get, items))
         lines[head] = lineno
+        if None in ids:
+            spelled[head] = items
     if len(sides) < 2:
         raise ParseError("missing men:/women: declarations")
-    inst = Instance(*sides, pref, check=False)
-    _check_lists(inst, lines)
-    return inst
+    return Instance._from_lists(*sides, index, lists, lines, spelled)
 
 
 def serialize_instance(inst: Instance) -> str:
     """Inverse of parse_instance; vertex lines in declared order."""
-    lines = [
-        "men: " + " ".join(inst.men),
-        "women: " + " ".join(inst.women),
-    ]
-    for v in inst.men + inst.women:
-        lines.append(f"{v}: " + " ".join(inst.pref[v]) if inst.pref[v] else f"{v}:")
+    names = inst.names
+    lines = ["men: " + " ".join(inst.men), "women: " + " ".join(inst.women)]
+    for v, lst in zip(names, inst.adj):
+        lines.append(f"{v}: " + " ".join([names[x] for x in lst]) if lst else f"{v}:")
     return "\n".join(lines) + "\n"
 
 
@@ -414,17 +434,17 @@ def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Inst
     rng = np.random.default_rng(seed)
     men = tuple(f"a{i + 1}" for i in range(n_men))
     women = tuple(f"b{j + 1}" for j in range(n_women))
+    index = {v: i for i, v in enumerate(men + women)}
+    number = list(index.values())  # the lists share these int objects
+    lists: dict = {}
     woman_nbrs: list = [[] for _ in range(n_women)]
-    pref: dict = {}
     for i, m in enumerate(men):
         hits = np.flatnonzero(rng.random(n_women) < density)
-        nbrs = [women[j] for j in hits]
+        nbrs = (n_men + hits[rng.permutation(len(hits))]).tolist()
+        lists[m] = tuple(map(number.__getitem__, nbrs))
+        for j in hits.tolist():
+            woman_nbrs[j].append(number[i])
+    for w, nbrs in zip(women, woman_nbrs):
         order = rng.permutation(len(nbrs))
-        pref[m] = tuple(nbrs[k] for k in order)
-        for j in hits:
-            woman_nbrs[j].append(m)
-    for j, w in enumerate(women):
-        nbrs = woman_nbrs[j]
-        order = rng.permutation(len(nbrs))
-        pref[w] = tuple(nbrs[k] for k in order)
-    return Instance(men, women, pref, check=False)
+        lists[w] = tuple(map(nbrs.__getitem__, order.tolist()))
+    return Instance._from_lists(men, women, index, lists, {}, {})

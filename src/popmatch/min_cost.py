@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import gale_shapley
-from .gale_shapley import LevelledMatching, _position
+from .gale_shapley import LevelledMatching
 from .instance import Instance, InstanceError, ParseError
 from .oracles import EnumerationGuardError
 
@@ -73,24 +73,24 @@ def _exposed_rotations(
     him: his level-0 copy takes the dummy instead.
     """
     top = levels - 1
-    level = matching.level
-    partner = matching.partner_of
+    adj, back, names = inst.adj, inst.back, inst.names
+    level = list(map(matching.level.__getitem__, inst.men))
+    mate, pos = inst.mates(matching)
 
-    def successor(m: str, lvl: int, start: int) -> Optional[Proposer]:
-        for w in inst.pref[m][start:]:
-            h = partner(w)
-            if h is None:
+    def successor(m: int, lvl: int, start: int) -> Optional[Tuple[int, int]]:
+        for w, p in zip(adj[m][start:], back[m][start:]):
+            h = mate[w]
+            if h < 0:
                 return None
-            if _position(inst, w, m, lvl) < _position(inst, w, h, level[h]):
+            # her positions for m at lvl and for h at his level
+            if p - lvl * len(adj[w]) < pos[w] - level[h] * len(adj[w]):
                 return (h, level[h])
         return (m, lvl + 1) if lvl < top else None
 
-    nxt: Dict[Proposer, Proposer] = {}
-    for m in inst.men:
-        w = partner(m)
-        lvl = level[m]
-        if w is not None:
-            s = successor(m, lvl, inst.rank[m][w] + 1)
+    nxt: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for m, lvl in enumerate(level):
+        if mate[m] >= 0:
+            s = successor(m, lvl, pos[m] + 1)
             if s is not None:
                 nxt[(m, lvl)] = s
         if lvl < top:
@@ -98,7 +98,7 @@ def _exposed_rotations(
             if s is not None:
                 nxt[(m, top)] = s
     cycles: List[List[Proposer]] = []
-    color: Dict[Proposer, int] = {}
+    color: Dict[Tuple[int, int], int] = {}
     for x in nxt:
         path = []
         cur = x
@@ -107,7 +107,7 @@ def _exposed_rotations(
             path.append(cur)
             cur = nxt[cur]
         if color.get(cur) == 1:
-            cycles.append(path[path.index(cur) :])
+            cycles.append([(names[m], lvl) for m, lvl in path[path.index(cur) :]])
         for v in path:
             color[v] = 2
     return cycles
@@ -173,10 +173,10 @@ def min_cost_dominant(
     Ties broken toward the lexicographically least matching, so the
     result is deterministic.
     """
-    for a in inst.men:
-        for b in inst.pref[a]:
-            if (a, b) not in costs:
-                raise InstanceError(f"missing cost for edge ({a},{b})")
+    names = inst.names
+    for a, b in ((names[m], names[w]) for m in range(len(inst.men)) for w in inst.adj[m]):
+        if (a, b) not in costs:
+            raise InstanceError(f"missing cost for edge ({a},{b})")
     total, _, best = min(
         (
             (sum((costs[e] for e in m.pairs), Fraction(0)), m.sorted_pairs(), m)

@@ -46,17 +46,18 @@ def _probe_edge(inst: Instance, a: str, b: str) -> Optional[Matching]:
     b accepts only level-1 proposers (a floor at her last man at level
     1), and a at level 0 is refused by every woman he prefers to b.
     """
-    cut = inst.rank[a][b]
+    names = inst.names
+    i, j, k = inst.slot(a, b)
     rules = ProposalRules(
-        acceptance_floor={b: (inst.pref[b][-1], 1)},
-        forced_rejections=frozenset((a, w) for w in inst.pref[a][:cut]),
+        acceptance_floor={b: (names[inst.adj[j][-1]], 1)},
+        forced_rejections=frozenset((a, names[w]) for w in inst.adj[i][:k]),
     )
     result = gale_shapley.run(inst, rules, levels=2)
     if result.level[a]:
         return None
     pb = result.partner_of(b)
     # b holds only level-1 men, so she must not hold one she ranks above a
-    if pb is None or inst.rank[b][pb] < inst.rank[b][a]:
+    if pb is None or inst.prefers(b, pb, a):
         return None
     if not gale_shapley.is_stable(inst, result, 2)[0]:
         return None
@@ -70,7 +71,8 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Edge]]:
     Scans edges in id order and returns the first successful probe; any
     returned matching is in fact dominant.
     """
-    for a, b in sorted(inst.edges):
+    names, adj = inst.names, inst.adj
+    for a, b in sorted((names[m], names[w]) for m in range(len(inst.men)) for w in adj[m]):
         got = _probe_edge(inst, a, b)
         if got is not None:
             return got, (a, b)

@@ -124,15 +124,16 @@ def _components(adj: List[List[int]], roots: int) -> List[int]:
 
 class _Graph:
     """The alternating digraph of a matching: vertex ids are the men,
-    then the women (`EdgeSlots` numbering); mate[v] is v's partner or
+    then the women (`Instance` numbering); mate[v] is v's partner or
     -1; succ[x] lists M(y) for each non-matching G_M edge (x, y) whose y
     is matched, in the name order of y; pp holds the (+,+) edges in
     lexicographic order."""
 
     def __init__(self, labeled: LabeledGraph):
         slots = self.slots = labeled.slots
+        inst = labeled.inst
         self.labeled = labeled
-        self.names, self.index, self.n_men = slots.names, slots.index, slots.n_men
+        self.names, self.index, self.n_men = inst.names, inst.index, len(inst.men)
         self.mate = labeled.mate.tolist()
         order = slots.by_man_name
         pp = order[(labeled.plus_a & labeled.plus_b)[order]]

@@ -204,7 +204,7 @@ def build_level_graph(inst):
         pref[dummy[a]] = copies[a]
     return SimpleNamespace(
         base=inst,
-        graph=Instance(men, women, pref, check=False),
+        graph=Instance(men, women, pref),
         copies=copies,
         dummy=dummy,
         origin=origin,

@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 import popmatch
-from popmatch import parse_instance
+from popmatch import (
+    Instance,
+    Matching,
+    dominant_two_level,
+    generate_random,
+    parse_instance,
+    run,
+    serialize_instance,
+    serialize_matching,
+)
 from popmatch.cli import main
 from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text
 
@@ -363,13 +372,65 @@ def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
     assert code == 2 and "error:" in err and "UTF-8" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported on first use: labelling, gen and the oracles
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # numpy is imported on first use: labelling, gen and the oracles;
+    # parsing and the proposal engine never load it
+    path = tmp_path / "inst.pref"
+    path.write_text(CONTESTED_HUB_TEXT)
     src = str(Path(popmatch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, popmatch.cli; print('numpy' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, popmatch.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for prop in ('stable', 'dominant'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = popmatch.cli.main(['solve', '--property', prop, '-i', sys.argv[1]])\n"
+        "    loaded.append((code, 'numpy' in sys.modules))\n"
+        "print(loaded)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, (0, False), (0, False)]\n"
+
+
+def test_cli_paths_build_no_name_view(tmp_path, monkeypatch, capsys):
+    # the CLI reads instances as int lists; pref, rank and edges are
+    # views for library callers and the oracles
+    files = []
+    for k, inst in enumerate(
+        [parse_instance(SHARED_TOP_TEXT), parse_instance(blocks_text(2)),
+         generate_random(8, 7, 0.4, 3)]
+    ):
+        d = tmp_path / str(k)
+        d.mkdir()
+        (d / "inst.pref").write_text(serialize_instance(inst))
+        edges = sorted(inst.edges)
+        matchings = [run(inst), dominant_two_level(inst), Matching(), Matching(edges[:1])]
+        for j, m in enumerate(matchings):
+            (d / f"m{j}").write_text(serialize_matching(m))
+        (d / "costs").write_text("".join(f"{a} {b} {len(a + b) % 3}\n" for a, b in edges))
+        files.append((d, len(matchings), edges))
+    built = []
+    for view in ("pref", "rank", "edges"):
+
+        def recording(self, view=view, fget=getattr(Instance, view).func):
+            built.append(view)
+            return fget(self)
+
+        monkeypatch.setattr(Instance, view, property(recording))
+    for d, count, edges in files:
+        i = ["-i", str(d / "inst.pref")]
+        for prop in ("stable", "dominant"):
+            assert main(["solve", "--property", prop] + i) == 0
+        for j in range(count):
+            for prop in ("stable", "popular", "dominant"):
+                assert main(["verify", "--property", prop, "-m", str(d / f"m{j}")] + i) in (0, 1)
+        for a, b in edges:
+            assert main(["popular-edge", "--edge", f"{a},{b}"] + i) in (0, 1)
+        assert main(["popular-vs-stable"] + i) in (0, 1)
+        assert main(["min-cost-dominant", "--costs", str(d / "costs")] + i) == 0
+    capsys.readouterr()
+    assert built == []

@@ -12,6 +12,7 @@ from popmatch import (
     stable_with_edge,
 )
 from popmatch.gale_shapley import InvalidStartState, forced
+from popmatch.min_cost import stable_matchings
 
 
 def test_run_shared_top(shared_top):
@@ -73,6 +74,24 @@ def test_forced_query(shared_top):
     assert got == Matching([("a1", "b2"), ("a2", "b1")]) and got.level == {"a1": 0, "a2": 1}
     with pytest.raises(InstanceError, match=r"^\(a2,b2\) is not an edge of the instance$"):
         forced(shared_top, {"b2": ("a2", 0)}, 2)
+
+
+def test_levels_must_be_one_or_two(shared_top):
+    for levels in (0, 3):
+        with pytest.raises(ValueError, match="levels must be 1 or 2"):
+            run(shared_top, levels=levels)
+        with pytest.raises(ValueError, match="levels must be 1 or 2"):
+            is_stable(shared_top, run(shared_top, levels=2), levels)
+        with pytest.raises(ValueError, match="levels must be 1 or 2"):
+            forced(shared_top, {"b1": ("a1", 0)}, levels)
+        with pytest.raises(ValueError, match="levels must be 1 or 2"):
+            stable_matchings(shared_top, levels=levels)
+    # a floor names a level below levels
+    for lvl, levels in ((5, 1), (1, 1), (2, 2), (-1, 2)):
+        with pytest.raises(ValueError, match=r"^acceptance floor \(a1,b1\) at level"):
+            run(shared_top, ProposalRules({"b1": ("a1", lvl)}), levels=levels)
+    with pytest.raises(ValueError, match="at level 1"):
+        forced(shared_top, {"b1": ("a1", 1)})
 
 
 def test_floor_must_name_an_edge(shared_top):

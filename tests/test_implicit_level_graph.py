@@ -245,15 +245,16 @@ def test_per_query_paths_build_no_level_graph(
     small_ensemble, shared_top, contested_hub, tmp_path, monkeypatch, capsys
 ):
     # G' has two copies of every man, so a path that built it would
-    # construct an instance with more men than its input
+    # construct an instance with more men than its input; every
+    # constructor (parse, Instance(), induced) fills it through _build
     sizes = []
-    original = Instance.__init__
+    original = Instance._build
 
     def recording(self, *args, **kwargs):
         original(self, *args, **kwargs)
         sizes.append(len(self.men))
 
-    monkeypatch.setattr(Instance, "__init__", recording)
+    monkeypatch.setattr(Instance, "_build", recording)
     for inst, report in small_ensemble[:10]:
         for e in sorted(inst.edges):
             popular_edge(inst, e)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popmatch import (
     Instance,
@@ -49,6 +50,14 @@ PARSE_ERRORS = [
     ("men: a\nwomen: b\na:\nb: a\n", "'b' lists 'a' but 'a' does not list 'b'", 4),
     ("men: a:x\nwomen: b\n", "invalid vertex id 'a:x'", 1),
     ("# no declarations\n", "missing men:/women:", None),
+    # two faults: within a list the first entry at fault is named, and
+    # every list is checked before adjacency is
+    ("men: a\nwomen: b c\na: b b x\n", "duplicate entry 'b' in list of 'a'", 3),
+    ("men: a\nwomen: b c\na: b x b\n", "unknown neighbor 'x' in list of 'a'", 3),
+    ("men: a c\nwomen: b\na: b b c\n", "duplicate entry 'b' in list of 'a'", 3),
+    # equal totals: the man's line names the edge; unequal: the woman's
+    ("men: a1 a2\nwomen: b1\na1: b1\nb1: a2\n", "edge (a1,b1) — 'a1' lists 'b1'", 3),
+    ("men: a1\nwomen: b1 b2\na1: b1\nb1: a1\nb2: a1\n", "edge (a1,b2) — 'b2' lists 'a1'", 5),
 ]
 
 
@@ -108,6 +117,41 @@ INSTANCE_ERRORS = [
     ),
     ("asymmetric-man", ("a",), ("b",), {"a": ("b",)}, "'a' lists 'b' but 'b' does not list 'a'"),
     ("asymmetric-woman", ("a",), ("b",), {"b": ("a",)}, "'b' lists 'a' but 'a' does not list 'b'"),
+    (
+        "duplicate-before-unknown",
+        ("a",),
+        ("b", "c"),
+        {"a": ("b", "b", "x")},
+        "duplicate entry 'b' in list of 'a'",
+    ),
+    (
+        "unknown-before-duplicate",
+        ("a",),
+        ("b", "c"),
+        {"a": ("b", "x", "b")},
+        "unknown neighbor 'x' in list of 'a'",
+    ),
+    (
+        "own-side-after-duplicate",
+        ("a", "c"),
+        ("b",),
+        {"a": ("b", "b", "c")},
+        "duplicate entry 'b' in list of 'a'",
+    ),
+    (
+        "asymmetric-equal-totals",
+        ("a1", "a2"),
+        ("b1",),
+        {"a1": ("b1",), "b1": ("a2",)},
+        "edge (a1,b1) — 'a1' lists 'b1' but 'b1' does not list 'a1'",
+    ),
+    (
+        "asymmetric-unequal-totals",
+        ("a1",),
+        ("b1", "b2"),
+        {"a1": ("b1",), "b1": ("a1",), "b2": ("a1",)},
+        "edge (a1,b2) — 'b2' lists 'a1' but 'a1' does not list 'b2'",
+    ),
 ]
 
 
@@ -121,7 +165,6 @@ def test_instance_checks(men, women, pref, fragment):
         Instance(men, women, pref)
     assert fragment in str(err.value)
     assert not isinstance(err.value, ParseError)
-    Instance(men, women, pref, check=False)
 
 
 def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
@@ -130,6 +173,35 @@ def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
     for inst in (shared_top, contested_hub, nested_fan, *randoms):
         assert parse_instance(serialize_instance(inst)) == inst
     assert serialize_instance(shared_top) == SHARED_TOP_TEXT
+
+
+@st.composite
+def instances(draw):
+    """An instance with ids of one to three letters, declared in any
+    order, each list a random order of a random neighbour set."""
+    ids = draw(st.lists(st.text("abxy", min_size=1, max_size=3), unique=True, max_size=12))
+    cut = draw(st.integers(0, len(ids)))
+    men, women = ids[:cut], ids[cut:]
+    edges = [(m, w) for m in men for w in women if draw(st.booleans())]
+    pref = {v: [] for v in ids}
+    for m, w in edges:
+        pref[m].append(w)
+        pref[w].append(m)
+    pref = {v: draw(st.permutations(lst)) for v, lst in pref.items()}
+    return Instance(men, women, pref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_representation_round_trip(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
+    assert Instance(inst.men, inst.women, inst.pref) == inst
+    for v in inst.vertices():
+        for x in inst.pref[v]:
+            assert inst.rank[v][x] == inst.pref[v].index(x)
+    for m, lst in enumerate(inst.adj[: len(inst.men)]):
+        for w, r in zip(lst, inst.back[m]):
+            assert inst.adj[w][r] == m
 
 
 def test_induced_subgraph(contested_hub):
@@ -169,7 +241,7 @@ def test_has_edge():
     for u in inst.vertices() + ("x",):
         for v in inst.vertices() + ("x",):
             assert inst.has_edge(u, v) == ((u, v) in edges)
-    assert inst._edges is None
+    assert "edges" not in vars(inst)
 
 
 def test_parse_shares_declared_ids():

@@ -4,12 +4,16 @@ import pytest
 
 from popmatch import (
     Instance,
+    InstanceError,
     Matching,
     classify,
+    compare,
     dominant_two_level,
     generate_random,
     is_dominant,
     is_popular,
+    is_stable,
+    label_edges,
     parse_instance,
     partition,
 )
@@ -311,3 +315,15 @@ def test_verify_at_scale():
     assert not ok, "the swap closes an alternating cycle through a (+,+) edge"
     assert seconds < 5.0, f"is_popular took {seconds:.2f}s"
     assert_certificate_replays(inst, swapped, cert)
+
+
+@pytest.mark.parametrize("pair", [("a1", "b9"), ("a2", "b2"), ("b1", "a1")])
+def test_non_edge_pair_is_an_instance_error(shared_top, pair):
+    # b9 is no vertex, a2 does not list b2, and a pair names its man first
+    matching = Matching([pair])
+    checks = (is_stable, is_popular, is_dominant, label_edges,
+              lambda inst, m: compare(inst, Matching(), m))
+    for check in checks:
+        with pytest.raises(InstanceError) as err:
+            check(shared_top, matching)
+        assert str(err.value) == f"pair ({pair[0]},{pair[1]}) is not an edge of the instance"
