@@ -28,8 +28,7 @@ that names its line.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -55,10 +54,6 @@ def _error(message: str, line: Optional[int]) -> InstanceError:
 
 def _check_ids(ids: Sequence[str], known: set, line: Optional[int] = None) -> None:
     """Add declared ids to known, rejecting repeated and malformed ones."""
-    joined = "".join(ids)
-    if all(ids) and ":" not in joined and [joined] == joined.split():
-        if known.isdisjoint(ids) and len(set(ids)) == len(ids):
-            return known.update(ids)
     for v in ids:
         if v in known:
             raise _error(f"duplicate vertex id {v!r}", line)
@@ -137,47 +132,45 @@ class Instance:
         men, women = tuple(men), tuple(women)
         _check_ids(men + women, set())
         index = {v: i for i, v in enumerate(men + women)}
-        pref = {v: tuple(lst) for v, lst in pref.items()}
-        # lists numbered (None if undeclared); declared owners first, in order
+        # declared owners first, in order; an undeclared entry stays a string
         lists = dict.fromkeys(men + women, ())
-        lists.update(zip(pref, map(tuple, map(map, repeat(index.get), pref.values()))))
-        self._build(men, women, index, lists, {}, pref)
+        lists.update({v: tuple([index.get(x, str(x)) for x in lst]) for v, lst in pref.items()})
+        self._build(men, women, index, lists, {})
 
     @classmethod
-    def _from_lists(cls, men, women, index, lists, lines, spelled) -> "Instance":
+    def _from_lists(cls, men, women, index, lists, lines) -> "Instance":
         inst = cls.__new__(cls)
-        inst._build(men, women, index, lists, lines, spelled)
+        inst._build(men, women, index, lists, lines)
         return inst
 
-    def _build(self, men, women, index, lists, lines, spelled) -> None:
-        """Set the lists from `lists`, owner id -> entry numbers (None for
-        an undeclared id, which `spelled[owner]` then spells).  A valid
-        instance passes in bulk: owners declared, each man found on his
-        women's lists, no repeats, equal totals.  Else the first fault in
-        order is raised, with its line from `lines`."""
+    def _build(self, men, women, index, lists, lines) -> None:
+        """Set the lists from `lists`, owner id -> entries, each a vertex
+        number or, if undeclared, its id.  A valid instance passes in bulk:
+        owners declared, each man found on his women's lists, no repeats,
+        equal totals.  Else the first fault in order is raised, with its
+        line from `lines`."""
         self.men, self.women, self.index = men, women, index
         self.names = names = men + women
         n = len(men)
-        adj = list(map(lists.get, names, repeat((), len(names))))
+        adj = [lists.get(v, ()) for v in names]
         back = None
-        if all(map(index.__contains__, lists)):
-            # a woman's rank of each man on her list; both loops run in C
-            rank_of = [{}] * n + list(map(dict, map(zip, adj[n:], repeat(range(n)))))
-            try:  # back[m] = tuple(rank_of[w][m] for w in adj[m])
-                back = list(map(tuple, map(map, map(itemgetter, range(n)),
-                                           map(map, repeat(rank_of.__getitem__), adj[:n]))))
-            except (KeyError, TypeError):  # also for own-side or undeclared entries
+        if all(v in index for v in lists):
+            rank_of = [{}] * n + [{m: k for k, m in enumerate(lst)} for lst in adj[n:]]
+            try:  # an own-side or undeclared entry of a man is not found either
+                back = [tuple([rank_of[w][m] for w in adj[m]]) for m in range(n)]
+            except (KeyError, TypeError):
                 pass
             sides = (adj[:n], map(set, adj[:n]), adj[n:], rank_of)
             if len({sum(map(len, side)) for side in sides}) > 1:
                 back = None
         if back is None:
             for head, ids in lists.items():
-                fault = self._list_fault(head, ids, spelled.get(head), lines.get(head))
+                fault = self._list_fault(head, ids, lines.get(head))
                 if fault:
                     raise fault
             # the first entry, men's lists first, that is not listed back
-            v, x = next((v, x) for v, lst in enumerate(adj) for x in lst if v not in adj[x])
+            listed = [set(lst) for lst in adj]
+            v, x = next((v, x) for v, lst in enumerate(adj) for x in lst if v not in listed[x])
             m, w = (v, x) if v < n else (x, v)
             v, x = names[v], names[x]
             raise _error(
@@ -187,24 +180,23 @@ class Instance:
             )
         self.adj, self.back = adj, back
 
-    def _list_fault(self, head: str, ids: tuple, spelled, line) -> Optional[InstanceError]:
-        """The first fault of one list: an undeclared owner, or an entry of
-        the owner's side, undeclared (see `spelled`) or repeated."""
-        names, n, v = self.names, len(self.men), self.index.get(head)
+    def _list_fault(self, head: str, ids: tuple, line) -> Optional[InstanceError]:
+        """The first fault of one list: an undeclared owner, or an entry
+        undeclared, of the owner's side or repeated."""
+        v = self.index.get(head)
         if v is None:
             return _error(f"preference list for unknown vertex {head!r}", line)
-        if None not in ids and len(set(ids)) == len(ids) and (
-                not ids or (min(ids) >= n if v < n else max(ids) < n)):
-            return None
+        names, n = self.names, len(self.men)
         seen = set()
-        for k, x in enumerate(ids):
-            if x is not None and (x < n) == (v < n):
+        for x in ids:
+            if isinstance(x, str):
+                return _error(f"unknown neighbor {x!r} in list of {head!r}", line)
+            if (x < n) == (v < n):
                 return _error(f"{head!r} lists {names[x]!r} on its own side", line)
-            if x is None:
-                return _error(f"unknown neighbor {spelled[k]!r} in list of {head!r}", line)
             if x in seen:
                 return _error(f"duplicate entry {names[x]!r} in list of {head!r}", line)
             seen.add(x)
+        return None
 
     @cached_property
     def pref(self) -> Dict[str, Tuple[str, ...]]:
@@ -231,9 +223,12 @@ class Instance:
         """(m's number, w's number, w's position on m's list) when (m, w)
         is an edge with m a man, else None."""
         i, j = self.index.get(m), self.index.get(w)
-        if i is None or j is None or i >= len(self.men) or j not in self.adj[i]:
+        if i is None or j is None or i >= len(self.men):
             return None
-        return i, j, self.adj[i].index(j)
+        try:
+            return i, j, self.adj[i].index(j)
+        except ValueError:
+            return None
 
     def mates(self, matching: "Matching") -> Tuple[List[int], List[int]]:
         """Per vertex number: its partner's number, or -1, and its rank of
@@ -275,7 +270,7 @@ class Instance:
         new = {self.index[v]: i for v, i in index.items()}
         lists = {v: tuple(x for x in map(new.get, self.adj[old]) if x is not None)
                  for old, v in zip(new, index)}
-        return Instance._from_lists(men, women, index, lists, {}, {})
+        return Instance._from_lists(men, women, index, lists, {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -354,7 +349,7 @@ class Matching:
 def parse_instance(text: str) -> Instance:
     """Parse the PREF v1 format into a validated Instance."""
     sides: list = []
-    lists, lines, spelled = {}, {}, {}
+    lists, lines = {}, {}
     known: set = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -375,13 +370,11 @@ def parse_instance(text: str) -> Instance:
             continue
         if head in lists:
             raise ParseError(f"duplicate preference line for {head!r}", lineno)
-        lists[head] = ids = tuple(map(index.get, items))
+        lists[head] = tuple([index.get(x, x) for x in items])  # undeclared: the id
         lines[head] = lineno
-        if None in ids:
-            spelled[head] = items
     if len(sides) < 2:
         raise ParseError("missing men:/women: declarations")
-    return Instance._from_lists(*sides, index, lists, lines, spelled)
+    return Instance._from_lists(*sides, index, lists, lines)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -447,4 +440,4 @@ def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Inst
     for w, nbrs in zip(women, woman_nbrs):
         order = rng.permutation(len(nbrs))
         lists[w] = tuple(map(nbrs.__getitem__, order.tolist()))
-    return Instance._from_lists(men, women, index, lists, {}, {})
+    return Instance._from_lists(men, women, index, lists, {})

@@ -35,6 +35,8 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     bound = 10**digits
     costs: CostFunction = {}
+    index, n = inst.index, len(inst.men)
+    listed: Dict[int, frozenset] = {}  # a man's women, numbered, on first use
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -43,7 +45,10 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
         if len(parts) != 3:
             raise ParseError("expected '<man> <woman> <cost>'", lineno)
         m, w, val = parts
-        if not inst.has_edge(m, w):
+        i = index.get(m, n)
+        if i < n and i not in listed:
+            listed[i] = frozenset(inst.adj[i])
+        if i >= n or index.get(w) not in listed[i]:
             raise ParseError(f"pair ({m},{w}) is not an edge of the instance", lineno)
         if (m, w) in costs:
             raise ParseError(f"duplicate cost for ({m},{w})", lineno)

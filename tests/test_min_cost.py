@@ -40,6 +40,10 @@ def test_parse_costs_formats(shared_top):
     [
         ("a1 b1\n", 1),
         ("a2 b2 1\n", 1),
+        ("b1 a1 1\n", 1),
+        ("a1 a2 1\n", 1),
+        ("zz b1 1\n", 1),
+        ("a1 b1 1\na1 zz 1\n", 2),
         ("a1 b1 1\na1 b1 2\n", 2),
         ("a1 b1 abc\n", 1),
         ("a1 b1 1/0\n", 1),
