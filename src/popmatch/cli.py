@@ -167,7 +167,7 @@ def _cmd_popular_vs_stable(args) -> int:
 def _cmd_min_cost(args) -> int:
     inst = _load_instance(args.instance)
     costs = min_cost.parse_costs(_read(args.costs), inst)
-    matching, total = min_cost.min_cost_dominant(inst, costs, limit=_max_enum())
+    matching, total = min_cost.min_cost_dominant(inst, costs)
     try:
         decimal = str(float(total))
     except OverflowError:
@@ -283,7 +283,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_popular_vs_stable)
 
-    p = sub.add_parser("min-cost-dominant", help="minimum-cost dominant matching")
+    p = sub.add_parser(
+        "min-cost-dominant",
+        help="minimum-cost dominant matching, by one minimum cut over the rotation "
+        "poset of G'",
+        description="A minimum-cost dominant matching, exactly: a cheapest stable "
+        "matching of G', found as the cheapest closed set of its rotation poset by "
+        "one minimum cut. Ties go to the least sorted pairs, then to the least "
+        "levels in declared man order. Polynomial: O(R*m) to find the R rotations "
+        "of G' on m edges, then one max flow on R + 2 nodes.",
+    )
     p.add_argument("--costs", required=True, help="cost file: '<man> <woman> <cost>' lines")
     common(p)
     p.set_defaults(func=_cmd_min_cost)

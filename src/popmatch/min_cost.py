@@ -3,17 +3,25 @@
 Dominant matchings are the projections of the stable matchings of the
 two-copy instance G' (see `level_graph`), and a G' matching costs what
 its projection costs when copy edges inherit the base cost and dummy
-edges cost nothing.  So the problem reduces to min-cost stable matching
-in G', solved here by walking the stable-matching lattice from the
-proposer-optimal matching through exposed rotations.  The walk runs on
-levelled proposers, as `gale_shapley.run` does, so G' is never built.
+edges cost nothing.  So the problem is min-cost stable matching in G',
+which Irving, Leather and Gusfield (J. ACM 1987) solve on the rotation
+poset: the stable matchings are the proposer-optimal matching with the
+rotations of a closed set eliminated, each rotation changes the cost by
+a fixed amount, and the cheapest closed set is one minimum cut (Picard
+1976).  `rotation_poset` finds every rotation on one maximal chain of
+the lattice and their precedence by Gusfield-Irving pair labelling; it
+runs on levelled proposers, as `gale_shapley.run` does, so G' is never
+built.  `stable_matchings` enumerates the lattice instead, for small
+instances and tests.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from . import gale_shapley
 from .gale_shapley import LevelledMatching
@@ -22,6 +30,7 @@ from .oracles import EnumerationGuardError
 
 Edge = Tuple[str, str]
 Proposer = Tuple[str, int]  # a man at a level: his copy of that level in G'
+Copy = Tuple[int, int]  # the same, the man by number
 CostFunction = Dict[Edge, Fraction]
 
 DEFAULT_MAX_STABLE = 100_000
@@ -118,21 +127,22 @@ def _exposed_rotations(
     return cycles
 
 
-def _eliminate(matching: LevelledMatching, cycle: List[Proposer]) -> LevelledMatching:
-    """Rotate the cycle: each proposer takes the next one's partner.  A
-    proposer holds his man's partner when at his man's level and the
-    dummy otherwise; a level-0 proposer taking the dummy moves his man up
-    a level, and the man's level-1 proposer, also on the cycle, brings
-    his new partner."""
+def _eliminate(matching: LevelledMatching, cycles: List[List[Proposer]]) -> LevelledMatching:
+    """Rotate each of the disjoint cycles: each proposer takes the next
+    one's partner.  A proposer holds his man's partner when at his man's
+    level and the dummy otherwise; a level-0 proposer taking the dummy
+    moves his man up a level, and the man's level-1 proposer, also on
+    the cycle, brings his new partner."""
     pairs = dict(matching.pairs)
     level = dict(matching.level)
-    held = [pairs[m] if level[m] == lvl else None for m, lvl in cycle]
-    for (m, lvl), w in zip(cycle, held[1:] + held[:1]):
-        if w is None:
-            level[m] = lvl + 1
-        else:
-            pairs[m] = w
-            level[m] = lvl
+    for cycle in cycles:
+        held = [pairs[m] if level[m] == lvl else None for m, lvl in cycle]
+        for (m, lvl), w in zip(cycle, held[1:] + held[:1]):
+            if w is None:
+                level[m] = lvl + 1
+            else:
+                pairs[m] = w
+                level[m] = lvl
     return LevelledMatching(pairs.items(), level)
 
 
@@ -157,7 +167,7 @@ def stable_matchings(
     while stack:
         cur = stack.pop()
         for cycle in _exposed_rotations(inst, cur, levels):
-            new = _eliminate(cur, cycle)
+            new = _eliminate(cur, [cycle])
             k = key(new)
             if k not in seen:
                 if len(seen) >= cap:
@@ -169,24 +179,236 @@ def stable_matchings(
     return sorted(seen.values(), key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
 
 
-def min_cost_dominant(
-    inst: Instance, costs: CostFunction, limit: Optional[int] = None
-) -> Tuple[LevelledMatching, Fraction]:
+class RotationPoset(NamedTuple):
+    """The rotations of G (of the implicit G' with levels=2) and their
+    precedence.
+
+    Proposer (m, l) is man m's copy at level l.  His position is an
+    index into m's list, or len(list) for the dummy at the bottom of a
+    level-0 copy's list, -1 for the dummy at the top of a level-1 copy's
+    list, and None when he holds no one.  `start` gives every proposer's
+    position in the proposer-optimal stable matching, and each rotation
+    is its moves (m, l, from, to), in the order of one maximal chain.
+    `preds[r]` holds rotations that precede r, all earlier on the chain;
+    the order is their transitive closure.  A closed set holds the preds
+    of each member, and the closed sets are the stable matchings.
+    """
+
+    inst: Instance
+    start: Dict[Copy, Optional[int]]
+    rotations: List[List[Tuple[int, int, int, int]]]
+    preds: List[Set[int]]
+
+    def matching(self, chosen: Iterable[int]) -> LevelledMatching:
+        """The stable matching that eliminating a closed set leaves."""
+        at = dict(self.start)
+        for r in sorted(chosen):
+            for m, lvl, _, to in self.rotations[r]:
+                at[m, lvl] = to
+        adj, names = self.inst.adj, self.inst.names
+        pairs = [
+            (names[m], names[adj[m][k]])
+            for (m, _), k in at.items()
+            if k is not None and 0 <= k < len(adj[m])
+        ]
+        level = {names[m]: int(at[m, 0] == len(adj[m])) for m in range(len(self.inst.men))}
+        return LevelledMatching(pairs, level)
+
+
+def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
+    """Every rotation and their precedence (Gusfield-Irving, ch. 3).
+
+    The rotations are found on one maximal chain: from the
+    proposer-optimal matching of `gale_shapley.run`, eliminate the
+    exposed rotations until none is left.  A rotation precedes another
+    when it gives a proposer the woman the other takes from him (type
+    1), or when it moves a woman above a proposer whom the other moves
+    past her (type 2).  Each pass eliminates every exposed rotation and
+    rederives them from the new matching in O(m), so the chain costs
+    O(R·m) for R rotations and m edges.
+    """
+    adj, back, index = inst.adj, inst.back, inst.index
+    top = levels - 1
+    cur = gale_shapley.run(inst, levels=levels)
+    mate, pos = inst.mates(cur)
+    at: Dict[Copy, Optional[int]] = {}
+    for m, lvl in enumerate(map(cur.level.__getitem__, inst.men)):
+        at[m, lvl] = pos[m] if mate[m] >= 0 else None
+        if levels == 2:
+            at[m, 1 - lvl] = len(adj[m]) if lvl else -1
+    start = dict(at)
+
+    def her_rank(m: int, lvl: int, k: int) -> int:
+        # woman adj[m][k]'s rank of (m, lvl) in G': level 1 first
+        return back[m][k] + (top - lvl) * len(adj[adj[m][k]])
+
+    # per woman, minus her ranks of the proposers she has held, and the
+    # rotation that brought each (-1: the start)
+    seen: Dict[int, Tuple[List[int], List[int]]] = {
+        adj[m][k]: ([-her_rank(m, lvl, k)], [-1])
+        for (m, lvl), k in at.items()
+        if k is not None and 0 <= k < len(adj[m])
+    }
+    rotations: List[List[Tuple[int, int, int, int]]] = []
+    preds: List[Set[int]] = []
+    last: Dict[Copy, int] = {}
+    while True:
+        cycles = _exposed_rotations(inst, cur, levels)
+        if not cycles:
+            return RotationPoset(inst, start, rotations, preds)
+        for cycle in cycles:
+            r = len(rotations)
+            members = [(index[name], lvl) for name, lvl in cycle]
+            moves, before = [], set()
+            for (m, lvl), (m2, lvl2) in zip(members, members[1:] + members[:1]):
+                # the next proposer holds a dummy only as (m, 1) after (m, 0)
+                k = at[m2, lvl2]
+                to = adj[m].index(adj[m2][k]) if 0 <= k < len(adj[m2]) else len(adj[m])
+                moves.append((m, lvl, at[m, lvl], to))
+            for m, lvl, frm, to in moves:
+                if (m, lvl) in last:
+                    before.add(last[m, lvl])
+                for k in range(frm + 1, to):
+                    ranks, rots = seen[adj[m][k]]
+                    i = bisect_right(ranks, -her_rank(m, lvl, k))
+                    if i:
+                        before.add(rots[i])
+            for m, lvl, _, to in moves:
+                at[m, lvl] = to
+                last[m, lvl] = r
+                if to < len(adj[m]):
+                    ranks, rots = seen[adj[m][to]]
+                    ranks.append(-her_rank(m, lvl, to))
+                    rots.append(r)
+            rotations.append(moves)
+            preds.append(before)
+        cur = _eliminate(cur, cycles)
+
+
+def _min_closure(weights: List[int], preds: List[Set[int]]) -> Set[int]:
+    """The closed set (one holding the preds of each member) of least
+    total weight, by one minimum cut (Picard 1976).  The source feeds
+    every member of negative weight, every one of positive weight feeds
+    the sink, and each member feeds its preds past any cut's capacity.
+    The max flow is Dinic's; the set is what the residual graph reaches
+    from the source, the least of the cheapest closed sets."""
+    size = len(weights)
+    source, sink = size, size + 1
+    out: List[List[int]] = [[] for _ in range(size + 2)]  # node -> arc ids
+    head: List[int] = []
+    cap: List[int] = []
+
+    def arc(u: int, v: int, c: int) -> None:
+        # arc e and its reverse e ^ 1
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    unbounded = 1 + sum(map(abs, weights))
+    for x, w in enumerate(weights):
+        if w < 0:
+            arc(source, x, -w)
+        elif w > 0:
+            arc(x, sink, w)
+        for y in preds[x]:
+            arc(x, y, unbounded)
+    while True:
+        depth = [-1] * (size + 2)
+        depth[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] and depth[head[e]] < 0:
+                    depth[head[e]] = depth[u] + 1
+                    queue.append(head[e])
+        if depth[sink] < 0:
+            return {x for x in range(size) if depth[x] >= 0}
+        # a blocking flow along shortest paths, one path at a time
+        nxt = [0] * (size + 2)
+        path: List[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                path.clear()
+                u = source
+            arcs = out[u]
+            while nxt[u] < len(arcs):
+                e = arcs[nxt[u]]
+                if cap[e] and depth[head[e]] == depth[u] + 1:
+                    path.append(e)
+                    u = head[e]
+                    break
+                nxt[u] += 1
+            else:
+                if u == source:
+                    break
+                u = head[path.pop() ^ 1]
+                nxt[u] += 1
+
+
+def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatching, Fraction]:
     """A minimum-cost dominant matching and its exact cost: the cheapest
     stable matching of G', costed by its own pairs.
 
-    Ties broken toward the lexicographically least matching, so the
-    result is deterministic.
+    Each rotation of G' gets an exact integer weight, its cost change
+    with the costs scaled by the least common multiple of their
+    denominators, and `_min_closure` picks the cheapest closed set with
+    one minimum cut.  Ties go to the least `sorted_pairs()`: every
+    dominant matching matches the same men, so that is the least vector
+    of partners read in men's name order, and each man who moves adds a
+    digit for his partner below the cost, in base |women| + 1.  Then they
+    go to the least levels in declared man order: levels only rise as
+    rotations are added, and the cut returns the least of the cheapest
+    closed sets.  Costs O(R·m) for the R rotations of G' on m edges, then
+    one max flow on R + 2 nodes whose capacities have O(n log n) bits
+    for n men.
     """
-    names = inst.names
-    for a, b in ((names[m], names[w]) for m in range(len(inst.men)) for w in inst.adj[m]):
-        if (a, b) not in costs:
-            raise InstanceError(f"missing cost for edge ({a},{b})")
-    total, _, best = min(
-        (
-            (sum((costs[e] for e in m.pairs), Fraction(0)), m.sorted_pairs(), m)
-            for m in stable_matchings(inst, limit, levels=2)
-        ),
-        key=lambda t: t[:2],
-    )
-    return best, total
+    names, adj = inst.names, inst.adj
+    n = len(inst.men)
+    price: List[list] = []
+    for m in range(n):
+        row = []
+        for w in adj[m]:
+            e = (names[m], names[w])
+            if e not in costs:
+                raise InstanceError(f"missing cost for edge ({e[0]},{e[1]})")
+            row.append(costs[e])
+        price.append(row)
+    scale = lcm(*{c.denominator for row in price for c in row})
+    price = [[c.numerator * (scale // c.denominator) for c in row] for row in price]
+
+    poset = rotation_poset(inst, levels=2)
+    by_name = sorted(range(n, len(names)), key=names.__getitem__)
+    value = {w: v for v, w in enumerate(by_name)}
+    partner = {m: adj[m][k] for (m, _), k in poset.start.items()
+               if k is not None and 0 <= k < len(adj[m])}
+    # per rotation its cost change, and per man the change each of his
+    # rotations makes to his partner's place in name order
+    gains = [0] * len(poset.rotations)
+    digits: Dict[int, List[Tuple[int, int]]] = {}
+    for r, rot in enumerate(poset.rotations):
+        for m, _, frm, to in rot:
+            row = price[m]
+            # dummy pairs cost nothing, and m's real partner is the one
+            # his copy that does not move to the dummy takes
+            gains[r] += (row[to] if to < len(row) else 0) - (row[frm] if frm >= 0 else 0)
+            if to < len(row):
+                w = adj[m][to]
+                digits.setdefault(m, []).append((r, value[w] - value[partner[m]]))
+                partner[m] = w
+    weights = [0] * len(gains)
+    unit = 1
+    for m in sorted(digits, key=names.__getitem__, reverse=True):
+        for r, d in digits[m]:
+            weights[r] += d * unit
+        unit *= len(by_name) + 1
+    weights = [w + gain * unit for w, gain in zip(weights, gains)]
+    best = poset.matching(_min_closure(weights, poset.preds))
+    return best, sum((costs[e] for e in best.pairs), Fraction(0))

@@ -1,10 +1,12 @@
 """Shared fixtures: three hand-checkable instances, random ensembles
-classified by the exhaustive oracle, a certificate replay checker, and
-the explicit two-copy instance G' with deferred acceptance on it, the
-reference for everything the library does on the implicit G'.
+classified by the exhaustive oracle, a certificate replay checker, the
+explicit two-copy instance G' with deferred acceptance on it, the
+reference for everything the library does on the implicit G', and the
+lattice walk that `min_cost_dominant` replaced.
 """
 
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +21,7 @@ from popmatch import (
     is_stable,
     parse_instance,
     run,
+    stable_matchings,
     unstable_via_pair,
 )
 from popmatch.elections import PLUS, label_edges
@@ -313,3 +316,22 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
         matching=map_T(level, aux),
         f=f_values(level, aux),
     )
+
+
+def reference_min_cost_dominant(inst, costs, limit=None):
+    """The cheapest stable matching of the implicit G', by costing every
+    one `stable_matchings` lists: the reference for `min_cost_dominant`.
+    Ties go to the least sorted pairs, then, by the listing's order, to
+    the least levels in declared man order."""
+    for a in inst.men:
+        for b in inst.pref[a]:
+            if (a, b) not in costs:
+                raise InstanceError(f"missing cost for edge ({a},{b})")
+    total, _, best = min(
+        (
+            (sum((costs[e] for e in m.pairs), Fraction(0)), m.sorted_pairs(), m)
+            for m in stable_matchings(inst, limit, levels=2)
+        ),
+        key=lambda t: t[:2],
+    )
+    return best, total

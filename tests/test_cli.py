@@ -244,20 +244,18 @@ def test_min_cost_dominant_missing_cost(shared_top_file, tmp_path, capsys):
     assert err == "error: missing cost for edge (a1,b2)\n"
 
 
-def test_min_cost_dominant_guard_env(tmp_path, capsys, monkeypatch):
-    # two blocks: 16 stable matchings of G', all of cost 4
+def test_min_cost_dominant_ignores_guard_env(tmp_path, capsys, monkeypatch):
+    # two blocks: 16 stable matchings of G', all of cost 4; the minimum
+    # cut lists none of them, so only enumerate reads the guard
     inst = tmp_path / "blocks.pref"
     inst.write_text(blocks_text(2))
     costs = tmp_path / "c.costs"
     costs.write_text("".join(f"{m} {w} 1\n" for m, w in parse_instance(blocks_text(2)).edges))
-    argv = ("min-cost-dominant", "-i", str(inst), "--costs", str(costs))
-    monkeypatch.setenv("POPMATCH_MAX_ENUM", "15")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == "error: more than 15 stable matchings; raise the guard\n"
-    monkeypatch.setenv("POPMATCH_MAX_ENUM", "16")
-    code, out, err = run_cli(capsys, *argv)
+    monkeypatch.setenv("POPMATCH_MAX_ENUM", "1")
+    code, out, err = run_cli(capsys, "min-cost-dominant", "-i", str(inst), "--costs", str(costs))
     assert code == 0 and err == "" and out.endswith("cost: 4 (4.0)\n")
+    code, out, err = run_cli(capsys, "enumerate", "--what", "matchings", "-i", str(inst))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_public_names_resolve():
@@ -374,26 +372,32 @@ def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
     # numpy is imported on first use: labelling, gen and the oracles;
-    # parsing and the proposal engine never load it
+    # parsing, the proposal engine, the probe scan and the rotation poset
+    # never load it
     path = tmp_path / "inst.pref"
     path.write_text(CONTESTED_HUB_TEXT)
+    costs = tmp_path / "c.costs"
+    edges = sorted(parse_instance(CONTESTED_HUB_TEXT).edges)
+    costs.write_text("".join(f"{m} {w} {k}\n" for k, (m, w) in enumerate(edges)))
     src = str(Path(popmatch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import contextlib, io, sys, popmatch.cli\n"
+        "i = ['-i', sys.argv[1]]\n"
         "loaded = ['numpy' in sys.modules]\n"
-        "for prop in ('stable', 'dominant'):\n"
+        "for argv in (['solve', '--property', 'stable'], ['solve', '--property', 'dominant'],\n"
+        "             ['popular-vs-stable'], ['min-cost-dominant', '--costs', sys.argv[2]]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = popmatch.cli.main(['solve', '--property', prop, '-i', sys.argv[1]])\n"
+        "        code = popmatch.cli.main(argv + i)\n"
         "    loaded.append((code, 'numpy' in sys.modules))\n"
         "print(loaded)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
+        [sys.executable, "-c", code, str(path), str(costs)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, (0, False), (0, False)]\n"
+    assert proc.stdout == "[False, (0, False), (0, False), (1, False), (0, False)]\n"
 
 
 def test_cli_paths_build_no_name_view(tmp_path, monkeypatch, capsys):

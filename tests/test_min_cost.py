@@ -1,18 +1,26 @@
+import random
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import build_level_graph, map_T
+from conftest import blocks_text, build_level_graph, map_T, reference_min_cost_dominant
 from popmatch import (
     EnumerationGuardError,
     InstanceError,
     Matching,
     ParseError,
+    dominant_two_level,
     generate_random,
+    is_dominant,
     min_cost_dominant,
     parse_costs,
+    parse_instance,
     stable_matchings,
 )
+from popmatch.min_cost import _min_closure, rotation_poset
 
 
 def all_edge_costs(inst, fn):
@@ -56,15 +64,14 @@ def test_parse_costs_errors(shared_top, text, lineno):
 
 
 def test_min_cost_dominant_needs_every_cost():
-    # the first missing edge in declared-man, then list, order is named,
-    # before the walk can hit its guard
+    # the first missing edge in declared-man, then list, order is named
     inst = generate_random(5, 5, 1.0, seed=11)
     first = (inst.men[1], inst.pref[inst.men[1]][2])
     costs = dict.fromkeys(inst.edges, Fraction(1))
     del costs[first]
     del costs[(inst.men[3], inst.pref[inst.men[3]][0])]
     with pytest.raises(InstanceError, match=rf"^missing cost for edge \({first[0]},{first[1]}\)$"):
-        min_cost_dominant(inst, costs, limit=1)
+        min_cost_dominant(inst, costs)
 
 
 def test_projection_preserves_cost(small_ensemble):
@@ -126,3 +133,93 @@ def test_min_cost_dominant_matches_oracle(small_ensemble):
         assert m in dset
         best = min(sum((costs[e] for e in d.pairs), Fraction(0)) for d in dset)
         assert total == best
+
+
+# collision-heavy: few values, negative ones and fractions, so the
+# tie-breaks decide often
+COST_POOL = [Fraction(v) for v in (-2, -1, 0, 0, 1, 1, 3)] + [
+    Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(5, 6)
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    k=st.integers(2, 6),
+    density=st.sampled_from([0.4, 0.7, 1.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_min_cost_dominant_matches_reference(n, k, density, seed):
+    inst = generate_random(n, k, density, seed=seed)
+    rng = random.Random(seed)
+    costs = {e: rng.choice(COST_POOL) for e in sorted(inst.edges)}
+    m, total = min_cost_dominant(inst, costs)
+    ref, ref_total = reference_min_cost_dominant(inst, costs)
+    assert m.sorted_pairs() == ref.sorted_pairs()
+    assert list(m.level.items()) == list(ref.level.items())
+    assert total == ref_total
+
+
+def closed_sets(poset):
+    """Every closed set of the poset; the rotations come in the order of
+    one maximal chain, so each one's preds come before it."""
+    sets = [frozenset()]
+    for r, before in enumerate(poset.preds):
+        sets += [s | {r} for s in sets if before <= s]
+    return sets
+
+
+def test_min_closure_is_the_least_cheapest_closed_set():
+    # the level tie-break rests on the cut returning the intersection of
+    # all the cheapest closed sets
+    rng = random.Random(9)
+    for _ in range(300):
+        size = rng.randint(0, 9)
+        preds = [{p for p in range(r) if rng.random() < 0.3} for r in range(size)]
+        weights = [rng.randint(-3, 3) for _ in range(size)]
+        sets = closed_sets(SimpleNamespace(preds=preds))
+        best = min(sum(weights[r] for r in s) for s in sets)
+        cheapest = [s for s in sets if sum(weights[r] for r in s) == best]
+        assert _min_closure(weights, preds) == frozenset.intersection(*cheapest)
+
+
+def test_closed_sets_are_the_stable_matchings(small_ensemble):
+    insts = [inst for inst, _ in small_ensemble]
+    for inst in insts + [parse_instance(blocks_text(k)) for k in range(1, 5)]:
+        for levels in (1, 2):
+            poset = rotation_poset(inst, levels)
+            assert all(p < r for r, before in enumerate(poset.preds) for p in before)
+            sets = closed_sets(poset)
+            listed = stable_matchings(inst, levels=levels)
+            assert len(sets) == len(listed)
+            got = {(m.pairs, tuple(m.level.values())) for m in map(poset.matching, sets)}
+            assert got == {(m.pairs, tuple(m.level.values())) for m in listed}
+    # four stable matchings of G' per block: a chain of three rotations
+    assert len(poset.rotations) == 12 and len(sets) == 4**4
+
+
+def test_min_cost_dominant_many_blocks():
+    # 4**200 stable matchings of G': each block independently takes the
+    # cheaper of its two perfect matchings
+    count = 200
+    inst = parse_instance(blocks_text(count))
+    rng = random.Random(200)
+    costs = {e: Fraction(rng.randint(-50, 50), rng.randint(1, 4)) for e in sorted(inst.edges)}
+    start = time.perf_counter()
+    m, total = min_cost_dominant(inst, costs)
+    assert time.perf_counter() - start < 10.0
+    c = lambda a, b, k: costs[(f"{a}{k}", f"{b}{k}")]  # noqa: E731
+    assert total == sum(
+        min(c("x", "u", k) + c("y", "v", k), c("x", "v", k) + c("y", "u", k))
+        for k in range(count)
+    )
+    assert total == sum((costs[e] for e in m.pairs), Fraction(0))
+
+
+def test_min_cost_dominant_random_300():
+    inst = generate_random(300, 300, 0.03, seed=7)
+    costs = all_edge_costs(inst, lambda e: rank_mix(inst, e))
+    m, total = min_cost_dominant(inst, costs)
+    assert is_dominant(inst, m)[0]
+    assert total == sum((costs[e] for e in m.pairs), Fraction(0))
+    assert total <= sum((costs[e] for e in dominant_two_level(inst).pairs), Fraction(0))
