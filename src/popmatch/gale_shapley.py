@@ -1,8 +1,8 @@
 """A deterministic men-proposing engine with rule hooks.
 
 One proposal loop covers plain deferred acceptance, forced-edge runs
-(via per-woman acceptance floors), forced rejections, warm starts from a
-partial matching, and levelled proposers.  With two levels it runs
+(via per-woman acceptance floors), warm starts from a partial matching,
+and levelled proposers.  With two levels it runs
 deferred acceptance on the two-copy instance G' of `level_graph`
 without building G'.  The blocking-pair scan `is_stable` and the
 forced-edge query `forced` take the same `levels`, so one of each
@@ -27,13 +27,11 @@ class ProposalRules:
     """Restrictions a woman applies before considering a proposal.
 
     acceptance_floor: woman -> (man, level); she rejects proposers she
-    ranks strictly below that man at that level.  forced_rejections:
-    (man, woman) pairs she always rejects at level 0.  A rejected
-    proposer simply moves on to his next choice.
+    ranks strictly below that man at that level.  A rejected proposer
+    simply moves on to his next choice.
     """
 
     acceptance_floor: Mapping[str, Tuple[str, int]] = field(default_factory=dict)
-    forced_rejections: frozenset = frozenset()
 
 
 class LevelledMatching(Matching):
@@ -48,8 +46,9 @@ class LevelledMatching(Matching):
         self.level = level
 
 
-def _check_start(inst: Instance, start: Matching, refuses) -> Tuple[list, list]:
-    """`Instance.mates` of a start that passes the checks."""
+def _check_start(inst: Instance, start: Matching, floor: dict) -> Tuple[list, list]:
+    """`Instance.mates` of a start that passes the checks, under `run`'s
+    acceptance floors."""
     for m, w in start.pairs:
         if not inst.has_edge(m, w):
             raise InvalidStartState(f"start pair ({m},{w}) is not an edge")
@@ -62,7 +61,7 @@ def _check_start(inst: Instance, start: Matching, refuses) -> Tuple[list, list]:
         # prefer, otherwise resuming below the partner skips a proposal
         # that should have happened.
         for other, p in zip(adj[m][: pos[m]], back[m]):
-            if not refuses(m, 0, other, p) and p < pos[other]:
+            if p <= floor.get(other, p) and p < pos[other]:
                 raise InvalidStartState(
                     f"start matching admits blocking pair ({names[m]},{names[other]})"
                 )
@@ -103,15 +102,7 @@ def run(
             raise ValueError(f"acceptance floor ({m},{w}) at level {lvl!r} of {levels}")
         i, j, k = s
         floor[j] = back[i][k] - lvl * len(adj[j])
-    index = inst.index
-    rejected = {(index.get(m), index.get(w)) for m, w in rules.forced_rejections}
-
-    def refuses(m: int, lvl: int, w: int, p: int) -> bool:
-        return p > floor.get(w, p) or (lvl == 0 and (m, w) in rejected)
-
-    mate, pos = _check_start(inst, start, refuses)
-
-    restricted = bool(floor or rejected)
+    mate, pos = _check_start(inst, start, floor)
     top = levels - 1
     n = len(inst.men)
     # holds[w], pos[w]: the proposer woman w holds and her position for
@@ -138,7 +129,7 @@ def run(
             i += 1
             if lvl:
                 p -= lvl * len(adj[w])
-            if restricted and refuses(m, lvl, w, p):
+            if floor and p > floor.get(w, p):
                 continue
             if p < pos[w]:
                 if holds[w] >= 0:

@@ -287,18 +287,23 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
 
     held maps a woman to (man, level): she refuses every copy she ranks
     below that man's copy.  forced lists (man, woman) pairs that the
-    man's level-0 copy is refused.  A start matching puts its pairs on
-    level-0 copies and its unmatched men's level-0 copies on their
-    dummies, so the free level-1 copies of its unmatched men propose, in
-    id order.  Returns G' as
-    `level`, the G' matching `aux`, whether it is `stable` in G', its
-    projection `matching` and the level `f` of every base vertex.
+    man's level-0 copy is refused: the run goes on G' without those
+    edges, and stability is still tested in G'.  A start matching puts
+    its pairs on level-0 copies and its unmatched men's level-0 copies
+    on their dummies, so the free level-1 copies of its unmatched men
+    propose, in id order.  Returns G' as `level`, the G' matching `aux`,
+    whether it is `stable` in G', its projection `matching` and the
+    level `f` of every base vertex.
     """
     level = build_level_graph(inst)
-    rules = ProposalRules(
-        {w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()},
-        frozenset((level.copies[m][0], w) for m, w in forced),
-    )
+    rules = ProposalRules({w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()})
+    graph = level.graph
+    if forced:
+        cut = {(level.copies[m][0], w) for m, w in forced}
+        cut |= {(w, m) for m, w in cut}
+        graph = Instance(graph.men, graph.women, {
+            v: tuple(u for u in lst if (v, u) not in cut) for v, lst in graph.pref.items()
+        })
     pairs = []
     if start is not None:
         for a in inst.men:
@@ -308,7 +313,7 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
                 pairs.append((lo, level.dummy[a]))
             else:
                 pairs += [(lo, w), (hi, level.dummy[a])]
-    aux = run(level.graph, rules, Matching(pairs))
+    aux = run(graph, rules, Matching(pairs))
     return SimpleNamespace(
         level=level,
         aux=aux,

@@ -124,14 +124,6 @@ def test_two_level_run(shared_top):
     result = run(shared_top, floor, levels=2)
     assert result == Matching([("a1", "b2")])
     assert result.level == {"a1": 0, "a2": 1}
-    # a forced rejection holds at level 0 only
-    forced = ProposalRules(forced_rejections=frozenset({("a2", "b1")}))
-    assert run(shared_top, forced, levels=2) == Matching([("a1", "b2"), ("a2", "b1")])
-
-
-def test_forced_rejection_rules(shared_top):
-    rules = ProposalRules(forced_rejections=frozenset({("a1", "b1"), ("a1", "b2")}))
-    assert run(shared_top, rules) == Matching([("a2", "b1")])
 
 
 def test_warm_start_resumes_below_partner(nested_fan):
