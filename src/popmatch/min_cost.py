@@ -9,10 +9,11 @@ poset: the stable matchings are the proposer-optimal matching with the
 rotations of a closed set eliminated, each rotation changes the cost by
 a fixed amount, and the cheapest closed set is one minimum cut (Picard
 1976).  `rotation_poset` finds every rotation on one maximal chain of
-the lattice and their precedence by Gusfield-Irving pair labelling; it
-runs on levelled proposers, as `gale_shapley.run` does, so G' is never
-built.  `stable_matchings` enumerates the lattice instead, for small
-instances and tests.
+the lattice by one pointer walk and their precedence by Gusfield-Irving
+pair labelling, in O(m log m) on m edges; it runs on levelled
+proposers, as `gale_shapley.run` does, so G' is never built.
+`stable_matchings` lists the closed sets of that poset instead, for
+small instances and tests.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .instance import Instance, InstanceError, ParseError
 from .oracles import EnumerationGuardError
 
 Edge = Tuple[str, str]
-Proposer = Tuple[str, int]  # a man at a level: his copy of that level in G'
-Copy = Tuple[int, int]  # the same, the man by number
+Copy = Tuple[int, int]  # a man, by number, at a level: his copy of that level in G'
 CostFunction = Dict[Edge, Fraction]
 
 DEFAULT_MAX_STABLE = 100_000
@@ -72,113 +72,6 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
     return costs
 
 
-def _exposed_rotations(
-    inst: Instance, matching: LevelledMatching, levels: int
-) -> List[List[Proposer]]:
-    """Cycles of the successor map on proposers: the proposer holding w
-    points at the holder of the first woman below w who strictly prefers
-    him (an unmatched such woman ends the chain: moving past her would
-    create a blocking pair).
-
-    A man at level l is the proposer (m, l) holding his partner.  With
-    two levels, a man at level 0 also has the proposer (m, 1), which
-    holds his dummy and scans his whole list at level-1 positions, and
-    (m, 0) points at (m, 1) when no woman below his partner will have
-    him: his level-0 copy takes the dummy instead.
-    """
-    top = levels - 1
-    adj, back, names = inst.adj, inst.back, inst.names
-    level = list(map(matching.level.__getitem__, inst.men))
-    mate, pos = inst.mates(matching)
-
-    def successor(m: int, lvl: int, start: int) -> Optional[Tuple[int, int]]:
-        for w, p in zip(adj[m][start:], back[m][start:]):
-            h = mate[w]
-            if h < 0:
-                return None
-            # her positions for m at lvl and for h at his level
-            if p - lvl * len(adj[w]) < pos[w] - level[h] * len(adj[w]):
-                return (h, level[h])
-        return (m, lvl + 1) if lvl < top else None
-
-    nxt: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for m, lvl in enumerate(level):
-        if mate[m] >= 0:
-            s = successor(m, lvl, pos[m] + 1)
-            if s is not None:
-                nxt[(m, lvl)] = s
-        if lvl < top:
-            s = successor(m, top, 0)
-            if s is not None:
-                nxt[(m, top)] = s
-    cycles: List[List[Proposer]] = []
-    color: Dict[Tuple[int, int], int] = {}
-    for x in nxt:
-        path = []
-        cur = x
-        while cur in nxt and cur not in color:
-            color[cur] = 1
-            path.append(cur)
-            cur = nxt[cur]
-        if color.get(cur) == 1:
-            cycles.append([(names[m], lvl) for m, lvl in path[path.index(cur) :]])
-        for v in path:
-            color[v] = 2
-    return cycles
-
-
-def _eliminate(matching: LevelledMatching, cycles: List[List[Proposer]]) -> LevelledMatching:
-    """Rotate each of the disjoint cycles: each proposer takes the next
-    one's partner.  A proposer holds his man's partner when at his man's
-    level and the dummy otherwise; a level-0 proposer taking the dummy
-    moves his man up a level, and the man's level-1 proposer, also on
-    the cycle, brings his new partner."""
-    pairs = dict(matching.pairs)
-    level = dict(matching.level)
-    for cycle in cycles:
-        held = [pairs[m] if level[m] == lvl else None for m, lvl in cycle]
-        for (m, lvl), w in zip(cycle, held[1:] + held[:1]):
-            if w is None:
-                level[m] = lvl + 1
-            else:
-                pairs[m] = w
-                level[m] = lvl
-    return LevelledMatching(pairs.items(), level)
-
-
-def stable_matchings(
-    inst: Instance, limit: Optional[int] = None, levels: int = 1
-) -> List[LevelledMatching]:
-    """All stable matchings, by closing the proposer-optimal matching
-    under exposed-rotation elimination.  Guarded by a count limit.
-
-    With levels=2 these are the stable matchings of G', each given by its
-    pairs and the level every man ends on.  Two of them may share their
-    pairs, so they are told apart by both.  Sorted by pairs, then levels.
-    """
-    cap = DEFAULT_MAX_STABLE if limit is None else limit
-
-    def key(m: LevelledMatching) -> tuple:
-        return m.pairs, tuple(m.level.values())
-
-    start = gale_shapley.run(inst, levels=levels)
-    seen = {key(start): start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for cycle in _exposed_rotations(inst, cur, levels):
-            new = _eliminate(cur, [cycle])
-            k = key(new)
-            if k not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationGuardError(
-                        f"more than {cap} stable matchings; raise the guard"
-                    )
-                seen[k] = new
-                stack.append(new)
-    return sorted(seen.values(), key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
-
-
 class RotationPoset(NamedTuple):
     """The rotations of G (of the implicit G' with levels=2) and their
     precedence.
@@ -192,12 +85,16 @@ class RotationPoset(NamedTuple):
     `preds[r]` holds rotations that precede r, all earlier on the chain;
     the order is their transitive closure.  A closed set holds the preds
     of each member, and the closed sets are the stable matchings.
+    `held[w]` lists, ascending, minus woman w's ranks in G' (level 1
+    first) of the proposers she holds along the chain, beside the
+    rotation that brought each (-1: the start).
     """
 
     inst: Instance
     start: Dict[Copy, Optional[int]]
     rotations: List[List[Tuple[int, int, int, int]]]
     preds: List[Set[int]]
+    held: Dict[int, Tuple[List[int], List[int]]]
 
     def matching(self, chosen: Iterable[int]) -> LevelledMatching:
         """The stable matching that eliminating a closed set leaves."""
@@ -218,16 +115,28 @@ class RotationPoset(NamedTuple):
 def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     """Every rotation and their precedence (Gusfield-Irving, ch. 3).
 
-    The rotations are found on one maximal chain: from the
-    proposer-optimal matching of `gale_shapley.run`, eliminate the
-    exposed rotations until none is left.  A rotation precedes another
-    when it gives a proposer the woman the other takes from him (type
-    1), or when it moves a woman above a proposer whom the other moves
-    past her (type 2).  Each pass eliminates every exposed rotation and
-    rederives them from the new matching in O(m), so the chain costs
-    O(R·m) for R rotations and m edges.
+    The rotations are found on one maximal chain from the
+    proposer-optimal matching of `gale_shapley.run`, by one walk with a
+    scan pointer per proposer (Gusfield 1987; Gusfield-Irving 3.3).  A
+    proposer's successor is the holder of the first woman from his
+    pointer on who strictly prefers him, or his own level-1 copy, which
+    holds the dummy his level-0 copy reaches at the end of his list.
+    Women only gain, so a woman who refuses him refuses him for good and
+    the pointer only advances.  The walk follows successors on a stack;
+    a proposer met again closes a rotation, which is eliminated, and the
+    walk resumes from the proposer below it.  A proposer with no
+    successor (his list ends, or the next woman is unmatched, so in
+    every stable matching) never moves again, and neither does any
+    proposer whose successor never moves, so a stack that reaches one
+    is dead.
+
+    A rotation precedes another when it gives a proposer the woman the
+    other takes from him (type 1), or when it moves a woman above a
+    proposer whom the other moves past her (type 2), found by a binary
+    search in her `held` ranks.  O(m) for the walk and O(m log m) for
+    the labelling, for m edges.
     """
-    adj, back, index = inst.adj, inst.back, inst.index
+    adj, back = inst.adj, inst.back
     top = levels - 1
     cur = gale_shapley.run(inst, levels=levels)
     mate, pos = inst.mates(cur)
@@ -242,47 +151,109 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
         # woman adj[m][k]'s rank of (m, lvl) in G': level 1 first
         return back[m][k] + (top - lvl) * len(adj[adj[m][k]])
 
-    # per woman, minus her ranks of the proposers she has held, and the
-    # rotation that brought each (-1: the start)
-    seen: Dict[int, Tuple[List[int], List[int]]] = {
-        adj[m][k]: ([-her_rank(m, lvl, k)], [-1])
-        for (m, lvl), k in at.items()
-        if k is not None and 0 <= k < len(adj[m])
-    }
+    holder: Dict[int, Copy] = {}
+    held: Dict[int, Tuple[List[int], List[int]]] = {}
+    for (m, lvl), k in at.items():
+        if k is not None and 0 <= k < len(adj[m]):
+            holder[adj[m][k]] = (m, lvl)
+            held[adj[m][k]] = ([-her_rank(m, lvl, k)], [-1])
+    # a proposer who holds no one, or a level-0 copy on his dummy, scans
+    # past his list's end and so has no successor
+    scan = {c: (len(adj[c[0]]) if k is None else k) + 1 for c, k in at.items()}
+
+    def successor(c: Copy) -> Optional[Copy]:
+        m, lvl = c
+        lst = adj[m]
+        k = scan[c]
+        while k < len(lst):
+            h = holder.get(lst[k])
+            if h is None or her_rank(m, lvl, k) < -held[lst[k]][0][-1]:
+                scan[c] = k
+                return h
+            k += 1
+        scan[c] = k
+        return (m, lvl + 1) if lvl < top and k == len(lst) else None
+
     rotations: List[List[Tuple[int, int, int, int]]] = []
     preds: List[Set[int]] = []
     last: Dict[Copy, int] = {}
-    while True:
-        cycles = _exposed_rotations(inst, cur, levels)
-        if not cycles:
-            return RotationPoset(inst, start, rotations, preds)
-        for cycle in cycles:
-            r = len(rotations)
-            members = [(index[name], lvl) for name, lvl in cycle]
-            moves, before = [], set()
-            for (m, lvl), (m2, lvl2) in zip(members, members[1:] + members[:1]):
-                # the next proposer holds a dummy only as (m, 1) after (m, 0)
-                k = at[m2, lvl2]
-                to = adj[m].index(adj[m2][k]) if 0 <= k < len(adj[m2]) else len(adj[m])
-                moves.append((m, lvl, at[m, lvl], to))
-            for m, lvl, frm, to in moves:
-                if (m, lvl) in last:
-                    before.add(last[m, lvl])
-                for k in range(frm + 1, to):
-                    ranks, rots = seen[adj[m][k]]
-                    i = bisect_right(ranks, -her_rank(m, lvl, k))
-                    if i:
-                        before.add(rots[i])
-            for m, lvl, _, to in moves:
-                at[m, lvl] = to
-                last[m, lvl] = r
-                if to < len(adj[m]):
-                    ranks, rots = seen[adj[m][to]]
-                    ranks.append(-her_rank(m, lvl, to))
-                    rots.append(r)
-            rotations.append(moves)
-            preds.append(before)
-        cur = _eliminate(cur, cycles)
+
+    def eliminate(cycle: List[Copy]) -> None:
+        # each proposer takes the woman at his scan pointer, held by the next
+        r = len(rotations)
+        moves = [(m, lvl, at[m, lvl], scan[m, lvl]) for m, lvl in cycle]
+        before = set()
+        for m, lvl, frm, to in moves:
+            if (m, lvl) in last:
+                before.add(last[m, lvl])
+            for k in range(frm + 1, to):
+                ranks, rots = held[adj[m][k]]
+                i = bisect_right(ranks, -her_rank(m, lvl, k))
+                if i:
+                    before.add(rots[i])
+        for m, lvl, _, to in moves:
+            at[m, lvl] = to
+            scan[m, lvl] = to + 1
+            last[m, lvl] = r
+            if to < len(adj[m]):
+                holder[adj[m][to]] = (m, lvl)
+                ranks, rots = held[adj[m][to]]
+                ranks.append(-her_rank(m, lvl, to))
+                rots.append(r)
+        rotations.append(moves)
+        preds.append(before)
+
+    dead: Set[Copy] = set()
+    stack: List[Copy] = []
+    place: Dict[Copy, int] = {}  # a proposer's index on the stack
+    for first in start:
+        while first not in dead:
+            if not stack:
+                place[first] = 0
+                stack.append(first)
+            c = successor(stack[-1])
+            if c is None or c in dead:
+                dead.update(stack)
+                stack.clear()
+                place.clear()
+            elif c in place:
+                cycle = stack[place[c] :]
+                del stack[place[c] :]
+                for x in cycle:
+                    del place[x]
+                eliminate(cycle)
+            else:
+                place[c] = len(stack)
+                stack.append(c)
+    return RotationPoset(inst, start, rotations, preds, held)
+
+
+def stable_matchings(
+    inst: Instance, limit: Optional[int] = None, levels: int = 1
+) -> List[LevelledMatching]:
+    """All stable matchings: the closed sets of `rotation_poset`, each
+    listed once.  Guarded by a count limit.
+
+    With levels=2 these are the stable matchings of G', each given by its
+    pairs and the level every man ends on.  Two of them may share their
+    pairs, so they are told apart by both.  Sorted by pairs, then levels.
+    """
+    cap = DEFAULT_MAX_STABLE if limit is None else limit
+    poset = rotation_poset(inst, levels)
+    # the first r rotations on the chain form a down-set, so each closed
+    # set of theirs is one of the poset, and extending them one rotation
+    # at a time meets each closed set once
+    sets: List[Set[int]] = [set()]
+    for r, before in enumerate(poset.preds):
+        for i in range(len(sets)):
+            if before <= sets[i]:
+                if len(sets) >= cap:
+                    raise EnumerationGuardError(
+                        f"more than {cap} stable matchings; raise the guard"
+                    )
+                sets.append(sets[i] | {r})
+    found = map(poset.matching, sets)
+    return sorted(found, key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
 
 
 def _min_closure(weights: List[int], preds: List[Set[int]]) -> Set[int]:
@@ -366,9 +337,9 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     digit for his partner below the cost, in base |women| + 1.  Then they
     go to the least levels in declared man order: levels only rise as
     rotations are added, and the cut returns the least of the cheapest
-    closed sets.  Costs O(R·m) for the R rotations of G' on m edges, then
-    one max flow on R + 2 nodes whose capacities have O(n log n) bits
-    for n men.
+    closed sets.  Costs O(m log m) for the R rotations of G' on m edges,
+    then one max flow on R + 2 nodes whose capacities have O(n log n)
+    bits for n men.
     """
     names, adj = inst.names, inst.adj
     n = len(inst.men)

@@ -4,17 +4,17 @@ If any popular matching is unstable then some dominant matching is, and
 the dominant matchings are the projections of the stable matchings of
 the two-copy instance G' (see `level_graph`): the closed sets of its
 rotation poset.  `exists_unstable_popular` builds that poset once with
-`min_cost.rotation_poset`, in O(R·m) for R rotations on m edges, then
-answers each edge with binary searches in two vertices' sequences of
-moves and at most two searches back over precedence, pruned at the
-rotation sought.  `unstable_via_pair` probes a single pair of edges
-with the engine's forced-edge query.
+`min_cost.rotation_poset`, in O(m log m) on m edges, then answers each
+edge with binary searches in two vertices' sequences of moves and at
+most two searches back over precedence, pruned at the rotation sought.
+`unstable_via_pair` probes a single pair of edges with the engine's
+forced-edge query.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import gale_shapley
 from .instance import Instance, InstanceError, Matching
@@ -64,36 +64,26 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Edge]]:
     B and C share b's, so those pairs compare by chain index; C below A
     and D below B need a search back over `preds`.
 
-    Costs O(R·m) for the poset, then per edge four binary searches and
-    at most two searches back over precedence that enter no rotation
-    earlier on the chain than the one sought; nothing of R² bits is
-    built.
+    Costs O(m log m) for the poset on m edges, then per edge four binary
+    searches and at most two searches back over precedence that enter no
+    rotation earlier on the chain than the one sought; nothing of R² bits
+    is built for the R rotations.
     """
     poset = rotation_poset(inst, 2)
     adj, back, names = inst.adj, inst.back, inst.names
     preds = poset.preds
-    # per man his level-0 copy's positions, per woman minus her ranks of
-    # her partners in G', each ascending, with the rotation that brought
-    # it (-1: the start)
-    steps: Dict[int, Tuple[List[int], List[int]]] = {}
-
-    def record(m: int, lvl: int, k: int, r: int) -> None:
-        if lvl == 0:
-            keys, rots = steps.setdefault(m, ([], []))
-            keys.append(k)
-            rots.append(r)
-        if 0 <= k < len(adj[m]):
-            w = adj[m][k]
-            keys, rots = steps.setdefault(w, ([], []))
-            keys.append(-back[m][k] - (1 - lvl) * len(adj[w]))
-            rots.append(r)
-
+    # per woman minus her ranks of her partners in G', per man his
+    # level-0 copy's positions, each ascending, with the rotation that
+    # brought it (-1: the start)
+    steps = dict(poset.held)
     for (m, lvl), k in poset.start.items():
-        if k is not None:
-            record(m, lvl, k, -1)
+        if lvl == 0:
+            steps[m] = ([k], [-1])
     for r, rot in enumerate(poset.rotations):
         for m, lvl, _, to in rot:
-            record(m, lvl, to, r)
+            if lvl == 0:
+                steps[m][0].append(to)
+                steps[m][1].append(r)
 
     def reached(v: int, key: int) -> Optional[int]:
         # the rotation after which v's key first exceeds `key`

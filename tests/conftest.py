@@ -2,7 +2,7 @@
 classified by the exhaustive oracle, a certificate replay checker, the
 explicit two-copy instance G' with deferred acceptance on it, the
 reference for everything the library does on the implicit G', and the
-lattice walk that `min_cost_dominant` replaced.
+lattice walk by exposed rotations that `rotation_poset` replaced.
 """
 
 import time
@@ -21,10 +21,10 @@ from popmatch import (
     is_stable,
     parse_instance,
     run,
-    stable_matchings,
     unstable_via_pair,
 )
 from popmatch.elections import PLUS, label_edges
+from popmatch.gale_shapley import LevelledMatching
 
 # Two men both ranking b1 first; the unique stable matching {(a1,b1)}
 # leaves a2 and b2 out, while the perfect matching {(a1,b2),(a2,b1)}
@@ -74,6 +74,17 @@ def blocks_text(count):
         men += [x, y]
         women += [u, v]
         lines += [f"{x}: {u} {v}", f"{y}: {v} {u}", f"{u}: {y} {x}", f"{v}: {x} {y}"]
+    return f"men: {' '.join(men)}\nwomen: {' '.join(women)}\n" + "\n".join(lines) + "\n"
+
+
+def cyclic_text(n):
+    """The cyclic Latin square on n men and n women: man i lists b_i,
+    b_{i+1}, ... and woman j lists a_{j+1}, a_{j+2}, ... (indices mod n).
+    Its stable matchings form a chain of n, and those of G' one of 2n."""
+    men = [f"a{i}" for i in range(n)]
+    women = [f"b{i}" for i in range(n)]
+    lines = [f"{men[i]}: " + " ".join(women[(i + k) % n] for k in range(n)) for i in range(n)]
+    lines += [f"{women[j]}: " + " ".join(men[(j + 1 + k) % n] for k in range(n)) for j in range(n)]
     return f"men: {' '.join(men)}\nwomen: {' '.join(women)}\n" + "\n".join(lines) + "\n"
 
 
@@ -323,11 +334,102 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
     )
 
 
-def reference_min_cost_dominant(inst, costs, limit=None):
+def _exposed_rotations(inst, matching, levels):
+    """Cycles of the successor map on proposers, rederived from the
+    matching: the proposer (m, l) holding w points at the holder of the
+    first woman below w who strictly prefers him (an unmatched such
+    woman ends the chain).  A man at level l is the proposer (m, l)
+    holding his partner; with two levels his level-1 copy holds his
+    dummy while he is at level 0 and scans his whole list at level-1
+    positions, and (m, 0) points at (m, 1) when no woman below his
+    partner will have him."""
+    top = levels - 1
+    adj, back, names = inst.adj, inst.back, inst.names
+    level = list(map(matching.level.__getitem__, inst.men))
+    mate, pos = inst.mates(matching)
+
+    def successor(m, lvl, start):
+        for w, p in zip(adj[m][start:], back[m][start:]):
+            h = mate[w]
+            if h < 0:
+                return None
+            # her positions for m at lvl and for h at his level
+            if p - lvl * len(adj[w]) < pos[w] - level[h] * len(adj[w]):
+                return (h, level[h])
+        return (m, lvl + 1) if lvl < top else None
+
+    nxt = {}
+    for m, lvl in enumerate(level):
+        if mate[m] >= 0:
+            s = successor(m, lvl, pos[m] + 1)
+            if s is not None:
+                nxt[(m, lvl)] = s
+        if lvl < top:
+            s = successor(m, top, 0)
+            if s is not None:
+                nxt[(m, top)] = s
+    cycles = []
+    color = {}
+    for x in nxt:
+        path = []
+        cur = x
+        while cur in nxt and cur not in color:
+            color[cur] = 1
+            path.append(cur)
+            cur = nxt[cur]
+        if color.get(cur) == 1:
+            cycles.append([(names[m], lvl) for m, lvl in path[path.index(cur):]])
+        for v in path:
+            color[v] = 2
+    return cycles
+
+
+def _eliminate(matching, cycle):
+    """Rotate a cycle: each proposer takes the next one's partner.  A
+    proposer holds his man's partner when at his man's level and the
+    dummy otherwise; a level-0 proposer taking the dummy moves his man
+    up a level, and the man's level-1 proposer, also on the cycle,
+    brings his new partner."""
+    pairs = dict(matching.pairs)
+    level = dict(matching.level)
+    held = [pairs[m] if level[m] == lvl else None for m, lvl in cycle]
+    for (m, lvl), w in zip(cycle, held[1:] + held[:1]):
+        if w is None:
+            level[m] = lvl + 1
+        else:
+            pairs[m] = w
+            level[m] = lvl
+    return LevelledMatching(pairs.items(), level)
+
+
+def lattice_stable_matchings(inst, levels=1):
+    """Every stable matching (of the implicit G' with levels=2), by
+    closing the proposer-optimal matching under the elimination of
+    exposed rotations, each found afresh from the matching: the
+    reference for `stable_matchings` and `rotation_poset`.  Sorted by
+    pairs, then levels."""
+
+    def key(m):
+        return m.pairs, tuple(m.level.values())
+
+    start = run(inst, levels=levels)
+    seen = {key(start): start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for cycle in _exposed_rotations(inst, cur, levels):
+            new = _eliminate(cur, cycle)
+            if key(new) not in seen:
+                seen[key(new)] = new
+                stack.append(new)
+    return sorted(seen.values(), key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
+
+
+def reference_min_cost_dominant(inst, costs):
     """The cheapest stable matching of the implicit G', by costing every
-    one `stable_matchings` lists: the reference for `min_cost_dominant`.
-    Ties go to the least sorted pairs, then, by the listing's order, to
-    the least levels in declared man order."""
+    one `lattice_stable_matchings` lists: the reference for
+    `min_cost_dominant`.  Ties go to the least sorted pairs, then, by the
+    listing's order, to the least levels in declared man order."""
     for a in inst.men:
         for b in inst.pref[a]:
             if (a, b) not in costs:
@@ -335,7 +437,7 @@ def reference_min_cost_dominant(inst, costs, limit=None):
     total, _, best = min(
         (
             (sum((costs[e] for e in m.pairs), Fraction(0)), m.sorted_pairs(), m)
-            for m in stable_matchings(inst, limit, levels=2)
+            for m in lattice_stable_matchings(inst, levels=2)
         ),
         key=lambda t: t[:2],
     )

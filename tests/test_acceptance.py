@@ -9,7 +9,13 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import build_level_graph, map_T, pair_scan_unstable_popular, to_level_graph
+from conftest import (
+    build_level_graph,
+    lattice_stable_matchings,
+    map_T,
+    pair_scan_unstable_popular,
+    to_level_graph,
+)
 from popmatch import (
     Matching,
     compare,
@@ -30,6 +36,7 @@ from popmatch import (
     stable_matchings,
 )
 from popmatch.elections import MINUS, PLUS, label_edges
+from popmatch.min_cost import rotation_poset
 from popmatch.oracles import maximum_matching_size
 
 
@@ -120,7 +127,7 @@ def test_criterion_4_level_graph_surjectivity(full_ensemble, capsys):
                 assert map_T(level, aux) == d
             for aux in stable_matchings(level.graph):
                 assert map_T(level, aux) in dset
-            assert {Matching(m.pairs) for m in stable_matchings(inst, levels=2)} == dset
+            assert {Matching(m.pairs) for m in lattice_stable_matchings(inst, levels=2)} == dset
 
     criterion(4, "level-graph-surjectivity", capsys, body)
 
@@ -229,5 +236,14 @@ def test_criterion_9_scalability(capsys):
         edge_seconds = time.perf_counter() - start
         assert edge_seconds < 5.0, f"popular-edge took {edge_seconds:.2f}s"
         assert witness is not None and edge in witness.pairs
+
+        assert len(rotation_poset(inst, 2).rotations) == 908
+        start = time.perf_counter()
+        m, (a, b) = exists_unstable_popular(inst)
+        unstable_seconds = time.perf_counter() - start
+        assert unstable_seconds < 5.0, f"popular-vs-stable took {unstable_seconds:.2f}s"
+        assert (a, b) == ("a10", "b7804")
+        assert is_dominant(inst, m)[0]
+        assert inst.prefers(a, b, m.partner_of(a)) and inst.prefers(b, a, m.partner_of(b))
 
     criterion(9, "scalability", capsys, body)

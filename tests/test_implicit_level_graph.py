@@ -1,8 +1,8 @@
 """The library on the implicit two-copy instance G' against the explicit
 G' (`conftest.build_level_graph`): every two-level run must give what
 deferred acceptance on the explicit G' gives (`conftest.explicit_level_run`),
-the levelled lattice walk must find the explicit walk's stable
-matchings, and no path in the library may build G'.
+the levelled stable matchings must be the explicit G' lattice walk's,
+and no path in the library may build G'.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from conftest import (
     build_level_graph,
     explicit_level_run,
     f_values,
+    lattice_stable_matchings,
     map_T,
     pair_scan_unstable_popular,
     to_level_graph,
@@ -198,7 +199,7 @@ def explicit_stable_matchings(inst):
     """The stable matchings of the explicit G', as (pairs, level) keys."""
     level = build_level_graph(inst)
     out = set()
-    for aux in stable_matchings(level.graph):
+    for aux in lattice_stable_matchings(level.graph):
         f = f_values(level, aux)
         out.add((map_T(level, aux).pairs, tuple(f[a] for a in inst.men)))
     return out
@@ -225,7 +226,7 @@ def explicit_min_cost_dominant(inst, costs):
     go to the lexicographically least projection."""
     level = build_level_graph(inst)
     best = None
-    for aux in stable_matchings(level.graph):
+    for aux in lattice_stable_matchings(level.graph):
         total = sum(
             (costs[(level.origin[x][0], y)] for x, y in aux.pairs if y not in level.dummy_base),
             Fraction(0),

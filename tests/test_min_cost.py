@@ -6,12 +6,20 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import blocks_text, build_level_graph, map_T, reference_min_cost_dominant
+from conftest import (
+    blocks_text,
+    build_level_graph,
+    cyclic_text,
+    lattice_stable_matchings,
+    map_T,
+    reference_min_cost_dominant,
+)
 from popmatch import (
     EnumerationGuardError,
     InstanceError,
     Matching,
     ParseError,
+    classify,
     dominant_two_level,
     generate_random,
     is_dominant,
@@ -190,12 +198,30 @@ def test_closed_sets_are_the_stable_matchings(small_ensemble):
             poset = rotation_poset(inst, levels)
             assert all(p < r for r, before in enumerate(poset.preds) for p in before)
             sets = closed_sets(poset)
-            listed = stable_matchings(inst, levels=levels)
+            listed = lattice_stable_matchings(inst, levels)
             assert len(sets) == len(listed)
             got = {(m.pairs, tuple(m.level.values())) for m in map(poset.matching, sets)}
             assert got == {(m.pairs, tuple(m.level.values())) for m in listed}
     # four stable matchings of G' per block: a chain of three rotations
     assert len(poset.rotations) == 12 and len(sets) == 4**4
+
+
+def keys(matchings):
+    return [(m.sorted_pairs(), tuple(m.level.values())) for m in matchings]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_cyclic_posets_are_chains(n):
+    # n stable matchings in a chain of n - 1 rotations, and 2n of G'
+    inst = parse_instance(cyclic_text(n))
+    for levels in (1, 2):
+        poset = rotation_poset(inst, levels)
+        listed = stable_matchings(inst, levels=levels)
+        assert len(poset.rotations) == levels * n - 1
+        assert len(closed_sets(poset)) == len(listed) == levels * n
+        assert keys(listed) == keys(lattice_stable_matchings(inst, levels))
+    if n <= 5:
+        assert stable_matchings(inst) == classify(inst).stable_set()
 
 
 def test_min_cost_dominant_many_blocks():

@@ -3,7 +3,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import blocks_text, pair_scan_unstable_popular
+from conftest import (
+    blocks_text,
+    cyclic_text,
+    lattice_stable_matchings,
+    pair_scan_unstable_popular,
+)
 from popmatch import (
     InstanceError,
     Matching,
@@ -12,7 +17,6 @@ from popmatch import (
     is_dominant,
     is_stable,
     parse_instance,
-    stable_matchings,
     unstable_popular,
     unstable_via_pair,
 )
@@ -24,7 +28,7 @@ def exact_unstable_popular(inst):
     stable matching of G', and every such matching it blocks, by listing
     them all; None if no edge blocks any."""
     blocked = {}
-    for g in stable_matchings(inst, levels=2):
+    for g in lattice_stable_matchings(inst, levels=2):
         for a in inst.men:
             pa = g.partner_of(a)
             for b in inst.pref[a]:
@@ -176,6 +180,16 @@ def test_least_blocking_edge_is_reported():
         ("a1", "b7"), ("a2", "b1"), ("a3", "b6"), ("a4", "b4"),
         ("a5", "b2"), ("a6", "b5"), ("a7", "b3"),
     )
+
+
+def test_cyclic_all_stable():
+    # G' has a chain of 2n stable matchings, and no edge blocks any
+    for n in range(2, 8):
+        inst = parse_instance(cyclic_text(n))
+        assert exists_unstable_popular(inst) is None
+        assert pair_scan_unstable_popular(inst) is None
+    # 40,000 edges and a chain of 399 rotations of G'
+    assert exists_unstable_popular(parse_instance(cyclic_text(200))) is None
 
 
 def test_all_stable_at_scale():
