@@ -8,8 +8,9 @@ abstains.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, count
 from operator import lt
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .instance import Instance, InstanceError, Matching
 
@@ -25,57 +26,89 @@ class ElectionResult(NamedTuple):
     for_second: int
 
 
-# (man's vote, woman's vote) by 2 * plus_a + plus_b
-_VOTE_PAIRS = ((MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS))
-
-
 class LabeledGraph:
-    """The votes on the edges of an instance under a matching, as
-    boolean arrays over the instance's edge slots (`Instance.slots`).
+    """The votes on the edges of an instance under a matching, read off
+    the instance's own lists (`Instance.adj`, `Instance.back`).
 
-    in_m marks the matching edges; plus_a (plus_b) marks the edges the
-    man (the woman) votes for against his (her) partner, which is every
-    edge of an unmatched vertex and no matching edge.  mate[v] is the
-    partner of vertex number v, or -1.  The pruned subgraph G_M keeps
-    the matching edges and every edge with a vote for it.
+    mate[v] is the partner of vertex number v, or -1, and pos[v] its
+    rank of the partner, or its list length if it has none.  Man m votes
+    for the k-th woman w on his list against his partner iff
+    k < pos[m], and she for him iff back[m][k] < pos[w]: an unmatched
+    vertex votes for every edge, and no one for a matching edge.  The
+    pruned subgraph G_M keeps the matching edges and every edge with a
+    vote for it.
 
     label, gm_edges and gm_adj are views by vertex name, built on first
-    access: label maps each non-matching edge (a, b) to (a's vote for b
-    vs its partner, b's vote for a vs its partner), gm_edges holds the
-    edges of G_M, and gm_adj[v] lists v's G_M neighbours in name order.
+    access: label maps each non-matching edge (a, b), in name order, to
+    (a's vote for b vs its partner, b's vote for a vs its partner),
+    gm_edges holds the edges of G_M, and gm_adj[v] lists v's G_M
+    neighbours in name order, the vertices in declared order.
     """
 
-    def __init__(self, inst: Instance, mate, in_m, plus_a, plus_b):
-        self.inst, self.slots, self.mate = inst, inst.slots, mate
-        self.in_m, self.plus_a, self.plus_b = in_m, plus_a, plus_b
+    def __init__(self, inst: Instance, mate: List[int], pos: List[int]):
+        self.inst, self.mate, self.pos = inst, mate, pos
+
+    def _name_order(self) -> Tuple[List[int], List[int]]:
+        """The men's numbers in name order, and every vertex's place in
+        name order."""
+        names, n = self.inst.names, len(self.inst.men)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        place = [0] * len(names)
+        for i, v in enumerate(order):
+            place[v] = i
+        return [v for v in order if v < n], place
+
+    def rows(self) -> Iterator[Tuple[int, List[int], List[int]]]:
+        """Per man in name order: his number, his G_M neighbours (his
+        partner among them) and the women of his (+,+) edges, both in
+        name order."""
+        inst, pos = self.inst, self.pos
+        men, place = self._name_order()
+        key = place.__getitem__
+        for x in men:
+            row, ranks, k = inst.adj[x], inst.back[x], pos[x]
+            # he votes for the first k women and, if matched, holds the
+            # next one; beyond that only a woman's vote keeps an edge
+            voted = [w for w, r in zip(row[k + 1 :], ranks[k + 1 :]) if r < pos[w]]
+            both = [w for w, r in zip(row[:k], ranks[:k]) if r < pos[w]]
+            yield x, sorted(chain(row[: k + 1], voted), key=key), sorted(both, key=key)
 
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
-        s, names = self.slots, self.inst.names
-        order = s.by_man_name[~self.in_m[s.by_man_name]]
-        men = map(names.__getitem__, s.man[order].tolist())
-        women = map(names.__getitem__, s.woman[order].tolist())
-        codes = (2 * self.plus_a[order] + self.plus_b[order]).tolist()
-        return dict(zip(zip(men, women), map(_VOTE_PAIRS.__getitem__, codes)))
+        inst, mate, pos = self.inst, self.mate, self.pos
+        names = inst.names
+        men, place = self._name_order()
+        label = {}
+        for x in men:
+            row, k = inst.adj[x], pos[x]
+            for _, w, r, i in sorted(zip(map(place.__getitem__, row), row, inst.back[x], count())):
+                if w != mate[x]:
+                    label[names[x], names[w]] = (
+                        PLUS if i < k else MINUS, PLUS if r < pos[w] else MINUS
+                    )
+        return label
 
     @cached_property
     def gm_edges(self) -> frozenset:
-        s, names = self.slots, self.inst.names
-        keep = self.in_m | self.plus_a | self.plus_b
-        men = map(names.__getitem__, s.man[keep].tolist())
-        return frozenset(zip(men, map(names.__getitem__, s.woman[keep].tolist())))
+        names = self.inst.names
+        return frozenset((names[x], names[w]) for x, row, _ in self.rows() for w in row)
 
     @cached_property
     def gm_adj(self) -> Dict[str, Tuple[str, ...]]:
-        s, names = self.slots, self.inst.names
-        keep = self.in_m | self.plus_a | self.plus_b
-        rows = s.rows(False, keep, s.woman) + s.rows(True, keep, s.man)
+        names = self.inst.names
+        rows: List[list] = [[] for _ in names]
+        for x, row, _ in self.rows():
+            rows[x] = row
+            for w in row:
+                rows[w].append(x)
         return {v: tuple(map(names.__getitem__, row)) for v, row in zip(names, rows)}
 
 
 def vote(inst: Instance, u: str, x: str, y: Optional[str] = None) -> int:
     """u's vote comparing neighbor x against y (None = unmatched)."""
-    r = inst.rank[u]
+    r = inst.rank.get(u)
+    if r is None:
+        raise InstanceError(f"unknown vertex {u!r}")
     if x not in r:
         raise InstanceError(f"{x!r} is not adjacent to {u!r}")
     if y is None:
@@ -103,18 +136,6 @@ def defeats(inst: Instance, first: Matching, second: Matching) -> bool:
 
 
 def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:
-    """Label every edge with its endpoint votes, as vector operations
-    over the instance's edge slots."""
-    import numpy as np
-
-    slots = inst.slots
-    mate, pos = (np.array(a, dtype=np.intp) for a in inst.mates(matching))
-    # an unmatched vertex ranks its partner below every neighbour, so it
-    # votes for every edge
-    return LabeledGraph(
-        inst,
-        mate,
-        in_m=mate[slots.man] == slots.woman,
-        plus_a=slots.man_rank < pos[slots.man],
-        plus_b=slots.woman_rank < pos[slots.woman],
-    )
+    """Label every edge with its endpoint votes: the partners and their
+    ranks, from which `LabeledGraph` reads each vote."""
+    return LabeledGraph(inst, *inst.mates(matching))

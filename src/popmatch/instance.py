@@ -62,57 +62,6 @@ def _check_ids(ids: Sequence[str], known: set, line: Optional[int] = None) -> No
         known.add(v)
 
 
-class EdgeSlots:
-    """The men's lists laid end to end as numpy int arrays, one slot per
-    edge: its ends `man`, `woman` and their ranks of each other,
-    `man_rank`, `woman_rank`.  Certificates list names in order, so
-    `by_man_name` (`by_woman_name`) orders the slots by the names of
-    (man, woman) ((woman, man)), and `men_by_name` (`women_by_name`)
-    lists a side's vertex numbers in name order."""
-
-    def __init__(self, inst: "Instance"):
-        import numpy as np
-
-        names = inst.names
-        self.n_men = n = len(inst.men)
-        lists = inst.adj[:n]
-        degree = np.fromiter(map(len, lists), np.intp, n)
-        edges = int(degree.sum())
-        self.man = np.repeat(np.arange(n), degree)
-        self.woman = np.fromiter(chain.from_iterable(lists), np.intp, edges)
-        self.man_rank = np.arange(edges) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.woman_rank = np.fromiter(chain.from_iterable(inst.back), np.intp, edges)
-        self.men_by_name = sorted(range(n), key=names.__getitem__)
-        self.women_by_name = sorted(range(n, len(names)), key=names.__getitem__)
-        name_rank = np.empty(len(names), dtype=np.intp)
-        name_rank[self.men_by_name] = np.arange(n)
-        name_rank[self.women_by_name] = np.arange(len(names) - n)
-        man_key, woman_key = name_rank[self.man], name_rank[self.woman]
-        self.by_man_name = np.argsort(man_key * len(names) + woman_key)
-        self.by_woman_name = np.argsort(woman_key * len(names) + man_key)
-
-    def rows(self, women: bool, mask, values) -> List[list]:
-        """Per man (per woman if `women`), in vertex-number order, the
-        list of values[s] over his slots s where mask[s] holds, ordered
-        by the name of the other end."""
-        import numpy as np
-
-        if women:
-            order, owner, ids = self.by_woman_name, self.woman, self.women_by_name
-        else:
-            order, owner, ids = self.by_man_name, self.man, self.men_by_name
-        kept = order[mask[order]]
-        flat = values[kept].tolist()
-        first = self.n_men if women else 0
-        counts = np.bincount(owner[kept], minlength=first + len(ids))[ids].tolist()
-        out: List[list] = [[] for _ in ids]
-        start = 0
-        for v, count in zip(ids, counts):
-            out[v - first] = flat[start : start + count]
-            start += count
-        return out
-
-
 class Instance:
     """A bipartite graph with strict two-sided preference lists.
 
@@ -214,11 +163,6 @@ class Instance:
             (names[m], names[w]) for m in range(len(self.men)) for w in self.adj[m]
         )
 
-    @cached_property
-    def slots(self) -> EdgeSlots:
-        """The edges as numpy int slots, built on first use."""
-        return EdgeSlots(self)
-
     def slot(self, m: str, w: str) -> Optional[Tuple[int, int, int]]:
         """(m's number, w's number, w's position on m's list) when (m, w)
         is an edge with m a man, else None."""
@@ -257,8 +201,15 @@ class Instance:
         return self.names
 
     def prefers(self, u: str, x: str, y: str) -> bool:
-        """True if u ranks neighbor x strictly above neighbor y."""
-        lst = self.adj[self.index[u]]
+        """True if u ranks neighbor x strictly above neighbor y; an
+        InstanceError names an unknown u or a non-neighbour."""
+        i = self.index.get(u)
+        if i is None:
+            raise InstanceError(f"unknown vertex {u!r}")
+        lst = self.adj[i]
+        for v in (x, y):
+            if self.index.get(v) not in lst:
+                raise InstanceError(f"{v!r} is not adjacent to {u!r}")
         return lst.index(self.index[x]) < lst.index(self.index[y])
 
     def induced(self, keep: Iterable[str]) -> "Instance":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -329,9 +330,10 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     stable matching of G', costed by its own pairs.
 
     Each rotation of G' gets an exact integer weight, its cost change
-    with the costs scaled by the least common multiple of their
-    denominators, and `_min_closure` picks the cheapest closed set with
-    one minimum cut.  Ties go to the least `sorted_pairs()`: every
+    with the costs scaled by the least common multiple of the
+    denominators of the pairs any stable matching of G' can hold (the
+    start pairs and those rotations move onto), and `_min_closure` picks
+    the cheapest closed set with one minimum cut.  Ties go to the least `sorted_pairs()`: every
     dominant matching matches the same men, so that is the least vector
     of partners read in men's name order, and each man who moves adds a
     digit for his partner below the cost, in base |women| + 1.  Then they
@@ -343,34 +345,33 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     """
     names, adj = inst.names, inst.adj
     n = len(inst.men)
-    price: List[list] = []
     for m in range(n):
-        row = []
         for w in adj[m]:
-            e = (names[m], names[w])
-            if e not in costs:
-                raise InstanceError(f"missing cost for edge ({e[0]},{e[1]})")
-            row.append(costs[e])
-        price.append(row)
-    scale = lcm(*{c.denominator for row in price for c in row})
-    price = [[c.numerator * (scale // c.denominator) for c in row] for row in price]
+            if (names[m], names[w]) not in costs:
+                raise InstanceError(f"missing cost for edge ({names[m]},{names[w]})")
 
     poset = rotation_poset(inst, levels=2)
+    # only the start pairs and the pairs rotations move onto are priced;
+    # dummy positions are not, and cost nothing
+    start = [(m, k) for (m, _), k in poset.start.items() if k is not None]
+    moved = [(m, to) for rot in poset.rotations for m, _, _, to in rot]
+    priced = {(m, k): costs[names[m], names[adj[m][k]]]
+              for m, k in chain(start, moved) if 0 <= k < len(adj[m])}
+    scale = lcm(*{c.denominator for c in priced.values()})
+    price = {e: c.numerator * (scale // c.denominator) for e, c in priced.items()}
     by_name = sorted(range(n, len(names)), key=names.__getitem__)
     value = {w: v for v, w in enumerate(by_name)}
-    partner = {m: adj[m][k] for (m, _), k in poset.start.items()
-               if k is not None and 0 <= k < len(adj[m])}
+    partner = {m: adj[m][k] for m, k in start if 0 <= k < len(adj[m])}
     # per rotation its cost change, and per man the change each of his
     # rotations makes to his partner's place in name order
     gains = [0] * len(poset.rotations)
     digits: Dict[int, List[Tuple[int, int]]] = {}
     for r, rot in enumerate(poset.rotations):
         for m, _, frm, to in rot:
-            row = price[m]
-            # dummy pairs cost nothing, and m's real partner is the one
-            # his copy that does not move to the dummy takes
-            gains[r] += (row[to] if to < len(row) else 0) - (row[frm] if frm >= 0 else 0)
-            if to < len(row):
+            # m's real partner is the one his copy that does not move to
+            # the dummy takes
+            gains[r] += price.get((m, to), 0) - price.get((m, frm), 0)
+            if to < len(adj[m]):
                 w = adj[m][to]
                 digits.setdefault(m, []).append((r, value[w] - value[partner[m]]))
                 partner[m] = w

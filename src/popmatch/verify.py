@@ -126,39 +126,29 @@ class _Graph:
     """The alternating digraph of a matching: vertex ids are the men,
     then the women (`Instance` numbering); mate[v] is v's partner or
     -1; succ[x] lists M(y) for each non-matching G_M edge (x, y) whose y
-    is matched, in the name order of y; pp holds the (+,+) edges in
-    lexicographic order."""
+    is matched, in the name order of y; free[x] lists man x's unmatched
+    neighbours (all in G_M) in name order; pp holds the (+,+) edges in
+    lexicographic order.  All four come from one pass of
+    `LabeledGraph.rows` over the men in name order, so a woman's row
+    fills in the name order of the men."""
 
     def __init__(self, labeled: LabeledGraph):
-        slots = self.slots = labeled.slots
         inst = labeled.inst
-        self.labeled = labeled
         self.names, self.index, self.n_men = inst.names, inst.index, len(inst.men)
-        self.mate = labeled.mate.tolist()
-        order = slots.by_man_name
-        pp = order[(labeled.plus_a & labeled.plus_b)[order]]
+        self.mate = mate = labeled.mate
         names = self.names
-        self.pp = [
-            (names[a], names[b])
-            for a, b in zip(slots.man[pp].tolist(), slots.woman[pp].tolist())
-        ]
-
-    @cached_property
-    def succ(self) -> List[List[int]]:
-        s, lab = self.slots, self.labeled
-        # a matching edge has no vote for it, so these are the
-        # non-matching edges of G_M
-        arc = lab.plus_a | lab.plus_b
-        head_of_man, head_of_woman = lab.mate[s.woman], lab.mate[s.man]
-        return s.rows(False, arc & (head_of_man >= 0), head_of_man) + s.rows(
-            True, arc & (head_of_woman >= 0), head_of_woman
-        )
-
-    @cached_property
-    def free(self) -> List[List[int]]:
-        """Per man, his unmatched neighbours (all in G_M) in name order."""
-        s = self.slots
-        return s.rows(False, self.labeled.mate[s.woman] < 0, s.woman)
+        self.succ: List[List[int]] = [[] for _ in names]
+        self.free: List[List[int]] = [[] for _ in range(self.n_men)]
+        self.pp: List[Edge] = []
+        for x, row, both in labeled.rows():
+            y = mate[x]
+            self.succ[x] = [mate[w] for w in row if w != y and mate[w] >= 0]
+            self.free[x] = [w for w in row if mate[w] < 0]
+            if y >= 0:
+                for w in row:
+                    if w != y:
+                        self.succ[w].append(y)
+            self.pp += [(names[x], names[w]) for w in both]
 
     @cached_property
     def reach(self) -> Tuple[List[int], List[int]]:

@@ -5,6 +5,7 @@ reference for everything the library does on the implicit G', and the
 lattice walk by exposed rotations that `rotation_poset` replaced.
 """
 
+import random
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -178,6 +179,59 @@ def assert_certificate_replays(inst, matching, cert):
         assert not in_m[0] and not in_m[-1]
     else:
         raise AssertionError(f"unknown certificate kind {cert.kind!r}")
+
+
+def random_matching(inst, rng):
+    """A random matching: men in random order take a random free woman,
+    or stay single one time in four."""
+    used = set()
+    pairs = []
+    for a in rng.sample(inst.men, len(inst.men)):
+        free = [b for b in inst.pref[a] if b not in used]
+        if free and rng.random() < 0.75:
+            b = rng.choice(free)
+            used.add(b)
+            pairs.append((a, b))
+    return Matching(pairs)
+
+
+def reversed_declaration_cases():
+    """(instance, matching) pairs whose name order differs from their
+    vertex order: multi-digit ids sort by name as a1 < a10 < a2, and the
+    sides are declared in reverse."""
+    rng = random.Random(5)
+    for seed in range(6):
+        base = generate_random(13, 12, 0.3, seed)
+        inst = Instance(base.men[::-1], base.women[::-1], base.pref)
+        for m in [run(inst)] + [random_matching(inst, rng) for _ in range(20)]:
+            yield inst, m
+
+
+def alternating_rows(inst, matching):
+    """What `verify._Graph` builds, by name from `inst.pref` and
+    `inst.rank` alone: per vertex x, M(y) for each non-matching G_M edge
+    (x, y) whose y is matched, in the name order of y; per man, his
+    unmatched neighbours in name order; and the (+,+) edges sorted."""
+    rank, partner = inst.rank, matching.partner_of
+
+    def votes_for(u, x):
+        p = partner(u)
+        return p is None or rank[u][x] < rank[u][p]
+
+    succ = {v: [] for v in inst.vertices()}
+    free = {a: [] for a in inst.men}
+    pp = []
+    for u in inst.vertices():
+        for x in sorted(inst.pref[u]):
+            if x == partner(u) or not (votes_for(u, x) or votes_for(x, u)):
+                continue
+            if partner(x) is not None:
+                succ[u].append(partner(x))
+            elif inst.is_man(u):
+                free[u].append(x)
+            if inst.is_man(u) and votes_for(u, x) and votes_for(x, u):
+                pp.append((u, x))
+    return succ, free, sorted(pp)
 
 
 def build_level_graph(inst):

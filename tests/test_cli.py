@@ -371,33 +371,43 @@ def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
-    # numpy is imported on first use: labelling, gen and the oracles;
-    # parsing, the proposal engine, the probe scan and the rotation poset
-    # never load it
+    # numpy is imported on first use: gen and the oracles; parsing, the
+    # proposal engine, the rotation poset and the verifiers, which label
+    # edges off the int lists, never load it
     path = tmp_path / "inst.pref"
     path.write_text(CONTESTED_HUB_TEXT)
     costs = tmp_path / "c.costs"
     edges = sorted(parse_instance(CONTESTED_HUB_TEXT).edges)
     costs.write_text("".join(f"{m} {w} {k}\n" for k, (m, w) in enumerate(edges)))
+    matching = tmp_path / "m.txt"
+    matching.write_text("a1 b1\na2 b2\n")
     src = str(Path(popmatch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import contextlib, io, sys, popmatch.cli\n"
         "i = ['-i', sys.argv[1]]\n"
+        "m = ['-m', sys.argv[3]]\n"
         "loaded = ['numpy' in sys.modules]\n"
         "for argv in (['solve', '--property', 'stable'], ['solve', '--property', 'dominant'],\n"
-        "             ['popular-vs-stable'], ['min-cost-dominant', '--costs', sys.argv[2]]):\n"
+        "             ['popular-vs-stable'], ['min-cost-dominant', '--costs', sys.argv[2]],\n"
+        "             ['verify', '--property', 'stable'] + m,\n"
+        "             ['verify', '--property', 'popular'] + m,\n"
+        "             ['verify', '--property', 'dominant'] + m,\n"
+        "             ['popular-edge', '--edge', 'a2,b1']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = popmatch.cli.main(argv + i)\n"
         "    loaded.append((code, 'numpy' in sys.modules))\n"
         "print(loaded)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(path), str(costs)],
+        [sys.executable, "-c", code, str(path), str(costs), str(matching)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, (0, False), (0, False), (1, False), (0, False)]\n"
+    assert proc.stdout == (
+        "[False, (0, False), (0, False), (1, False), (0, False),"
+        " (1, False), (1, False), (1, False), (0, False)]\n"
+    )
 
 
 def test_cli_paths_build_no_name_view(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
 from popmatch import (
-    Instance,
     InstanceError,
     Matching,
     compare,
@@ -19,6 +16,7 @@ from popmatch import (
     vote,
 )
 from popmatch.elections import MINUS, PLUS
+from conftest import reversed_declaration_cases
 
 
 @pytest.fixture
@@ -37,6 +35,17 @@ def test_vote(nested_fan):
     assert vote(nested_fan, "a1", "b3", None) == PLUS
     with pytest.raises(InstanceError):
         vote(nested_fan, "a3", "b2", "b1")
+    # an unknown vertex is named, not a bare KeyError
+    with pytest.raises(InstanceError, match="unknown vertex 'zz'"):
+        vote(nested_fan, "zz", "b1")
+    with pytest.raises(InstanceError, match="'zz' is not adjacent to 'a1'"):
+        vote(nested_fan, "a1", "zz")
+    assert nested_fan.prefers("a1", "b1", "b2")
+    assert not nested_fan.prefers("a1", "b2", "b1")
+    with pytest.raises(InstanceError, match="'zz' is not adjacent to 'a1'"):
+        nested_fan.prefers("a1", "b2", "zz")
+    with pytest.raises(InstanceError, match="unknown vertex 'zz'"):
+        nested_fan.prefers("zz", "b1", "b2")
 
 
 def test_compare_tallies(nested_fan, fan_matchings):
@@ -132,29 +141,9 @@ def test_labels_against_every_matching(small_ensemble):
             assert_labelling_matches_votes(inst, m)
 
 
-def random_matching(inst, rng):
-    """A random matching: men in random order take a random free woman,
-    or stay single one time in four."""
-    used = set()
-    pairs = []
-    for a in rng.sample(inst.men, len(inst.men)):
-        free = [b for b in inst.pref[a] if b not in used]
-        if free and rng.random() < 0.75:
-            b = rng.choice(free)
-            used.add(b)
-            pairs.append((a, b))
-    return Matching(pairs)
-
-
 def test_array_labelling_follows_names_not_declared_order():
-    # multi-digit ids sort by name as a1 < a10 < a2, and the sides are
-    # declared in reverse, so name order differs from vertex order
-    rng = random.Random(5)
-    for seed in range(6):
-        base = generate_random(13, 12, 0.3, seed)
-        inst = Instance(base.men[::-1], base.women[::-1], base.pref)
-        for m in [run(inst)] + [random_matching(inst, rng) for _ in range(20)]:
-            assert_labelling_matches_votes(inst, m)
+    for inst, m in reversed_declaration_cases():
+        assert_labelling_matches_votes(inst, m)
 
 
 def test_verify_leaves_the_edge_set_unbuilt():

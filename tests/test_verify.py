@@ -16,8 +16,10 @@ from popmatch import (
     label_edges,
     parse_instance,
     partition,
+    run,
 )
-from conftest import assert_certificate_replays
+from popmatch.verify import Certificate, _Graph
+from conftest import alternating_rows, assert_certificate_replays, reversed_declaration_cases
 
 # Everyone is matched to b_i / a_i and (a1,b2) is the only (+,+) edge;
 # the (+,-) edges (a2,b3) and (a3,b1) close the alternating cycle
@@ -148,6 +150,19 @@ def test_decompose_and_inverse_map_label_once(small_ensemble, monkeypatch):
                     with pytest.raises(InstanceError):
                         fn(inst, m)
                 assert len(calls) == 1
+
+
+def test_alternating_rows_follow_names(small_ensemble):
+    # the one pass over the men in name order gives every row, and the
+    # (+,+) list, in name order, also where it differs from vertex order
+    cases = [(inst, m) for inst, report in small_ensemble for m in report.family]
+    for inst, m in cases + list(reversed_declaration_cases()):
+        g = _Graph(label_edges(inst, m))
+        names = inst.names
+        succ, free, pp = alternating_rows(inst, m)
+        assert {names[v]: [names[y] for y in row] for v, row in enumerate(g.succ)} == succ
+        assert {names[a]: [names[w] for w in row] for a, row in enumerate(g.free)} == free
+        assert g.pp == pp
 
 
 def test_is_popular_examples(contested_hub):
@@ -315,6 +330,17 @@ def test_verify_at_scale():
     assert not ok, "the swap closes an alternating cycle through a (+,+) edge"
     assert seconds < 5.0, f"is_popular took {seconds:.2f}s"
     assert_certificate_replays(inst, swapped, cert)
+    # the certificates are pinned: arcs and (+,+) edges are taken in name
+    # order, whatever order the lists are stored in
+    cycle = (
+        "b7342 a7463 b4755 a948 b8465 a1566 b4428 a7073 b2742 a6559 b9243 a4260 "
+        "b729 a9518 b6915 a7828 b2467 a6936 b2152 a7035 b7529 a1844 b3460 a973 "
+        "b6766 a4544 b6343 a7440 b8787 a9710 b7762 a1000 b7342"
+    )
+    assert cert == Certificate("pp-cycle", tuple(cycle.split()), (("a1000", "b7342"),))
+    assert is_dominant(inst, run(inst)) == (
+        False, Certificate("augmenting-path", ("a99", "b8846", "a2825", "b3256"))
+    )
 
 
 @pytest.mark.parametrize("pair", [("a1", "b9"), ("a2", "b2"), ("b1", "a1")])
