@@ -12,7 +12,6 @@ layer for ground truth at small scale, and a CLI.
 from .elections import ElectionResult, LabeledGraph, compare, defeats, label_edges, vote
 from .gale_shapley import (
     LevelledMatching,
-    ProposalRules,
     is_stable,
     run,
     stable_with_edge,
@@ -64,7 +63,6 @@ __all__ = [
     "Matching",
     "ParseError",
     "Partition",
-    "ProposalRules",
     "classify",
     "compare",
     "decompose",

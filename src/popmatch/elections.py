@@ -12,7 +12,7 @@ from itertools import chain, count
 from operator import lt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .instance import Instance, InstanceError, Matching
+from .instance import Instance, Matching
 
 PLUS = 1
 ZERO = 0
@@ -106,18 +106,10 @@ class LabeledGraph:
 
 def vote(inst: Instance, u: str, x: str, y: Optional[str] = None) -> int:
     """u's vote comparing neighbor x against y (None = unmatched)."""
-    r = inst.rank.get(u)
-    if r is None:
-        raise InstanceError(f"unknown vertex {u!r}")
-    if x not in r:
-        raise InstanceError(f"{x!r} is not adjacent to {u!r}")
-    if y is None:
-        return PLUS
-    if x == y:
-        return ZERO
-    if y not in r:
-        raise InstanceError(f"{y!r} is not adjacent to {u!r}")
-    return PLUS if r[x] < r[y] else MINUS
+    if y is None or x == y:
+        inst.prefers(u, x, x)  # raises for an unknown u or a non-neighbour x
+        return PLUS if y is None else ZERO
+    return PLUS if inst.prefers(u, x, y) else MINUS
 
 
 def compare(inst: Instance, first: Matching, second: Matching) -> ElectionResult:

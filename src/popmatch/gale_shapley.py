@@ -1,18 +1,17 @@
-"""A deterministic men-proposing engine with rule hooks.
+"""A deterministic men-proposing engine.
 
 One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors), warm starts from a partial matching,
 and levelled proposers.  With two levels it runs
 deferred acceptance on the two-copy instance G' of `level_graph`
-without building G'.  The blocking-pair scan `is_stable` and the
-forced-edge query `forced` take the same `levels`, so one of each
-serves both G and G'.
+without building G'.  The forced-edge query `forced` is one run with
+floors at either number of levels; `is_stable` is the blocking-pair
+scan of G.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .instance import Instance, InstanceError, Matching
@@ -20,18 +19,6 @@ from .instance import Instance, InstanceError, Matching
 
 class InvalidStartState(ValueError):
     """The warm-start matching admits a blocking pair it cannot resolve."""
-
-
-@dataclass(frozen=True, eq=False)
-class ProposalRules:
-    """Restrictions a woman applies before considering a proposal.
-
-    acceptance_floor: woman -> (man, level); she rejects proposers she
-    ranks strictly below that man at that level.  A rejected proposer
-    simply moves on to his next choice.
-    """
-
-    acceptance_floor: Mapping[str, Tuple[str, int]] = field(default_factory=dict)
 
 
 class LevelledMatching(Matching):
@@ -47,8 +34,9 @@ class LevelledMatching(Matching):
 
 
 def _check_start(inst: Instance, start: Matching, floor: dict) -> Tuple[list, list]:
-    """`Instance.mates` of a start that passes the checks, under `run`'s
-    acceptance floors."""
+    """`Instance.mates` of a start that passes the checks.  `floor` is
+    `run`'s: woman -> the worst position she accepts; a woman who
+    refuses a man cannot block with him."""
     for m, w in start.pairs:
         if not inst.has_edge(m, w):
             raise InvalidStartState(f"start pair ({m},{w}) is not an edge")
@@ -70,18 +58,21 @@ def _check_start(inst: Instance, start: Matching, floor: dict) -> Tuple[list, li
 
 def run(
     inst: Instance,
-    rules: ProposalRules = ProposalRules(),
+    floors: Optional[Mapping[str, Tuple[str, int]]] = None,
     start: Matching = Matching(),
     levels: int = 1,
 ) -> LevelledMatching:
-    """Men-proposing deferred acceptance under the given rules.
+    """Men-proposing deferred acceptance with per-woman acceptance floors.
 
-    A proposer is a man at a level, and levels is 1 or 2.  Free men
-    propose in FIFO order down their lists, skipping targets the rules
-    forbid, and a man whose list runs out below the top level starts it
-    again one level up.  Each woman holds the best acceptable proposer
-    seen so far: any of a higher level beats any of a lower one, and her
-    own ranking decides within a level.  Deterministic for fixed inputs.
+    A proposer is a man at a level, and levels is 1 or 2.  `floors` maps
+    a woman to (man, level): she refuses every proposer she ranks below
+    that man at that level, and a refused proposer moves on to his next
+    choice, so the run is deferred acceptance with her list cut there.
+    Free men propose in FIFO order down their lists, and a man whose
+    list runs out below the top level starts it again one level up.
+    Each woman holds the best acceptable proposer seen so far: any of a
+    higher level beats any of a lower one, and her own ranking decides
+    within a level.  Deterministic for fixed inputs.
 
     A warm start holds its pairs at level 0, and the men it leaves
     unmatched start proposing, in id order, from level 0.  A matched man
@@ -94,7 +85,7 @@ def run(
     # her position for a proposer: her rank of him less her list length
     # per level he is on, so lower is better
     floor = {}
-    for w, (m, lvl) in rules.acceptance_floor.items():
+    for w, (m, lvl) in (floors or {}).items():
         s = inst.slot(m, w)
         if s is None:
             raise InstanceError(f"acceptance floor ({m},{w}) is not an edge")
@@ -143,45 +134,20 @@ def run(
     return LevelledMatching(pairs, dict(zip(inst.men, level)))
 
 
-def is_stable(
-    inst: Instance, matching: Matching, levels: int = 1
-) -> Tuple[bool, Optional[Tuple[str, Optional[str]]]]:
-    """Verdict plus the lexicographically least blocking pair, if any.
-
-    With levels=2 the matching is a `LevelledMatching` and the test is
-    against G', without building it.  A man at level l holding w stands
-    for his level-l copy holding w and his other copy holding his dummy,
-    so a dummy pair blocks only when a man at level 0 is unmatched, and
-    that man is named by his dummy pair (m, None) alone.  Of the real
-    edges, he scans the women above w at level l and, at level 1, those
-    below w at level 0, where his level-0 copy holds the dummy at the
-    bottom of its list.  A woman prefers any man of a higher level, and
-    her own ranking decides within a level.
-    """
-    if levels not in (1, 2):
-        raise ValueError(f"levels must be 1 or 2, got {levels!r}")
+def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:
+    """Verdict plus the lexicographically least blocking pair, if any."""
     adj, back, names = inst.adj, inst.back, inst.names
-    mate, pos = inst.mates(matching)
-    n = len(inst.men)
-    level = [0] * n if levels == 1 else list(map(matching.level.__getitem__, inst.men))
-
-    def blocking_pairs():
-        for m in range(n):
-            lvl = level[m]
-            if mate[m] < 0 and levels == 2 and lvl == 0:
-                yield (names[m], None)
-                continue
-            lst, ranks, cut = adj[m], back[m], pos[m]
-            scans = [(lst[:cut], ranks[:cut], lvl)]
-            if lvl:
-                scans.append((lst[cut + 1 :], ranks[cut + 1 :], 0))
-            for women, their_ranks, lv in scans:
-                for w, p in zip(women, their_ranks):
-                    pw = mate[w]
-                    if pw < 0 or (p < pos[w] if lv == level[pw] else lv > level[pw]):
-                        yield (names[m], names[w])
-
-    best = min(blocking_pairs(), default=None)
+    pos = inst.mates(matching)[1]
+    # an unmatched woman's position is her list length, below every man
+    best = min(
+        (
+            (names[m], names[w])
+            for m in range(len(inst.men))
+            for w, p in zip(adj[m][: pos[m]], back[m])
+            if p < pos[w]
+        ),
+        default=None,
+    )
     return (best is None, best)
 
 
@@ -191,17 +157,22 @@ def forced(
     """The men-optimal stable matching (of G' with levels=2) in which each
     woman w of `held` holds the man at the level held[w], if one exists.
 
-    Each such woman refuses anyone below her man at his level, and the
-    result counts only if she holds him there and it passes `is_stable`.
+    One `run` in which each such woman refuses anyone below her man at
+    his level, which is deferred acceptance on the instance with her
+    list cut below him.  If she holds him there, no cut pair blocks the
+    result, since she ranks every cut man below him.  A stable matching
+    holding all the pairs is stable in the cut instance, where the run's
+    result is the worst for every woman and matches the same women
+    (Gusfield-Irving 1989), so each of them holds her man in it too.
     """
     for w, (m, _) in held.items():
         if not inst.has_edge(m, w):
             raise InstanceError(f"({m},{w}) is not an edge of the instance")
-    got = run(inst, ProposalRules(held), levels=levels)
+    got = run(inst, held, levels=levels)
     for w, (m, lvl) in held.items():
         if got.partner_of(w) != m or got.level[m] != lvl:
             return None
-    return got if is_stable(inst, got, levels)[0] else None
+    return got
 
 
 def stable_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:

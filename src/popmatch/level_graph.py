@@ -7,9 +7,8 @@ exactly onto the dominant matchings of the base instance.  G' is never
 built: a stable matching of G' is a levelled matching of the base
 instance, in which a man at level l stands for his level-l copy holding
 his partner (or nothing) and his other copy holding d(a).  The engine's
-two-level run is deferred acceptance on G', `gale_shapley.is_stable`
-with levels=2 tests stability in G', and the inverse projection reads
-the levels off the alternating-reachability partition.
+two-level run is deferred acceptance on G', and the inverse projection
+reads the levels off the alternating-reachability partition.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from popmatch import (
     Instance,
     InstanceError,
     Matching,
-    ProposalRules,
     classify,
     generate_random,
     is_stable,
@@ -361,7 +360,7 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
     level `f` of every base vertex.
     """
     level = build_level_graph(inst)
-    rules = ProposalRules({w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()})
+    floors = {w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()}
     graph = level.graph
     if forced:
         cut = {(level.copies[m][0], w) for m, w in forced}
@@ -378,7 +377,7 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
                 pairs.append((lo, level.dummy[a]))
             else:
                 pairs += [(lo, w), (hi, level.dummy[a])]
-    aux = run(graph, rules, Matching(pairs))
+    aux = run(graph, floors, Matching(pairs))
     return SimpleNamespace(
         level=level,
         aux=aux,

@@ -3,9 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from popmatch import (
     InstanceError,
-    LevelledMatching,
     Matching,
-    ProposalRules,
     generate_random,
     is_stable,
     run,
@@ -51,20 +49,6 @@ def test_is_stable_returns_least_blocking_pair(shared_top, contested_hub):
     assert is_stable(contested_hub, Matching())[0] is False
 
 
-def test_is_stable_two_levels(shared_top):
-    dominant = run(shared_top, levels=2)
-    assert is_stable(shared_top, dominant, 2) == (True, None)
-    # one level ignores the levels: (a1,b1) blocks in G
-    assert is_stable(shared_top, dominant) == (False, ("a1", "b1"))
-    # the stable matching with a2 unmatched at level 0: his level-0 copy
-    # and his dummy block
-    stable = run(shared_top, levels=1)
-    assert is_stable(shared_top, stable, 2) == (False, ("a2", None))
-    # at level 1 he blocks with b1, who holds a1 at level 0
-    up = LevelledMatching(stable.pairs, {"a1": 0, "a2": 1})
-    assert is_stable(shared_top, up, 2) == (False, ("a2", "b1"))
-
-
 def test_forced_query(shared_top):
     # (a2,b1) is in no stable matching, and in the dominant one only with
     # a2 at level 1
@@ -81,15 +65,13 @@ def test_levels_must_be_one_or_two(shared_top):
         with pytest.raises(ValueError, match="levels must be 1 or 2"):
             run(shared_top, levels=levels)
         with pytest.raises(ValueError, match="levels must be 1 or 2"):
-            is_stable(shared_top, run(shared_top, levels=2), levels)
-        with pytest.raises(ValueError, match="levels must be 1 or 2"):
             forced(shared_top, {"b1": ("a1", 0)}, levels)
         with pytest.raises(ValueError, match="levels must be 1 or 2"):
             stable_matchings(shared_top, levels=levels)
     # a floor names a level below levels
     for lvl, levels in ((5, 1), (1, 1), (2, 2), (-1, 2)):
         with pytest.raises(ValueError, match=r"^acceptance floor \(a1,b1\) at level"):
-            run(shared_top, ProposalRules({"b1": ("a1", lvl)}), levels=levels)
+            run(shared_top, {"b1": ("a1", lvl)}, levels=levels)
     with pytest.raises(ValueError, match="at level 1"):
         forced(shared_top, {"b1": ("a1", 1)})
 
@@ -97,18 +79,16 @@ def test_levels_must_be_one_or_two(shared_top):
 def test_floor_must_name_an_edge(shared_top):
     # a2 is not on b2's list, and zz is no woman of the instance
     with pytest.raises(InstanceError, match=r"^acceptance floor \(a2,b2\) is not an edge$"):
-        run(shared_top, ProposalRules({"b2": ("a2", 0)}))
+        run(shared_top, {"b2": ("a2", 0)})
     with pytest.raises(InstanceError, match=r"^acceptance floor \(a1,zz\) is not an edge$"):
-        run(shared_top, ProposalRules({"zz": ("a1", 0)}), levels=2)
+        run(shared_top, {"zz": ("a1", 0)}, levels=2)
 
 
 def test_acceptance_floor_rules(nested_fan):
     # b2 refuses anyone worse than a1, which strands a2 entirely
-    rules = ProposalRules(acceptance_floor={"b2": ("a1", 0)})
-    assert run(nested_fan, rules) == Matching([("a1", "b1")])
+    assert run(nested_fan, {"b2": ("a1", 0)}) == Matching([("a1", "b1")])
     # a floor at the bottom of the list changes nothing
-    loose = ProposalRules(acceptance_floor={"b1": ("a3", 0)})
-    assert run(nested_fan, loose) == run(nested_fan)
+    assert run(nested_fan, {"b1": ("a3", 0)}) == run(nested_fan)
 
 
 def test_two_level_run(shared_top):
@@ -120,8 +100,7 @@ def test_two_level_run(shared_top):
     assert run(shared_top).level == {"a1": 0, "a2": 0}
     # a floor at a1's level-1 copy refuses every level-0 proposer and a2
     # at level 1 too
-    floor = ProposalRules(acceptance_floor={"b1": ("a1", 1)})
-    result = run(shared_top, floor, levels=2)
+    result = run(shared_top, {"b1": ("a1", 1)}, levels=2)
     assert result == Matching([("a1", "b2")])
     assert result.level == {"a1": 0, "a2": 1}
 

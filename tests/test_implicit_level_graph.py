@@ -5,6 +5,7 @@ the levelled stable matchings must be the explicit G' lattice walk's,
 and no path in the library may build G'.
 """
 
+import random
 from fractions import Fraction
 
 from conftest import (
@@ -21,7 +22,6 @@ from conftest import (
 )
 from popmatch import (
     Instance,
-    LevelledMatching,
     Matching,
     cli,
     decompose,
@@ -37,8 +37,10 @@ from popmatch import (
     parse_instance,
     popular_edge,
     stable_matchings,
+    stable_with_edge,
     unstable_via_pair,
 )
+from popmatch.gale_shapley import forced
 from popmatch.popular_edge import _lift
 
 
@@ -94,9 +96,9 @@ def test_dominant_two_level_matches_explicit(small_ensemble):
 
 def test_dominant_two_level_matches_explicit_at_scale():
     inst = generate_random(10_000, 10_000, 0.002, seed=7)
-    got = dominant_two_level(inst)
-    assert got == explicit_level_run(inst).matching
-    assert is_stable(inst, got, 2) == (True, None)
+    got, ref = dominant_two_level(inst), explicit_level_run(inst)
+    assert got == ref.matching
+    assert is_stable(ref.level.graph, to_level_graph(ref.level, got)) == (True, None)
 
 
 def test_dominant_with_edge_matches_explicit(small_ensemble):
@@ -105,6 +107,29 @@ def test_dominant_with_edge_matches_explicit(small_ensemble):
     for inst in [inst for inst, _ in small_ensemble] + [generate_random(4, 4, 1.0, seed=14)]:
         for u, v in sorted(inst.edges):
             assert dominant_with_edge(inst, (u, v)) == ref_dominant_with_edge(inst, u, v)
+
+
+def test_forced_is_stable_at_scale():
+    # a forced run is deferred acceptance with the held woman's list cut
+    # below her man, so when she holds him the result is stable in G (in
+    # G' at two levels) without a scan of its own
+    inst = generate_random(300, 300, 0.02, seed=11)
+    outcomes = set()
+    for u, v in random.Random(3).sample(sorted(inst.edges), 40):
+        got = stable_with_edge(inst, (u, v))
+        if got is not None:
+            assert (u, v) in got.pairs and is_stable(inst, got) == (True, None)
+        outcomes.add((None, got is not None))
+        for lvl in (0, 1):
+            got = forced(inst, {v: (u, lvl)}, 2)
+            ref = explicit_level_run(inst, {v: (u, lvl)})
+            level = ref.level
+            assert (got is not None) == ((level.copies[u][lvl], v) in ref.aux.pairs and ref.stable)
+            if got is not None:
+                assert is_stable(level.graph, to_level_graph(level, got)) == (True, None)
+                assert got == ref.matching and got.level == {a: ref.f[a] for a in inst.men}
+            outcomes.add((lvl, got is not None))
+    assert outcomes == {(lvl, ok) for lvl in (None, 0, 1) for ok in (False, True)}
 
 
 def test_unstable_popular_witness_matches_explicit(small_ensemble):
@@ -154,47 +179,6 @@ def test_lift_matches_explicit(small_ensemble):
             assert details.z0 == set(sub.women) - details.z1
 
 
-def test_is_stable_two_level_matches_explicit(small_ensemble):
-    verdicts, named = set(), set()
-    for inst, _ in small_ensemble[:20]:
-        level = build_level_graph(inst)
-        for aux in stable_matchings(level.graph):
-            f = f_values(level, aux)
-            stable = LevelledMatching(map_T(level, aux).pairs, {a: f[a] for a in inst.men})
-            assert to_level_graph(level, stable) == aux
-            # every single-man perturbation: drop his pair, or move him
-            # to the other level
-            variants = [stable]
-            for a in inst.men:
-                flipped = dict(stable.level, **{a: 1 - stable.level[a]})
-                variants.append(LevelledMatching(stable.pairs, flipped))
-                w = stable.partner_of(a)
-                if w is not None:
-                    variants.append(LevelledMatching(stable.pairs - {(a, w)}, stable.level))
-            for result in variants:
-                aux = to_level_graph(level, result)
-                expected = is_stable(level.graph, aux)[0]
-                ok, pair = is_stable(inst, result, 2)
-                assert ok == expected and (pair is None) == ok
-                if pair is not None:
-                    # a man unmatched at level 0 is named with his dummy
-                    m, w = pair
-                    w = level.dummy[m] if w is None else w
-                    assert any(blocks(level.graph, aux, c, w) for c in level.copies[m])
-                verdicts.add(expected)
-                named.add(pair is not None and pair[1] is None)
-    assert verdicts == {True, False}
-    assert named == {True, False}
-
-
-def blocks(g, matching, x, y):
-    """Whether (x, y) is an edge of g that blocks the matching."""
-    if not g.has_edge(x, y):
-        return False
-    px, py = matching.partner_of(x), matching.partner_of(y)
-    return (px is None or g.prefers(x, y, px)) and (py is None or g.prefers(y, x, py))
-
-
 def explicit_stable_matchings(inst):
     """The stable matchings of the explicit G', as (pairs, level) keys."""
     level = build_level_graph(inst)
@@ -213,7 +197,8 @@ def test_levelled_walk_matches_explicit(small_ensemble):
         assert len(keys) == len(got)
         assert keys == explicit_stable_matchings(inst)
         shared += len({m.pairs for m in got}) < len(got)
-        assert all(is_stable(inst, m, 2) == (True, None) for m in got)
+        level = build_level_graph(inst)
+        assert all(is_stable(level.graph, to_level_graph(level, m))[0] for m in got)
     # some instances have two stable matchings of G' with the same pairs
     assert shared
     # the last instance is 5 blocks, with four stable matchings of G' each
