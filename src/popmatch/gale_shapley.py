@@ -1,12 +1,11 @@
 """A deterministic men-proposing engine.
 
 One proposal loop covers plain deferred acceptance, forced-edge runs
-(via per-woman acceptance floors), warm starts from a partial matching,
-and levelled proposers.  With two levels it runs
-deferred acceptance on the two-copy instance G' of `level_graph`
-without building G'.  The forced-edge query `forced` is one run with
-floors at either number of levels; `is_stable` is the blocking-pair
-scan of G.
+(via per-woman acceptance floors) and levelled proposers.  With two
+levels it runs deferred acceptance on the two-copy instance G' of
+`level_graph` without building G'.  The forced-edge query `forced` is
+one run with floors at either number of levels; `is_stable` is the
+blocking-pair scan of G.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ from collections import deque
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .instance import Instance, InstanceError, Matching
-
-
-class InvalidStartState(ValueError):
-    """The warm-start matching admits a blocking pair it cannot resolve."""
 
 
 class LevelledMatching(Matching):
@@ -33,33 +28,9 @@ class LevelledMatching(Matching):
         self.level = level
 
 
-def _check_start(inst: Instance, start: Matching, floor: dict) -> Tuple[list, list]:
-    """`Instance.mates` of a start that passes the checks.  `floor` is
-    `run`'s: woman -> the worst position she accepts; a woman who
-    refuses a man cannot block with him."""
-    for m, w in start.pairs:
-        if not inst.has_edge(m, w):
-            raise InvalidStartState(f"start pair ({m},{w}) is not an edge")
-    mate, pos = inst.mates(start)
-    adj, back, names = inst.adj, inst.back, inst.names
-    for m in range(len(inst.men)):
-        if mate[m] < 0:
-            continue
-        # Women above m's current partner must already hold someone they
-        # prefer, otherwise resuming below the partner skips a proposal
-        # that should have happened.
-        for other, p in zip(adj[m][: pos[m]], back[m]):
-            if p <= floor.get(other, p) and p < pos[other]:
-                raise InvalidStartState(
-                    f"start matching admits blocking pair ({names[m]},{names[other]})"
-                )
-    return mate, pos
-
-
 def run(
     inst: Instance,
     floors: Optional[Mapping[str, Tuple[str, int]]] = None,
-    start: Matching = Matching(),
     levels: int = 1,
 ) -> LevelledMatching:
     """Men-proposing deferred acceptance with per-woman acceptance floors.
@@ -72,12 +43,8 @@ def run(
     list runs out below the top level starts it again one level up.
     Each woman holds the best acceptable proposer seen so far: any of a
     higher level beats any of a lower one, and her own ranking decides
-    within a level.  Deterministic for fixed inputs.
-
-    A warm start holds its pairs at level 0, and the men it leaves
-    unmatched start proposing, in id order, from level 0.  A matched man
-    resumes below his start partner if freed, so the start must not
-    admit a blocking pair whose man is matched (InvalidStartState).
+    within a level.  Every man starts free at level 0, queued in name
+    order.  Deterministic for fixed inputs.
     """
     if levels not in (1, 2):
         raise ValueError(f"levels must be 1 or 2, got {levels!r}")
@@ -93,15 +60,15 @@ def run(
             raise ValueError(f"acceptance floor ({m},{w}) at level {lvl!r} of {levels}")
         i, j, k = s
         floor[j] = back[i][k] - lvl * len(adj[j])
-    mate, pos = _check_start(inst, start, floor)
     top = levels - 1
     n = len(inst.men)
     # holds[w], pos[w]: the proposer woman w holds and her position for
     # him; a woman who holds no one ranks him at her list length
-    holds = mate
-    next_ix = [pos[m] + 1 if mate[m] >= 0 else 0 for m in range(n)]
+    holds = [-1] * len(names)
+    pos = list(map(len, adj))
+    next_ix = [0] * n
     level = [0] * n
-    queue = deque(sorted((m for m in range(n) if mate[m] < 0), key=names.__getitem__))
+    queue = deque(sorted(range(n), key=names.__getitem__))
 
     while queue:
         m = queue.popleft()

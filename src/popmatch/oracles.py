@@ -33,21 +33,23 @@ def enumerate_matchings(inst: Instance, max_edges: Optional[int] = None) -> List
         raise EnumerationGuardError(
             f"{len(edges)} edges exceed the enumeration guard of {limit}"
         )
-    out: List[frozenset] = []
-
-    def extend(start: int, used: Set[str], chosen: list) -> None:
-        out.append(frozenset(chosen))
-        for i in range(start, len(edges)):
-            m, w = edges[i]
-            if m in used or w in used:
-                continue
-            used.update((m, w))
-            chosen.append((m, w))
-            extend(i + 1, used, chosen)
-            chosen.pop()
-            used.difference_update((m, w))
-
-    extend(0, set(), [])
+    out: List[frozenset] = [frozenset()]
+    chosen: list = []
+    used: Set[str] = set()
+    # a depth-first search with an explicit stack: stack[d] is the first
+    # edge to try as the (d+1)-th pair of `chosen`
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        while i < len(edges) and not used.isdisjoint(edges[i]):
+            i += 1
+        if i < len(edges):
+            stack += (i + 1, i + 1)
+            chosen.append(edges[i])
+            used.update(edges[i])
+            out.append(frozenset(chosen))
+        elif chosen:
+            used.difference_update(chosen.pop())
     family = [Matching(pairs) for pairs in out]
     family.sort(key=lambda matching: matching.sorted_pairs())
     return family

@@ -2,18 +2,20 @@
 
 An edge lies in a popular matching iff it lies in a stable matching or
 in a dominant one, so the engine's forced-edge query on the instance
-and on its implicit G' settles the question.  The decomposition
-machinery splits any popular matching into a dominant core and a stable
-remainder and can push the whole matching to either extreme while
-keeping the relevant half fixed.
+and on its implicit G' settles the question.  `decompose` splits a
+popular matching into a dominant core m0 and a stable remainder m1;
+`lift_to_dominant` and `lower_to_stable` push the whole matching to a
+dominant or a stable one keeping m0 or m1, each by one floored run of
+the engine on the whole instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import gale_shapley, verify
+from .gale_shapley import LevelledMatching
 from .instance import Instance, InstanceError, Matching
 from .verify import Certificate
 
@@ -63,59 +65,39 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class _LiftDetails:
-    """lift_to_dominant plus the level split of the transformed side."""
-
-    matching: Matching
-    decomposition: Decomposition
-    y0: FrozenSet[str]
-    y1: FrozenSet[str]
-    z0: FrozenSet[str]
-    z1: FrozenSet[str]
-
-
-def _lift(inst: Instance, matching: Matching) -> _LiftDetails:
-    dec = decompose(inst, matching)
-    sub = inst.induced(dec.y + dec.z)
-    lifted = gale_shapley.run(sub, start=dec.m1, levels=2)
-    y1 = frozenset(y for y in sub.men if lifted.level[y])
-    z1 = frozenset(lifted.partner_of(y) for y in y1) - {None}
-    return _LiftDetails(
-        matching=Matching(dec.m0.pairs | lifted.pairs),
-        decomposition=dec,
-        y0=frozenset(sub.men) - y1,
-        y1=y1,
-        z0=frozenset(sub.women) - z1,
-        z1=z1,
-    )
-
-
-def lift_to_dominant(inst: Instance, matching: Matching) -> Matching:
+def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
     """Transform a popular matching into a dominant one that keeps the
-    closure part intact.
+    closure part m0 intact.
 
-    The remainder side is re-solved by a two-level run of the engine
-    (deferred acceptance on its implicit G'), warm-started from the
-    remainder matching with its unmatched men proposing.
+    One two-level run of the engine on the whole instance (deferred
+    acceptance on its implicit G'), in which each m0 woman refuses
+    anyone below her man at his side's level (1 on the a1 side, else 0)
+    and each m1 woman anyone below her partner at level 0.  That is
+    deferred acceptance on G' with those lists cut, and a cut pair
+    cannot block where its woman holds someone, so when every floored
+    woman ends matched the result is stable in G' and its pairs are
+    dominant.  That she does, and that m0 is kept, is pinned against
+    the oracle by `test_criterion_5_decomposition`; the pairs and levels
+    against deferred acceptance on the explicit G' by
+    `test_lift_matches_explicit`.
     """
-    return _lift(inst, matching).matching
+    dec = decompose(inst, matching)
+    a1 = dec.partition.a1
+    floors = {w: (m, int(m in a1)) for m, w in dec.m0.pairs}
+    floors.update((w, (m, 0)) for m, w in dec.m1.pairs)
+    return gale_shapley.run(inst, floors, levels=2)
 
 
 def lower_to_stable(inst: Instance, matching: Matching) -> Matching:
     """Transform a popular matching into a stable one that keeps the
-    remainder part intact.
-
-    The closure side is re-solved on original preference lists, starting
-    from its level-1-side pairs with the level-0-side men proposing.
+    remainder part m1 intact: the men-optimal stable matching holding
+    m1, by one forced-edge run (`gale_shapley.forced`).  That m1 extends
+    to a stable matching is the paper's decomposition; the oracle check
+    that this is the men-best stable matching containing m1 is
+    `test_lower_to_stable`.
     """
     dec = decompose(inst, matching)
-    part = dec.partition
-    a_side = part.a0 | part.a1
-    sub = inst.induced(a_side | part.b0 | part.b1)
-    start = Matching((m, w) for m, w in dec.m0.pairs if m in part.a1)
-    redone = gale_shapley.run(sub, start=start)
-    return Matching(redone.pairs | dec.m1.pairs)
+    return gale_shapley.forced(inst, {w: (m, 0) for m, w in dec.m1.pairs})
 
 
 def dominant_with_edge(

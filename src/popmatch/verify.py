@@ -48,18 +48,12 @@ class Certificate:
 @dataclass(frozen=True)
 class Partition:
     """The alternating-reachability closure seeded by blocking pairs
-    (and optionally by unmatched vertices).
-
-    via_unmatched holds the vertices reached from the unmatched seeds and
-    via_blocking those reached from the blocking seeds; a vertex reached
-    from both is in both."""
+    (and optionally by unmatched vertices)."""
 
     a0: FrozenSet[str]
     a1: FrozenSet[str]
     b0: FrozenSet[str]
     b1: FrozenSet[str]
-    via_unmatched: FrozenSet[str]
-    via_blocking: FrozenSet[str]
 
 
 def _bfs(adj: List[List[int]], sources: List[int]) -> Tuple[List[int], List[int]]:
@@ -244,31 +238,23 @@ def _dominance_violation(g: _Graph) -> Optional[Certificate]:
 
 
 def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
-    """One `_bfs` per seeding: a1 and b0 are the men and women reached
-    from the seeds, and a0 and b1 add the partners of what was reached."""
+    """One `_bfs` from the seeds: a1 and b0 are the men and women it
+    reaches, and a0 and b1 the (+,+) edges' ends and the partners of
+    what it reaches."""
     names, mate = g.names, g.mate
-
-    def close(parent: List[int], a0: Set[str], b1: Set[str]):
-        a1: Set[str] = set()
-        b0: Set[str] = set()
-        for v, p in enumerate(parent):
-            if p != -2:
-                (a1 if v < g.n_men else b0).add(names[v])
-                if mate[v] >= 0:
-                    (b1 if v < g.n_men else a0).add(names[mate[v]])
-        return a0, a1, b0, b1
-
     sources = [mate[g.index[v]] for e in g.pp for v in e]
-    from_blocking = close(
-        _bfs(g.succ, [v for v in sources if v >= 0])[0],
-        {y for y, _ in g.pp},
-        {z for _, z in g.pp},
-    )
-    from_unmatched = close(g.reach[0] if seed_unmatched else [], set(), set())
-    both = (from_unmatched, from_blocking)
-    a0, a1, b0, b1 = (frozenset(x | y) for x, y in zip(*both))
-    via_unmatched, via_blocking = (frozenset().union(*sets) for sets in both)
-    return Partition(a0, a1, b0, b1, via_unmatched, via_blocking)
+    if seed_unmatched:
+        sources += [v for v, p in enumerate(mate) if p < 0]
+    a0 = {y for y, _ in g.pp}
+    b1 = {z for _, z in g.pp}
+    a1: Set[str] = set()
+    b0: Set[str] = set()
+    for v, p in enumerate(_bfs(g.succ, [v for v in sources if v >= 0])[0]):
+        if p != -2:
+            (a1 if v < g.n_men else b0).add(names[v])
+            if mate[v] >= 0:
+                (b1 if v < g.n_men else a0).add(names[mate[v]])
+    return Partition(*map(frozenset, (a0, a1, b0, b1)))
 
 
 def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Partition:

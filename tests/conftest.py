@@ -23,7 +23,7 @@ from popmatch import (
     run,
     unstable_via_pair,
 )
-from popmatch.elections import PLUS, label_edges
+from popmatch.elections import PLUS, vote
 from popmatch.gale_shapley import LevelledMatching
 
 # Two men both ranking b1 first; the unique stable matching {(a1,b1)}
@@ -136,8 +136,19 @@ def full_ensemble():
 
 
 def assert_certificate_replays(inst, matching, cert):
-    """Re-derive every claim a certificate makes from the instance."""
-    labeled = label_edges(inst, matching)
+    """Re-derive every claim a certificate makes from the instance: the
+    votes on the few edges it names, read per edge with `vote`."""
+    names, index = inst.names, inst.index
+    mate = inst.mates(matching)[0]
+
+    def votes(a, b):
+        """(a's vote for b, b's vote for a), each against its partner;
+        (ZERO, ZERO) on a matching edge, InstanceError on a non-edge."""
+        pa, pb = mate[index[a]], mate[index[b]]
+        return (
+            vote(inst, a, b, names[pa] if pa >= 0 else None),
+            vote(inst, b, a, names[pb] if pb >= 0 else None),
+        )
 
     def norm(u, v):
         return (u, v) if inst.is_man(u) else (v, u)
@@ -146,18 +157,19 @@ def assert_certificate_replays(inst, matching, cert):
         assert cert.path
         return
     if cert.kind == "blocking-pair":
-        assert labeled.label[norm(*cert.path)] == (PLUS, PLUS)
+        assert votes(*norm(*cert.path)) == (PLUS, PLUS)
         return
 
     edges = [norm(u, v) for u, v in zip(cert.path, cert.path[1:])]
     assert edges
-    for e in edges:
-        assert e in labeled.gm_edges
     in_m = [e in matching.pairs for e in edges]
+    for e, matched in zip(edges, in_m):
+        # an edge of the pruned subgraph G_M: matched, or voted for
+        assert matched or PLUS in votes(*e)
     for a, b in zip(in_m, in_m[1:]):
         assert a != b, "walk must alternate between matching and non-matching edges"
     for e in cert.pp_edges:
-        assert labeled.label[e] == (PLUS, PLUS)
+        assert votes(*e) == (PLUS, PLUS)
         assert e in edges
 
     if cert.kind == "pp-cycle":
@@ -345,19 +357,16 @@ def pair_scan_unstable_popular(inst):
     return None
 
 
-def explicit_level_run(inst, held=None, forced=(), start=None):
+def explicit_level_run(inst, held=None, forced=()):
     """Deferred acceptance on the explicit two-copy instance G', the
     reference for the engine's two-level runs.
 
     held maps a woman to (man, level): she refuses every copy she ranks
     below that man's copy.  forced lists (man, woman) pairs that the
     man's level-0 copy is refused: the run goes on G' without those
-    edges, and stability is still tested in G'.  A start matching puts
-    its pairs on level-0 copies and its unmatched men's level-0 copies
-    on their dummies, so the free level-1 copies of its unmatched men
-    propose, in id order.  Returns G' as `level`, the G' matching `aux`,
-    whether it is `stable` in G', its projection `matching` and the
-    level `f` of every base vertex.
+    edges, and stability is still tested in G'.  Returns G' as `level`,
+    the G' matching `aux`, whether it is `stable` in G', its projection
+    `matching` and the level `f` of every base vertex.
     """
     level = build_level_graph(inst)
     floors = {w: (level.copies[m][lvl], 0) for w, (m, lvl) in (held or {}).items()}
@@ -368,16 +377,7 @@ def explicit_level_run(inst, held=None, forced=(), start=None):
         graph = Instance(graph.men, graph.women, {
             v: tuple(u for u in lst if (v, u) not in cut) for v, lst in graph.pref.items()
         })
-    pairs = []
-    if start is not None:
-        for a in inst.men:
-            lo, hi = level.copies[a]
-            w = start.partner_of(a)
-            if w is None:
-                pairs.append((lo, level.dummy[a]))
-            else:
-                pairs += [(lo, w), (hi, level.dummy[a])]
-    aux = run(graph, floors, Matching(pairs))
+    aux = run(graph, floors)
     return SimpleNamespace(
         level=level,
         aux=aux,

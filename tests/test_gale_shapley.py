@@ -9,7 +9,7 @@ from popmatch import (
     run,
     stable_with_edge,
 )
-from popmatch.gale_shapley import InvalidStartState, forced
+from popmatch.gale_shapley import forced
 from popmatch.min_cost import stable_matchings
 
 
@@ -103,26 +103,6 @@ def test_two_level_run(shared_top):
     result = run(shared_top, {"b1": ("a1", 1)}, levels=2)
     assert result == Matching([("a1", "b2")])
     assert result.level == {"a1": 0, "a2": 1}
-
-
-def test_warm_start_resumes_below_partner(nested_fan):
-    # a2 starts on b1, gets bumped by a1 and must resume below b1
-    # a1 and a3, unmatched in the start, propose in id order
-    result = run(nested_fan, start=Matching([("a2", "b1")]))
-    assert result == Matching([("a1", "b1"), ("a2", "b2")])
-
-
-def test_warm_start_rejects_skipped_blocking_pair(shared_top):
-    # a1 on b2 while b1 is free: the engine would never repair (a1,b1)
-    with pytest.raises(InvalidStartState, match="blocking pair"):
-        run(shared_top, start=Matching([("a1", "b2")]))
-
-
-def test_warm_start_rejects_non_edge(shared_top):
-    with pytest.raises(InvalidStartState, match=r"^start pair \(a2,b2\) is not an edge$"):
-        run(shared_top, start=Matching([("a2", "b2")]))
-    with pytest.raises(InvalidStartState, match="not an edge"):
-        run(shared_top, start=Matching([("a2", "b2")]), levels=2)
 
 
 def test_stable_with_edge(shared_top, contested_hub):

@@ -41,7 +41,6 @@ from popmatch import (
     unstable_via_pair,
 )
 from popmatch.gale_shapley import forced
-from popmatch.popular_edge import _lift
 
 
 def ref_dominant_with_edge(inst, u, v):
@@ -165,18 +164,17 @@ def test_unstable_via_pair_matches_explicit(shared_top, contested_hub, small_ens
 
 
 def test_lift_matches_explicit(small_ensemble):
+    # the lift's floors: each m0 woman at her man's side's level, each
+    # m1 woman at her partner's level 0
     for inst, report in small_ensemble:
         for p in report.popular_set():
             dec = decompose(inst, p)
-            sub = inst.induced(dec.y + dec.z)
-            ref = explicit_level_run(sub, start=dec.m1)
-            details = _lift(inst, p)
-            assert details.matching == Matching(dec.m0.pairs | ref.matching.pairs)
-            assert lift_to_dominant(inst, p) == details.matching
-            assert details.y1 == {y for y in sub.men if ref.f[y]}
-            assert details.z1 == {z for z in sub.women if ref.f[z]}
-            assert details.y0 == set(sub.men) - details.y1
-            assert details.z0 == set(sub.women) - details.z1
+            floors = {w: (m, int(m in dec.partition.a1)) for m, w in dec.m0.pairs}
+            floors.update((w, (m, 0)) for m, w in dec.m1.pairs)
+            ref = explicit_level_run(inst, floors)
+            lifted = lift_to_dominant(inst, p)
+            assert lifted == ref.matching
+            assert lifted.level == {a: ref.f[a] for a in inst.men}
 
 
 def explicit_stable_matchings(inst):

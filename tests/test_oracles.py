@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from popmatch import (
@@ -28,6 +30,30 @@ def test_enumeration_guard():
     with pytest.raises(EnumerationGuardError):
         enumerate_matchings(inst)
     assert len(enumerate_matchings(inst, max_edges=49)) > 0
+
+
+def test_enumerate_does_not_recurse():
+    # 12 disjoint pairs have 4,096 matchings, the largest 12 pairs deep;
+    # the listing must not need a stack frame per chosen pair
+    men = [f"a{i}" for i in range(12)]
+    women = [f"b{i}" for i in range(12)]
+    inst = Instance(men, women, {**{a: (b,) for a, b in zip(men, women)},
+                                 **{b: (a,) for a, b in zip(men, women)}})
+
+    # the frames left below the limit; it is then set 8 above this depth
+    def headroom(k=0):
+        try:
+            return headroom(k + 1)
+        except RecursionError:
+            return k
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - headroom() + 8)
+    try:
+        family = enumerate_matchings(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(family) == 4096 and Matching(zip(men, women)) in family
 
 
 def test_classification_shared_top(shared_top):

@@ -13,7 +13,7 @@ from popmatch import (
     popular_edge,
 )
 from popmatch.elections import MINUS, PLUS, label_edges
-from popmatch.popular_edge import NotPopularError, _lift
+from popmatch.popular_edge import NotPopularError
 
 
 def test_decompose_contested_hub(contested_hub):
@@ -106,13 +106,16 @@ def test_lift_label_properties(small_ensemble):
     # blocking pairs could only ever sit in the promoted x promoted block
     for inst, report in small_ensemble[:15]:
         for p in report.popular_set():
-            details = _lift(inst, p)
-            part = details.decomposition.partition
-            labeled = label_edges(inst, details.matching)
-            lo_men = part.a1 | details.y1
-            lo_women = part.b0 | details.z0
-            hi_men = part.a0 | details.y0
-            hi_women = part.b1 | details.z1
+            dec = decompose(inst, p)
+            part = dec.partition
+            lifted = lift_to_dominant(inst, p)
+            y1 = {y for y in dec.y if lifted.level[y]}
+            z1 = {lifted.partner_of(y) for y in y1} - {None}
+            labeled = label_edges(inst, lifted)
+            lo_men = part.a1 | y1
+            lo_women = part.b0 | (set(dec.z) - z1)
+            hi_men = part.a0 | (set(dec.y) - y1)
+            hi_women = part.b1 | z1
             for (a, b), lab in labeled.label.items():
                 if a in lo_men and b in lo_women:
                     assert lab == (MINUS, MINUS)
@@ -124,14 +127,16 @@ def test_lift_keeps_transformed_side_happy(small_ensemble):
     # demoted men and kept women never lose ground on the lifted side
     for inst, report in small_ensemble[:15]:
         for p in report.popular_set():
-            details = _lift(inst, p)
-            lifted = details.matching
-            for y in details.y1:
+            dec = decompose(inst, p)
+            lifted = lift_to_dominant(inst, p)
+            y1 = {y for y in dec.y if lifted.level[y]}
+            z1 = {lifted.partner_of(y) for y in y1} - {None}
+            for y in y1:
                 old, new = p.partner_of(y), lifted.partner_of(y)
                 if old is not None:
                     assert new is not None
                     assert inst.rank[y][new] <= inst.rank[y][old]
-            for z in details.z0:
+            for z in set(dec.z) - z1:
                 old, new = p.partner_of(z), lifted.partner_of(z)
                 if old is not None:
                     assert new is not None
@@ -141,13 +146,19 @@ def test_lift_keeps_transformed_side_happy(small_ensemble):
 def test_lower_to_stable(shared_top, small_ensemble):
     popular_unstable = Matching([("a1", "b2"), ("a2", "b1")])
     assert lower_to_stable(shared_top, popular_unstable) == Matching([("a1", "b1")])
-    for inst, report in small_ensemble[:25]:
-        sset = set(report.stable_set())
+    # the men-best of the oracle's stable matchings that contain m1:
+    # every man ranks his partner in it at least as high as in any other
+    # (all stable matchings match the same men)
+    for inst, report in small_ensemble:
+        rank = inst.rank
         for p in report.popular_set():
             dec = decompose(inst, p)
             down = lower_to_stable(inst, p)
-            assert down in sset
-            assert dec.m1.pairs <= down.pairs
+            holding = [s for s in report.stable_set() if dec.m1.pairs <= s.pairs]
+            assert down in holding
+            for s in holding:
+                for a, b in s.pairs:
+                    assert rank[a][down.partner_of(a)] <= rank[a][b]
             if not dec.m0:
                 assert down == p
 

@@ -74,8 +74,6 @@ def test_partition_seeded_by_unmatched(nested_fan):
     assert part.b0 == {"b2", "b3"}
     assert part.b1 == {"b1"}
     assert part.a1 == {"a2", "a3"}
-    assert "a3" in part.via_unmatched and "b3" in part.via_unmatched
-    assert {"a1", "b1"} <= part.via_blocking
 
 
 def test_partition_without_unmatched_seeding(contested_hub):
