@@ -7,16 +7,14 @@ on top of that no election ends in a tie against a larger matching.
 The package provides verifiers with replayable certificates, solvers
 for the stable/dominant/forced-edge problems, an exhaustive oracle
 layer for ground truth at small scale, and a CLI.
+
+`import popmatch` loads only `instance`, `popular_edge` and the proposal
+engine in `gale_shapley`; every other public name imports its submodule
+on first use (PEP 562), so a CLI command loads just what it runs.
 """
 
-from .elections import ElectionResult, LabeledGraph, compare, defeats, label_edges, vote
-from .gale_shapley import (
-    LevelledMatching,
-    is_stable,
-    run,
-    stable_with_edge,
-)
 from .instance import (
+    EnumerationGuardError,
     Instance,
     InstanceError,
     Matching,
@@ -27,73 +25,46 @@ from .instance import (
     serialize_instance,
     serialize_matching,
 )
-from .level_graph import dominant_two_level, inverse_map
-from .min_cost import min_cost_dominant, parse_costs, stable_matchings
-from .oracles import (
-    EnumerationGuardError,
-    classify,
-    dominant_set,
-    enumerate_matchings,
-    popular_edges,
-    popular_set,
-    stable_set,
-)
-from .popular_edge import (
-    Decomposition,
-    decompose,
-    dominant_with_edge,
-    lift_to_dominant,
-    lower_to_stable,
-    popular_edge,
-)
-from .unstable_popular import exists_unstable_popular, unstable_via_pair
-from .verify import Certificate, Partition, is_dominant, is_popular, partition
+
+# Bound here, after its submodule is imported, so that `popular_edge` is
+# the function: importing a submodule first binds the package attribute
+# of its name to the module.
+from .popular_edge import popular_edge
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Certificate",
-    "Decomposition",
-    "ElectionResult",
-    "EnumerationGuardError",
-    "Instance",
-    "InstanceError",
-    "LabeledGraph",
-    "LevelledMatching",
-    "Matching",
-    "ParseError",
-    "Partition",
-    "classify",
-    "compare",
-    "decompose",
-    "defeats",
-    "dominant_set",
-    "dominant_two_level",
-    "dominant_with_edge",
-    "enumerate_matchings",
-    "exists_unstable_popular",
-    "generate_random",
-    "inverse_map",
-    "is_dominant",
-    "is_popular",
-    "is_stable",
-    "label_edges",
-    "lift_to_dominant",
-    "lower_to_stable",
-    "min_cost_dominant",
-    "parse_costs",
-    "parse_instance",
-    "parse_matching",
-    "partition",
-    "popular_edge",
-    "popular_edges",
-    "popular_set",
-    "run",
-    "serialize_instance",
-    "serialize_matching",
-    "stable_matchings",
-    "stable_set",
-    "stable_with_edge",
-    "unstable_via_pair",
-    "vote",
-]
+# The public names of each submodule.  The names above are bound on
+# import; `__getattr__` imports the submodule behind any other on first
+# access and binds it here.
+_NAMES = {
+    "elections": "ElectionResult LabeledGraph compare defeats label_edges vote",
+    "gale_shapley": "LevelledMatching is_stable run stable_with_edge",
+    "instance": "EnumerationGuardError Instance InstanceError Matching ParseError "
+    "generate_random parse_instance parse_matching serialize_instance serialize_matching",
+    "level_graph": "dominant_two_level inverse_map",
+    "min_cost": "min_cost_dominant parse_costs stable_matchings",
+    "oracles": "classify dominant_set enumerate_matchings popular_edges popular_set stable_set",
+    "popular_edge": "Decomposition decompose dominant_with_edge lift_to_dominant "
+    "lower_to_stable popular_edge",
+    "unstable_popular": "exists_unstable_popular unstable_via_pair",
+    "verify": "Certificate Partition is_dominant is_popular partition",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF and name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module, which -X importtime
+    # does not report; a non-empty fromlist returns the submodule itself
+    module = __import__(f"{__name__}.{_MODULE_OF.get(name, name)}", fromlist=[name])
+    if name in _NAMES:  # a submodule, which importing binds here
+        return module
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -3,6 +3,9 @@
 Exit codes: 0 = found/true, 1 = not-found/false, 2 = usage or input
 error.  Output is deterministic for identical inputs; --json switches to
 a stable machine-readable schema with matching pairs sorted.
+
+Each command imports the modules it runs inside its `_cmd_*` function,
+so a call loads no more of the package than that command needs.
 """
 
 from __future__ import annotations
@@ -13,16 +16,8 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import (
-    gale_shapley,
-    level_graph,
-    min_cost,
-    oracles,
-    unstable_popular,
-    verify,
-)
-from .popular_edge import popular_edge
 from .instance import (
+    EnumerationGuardError,
     Instance,
     InstanceError,
     Matching,
@@ -65,7 +60,7 @@ def _matching_line(matching: Matching) -> str:
     return " ".join(f"{m},{w}" for m, w in matching.sorted_pairs())
 
 
-def _certificate_json(cert: Optional[verify.Certificate]):
+def _certificate_json(cert: Optional["verify.Certificate"]):
     if cert is None:
         return None
     return {
@@ -97,10 +92,14 @@ def _cmd_solve(args) -> int:
     if args.property == "stable":
         if args.algo not in (None, "gs"):
             raise InstanceError("--property stable only supports --algo gs")
+        from . import gale_shapley
+
         result = gale_shapley.run(inst)
     elif args.algo == "gs":
         raise InstanceError("--property dominant needs --algo two-level")
     else:
+        from . import level_graph
+
         result = level_graph.dominant_two_level(inst)
     if args.json:
         print(json.dumps({"matching": _pairs(result)}))
@@ -110,6 +109,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import gale_shapley, verify
+
     inst = _load_instance(args.instance)
     matching = parse_matching(_read(args.matching), inst)
     cert: Optional[verify.Certificate] = None
@@ -131,6 +132,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_popular_edge(args) -> int:
+    from .popular_edge import popular_edge
+
     inst = _load_instance(args.instance)
     edge = _parse_edge(args.edge)
     result = popular_edge(inst, edge)
@@ -147,6 +150,8 @@ def _cmd_popular_edge(args) -> int:
 
 
 def _cmd_popular_vs_stable(args) -> int:
+    from . import unstable_popular
+
     inst = _load_instance(args.instance)
     found = unstable_popular.exists_unstable_popular(inst)
     if args.json:
@@ -165,6 +170,8 @@ def _cmd_popular_vs_stable(args) -> int:
 
 
 def _cmd_min_cost(args) -> int:
+    from . import min_cost
+
     inst = _load_instance(args.instance)
     costs = min_cost.parse_costs(_read(args.costs), inst)
     matching, total = min_cost.min_cost_dominant(inst, costs)
@@ -196,6 +203,8 @@ def _cmd_min_cost(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import oracles
+
     inst = _load_instance(args.instance)
     guard = _max_enum()
     if args.what == "popular-edges":
@@ -323,8 +332,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, oracles.EnumerationGuardError, OSError) as exc:
+    except (InstanceError, EnumerationGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

@@ -36,6 +36,11 @@ class InstanceError(ValueError):
     """A structurally invalid instance or matching."""
 
 
+class EnumerationGuardError(RuntimeError):
+    """An exhaustive listing would exceed its guard (edges for the
+    oracles, matchings for `stable_matchings`)."""
+
+
 class ParseError(InstanceError):
     """A malformed PREF v1 or matching file."""
 

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import gale_shapley, verify
+from . import gale_shapley
 from .gale_shapley import LevelledMatching
 from .instance import Instance, InstanceError, Matching
-from .verify import Certificate
 
 
 class NotDominantError(InstanceError):
     """The inverse projection was asked for a non-dominant matching."""
 
-    def __init__(self, message: str, certificate: Optional[Certificate] = None):
+    def __init__(self, message: str, certificate: Optional["verify.Certificate"] = None):
         super().__init__(message)
         self.certificate = certificate
 
@@ -43,6 +42,8 @@ def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
     Raises NotDominantError (carrying the verifier's certificate) when
     the input is not dominant; the lift is meaningless otherwise.
     """
+    from . import verify
+
     cert, part = verify.checked_partition(inst, matching, dominant=True)
     if cert is not None:
         raise NotDominantError(f"matching is not dominant: {cert.kind}", cert)
@@ -50,7 +51,7 @@ def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
     if overlap:
         raise NotDominantError(
             "matching is not dominant: reachability sides overlap",
-            Certificate("partition-overlap", tuple(sorted(overlap))),
+            verify.Certificate("partition-overlap", tuple(sorted(overlap))),
         )
     # Unmatched men are seeded into the level-1 side, so every man at
     # level 0 is matched.

@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from . import gale_shapley
 from .gale_shapley import LevelledMatching
-from .instance import Instance, InstanceError, ParseError
-from .oracles import EnumerationGuardError
+from .instance import EnumerationGuardError, Instance, InstanceError, ParseError
 
 Edge = Tuple[str, str]
 Copy = Tuple[int, int]  # a man, by number, at a level: his copy of that level in G'
-CostFunction = Dict[Edge, Fraction]
+CostFunction = Dict[Edge, "Fraction"]
 
 DEFAULT_MAX_STABLE = 100_000
 
@@ -42,6 +40,8 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
     decimals, or p/q fractions, all kept exact.  A cost of more digits
     than Python prints (`sys.get_int_max_str_digits()`) is an error, its
     exponent checked first: expanding 1e999999999 would not finish."""
+    from fractions import Fraction
+
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     bound = 10**digits
     costs: CostFunction = {}
@@ -325,7 +325,7 @@ def _min_closure(weights: List[int], preds: List[Set[int]]) -> Set[int]:
                 nxt[u] += 1
 
 
-def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatching, Fraction]:
+def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatching, "Fraction"]:
     """A minimum-cost dominant matching and its exact cost: the cheapest
     stable matching of G', costed by its own pairs.
 
@@ -343,6 +343,8 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     then one max flow on R + 2 nodes whose capacities have O(n log n)
     bits for n men.
     """
+    from fractions import Fraction
+
     names, adj = inst.names, inst.adj
     n = len(inst.men)
     for m in range(n):

@@ -7,10 +7,9 @@ used by the fast verifiers.  Guarded by an edge-count limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Set, Tuple
 
-from .instance import Instance, Matching
+from .instance import EnumerationGuardError, Instance, Matching
 
 if TYPE_CHECKING:
     import numpy as np
@@ -18,10 +17,6 @@ if TYPE_CHECKING:
 DEFAULT_MAX_EDGES = 36
 
 _UNMATCHED_RANK = 30000
-
-
-class EnumerationGuardError(RuntimeError):
-    """The instance exceeds the exhaustive-enumeration guard."""
 
 
 def enumerate_matchings(inst: Instance, max_edges: Optional[int] = None) -> List[Matching]:
@@ -70,8 +65,7 @@ def _partner_ranks(inst: Instance, family: List[Matching]) -> np.ndarray:
     return pr
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Definition-level classification of every matching of an instance."""
 
     family: List[Matching]

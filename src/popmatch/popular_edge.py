@@ -11,25 +11,21 @@ the engine on the whole instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from . import gale_shapley, verify
-from .gale_shapley import LevelledMatching
+from . import gale_shapley
 from .instance import Instance, InstanceError, Matching
-from .verify import Certificate
 
 
 class NotPopularError(InstanceError):
     """A transformation that requires a popular input got a non-popular one."""
 
-    def __init__(self, message: str, certificate: Optional[Certificate] = None):
+    def __init__(self, message: str, certificate: Optional["verify.Certificate"] = None):
         super().__init__(message)
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A popular matching split along the blocking-pair closure.
 
     m0 covers the closure side (all of it matched, dominant there); m1
@@ -47,6 +43,8 @@ class Decomposition:
 def decompose(inst: Instance, matching: Matching) -> Decomposition:
     """Split a popular matching into its blocking-pair closure part and
     the remainder."""
+    from . import verify
+
     cert, part = verify.checked_partition(inst, matching, dominant=False)
     if cert is not None:
         raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
@@ -65,7 +63,7 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     )
 
 
-def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
+def lift_to_dominant(inst: Instance, matching: Matching) -> "gale_shapley.LevelledMatching":
     """Transform a popular matching into a dominant one that keeps the
     closure part m0 intact.
 

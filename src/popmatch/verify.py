@@ -20,9 +20,8 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .elections import LabeledGraph, label_edges
 from .instance import Instance, Matching
@@ -30,8 +29,7 @@ from .instance import Instance, Matching
 Edge = Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A replayable witness of a popularity or dominance violation.
 
     kind: blocking-pair | pp-cycle | pp-path-from-unmatched |
@@ -45,8 +43,7 @@ class Certificate:
     pp_edges: Tuple[Edge, ...] = ()
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """The alternating-reachability closure seeded by blocking pairs
     (and optionally by unmatched vertices)."""
 

@@ -299,6 +299,18 @@ def test_enumerate_guard_env(tmp_path, capsys, monkeypatch):
     assert code == 2 and "POPMATCH_MAX_ENUM" in err
 
 
+def test_out_of_memory_is_exit_2(shared_top_file, capsys, monkeypatch):
+    # an exponential family can exhaust memory before any guard trips;
+    # that is an input too large for the machine, not a crash
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(popmatch.oracles, "enumerate_matchings", exhausted)
+    code, out, err = run_cli(capsys, "enumerate", "--what", "matchings", "-i", shared_top_file)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory running enumerate\n"
+
+
 def test_gen_round_trip(tmp_path, capsys):
     path = tmp_path / "gen.pref"
     code, out, _ = run_cli(
@@ -448,3 +460,80 @@ def test_cli_paths_build_no_name_view(tmp_path, monkeypatch, capsys):
         assert main(["min-cost-dominant", "--costs", str(d / "costs")] + i) == 0
     capsys.readouterr()
     assert built == []
+
+
+def run_fresh(code: str, *argv: str) -> str:
+    """stdout of `code` run in a fresh interpreter on this checkout."""
+    src = str(Path(popmatch.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+BASE_MODULES = ["popmatch", "popmatch.cli", "popmatch.gale_shapley", "popmatch.instance",
+                "popmatch.popular_edge"]
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # start-up is most of a CLI call on small inputs, so each command
+    # loads only its own modules: no dataclasses (which loads inspect),
+    # no numpy, and fractions only for the exact costs of min-cost-dominant
+    path = tmp_path / "inst.pref"
+    path.write_text(CONTESTED_HUB_TEXT)
+    costs = tmp_path / "c.costs"
+    edges = sorted(parse_instance(CONTESTED_HUB_TEXT).edges)
+    costs.write_text("".join(f"{m} {w} {k}/3\n" for k, (m, w) in enumerate(edges)))
+    matching = tmp_path / "m.txt"
+    matching.write_text("a1 b1\na2 b2\n")
+    i, m = ["-i", str(path)], ["-m", str(matching)]
+    verify = BASE_MODULES + ["popmatch.elections", "popmatch.verify"]
+    cases = [
+        (["--help"], BASE_MODULES),
+        (["solve", "--property", "stable"] + i, BASE_MODULES),
+        (["solve", "--property", "dominant"] + i, BASE_MODULES + ["popmatch.level_graph"]),
+        (["verify", "--property", "stable"] + m + i, verify),
+        (["verify", "--property", "popular"] + m + i, verify),
+        (["verify", "--property", "dominant"] + m + i, verify),
+        (["popular-edge", "--edge", "a2,b1"] + i, BASE_MODULES),
+        (["popular-vs-stable"] + i,
+         BASE_MODULES + ["popmatch.min_cost", "popmatch.unstable_popular"]),
+        (["min-cost-dominant", "--costs", str(costs)] + i, BASE_MODULES + ["popmatch.min_cost"]),
+        (["enumerate", "--what", "matchings"] + i, BASE_MODULES + ["popmatch.oracles"]),
+    ]
+    code = (
+        "import contextlib, io, sys, popmatch.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        popmatch.cli.main(sys.argv[1:])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'popmatch')))\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy', 'fractions')"
+        " if m in sys.modules))\n"
+    )
+    for argv, modules in cases:
+        loaded, heavy = run_fresh(code, *argv).split("\n")[:2]
+        assert loaded.split() == sorted(modules), argv
+        assert heavy == ("fractions" if argv[0] == "min-cost-dominant" else ""), argv
+
+
+def test_lazy_package_keeps_its_names():
+    # popular_edge names the function whichever import binds the
+    # submodule first, and every other public name resolves on first use
+    for first in ("import popmatch.popular_edge",
+                  "from popmatch.popular_edge import NotPopularError", "import popmatch"):
+        code = f"{first}\nimport inspect, popmatch\nprint(inspect.isfunction(popmatch.popular_edge))\n"
+        assert run_fresh(code) == "True\n", first
+    code = (
+        "import popmatch\n"
+        "print(sorted(set(popmatch.__all__) - set(dir(popmatch))))\n"
+        "print(popmatch.oracles.EnumerationGuardError is popmatch.EnumerationGuardError)\n"
+        "print(hasattr(popmatch, 'no_such_name'), hasattr(popmatch, 'is_popular'))\n"
+        "print(popmatch.is_popular is popmatch.verify.is_popular)\n"
+    )
+    assert run_fresh(code) == "[]\nTrue\nFalse True\nTrue\n"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        popmatch.no_such_name
