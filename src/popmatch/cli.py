@@ -203,27 +203,33 @@ def _cmd_min_cost(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import oracles
-
     inst = _load_instance(args.instance)
-    guard = _max_enum()
     if args.what == "popular-edges":
-        edges = sorted(oracles.popular_edges(inst, guard))
+        from .min_cost import rotation_poset
+
+        # an edge is popular iff a stable matching of G or of G' holds it
+        pairs = rotation_poset(inst, 1).stable_pairs() | rotation_poset(inst, 2).stable_pairs()
+        edges = sorted((inst.names[m], inst.names[inst.adj[m][k]]) for m, k in pairs)
         if args.json:
             print(json.dumps({"edges": [list(e) for e in edges]}))
         else:
             for m, w in edges:
                 print(f"{m} {w}")
         return 0
-    if args.what == "matchings":
-        family = oracles.enumerate_matchings(inst, guard)
+    if args.what in ("stable", "dominant"):
+        from .min_cost import stable_matchings
+
+        # dominant: the stable matchings of G', one per set of pairs (they sort by pairs)
+        listed = stable_matchings(inst, levels=1 + (args.what == "dominant"))
+        family = [m for m, prev in zip(listed, [None] + listed) if m != prev]
     else:
-        report = oracles.classify(inst, guard)
-        family = {
-            "stable": report.stable_set,
-            "popular": report.popular_set,
-            "dominant": report.dominant_set,
-        }[args.what]()
+        from .oracles import enumerate_matchings
+
+        family = enumerate_matchings(inst, _max_enum())
+        if args.what == "popular":
+            from .verify import is_popular
+
+            family = [m for m in family if is_popular(inst, m)[0]]
     if args.json:
         print(json.dumps({"matchings": [_pairs(m) for m in family]}))
     else:
@@ -306,11 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_min_cost)
 
-    p = sub.add_parser("enumerate", help="exhaustively list matchings (guarded)")
+    p = sub.add_parser("enumerate", help="list matchings of one kind, or the popular edges")
     p.add_argument(
         "--what",
         choices=("matchings", "stable", "popular", "dominant", "popular-edges"),
         required=True,
+        help="stable, dominant: read off the rotation poset of G or G', at most 100,000 "
+        "stable matchings; popular-edges: the pairs of both posets, in O(m log m); "
+        "matchings, popular: exhaustive search, at most POPMATCH_MAX_ENUM edges (default 36)",
     )
     common(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -12,15 +12,16 @@ a fixed amount, and the cheapest closed set is one minimum cut (Picard
 the lattice by one pointer walk and their precedence by Gusfield-Irving
 pair labelling, in O(m log m) on m edges; it runs on levelled
 proposers, as `gale_shapley.run` does, so G' is never built.
-`stable_matchings` lists the closed sets of that poset instead, for
-small instances and tests.
+`stable_matchings` lists the closed sets of that poset instead, each
+stable matching once, up to a count guard, and `stable_pairs` the
+pairs they hold; `enumerate --what stable|dominant|popular-edges`
+prints these.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from itertools import chain
 from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -111,6 +112,14 @@ class RotationPoset(NamedTuple):
         ]
         level = {names[m]: int(at[m, 0] == len(adj[m])) for m in range(len(self.inst.men))}
         return LevelledMatching(pairs, level)
+
+    def stable_pairs(self) -> Set[Tuple[int, int]]:
+        """The (man, position) pairs its stable matchings hold, real women
+        only: the start pairs and those rotations move onto."""
+        adj = self.inst.adj
+        pairs = {(m, k) for (m, _), k in self.start.items() if k is not None}
+        pairs.update((m, to) for rot in self.rotations for m, _, _, to in rot)
+        return {(m, k) for m, k in pairs if 0 <= k < len(adj[m])}
 
 
 def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
@@ -249,9 +258,7 @@ def stable_matchings(
         for i in range(len(sets)):
             if before <= sets[i]:
                 if len(sets) >= cap:
-                    raise EnumerationGuardError(
-                        f"more than {cap} stable matchings; raise the guard"
-                    )
+                    raise EnumerationGuardError(f"more than {cap} stable matchings")
                 sets.append(sets[i] | {r})
     found = map(poset.matching, sets)
     return sorted(found, key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
@@ -353,17 +360,15 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
                 raise InstanceError(f"missing cost for edge ({names[m]},{names[w]})")
 
     poset = rotation_poset(inst, levels=2)
-    # only the start pairs and the pairs rotations move onto are priced;
-    # dummy positions are not, and cost nothing
-    start = [(m, k) for (m, _), k in poset.start.items() if k is not None]
-    moved = [(m, to) for rot in poset.rotations for m, _, _, to in rot]
-    priced = {(m, k): costs[names[m], names[adj[m][k]]]
-              for m, k in chain(start, moved) if 0 <= k < len(adj[m])}
+    # only the pairs a stable matching of G' can hold are priced; dummy
+    # positions are not, and cost nothing
+    priced = {(m, k): costs[names[m], names[adj[m][k]]] for m, k in poset.stable_pairs()}
     scale = lcm(*{c.denominator for c in priced.values()})
     price = {e: c.numerator * (scale // c.denominator) for e, c in priced.items()}
     by_name = sorted(range(n, len(names)), key=names.__getitem__)
     value = {w: v for v, w in enumerate(by_name)}
-    partner = {m: adj[m][k] for m, k in start if 0 <= k < len(adj[m])}
+    partner = {m: adj[m][k] for (m, _), k in poset.start.items()
+               if k is not None and 0 <= k < len(adj[m])}
     # per rotation its cost change, and per man the change each of his
     # rotations makes to his partner's place in name order
     gains = [0] * len(poset.rotations)

@@ -1,8 +1,8 @@
-"""Brute-force ground truth at desk scale.
+"""Brute-force ground truth at desk scale, the reference of the tests.
 
-Everything here works by exhaustive enumeration and definition-level
-pairwise elections, independently of the structural characterizations
-used by the fast verifiers.  Guarded by an edge-count limit.
+Exhaustive enumeration and definition-level pairwise elections, apart
+from the structural characterizations of the fast verifiers; guarded by
+an edge-count limit.  The CLI reads only `enumerate_matchings`.
 """
 
 from __future__ import annotations

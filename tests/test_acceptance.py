@@ -6,6 +6,7 @@ verdicts are visible in any pytest run.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -238,7 +239,23 @@ def test_criterion_9_scalability(capsys):
         assert edge_seconds < 5.0, f"popular-edge took {edge_seconds:.2f}s"
         assert witness is not None and edge in witness.pairs
 
-        assert len(rotation_poset(inst, 2).rotations) == 908
+        poset = rotation_poset(inst, 2)
+        assert len(poset.rotations) == 908
+        # what enumerate --what popular-edges lists, checked on samples
+        # in and out of it against one forced run each
+        pairs = rotation_poset(inst, 1).stable_pairs() | poset.stable_pairs()
+        popular = {(inst.names[m], inst.names[inst.adj[m][k]]) for m, k in pairs}
+        assert len(popular) == 26_064
+        rng = random.Random(9)
+        inside = rng.sample(sorted(popular), 10)
+        outside = rng.sample(sorted(set(inst.edges) - popular), 10)
+        start = time.perf_counter()
+        for e in inside + outside:
+            witness = popular_edge(inst, e)
+            assert (witness is not None) == (e in popular), e
+            assert witness is None or e in witness.pairs
+        queries_seconds = time.perf_counter() - start
+        assert queries_seconds < 20.0, f"20 popular-edge queries took {queries_seconds:.2f}s"
         start = time.perf_counter()
         m, (a, b) = exists_unstable_popular(inst)
         unstable_seconds = time.perf_counter() - start

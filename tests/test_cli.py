@@ -11,6 +11,7 @@ import popmatch
 from popmatch import (
     Instance,
     Matching,
+    classify,
     dominant_two_level,
     generate_random,
     parse_instance,
@@ -19,7 +20,8 @@ from popmatch import (
     serialize_matching,
 )
 from popmatch.cli import main
-from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text
+from popmatch.oracles import popular_edges
+from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text, cyclic_text
 
 
 @pytest.fixture
@@ -282,6 +284,51 @@ def test_enumerate_variants(shared_top_file, capsys):
     }
 
 
+def listed(family, js):
+    """What `enumerate` prints for a list of matchings."""
+    if js:
+        return json.dumps({"matchings": [[list(e) for e in m.sorted_pairs()] for m in family]}) + "\n"
+    return "".join((" ".join(f"{a},{b}" for a, b in m.sorted_pairs()) or "{}") + "\n" for m in family)
+
+
+def test_enumerate_matches_the_oracle(small_ensemble, tmp_path, capsys):
+    # stable, dominant and popular-edges read the rotation posets and
+    # popular runs the linear verifier; the brute-force classification
+    # is the reference for all four
+    extra = [parse_instance(blocks_text(k)) for k in range(1, 4)]
+    extra += [parse_instance(cyclic_text(n)) for n in range(2, 6)]
+    path = tmp_path / "inst.pref"
+    for inst, report in small_ensemble + [(inst, classify(inst)) for inst in extra]:
+        path.write_text(serialize_instance(inst))
+        edges = sorted(popular_edges(inst))
+        for js in (False, True):
+            want = {
+                "stable": listed(report.stable_set(), js),
+                "dominant": listed(report.dominant_set(), js),
+                "popular": listed(report.popular_set(), js),
+                "popular-edges": json.dumps({"edges": [list(e) for e in edges]}) + "\n"
+                if js else "".join(f"{a} {b}\n" for a, b in edges),
+            }
+            for what, out in want.items():
+                argv = ["enumerate", "--what", what, "-i", str(path)] + ["--json"] * js
+                assert run_cli(capsys, *argv) == (0, out, ""), (serialize_instance(inst), argv)
+
+
+def test_enumerate_guards_count_the_family(tmp_path, capsys, monkeypatch):
+    # stable and dominant are bounded by the number of stable matchings
+    # they list, not by the edge guard of the exhaustive listings
+    monkeypatch.setenv("POPMATCH_MAX_ENUM", "1")
+    path = tmp_path / "blocks.pref"
+    path.write_text(blocks_text(10))
+    code, out, err = run_cli(capsys, "enumerate", "--what", "stable", "-i", str(path))
+    assert code == 0 and err == "" and len(out.splitlines()) == 2**10
+    path.write_text(blocks_text(9))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--what", "dominant", "-i", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err) == (2, "", "error: more than 100000 stable matchings\n")
+
+
 def test_enumerate_guard_env(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.pref"
     code, _, _ = run_cli(
@@ -480,7 +527,8 @@ BASE_MODULES = ["popmatch", "popmatch.cli", "popmatch.gale_shapley", "popmatch.i
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # start-up is most of a CLI call on small inputs, so each command
     # loads only its own modules: no dataclasses (which loads inspect),
-    # no numpy, and fractions only for the exact costs of min-cost-dominant
+    # no numpy (no enumerate runs the numpy oracle), and fractions only
+    # for the exact costs of min-cost-dominant
     path = tmp_path / "inst.pref"
     path.write_text(CONTESTED_HUB_TEXT)
     costs = tmp_path / "c.costs"
@@ -502,6 +550,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
          BASE_MODULES + ["popmatch.min_cost", "popmatch.unstable_popular"]),
         (["min-cost-dominant", "--costs", str(costs)] + i, BASE_MODULES + ["popmatch.min_cost"]),
         (["enumerate", "--what", "matchings"] + i, BASE_MODULES + ["popmatch.oracles"]),
+        (["enumerate", "--what", "popular"] + i, verify + ["popmatch.oracles"]),
+    ] + [
+        (["enumerate", "--what", what] + i, BASE_MODULES + ["popmatch.min_cost"])
+        for what in ("stable", "dominant", "popular-edges")
     ]
     code = (
         "import contextlib, io, sys, popmatch.cli\n"

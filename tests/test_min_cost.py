@@ -10,6 +10,7 @@ from conftest import (
     blocks_text,
     build_level_graph,
     cyclic_text,
+    ensemble_instance,
     lattice_stable_matchings,
     map_T,
     reference_min_cost_dominant,
@@ -28,6 +29,7 @@ from popmatch import (
     parse_instance,
     stable_matchings,
 )
+from popmatch.gale_shapley import forced
 from popmatch.min_cost import _min_closure, rotation_poset
 
 
@@ -204,6 +206,40 @@ def test_closed_sets_are_the_stable_matchings(small_ensemble):
             assert got == {(m.pairs, tuple(m.level.values())) for m in listed}
     # four stable matchings of G' per block: a chain of three rotations
     assert len(poset.rotations) == 12 and len(sets) == 4**4
+
+
+def test_stable_pairs_have_their_forced_witness():
+    # the rotations moving one proposer form a chain, so the down-set of
+    # the rotation that brings a pair gives the men-best stable matching
+    # holding it (Gusfield-Irving 1989, ch. 3), which is also what one
+    # forced run finds: this ties the pointer walk to the proposal engine
+    checked = 0
+    for seed in range(200):
+        inst = ensemble_instance(seed)
+        adj, names = inst.adj, inst.names
+        for levels in (1, 2):
+            poset = rotation_poset(inst, levels)
+            brings = {(m, lvl, k): () for (m, lvl), k in poset.start.items()}
+            brings.update(((m, lvl, to), (r,)) for r, rot in enumerate(poset.rotations)
+                          for m, lvl, _, to in rot)
+            real = set()
+            for (m, lvl, k), rots in brings.items():
+                if k is None or not 0 <= k < len(adj[m]):
+                    continue
+                real.add((m, k))
+                down, todo = set(), list(rots)
+                while todo:
+                    r = todo.pop()
+                    if r not in down:
+                        down.add(r)
+                        todo += poset.preds[r]
+                want = poset.matching(down)
+                got = forced(inst, {names[adj[m][k]]: (names[m], lvl)}, levels)
+                assert got is not None and got.pairs == want.pairs, (seed, levels, m, k)
+                assert got.level == want.level, (seed, levels, m, k)
+                checked += 1
+            assert poset.stable_pairs() == real
+    assert checked > 1000
 
 
 def keys(matchings):
