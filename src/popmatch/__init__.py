@@ -38,15 +38,14 @@ __version__ = "1.0.0"
 # access and binds it here.
 _NAMES = {
     "elections": "ElectionResult LabeledGraph compare defeats label_edges vote",
-    "gale_shapley": "LevelledMatching is_stable run stable_with_edge",
+    "gale_shapley": "LevelledMatching dominant_two_level is_stable run stable_with_edge",
     "instance": "EnumerationGuardError Instance InstanceError Matching ParseError "
     "generate_random parse_instance parse_matching serialize_instance serialize_matching",
-    "level_graph": "dominant_two_level inverse_map",
-    "min_cost": "min_cost_dominant parse_costs stable_matchings",
+    "min_cost": "min_cost_dominant parse_costs",
     "oracles": "classify dominant_set enumerate_matchings popular_edges popular_set stable_set",
-    "popular_edge": "Decomposition decompose dominant_with_edge lift_to_dominant "
-    "lower_to_stable popular_edge",
-    "unstable_popular": "exists_unstable_popular unstable_via_pair",
+    "popular_edge": "Decomposition decompose dominant_with_edge inverse_map lift_to_dominant "
+    "lower_to_stable popular_edge unstable_via_pair",
+    "rotations": "exists_unstable_popular stable_matchings",
     "verify": "Certificate Partition is_dominant is_popular partition",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}

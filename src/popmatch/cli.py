@@ -17,6 +17,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .instance import (
+    MAX_LISTED,
     EnumerationGuardError,
     Instance,
     InstanceError,
@@ -92,15 +93,11 @@ def _cmd_solve(args) -> int:
     if args.property == "stable":
         if args.algo not in (None, "gs"):
             raise InstanceError("--property stable only supports --algo gs")
-        from . import gale_shapley
-
-        result = gale_shapley.run(inst)
     elif args.algo == "gs":
         raise InstanceError("--property dominant needs --algo two-level")
-    else:
-        from . import level_graph
+    from . import gale_shapley
 
-        result = level_graph.dominant_two_level(inst)
+    result = gale_shapley.run(inst, levels=1 + (args.property == "dominant"))
     if args.json:
         print(json.dumps({"matching": _pairs(result)}))
     else:
@@ -150,10 +147,10 @@ def _cmd_popular_edge(args) -> int:
 
 
 def _cmd_popular_vs_stable(args) -> int:
-    from . import unstable_popular
+    from .rotations import exists_unstable_popular
 
     inst = _load_instance(args.instance)
-    found = unstable_popular.exists_unstable_popular(inst)
+    found = exists_unstable_popular(inst)
     if args.json:
         out = {"all_stable": found is None}
         if found is not None:
@@ -205,11 +202,11 @@ def _cmd_min_cost(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.instance)
     if args.what == "popular-edges":
-        from .min_cost import rotation_poset
+        from .rotations import rotation_poset
 
         # an edge is popular iff a stable matching of G or of G' holds it
-        pairs = rotation_poset(inst, 1).stable_pairs() | rotation_poset(inst, 2).stable_pairs()
-        edges = sorted((inst.names[m], inst.names[inst.adj[m][k]]) for m, k in pairs)
+        edges = rotation_poset(inst, 1).stable_pairs() | rotation_poset(inst, 2).stable_pairs()
+        edges = sorted(edges)
         if args.json:
             print(json.dumps({"edges": [list(e) for e in edges]}))
         else:
@@ -217,15 +214,14 @@ def _cmd_enumerate(args) -> int:
                 print(f"{m} {w}")
         return 0
     if args.what in ("stable", "dominant"):
-        from .min_cost import stable_matchings
+        from .rotations import rotation_poset
 
-        # dominant: the stable matchings of G', one per set of pairs (they sort by pairs)
-        listed = stable_matchings(inst, levels=1 + (args.what == "dominant"))
-        family = [m for m, prev in zip(listed, [None] + listed) if m != prev]
+        # dominant: the pairs of the stable matchings of G'
+        family = rotation_poset(inst, 1 + (args.what == "dominant")).distinct_pairs()
     else:
         from .oracles import enumerate_matchings
 
-        family = enumerate_matchings(inst, _max_enum())
+        family = enumerate_matchings(inst, _max_enum(), MAX_LISTED)
         if args.what == "popular":
             from .verify import is_popular
 
@@ -319,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="stable, dominant: read off the rotation poset of G or G', at most 100,000 "
         "stable matchings; popular-edges: the pairs of both posets, in O(m log m); "
-        "matchings, popular: exhaustive search, at most POPMATCH_MAX_ENUM edges (default 36)",
+        "matchings, popular: exhaustive search, at most POPMATCH_MAX_ENUM edges (default 36) "
+        "and 100,000 matchings",
     )
     common(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -2,10 +2,17 @@
 
 One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors) and levelled proposers.  With two
-levels it runs deferred acceptance on the two-copy instance G' of
-`level_graph` without building G'.  The forced-edge query `forced` is
-one run with floors at either number of levels; `is_stable` is the
-blocking-pair scan of G.
+levels it runs deferred acceptance on the two-copy instance G' without
+building G'.  The forced-edge query `forced` is one run with floors at
+either number of levels; `is_stable` is the blocking-pair scan of G.
+
+G' splits each man a of the base instance into a level-0 copy and a
+level-1 copy sharing a private dummy woman d(a); base women rank every
+level-1 copy above every level-0 copy.  Stable matchings of G' project
+exactly onto the dominant matchings of the base instance.  A stable
+matching of G' is a levelled matching of the base instance, in which a
+man at level l stands for his level-l copy holding his partner (or
+nothing) and his other copy holding d(a).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .instance import Instance, InstanceError, Matching
 
 class LevelledMatching(Matching):
     """A matching plus `level`: man -> the level he ended on.  With two
-    levels it stands for a matching of G' (see `level_graph`).  Equality
+    levels it stands for a matching of G'.  Equality
     compares the pairs only."""
 
     __slots__ = ("level",)
@@ -99,6 +106,12 @@ def run(
         level[m] = lvl
     pairs = ((names[holds[w]], names[w]) for w in range(n, len(names)) if holds[w] >= 0)
     return LevelledMatching(pairs, dict(zip(inst.men, level)))
+
+
+def dominant_two_level(inst: Instance) -> LevelledMatching:
+    """A dominant matching: the two-level run, which is deferred
+    acceptance on G' without building it."""
+    return run(inst, levels=2)
 
 
 def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:

@@ -37,8 +37,13 @@ class InstanceError(ValueError):
 
 
 class EnumerationGuardError(RuntimeError):
-    """An exhaustive listing would exceed its guard (edges for the
-    oracles, matchings for `stable_matchings`)."""
+    """An exhaustive listing would exceed its guard: edges for the
+    oracles, or matchings listed (`MAX_LISTED` for the CLI's)."""
+
+
+# The most matchings a listing holds: the closed sets of a rotation
+# poset, or the matchings `enumerate --what matchings|popular` lists.
+MAX_LISTED = 100_000
 
 
 class ParseError(InstanceError):

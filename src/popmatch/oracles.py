@@ -2,7 +2,8 @@
 
 Exhaustive enumeration and definition-level pairwise elections, apart
 from the structural characterizations of the fast verifiers; guarded by
-an edge-count limit.  The CLI reads only `enumerate_matchings`.
+an edge-count limit and a family-size limit.  The CLI reads only
+`enumerate_matchings`.
 """
 
 from __future__ import annotations
@@ -19,20 +20,26 @@ DEFAULT_MAX_EDGES = 36
 _UNMATCHED_RANK = 30000
 
 
-def enumerate_matchings(inst: Instance, max_edges: Optional[int] = None) -> List[Matching]:
+def enumerate_matchings(
+    inst: Instance, max_edges: Optional[int] = None, limit: Optional[int] = None
+) -> List[Matching]:
     """All matchings of the instance, including the empty one, in
-    lexicographic order of their sorted pair lists."""
-    limit = DEFAULT_MAX_EDGES if max_edges is None else max_edges
+    lexicographic order of their sorted pair lists.  Raises
+    EnumerationGuardError past `max_edges` edges, or as soon as it would
+    hold more than `limit` matchings (no limit by default)."""
+    max_edges = DEFAULT_MAX_EDGES if max_edges is None else max_edges
     edges = sorted(inst.edges)
-    if len(edges) > limit:
+    if len(edges) > max_edges:
         raise EnumerationGuardError(
-            f"{len(edges)} edges exceed the enumeration guard of {limit}"
+            f"{len(edges)} edges exceed the enumeration guard of {max_edges}"
         )
-    out: List[frozenset] = [frozenset()]
-    chosen: list = []
+    # each matching as a bitmask of its edges, so that a family refused
+    # at the guard has not filled memory first
+    out = [0]
+    mask = 0
     used: Set[str] = set()
     # a depth-first search with an explicit stack: stack[d] is the first
-    # edge to try as the (d+1)-th pair of `chosen`
+    # edge to try as the (d+1)-th pair of `mask`
     stack = [0]
     while stack:
         i = stack.pop()
@@ -40,14 +47,19 @@ def enumerate_matchings(inst: Instance, max_edges: Optional[int] = None) -> List
             i += 1
         if i < len(edges):
             stack += (i + 1, i + 1)
-            chosen.append(edges[i])
+            if limit is not None and len(out) >= limit:
+                raise EnumerationGuardError(f"more than {limit} matchings")
             used.update(edges[i])
-            out.append(frozenset(chosen))
-        elif chosen:
-            used.difference_update(chosen.pop())
-    family = [Matching(pairs) for pairs in out]
-    family.sort(key=lambda matching: matching.sorted_pairs())
-    return family
+            mask |= 1 << i
+            out.append(mask)
+        elif mask:
+            # the pair chosen last is the highest edge of the matching
+            i = mask.bit_length() - 1
+            used.difference_update(edges[i])
+            mask ^= 1 << i
+    # a preorder that tries edges in sorted order lists the matchings in
+    # lexicographic order of their sorted pair lists
+    return [Matching(e for j, e in enumerate(edges) if bits >> j & 1) for bits in out]
 
 
 def _partner_ranks(inst: Instance, family: List[Matching]) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 An edge lies in a popular matching iff it lies in a stable matching or
 in a dominant one, so the engine's forced-edge query on the instance
-and on its implicit G' settles the question.  `decompose` splits a
-popular matching into a dominant core m0 and a stable remainder m1;
-`lift_to_dominant` and `lower_to_stable` push the whole matching to a
-dominant or a stable one keeping m0 or m1, each by one floored run of
-the engine on the whole instance.
+and on its implicit G' (see `gale_shapley`) settles the question.
+`decompose` splits a popular matching into a dominant core m0 and a
+stable remainder m1; `lift_to_dominant` and `lower_to_stable` push the
+whole matching to a dominant or a stable one keeping m0 or m1, each by
+one floored run of the engine on the whole instance.  `inverse_map`
+lifts a dominant matching to G', and `unstable_via_pair` probes G' for
+a dominant matching that a given edge blocks.
 """
 
 from __future__ import annotations
@@ -14,15 +16,22 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from . import gale_shapley
+from .gale_shapley import LevelledMatching
 from .instance import Instance, InstanceError, Matching
 
 
-class NotPopularError(InstanceError):
-    """A transformation that requires a popular input got a non-popular one."""
+class NotDominantError(InstanceError):
+    """The inverse projection was asked for a non-dominant matching;
+    `certificate` is the verifier's."""
 
     def __init__(self, message: str, certificate: Optional["verify.Certificate"] = None):
         super().__init__(message)
         self.certificate = certificate
+
+
+class NotPopularError(NotDominantError):
+    """A transformation that requires a popular input got a non-popular
+    one, which is not dominant either."""
 
 
 class Decomposition(NamedTuple):
@@ -63,7 +72,31 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     )
 
 
-def lift_to_dominant(inst: Instance, matching: Matching) -> "gale_shapley.LevelledMatching":
+def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
+    """Lift a dominant matching to the stable matching of G' that
+    projects back onto it: the same pairs, with the men on the level-1
+    side of the reachability partition at level 1 and the rest at 0.
+
+    Raises NotDominantError (carrying the verifier's certificate) when
+    the input is not dominant; the lift is meaningless otherwise.
+    """
+    from . import verify
+
+    cert, part = verify.checked_partition(inst, matching, dominant=True)
+    if cert is not None:
+        raise NotDominantError(f"matching is not dominant: {cert.kind}", cert)
+    overlap = part.a0 & part.a1
+    if overlap:
+        raise NotDominantError(
+            "matching is not dominant: reachability sides overlap",
+            verify.Certificate("partition-overlap", tuple(sorted(overlap))),
+        )
+    # Unmatched men are seeded into the level-1 side, so every man at
+    # level 0 is matched.
+    return LevelledMatching(matching.pairs, {a: int(a in part.a1) for a in inst.men})
+
+
+def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
     """Transform a popular matching into a dominant one that keeps the
     closure part m0 intact.
 
@@ -109,6 +142,30 @@ def dominant_with_edge(
         if got is not None:
             return got
     return None
+
+
+def unstable_via_pair(
+    inst: Instance, e1: Tuple[str, str], e2: Tuple[str, str]
+) -> Optional[Matching]:
+    """A dominant matching containing e1 = (a,v) and e2's woman side
+    (u,b) with (a,b) blocking it, if one exists: the reference probe for
+    `rotations.exists_unstable_popular`.
+
+    Probes G' for a stable matching in which v holds a at level 0 and b
+    holds u at level 1.
+    """
+    a, v = e1
+    u, b = e2
+    for e in (e1, e2):
+        if not inst.has_edge(*e):
+            raise InstanceError(f"({e[0]},{e[1]}) is not an edge of the instance")
+    if len({a, v, u, b}) < 4:
+        return None
+    if not inst.has_edge(a, b):
+        raise InstanceError(f"({a},{b}) is not an edge, so it cannot block")
+    if not (inst.prefers(a, b, v) and inst.prefers(b, a, u)):
+        raise InstanceError(f"({a},{b}) does not mutually improve on ({a},{v}), ({u},{b})")
+    return gale_shapley.forced(inst, {v: (a, 0), b: (u, 1)}, 2)
 
 
 def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:

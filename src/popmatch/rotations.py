@@ -1,0 +1,330 @@
+"""The rotation poset of an instance, or of its two-copy instance G'.
+
+The stable matchings are the proposer-optimal matching with the
+rotations of a closed set eliminated (Irving, Leather and Gusfield,
+J. ACM 1987; Gusfield-Irving 1989, ch. 3), and the dominant matchings
+are the projections of the stable matchings of G' (see
+`gale_shapley`).  `rotation_poset` finds every rotation on one maximal
+chain of the lattice by one pointer walk and their precedence by
+Gusfield-Irving pair labelling, in O(m log m) on m edges; it runs on
+levelled proposers, as `gale_shapley.run` does, so G' is never built.
+Its readers are here too: `stable_matchings` lists the closed sets,
+each stable matching once, up to a count guard, and
+`exists_unstable_popular` decides whether every popular matching is
+stable.  `min_cost.min_cost_dominant` reads the poset through
+`partners`, `matching` and `preds`, not through its encoding.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+
+from . import gale_shapley
+from .gale_shapley import LevelledMatching
+from .instance import MAX_LISTED, EnumerationGuardError, Instance, Matching
+
+Copy = Tuple[int, int]  # a man, by number, at a level: his copy of that level in G'
+# (key, the rotation that brought it) along the chain, keys ascending;
+# rotation -1 is the proposer-optimal matching
+Chain = List[Tuple[Optional[int], int]]
+_key = itemgetter(0)
+
+
+class RotationPoset(NamedTuple):
+    """The rotations of G (of the implicit G' with levels=2) and their
+    precedence.
+
+    Proposer (m, l) is man m's copy at level l.  His position is an
+    index into m's list, or len(list) for the dummy at the bottom of a
+    level-0 copy's list, -1 for the dummy at the top of a level-1 copy's
+    list, and None when he holds no one.  Rotation r is the r-th on one
+    maximal chain of the lattice, and `preds[r]` holds rotations that
+    precede it, all earlier on the chain; the order is their transitive
+    closure.  A closed set holds the preds of each member, and the
+    closed sets are the stable matchings.  Along the chain, `chains[c]`
+    lists proposer c's positions, and `held[w]` minus woman w's ranks in
+    G' (level 1 first) of the proposers she holds, each as a `Chain`.
+    """
+
+    inst: Instance
+    preds: List[Set[int]]
+    chains: Dict[Copy, Chain]
+    held: Dict[int, Chain]
+
+    def matching(self, closed: int) -> LevelledMatching:
+        """The stable matching that eliminating a closed set, given as a
+        bitmask of its rotations, leaves.  The rotations moving one
+        proposer form a chain, each a pred of the next, so the set holds
+        a prefix of them, and he ends where the last of those puts him."""
+        adj, names = self.inst.adj, self.inst.names
+        at = {
+            c: chain[sum(closed >> r & 1 for _, r in chain[1:])][0]
+            for c, chain in self.chains.items()
+        }
+        pairs = [
+            (names[m], names[adj[m][k]])
+            for (m, _), k in at.items()
+            if k is not None and 0 <= k < len(adj[m])
+        ]
+        level = {names[m]: int(at[m, 0] == len(adj[m])) for m in range(len(self.inst.men))}
+        return LevelledMatching(pairs, level)
+
+    def partners(self, m: int) -> List[Tuple[int, int]]:
+        """Man m's real partners along the chain, by position in his
+        list, each beside the rotation that brought it (-1: the start).
+        In G' his level-1 copy's follow his level-0 copy's: the rotation
+        that moves the level-0 copy to the dummy moves the level-1 copy
+        off the other."""
+        size = len(self.inst.adj[m])
+        return [
+            (k, r)
+            for lvl in (0, 1)
+            for k, r in self.chains.get((m, lvl), ())
+            if k is not None and 0 <= k < size
+        ]
+
+    def stable_pairs(self) -> Set[Tuple[str, str]]:
+        """The pairs its stable matchings hold: the start pairs and those
+        rotations move onto."""
+        adj, names = self.inst.adj, self.inst.names
+        men = range(len(self.inst.men))
+        return {(names[m], names[adj[m][k]]) for m in men for k, _ in self.partners(m)}
+
+    def closed_sets(self, limit: int = MAX_LISTED) -> List[int]:
+        """Every closed set once, as a bitmask of its rotations.  Raises
+        EnumerationGuardError past `limit` sets."""
+        # the first r rotations on the chain form a down-set, so each closed
+        # set of theirs is one of the poset, and extending them one rotation
+        # at a time meets each closed set once
+        sets = [0]
+        for r, before in enumerate(self.preds):
+            need = sum(1 << p for p in before)
+            for i in range(len(sets)):
+                if sets[i] & need == need:
+                    if len(sets) >= limit:
+                        raise EnumerationGuardError(f"more than {limit} stable matchings")
+                    sets.append(sets[i] | 1 << r)
+        return sets
+
+    def distinct_pairs(self) -> List[Matching]:
+        """The pairs of its stable matchings, each set of pairs once (two
+        stable matchings of G' may share theirs), sorted."""
+        adj, names = self.inst.adj, self.inst.names
+        # a closed set holds a prefix of each man's moves, so how many
+        # of them it holds gives his partner
+        men = []
+        for m in range(len(self.inst.men)):
+            if partners := self.partners(m):
+                men.append((m, partners, sum(1 << r for _, r in partners[1:])))
+        found = {
+            tuple(partners[(s & moves).bit_count()][0] for _, partners, moves in men)
+            for s in self.closed_sets()
+        }
+        listed = (
+            Matching((names[m], names[adj[m][k]]) for (m, _, _), k in zip(men, key))
+            for key in found
+        )
+        return sorted(listed, key=Matching.sorted_pairs)
+
+
+def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
+    """Every rotation and their precedence (Gusfield-Irving, ch. 3).
+
+    The rotations are found on one maximal chain from the
+    proposer-optimal matching of `gale_shapley.run`, by one walk with a
+    scan pointer per proposer (Gusfield 1987; Gusfield-Irving 3.3).  A
+    proposer's successor is the holder of the first woman from his
+    pointer on who strictly prefers him, or his own level-1 copy, which
+    holds the dummy his level-0 copy reaches at the end of his list.
+    Women only gain, so a woman who refuses him refuses him for good and
+    the pointer only advances.  The walk follows successors on a stack;
+    a proposer met again closes a rotation, which is eliminated, and the
+    walk resumes from the proposer below it.  A proposer with no
+    successor (his list ends, or the next woman is unmatched, so in
+    every stable matching) never moves again, and neither does any
+    proposer whose successor never moves, so a stack that reaches one
+    is dead.
+
+    A rotation precedes another when it gives a proposer the woman the
+    other takes from him (type 1: the last rotation on his chain), or
+    when it moves a woman above a proposer whom the other moves past her
+    (type 2), found by a binary search in her `held` ranks.  O(m) for
+    the walk and O(m log m) for the labelling, for m edges.
+    """
+    adj, back = inst.adj, inst.back
+    top = levels - 1
+    cur = gale_shapley.run(inst, levels=levels)
+    mate, pos = inst.mates(cur)
+
+    def her_rank(m: int, lvl: int, k: int) -> int:
+        # woman adj[m][k]'s rank of (m, lvl) in G': level 1 first
+        return back[m][k] + (top - lvl) * len(adj[adj[m][k]])
+
+    chains: Dict[Copy, Chain] = {}
+    holder: Dict[int, Copy] = {}
+    held: Dict[int, Chain] = {}
+    for m, lvl in enumerate(map(cur.level.__getitem__, inst.men)):
+        chains[m, lvl] = [(pos[m] if mate[m] >= 0 else None, -1)]
+        if mate[m] >= 0:
+            holder[mate[m]] = (m, lvl)
+            held[mate[m]] = [(-her_rank(m, lvl, pos[m]), -1)]
+        if levels == 2:
+            chains[m, 1 - lvl] = [(len(adj[m]) if lvl else -1, -1)]
+    # a proposer who holds no one, or a level-0 copy on his dummy, scans
+    # past his list's end and so has no successor
+    scan = {c: (len(adj[c[0]]) if k is None else k) + 1 for c, [(k, _)] in chains.items()}
+
+    def successor(c: Copy) -> Optional[Copy]:
+        m, lvl = c
+        lst = adj[m]
+        k = scan[c]
+        while k < len(lst):
+            h = holder.get(lst[k])
+            if h is None or her_rank(m, lvl, k) < -held[lst[k]][-1][0]:
+                scan[c] = k
+                return h
+            k += 1
+        scan[c] = k
+        return (m, lvl + 1) if lvl < top and k == len(lst) else None
+
+    preds: List[Set[int]] = []
+
+    def eliminate(cycle: List[Copy]) -> None:
+        # each proposer takes the woman at his scan pointer, held by the next
+        r = len(preds)
+        moves = [(m, lvl, chains[m, lvl][-1], scan[m, lvl]) for m, lvl in cycle]
+        before = set()
+        for m, lvl, (frm, last), to in moves:
+            if last >= 0:
+                before.add(last)
+            for k in range(frm + 1, to):
+                hers = held[adj[m][k]]
+                i = bisect_right(hers, -her_rank(m, lvl, k), key=_key)
+                if i:
+                    before.add(hers[i][1])
+        for m, lvl, _, to in moves:
+            chains[m, lvl].append((to, r))
+            scan[m, lvl] = to + 1
+            if to < len(adj[m]):
+                holder[adj[m][to]] = (m, lvl)
+                held[adj[m][to]].append((-her_rank(m, lvl, to), r))
+        preds.append(before)
+
+    dead: Set[Copy] = set()
+    stack: List[Copy] = []
+    place: Dict[Copy, int] = {}  # a proposer's index on the stack
+    for first in chains:
+        while first not in dead:
+            if not stack:
+                place[first] = 0
+                stack.append(first)
+            c = successor(stack[-1])
+            if c is None or c in dead:
+                dead.update(stack)
+                stack.clear()
+                place.clear()
+            elif c in place:
+                cycle = stack[place[c] :]
+                del stack[place[c] :]
+                for x in cycle:
+                    del place[x]
+                eliminate(cycle)
+            else:
+                place[c] = len(stack)
+                stack.append(c)
+    return RotationPoset(inst, preds, chains, held)
+
+
+def stable_matchings(
+    inst: Instance, limit: int = MAX_LISTED, levels: int = 1
+) -> List[LevelledMatching]:
+    """All stable matchings: the closed sets of `rotation_poset`, each
+    listed once.  Guarded by a count limit.
+
+    With levels=2 these are the stable matchings of G', each given by its
+    pairs and the level every man ends on.  Two of them may share their
+    pairs, so they are told apart by both.  Sorted by pairs, then levels.
+    """
+    poset = rotation_poset(inst, levels)
+    found = map(poset.matching, poset.closed_sets(limit))
+    return sorted(found, key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
+
+
+def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[str, str]]]:
+    """The least edge in id order that blocks some dominant matching, with
+    the men-best dominant matching it blocks, or None if every popular
+    matching is stable.
+
+    If any popular matching is unstable then some dominant matching is,
+    and the dominant matchings are the closed sets of G''s poset.  For
+    an edge (a, b), with b k-th on a's list and a r-th on b's, these
+    rotations of G' are found on a's level-0 copy a0's chain and on b's,
+    a rank in G' putting level 1 first:
+      - A moves a0 past b, beyond position k;
+      - B gives b her first level-1 partner, of rank below |b's list|;
+      - C gives b a partner of rank r or better, at or above a1;
+      - D moves a0 to his dummy.
+    (a, b) blocks the matching a closed set leaves iff the set holds A
+    and B and neither C nor D.  A condition that holds from the start
+    needs no rotation, and one that never holds settles the edge, so the
+    answer is whether C and D lie outside the down-set of A and B, and
+    that down-set is the witness.  A and D share a0's chain and B and C
+    share b's, so those pairs compare by chain index; C below A and D
+    below B need a search back over `preds`.
+
+    Costs O(m log m) for the poset on m edges, then per edge four binary
+    searches and at most two searches back over precedence that enter no
+    rotation earlier on the chain than the one sought; nothing of R² bits
+    is built for the R rotations.
+    """
+    poset = rotation_poset(inst, 2)
+    adj, back, names = inst.adj, inst.back, inst.names
+    preds, chains, held = poset.preds, poset.chains, poset.held
+
+    def reached(chain: Chain, key: int) -> Optional[int]:
+        # the rotation after which the chain's key first exceeds `key`
+        i = bisect_right(chain, key, key=_key)
+        return chain[i][1] if i < len(chain) else None
+
+    def precedes(x: int, y: int) -> bool:
+        # x <= y in the poset; preds lie earlier on the chain, so no
+        # rotation before x can lead back to x
+        if x >= y:
+            return x == y
+        stack, seen = [y], {y}
+        while stack:
+            for p in preds[stack.pop()]:
+                if p == x:
+                    return True
+                if p > x and p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return False
+
+    for a in sorted(range(len(inst.men)), key=names.__getitem__):
+        lst = adj[a]
+        rd = reached(chains[a, 0], len(lst) - 1)
+        if rd == -1:
+            continue  # a starts at level 1 and stays there
+        for k in sorted(range(len(lst)), key=lambda k: names[lst[k]]):
+            b = lst[k]
+            hers = held.get(b, ())
+            ra, rb = reached(chains[a, 0], k), reached(hers, -len(adj[b]))
+            rc = reached(hers, -back[a][k] - 1)
+            if ra is None or rb is None or rc == -1:
+                continue
+            if rd is not None and (rd <= ra or rb >= 0 and precedes(rd, rb)):
+                continue
+            if rc is not None and (rc <= rb or ra >= 0 and precedes(rc, ra)):
+                continue
+            closed = 0
+            stack = [r for r in (ra, rb) if r >= 0]
+            while stack:
+                r = stack.pop()
+                if not closed >> r & 1:
+                    closed |= 1 << r
+                    stack += preds[r]
+            return poset.matching(closed), (names[a], names[b])
+    return None

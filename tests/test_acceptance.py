@@ -37,7 +37,7 @@ from popmatch import (
     stable_matchings,
 )
 from popmatch.elections import MINUS, PLUS, label_edges
-from popmatch.min_cost import rotation_poset
+from popmatch.rotations import rotation_poset
 from popmatch.oracles import maximum_matching_size
 
 
@@ -240,11 +240,10 @@ def test_criterion_9_scalability(capsys):
         assert witness is not None and edge in witness.pairs
 
         poset = rotation_poset(inst, 2)
-        assert len(poset.rotations) == 908
+        assert len(poset.preds) == 908
         # what enumerate --what popular-edges lists, checked on samples
         # in and out of it against one forced run each
-        pairs = rotation_poset(inst, 1).stable_pairs() | poset.stable_pairs()
-        popular = {(inst.names[m], inst.names[inst.adj[m][k]]) for m, k in pairs}
+        popular = rotation_poset(inst, 1).stable_pairs() | poset.stable_pairs()
         assert len(popular) == 26_064
         rng = random.Random(9)
         inside = rng.sample(sorted(popular), 10)

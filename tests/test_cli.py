@@ -329,16 +329,84 @@ def test_enumerate_guards_count_the_family(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: more than 100000 stable matchings\n")
 
 
+# Bounds on one listing CLI run, start-up included: about five times the
+# wall time (0.13-0.43 s on a 2-vCPU VM) and twice the peak RSS (18-19
+# MB) measured for the runs below.
+LISTING_WALL_S = 2.0
+LISTING_RSS_MB = 40
+
+# Runs the CLI in a child and prints its exit code, stdout line count,
+# stderr, wall seconds and peak RSS in MB.  A process's ru_maxrss starts
+# at the RSS of the process that spawned it, so the CLI is spawned from
+# this small launcher rather than from the test process.
+LAUNCHER = (
+    "import json, resource, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "proc = subprocess.run([sys.executable, '-m', 'popmatch.cli', *sys.argv[1:]],\n"
+    "                      capture_output=True, text=True)\n"
+    "seconds = time.perf_counter() - start\n"
+    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+    "print(json.dumps([proc.returncode, len(proc.stdout.splitlines()), proc.stderr,\n"
+    "                  seconds, rss]))\n"
+)
+
+
+def measured_cli(*argv: str, **env: str):
+    src = str(Path(popmatch.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *argv], env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_dominant_listing_holds_no_family(tmp_path):
+    # 8 blocks: 4**8 stable matchings of G', 256 dominant matchings; the
+    # listing keeps each closed set as a bitmask and each set of pairs
+    # once, where holding every stable matching of G' peaked near 290 MB
+    path = tmp_path / "blocks.pref"
+    path.write_text(blocks_text(8))
+    argv = ["enumerate", "--what", "dominant", "-i", str(path)]
+    code, lines, err, seconds, rss = measured_cli(*argv)
+    assert (code, lines, err) == (0, 256, "")
+    assert seconds < LISTING_WALL_S and rss < LISTING_RSS_MB, (seconds, rss)
+
+
+def test_refusals_come_before_memory_fills(tmp_path):
+    # 9 blocks: 4**9 stable matchings of G', refused at the count guard
+    path = tmp_path / "blocks.pref"
+    path.write_text(blocks_text(9))
+    argv = ["enumerate", "--what", "dominant", "-i", str(path)]
+    code, lines, err, seconds, rss = measured_cli(*argv)
+    assert (code, lines, err) == (2, 0, "error: more than 100000 stable matchings\n")
+    assert seconds < LISTING_WALL_S and rss < LISTING_RSS_MB, (seconds, rss)
+    # 40 disjoint pairs: 2**40 matchings, inside a raised edge guard
+    pairs = [(f"a{i}", f"b{i}") for i in range(40)]
+    path.write_text(serialize_instance(Instance(
+        [a for a, _ in pairs], [b for _, b in pairs],
+        {**{a: (b,) for a, b in pairs}, **{b: (a,) for a, b in pairs}},
+    )))
+    for what in ("matchings", "popular"):
+        code, lines, err, seconds, rss = measured_cli(
+            "enumerate", "--what", what, "-i", str(path), POPMATCH_MAX_ENUM="100"
+        )
+        assert (code, lines, err) == (2, 0, "error: more than 100000 matchings\n"), what
+        assert seconds < LISTING_WALL_S and rss < LISTING_RSS_MB, (what, seconds, rss)
+
+
 def test_enumerate_guard_env(tmp_path, capsys, monkeypatch):
+    # 39 edges and 40,470 matchings: over the default edge guard, under
+    # the family guard
     path = tmp_path / "big.pref"
     code, _, _ = run_cli(
-        capsys, "gen", "--men", "7", "--women", "7", "--density", "1.0",
+        capsys, "gen", "--men", "7", "--women", "7", "--density", "0.8",
         "--seed", "0", "-o", str(path),
     )
     assert code == 0
     code, _, err = run_cli(capsys, "enumerate", "--what", "matchings", "-i", str(path))
     assert code == 2 and "error:" in err
-    monkeypatch.setenv("POPMATCH_MAX_ENUM", "49")
+    monkeypatch.setenv("POPMATCH_MAX_ENUM", "39")
     code, out, _ = run_cli(capsys, "enumerate", "--what", "matchings", "-i", str(path))
     assert code == 0 and out
     monkeypatch.setenv("POPMATCH_MAX_ENUM", "nope")
@@ -541,18 +609,18 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     cases = [
         (["--help"], BASE_MODULES),
         (["solve", "--property", "stable"] + i, BASE_MODULES),
-        (["solve", "--property", "dominant"] + i, BASE_MODULES + ["popmatch.level_graph"]),
+        (["solve", "--property", "dominant"] + i, BASE_MODULES),
         (["verify", "--property", "stable"] + m + i, verify),
         (["verify", "--property", "popular"] + m + i, verify),
         (["verify", "--property", "dominant"] + m + i, verify),
         (["popular-edge", "--edge", "a2,b1"] + i, BASE_MODULES),
-        (["popular-vs-stable"] + i,
-         BASE_MODULES + ["popmatch.min_cost", "popmatch.unstable_popular"]),
-        (["min-cost-dominant", "--costs", str(costs)] + i, BASE_MODULES + ["popmatch.min_cost"]),
+        (["popular-vs-stable"] + i, BASE_MODULES + ["popmatch.rotations"]),
+        (["min-cost-dominant", "--costs", str(costs)] + i,
+         BASE_MODULES + ["popmatch.min_cost", "popmatch.rotations"]),
         (["enumerate", "--what", "matchings"] + i, BASE_MODULES + ["popmatch.oracles"]),
         (["enumerate", "--what", "popular"] + i, verify + ["popmatch.oracles"]),
     ] + [
-        (["enumerate", "--what", what] + i, BASE_MODULES + ["popmatch.min_cost"])
+        (["enumerate", "--what", what] + i, BASE_MODULES + ["popmatch.rotations"])
         for what in ("stable", "dominant", "popular-edges")
     ]
     code = (
@@ -570,6 +638,20 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         loaded, heavy = run_fresh(code, *argv).split("\n")[:2]
         assert loaded.split() == sorted(modules), argv
         assert heavy == ("fractions" if argv[0] == "min-cost-dominant" else ""), argv
+
+
+def test_lazy_name_table_covers_the_package():
+    # dir() reads the name table, so it cannot see a name left pointing
+    # at a module that is gone: resolve every name in a fresh interpreter,
+    # and check the table names every submodule but the CLI
+    code = (
+        "import pkgutil, popmatch\n"
+        "for name in popmatch.__all__:\n"
+        "    getattr(popmatch, name)\n"
+        "found = {m.name for m in pkgutil.iter_modules(popmatch.__path__)}\n"
+        "print(sorted(found - set(popmatch._NAMES) - {'cli'}))\n"
+    )
+    assert run_fresh(code) == "[]\n"
 
 
 def test_lazy_package_keeps_its_names():

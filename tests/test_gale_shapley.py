@@ -10,7 +10,7 @@ from popmatch import (
     stable_with_edge,
 )
 from popmatch.gale_shapley import forced
-from popmatch.min_cost import stable_matchings
+from popmatch.rotations import stable_matchings
 
 
 def test_run_shared_top(shared_top):

@@ -15,7 +15,7 @@ from popmatch import (
     parse_instance,
     stable_matchings,
 )
-from popmatch.level_graph import NotDominantError
+from popmatch.popular_edge import NotDominantError
 
 
 def test_build_level_graph_lists(shared_top):

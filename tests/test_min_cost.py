@@ -30,7 +30,8 @@ from popmatch import (
     stable_matchings,
 )
 from popmatch.gale_shapley import forced
-from popmatch.min_cost import _min_closure, rotation_poset
+from popmatch.min_cost import _min_closure
+from popmatch.rotations import rotation_poset
 
 
 def all_edge_costs(inst, fn):
@@ -202,10 +203,11 @@ def test_closed_sets_are_the_stable_matchings(small_ensemble):
             sets = closed_sets(poset)
             listed = lattice_stable_matchings(inst, levels)
             assert len(sets) == len(listed)
-            got = {(m.pairs, tuple(m.level.values())) for m in map(poset.matching, sets)}
+            found = map(poset.matching, poset.closed_sets())
+            got = {(m.pairs, tuple(m.level.values())) for m in found}
             assert got == {(m.pairs, tuple(m.level.values())) for m in listed}
     # four stable matchings of G' per block: a chain of three rotations
-    assert len(poset.rotations) == 12 and len(sets) == 4**4
+    assert len(poset.preds) == 12 and len(sets) == 4**4
 
 
 def test_stable_pairs_have_their_forced_witness():
@@ -219,25 +221,23 @@ def test_stable_pairs_have_their_forced_witness():
         adj, names = inst.adj, inst.names
         for levels in (1, 2):
             poset = rotation_poset(inst, levels)
-            brings = {(m, lvl, k): () for (m, lvl), k in poset.start.items()}
-            brings.update(((m, lvl, to), (r,)) for r, rot in enumerate(poset.rotations)
-                          for m, lvl, _, to in rot)
             real = set()
-            for (m, lvl, k), rots in brings.items():
-                if k is None or not 0 <= k < len(adj[m]):
-                    continue
-                real.add((m, k))
-                down, todo = set(), list(rots)
-                while todo:
-                    r = todo.pop()
-                    if r not in down:
-                        down.add(r)
-                        todo += poset.preds[r]
-                want = poset.matching(down)
-                got = forced(inst, {names[adj[m][k]]: (names[m], lvl)}, levels)
-                assert got is not None and got.pairs == want.pairs, (seed, levels, m, k)
-                assert got.level == want.level, (seed, levels, m, k)
-                checked += 1
+            for (m, lvl), chain in poset.chains.items():
+                for k, r in chain:
+                    if k is None or not 0 <= k < len(adj[m]):
+                        continue
+                    real.add((names[m], names[adj[m][k]]))
+                    down, todo = set(), [r] if r >= 0 else []
+                    while todo:
+                        r = todo.pop()
+                        if r not in down:
+                            down.add(r)
+                            todo += poset.preds[r]
+                    want = poset.matching(sum(1 << r for r in down))
+                    got = forced(inst, {names[adj[m][k]]: (names[m], lvl)}, levels)
+                    assert got is not None and got.pairs == want.pairs, (seed, levels, m, k)
+                    assert got.level == want.level, (seed, levels, m, k)
+                    checked += 1
             assert poset.stable_pairs() == real
     assert checked > 1000
 
@@ -253,7 +253,7 @@ def test_cyclic_posets_are_chains(n):
     for levels in (1, 2):
         poset = rotation_poset(inst, levels)
         listed = stable_matchings(inst, levels=levels)
-        assert len(poset.rotations) == levels * n - 1
+        assert len(poset.preds) == levels * n - 1
         assert len(closed_sets(poset)) == len(listed) == levels * n
         assert keys(listed) == keys(lattice_stable_matchings(inst, levels))
     if n <= 5:

@@ -17,10 +17,10 @@ from popmatch import (
     is_dominant,
     is_stable,
     parse_instance,
-    unstable_popular,
+    rotations,
     unstable_via_pair,
 )
-from popmatch.min_cost import rotation_poset
+from popmatch.rotations import rotation_poset
 
 
 def exact_unstable_popular(inst):
@@ -210,7 +210,7 @@ def test_memory_stays_within_the_poset(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
         return poset
 
-    monkeypatch.setattr(unstable_popular, "rotation_poset", traced_poset)
+    monkeypatch.setattr(rotations, "rotation_poset", traced_poset)
     tracemalloc.start()
     try:
         assert exists_unstable_popular(inst) is None
