@@ -48,11 +48,8 @@ def _pairs(matching: Matching) -> List[List[str]]:
 
 
 def _print_matching(matching: Matching) -> None:
-    if not matching:
-        print("{}")
-        return
-    for m, w in matching.sorted_pairs():
-        print(f"{m} {w}")
+    # one write: unbuffered, each print is a system call
+    sys.stdout.write("".join(f"{m} {w}\n" for m, w in matching.sorted_pairs()) or "{}\n")
 
 
 def _matching_line(matching: Matching) -> str:
@@ -129,11 +126,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_popular_edge(args) -> int:
-    from .popular_edge import popular_edge
+    from .gale_shapley import stable_with_edge
+    from .popular_edge import dominant_with_edge
 
     inst = _load_instance(args.instance)
     edge = _parse_edge(args.edge)
-    result = popular_edge(inst, edge)
+    # `popular_edge`'s answer without its route table: for one query, at
+    # most three forced runs cost less than building two rotation posets
+    result = stable_with_edge(inst, edge)
+    if result is None:
+        result = dominant_with_edge(inst, edge)
     if args.json:
         out = {"found": result is not None}
         if result is not None:
@@ -202,16 +204,18 @@ def _cmd_min_cost(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.instance)
     if args.what == "popular-edges":
-        from .rotations import rotation_poset
+        from .rotations import popular_routes
 
-        # an edge is popular iff a stable matching of G or of G' holds it
-        edges = rotation_poset(inst, 1).stable_pairs() | rotation_poset(inst, 2).stable_pairs()
-        edges = sorted(edges)
+        names = inst.names
+        # one byte per edge, man by man in list order
+        marks = iter(popular_routes(inst)[1])
+        edges = sorted(
+            (names[m], names[w]) for m in range(len(inst.men)) for w in inst.adj[m] if next(marks)
+        )
         if args.json:
             print(json.dumps({"edges": [list(e) for e in edges]}))
         else:
-            for m, w in edges:
-                print(f"{m} {w}")
+            sys.stdout.write("".join(f"{m} {w}\n" for m, w in edges))
         return 0
     if args.what in ("stable", "dominant"):
         from .rotations import rotation_poset
@@ -229,8 +233,7 @@ def _cmd_enumerate(args) -> int:
     if args.json:
         print(json.dumps({"matchings": [_pairs(m) for m in family]}))
     else:
-        for matching in family:
-            print(_matching_line(matching))
+        sys.stdout.write("".join(f"{_matching_line(m)}\n" for m in family))
     return 0
 
 

@@ -2,7 +2,9 @@
 
 An edge lies in a popular matching iff it lies in a stable matching or
 in a dominant one, so the engine's forced-edge query on the instance
-and on its implicit G' (see `gale_shapley`) settles the question.
+and on its implicit G' (see `gale_shapley`) settles the question;
+`popular_edge` reads which of those queries succeeds off the rotation
+posets once per instance.
 `decompose` splits a popular matching into a dominant core m0 and a
 stable remainder m1; `lift_to_dominant` and `lower_to_stable` push the
 whole matching to a dominant or a stable one keeping m0 or m1, each by
@@ -171,11 +173,26 @@ def unstable_via_pair(
 def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:
     """A popular matching containing the edge, if any.
 
-    Tries the stable route first (smaller, blocking-pair-free witness),
-    then the dominant route; a miss on both proves no popular matching
-    contains the edge.
+    The witness is that of `stable_with_edge` if there is one (smaller
+    and blocking-pair-free), else that of `dominant_with_edge`.  The
+    first call on an instance reads which of those routes finds one for
+    each edge off the rotation posets of G and G' and keeps that table
+    on the instance (`rotations.popular_routes`: O(m log m) time, one
+    byte per edge).  After it, a "no" is one lookup and a "yes" is one
+    forced run on the known route.
     """
-    got = gale_shapley.stable_with_edge(inst, edge)
-    if got is not None:
-        return got
-    return dominant_with_edge(inst, edge)
+    u, v = edge
+    s = inst.slot(u, v)
+    if s is None:
+        raise InstanceError(f"({u},{v}) is not an edge of the instance")
+    routes = vars(inst).get("popular_routes")
+    if routes is None:
+        from .rotations import popular_routes
+
+        routes = vars(inst)["popular_routes"] = popular_routes(inst)
+    first, table = routes
+    route = table[first[s[0]] + s[2]]
+    if not route:
+        return None
+    levels = 1 + (route > 1)
+    return gale_shapley.forced(inst, {v: (u, route - levels)}, levels)

@@ -9,15 +9,17 @@ chain of the lattice by one pointer walk and their precedence by
 Gusfield-Irving pair labelling, in O(m log m) on m edges; it runs on
 levelled proposers, as `gale_shapley.run` does, so G' is never built.
 Its readers are here too: `stable_matchings` lists the closed sets,
-each stable matching once, up to a count guard, and
-`exists_unstable_popular` decides whether every popular matching is
-stable.  `min_cost.min_cost_dominant` reads the poset through
-`partners`, `matching` and `preds`, not through its encoding.
+each stable matching once, up to a count guard, `popular_routes` marks
+the popular edges, and `exists_unstable_popular` decides whether every
+popular matching is stable.  `min_cost.min_cost_dominant` reads the
+poset through `partners`, `matching` and `preds`, not through its
+encoding.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -57,12 +59,17 @@ class RotationPoset(NamedTuple):
         """The stable matching that eliminating a closed set, given as a
         bitmask of its rotations, leaves.  The rotations moving one
         proposer form a chain, each a pred of the next, so the set holds
-        a prefix of them, and he ends where the last of those puts him."""
+        a prefix of them, and he ends where the last of those puts him.
+        That prefix is read up to its first rotation outside the set,
+        not through a bitmask per proposer, which would take O(R) bits
+        for each proposer that moves."""
         adj, names = self.inst.adj, self.inst.names
-        at = {
-            c: chain[sum(closed >> r & 1 for _, r in chain[1:])][0]
-            for c, chain in self.chains.items()
-        }
+        at = {}
+        for c, chain in self.chains.items():
+            i = 1
+            while i < len(chain) and closed >> chain[i][1] & 1:
+                i += 1
+            at[c] = chain[i - 1][0]
         pairs = [
             (names[m], names[adj[m][k]])
             for (m, _), k in at.items()
@@ -157,6 +164,8 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     top = levels - 1
     cur = gale_shapley.run(inst, levels=levels)
     mate, pos = inst.mates(cur)
+    start = list(map(cur.level.__getitem__, inst.men))
+    del cur  # the walk keeps no more of it than the chains' first entries
 
     def her_rank(m: int, lvl: int, k: int) -> int:
         # woman adj[m][k]'s rank of (m, lvl) in G': level 1 first
@@ -165,13 +174,15 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     chains: Dict[Copy, Chain] = {}
     holder: Dict[int, Copy] = {}
     held: Dict[int, Chain] = {}
-    for m, lvl in enumerate(map(cur.level.__getitem__, inst.men)):
-        chains[m, lvl] = [(pos[m] if mate[m] >= 0 else None, -1)]
+    for m, lvl in enumerate(start):
+        c = (m, lvl)
+        chains[c] = [(pos[m] if mate[m] >= 0 else None, -1)]
         if mate[m] >= 0:
-            holder[mate[m]] = (m, lvl)
+            holder[mate[m]] = c
             held[mate[m]] = [(-her_rank(m, lvl, pos[m]), -1)]
         if levels == 2:
-            chains[m, 1 - lvl] = [(len(adj[m]) if lvl else -1, -1)]
+            chains[m, 1 - lvl] = [(len(adj[m]), -1)] if lvl else [(-1, -1)]
+    del mate, pos, start
     # a proposer who holds no one, or a level-0 copy on his dummy, scans
     # past his list's end and so has no successor
     scan = {c: (len(adj[c[0]]) if k is None else k) + 1 for c, [(k, _)] in chains.items()}
@@ -204,11 +215,11 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
                 i = bisect_right(hers, -her_rank(m, lvl, k), key=_key)
                 if i:
                     before.add(hers[i][1])
-        for m, lvl, _, to in moves:
-            chains[m, lvl].append((to, r))
-            scan[m, lvl] = to + 1
+        for (m, lvl, _, to), c in zip(moves, cycle):
+            chains[c].append((to, r))
+            scan[c] = to + 1
             if to < len(adj[m]):
-                holder[adj[m][to]] = (m, lvl)
+                holder[adj[m][to]] = c
                 held[adj[m][to]].append((-her_rank(m, lvl, to), r))
         preds.append(before)
 
@@ -235,6 +246,33 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
                 place[c] = len(stack)
                 stack.append(c)
     return RotationPoset(inst, preds, chains, held)
+
+
+def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
+    """For each edge, which forced run finds a popular matching holding
+    it: (first, table), man m's k-th edge having the byte
+    table[first[m] + k].
+
+    An edge is popular iff a stable matching of G or of G' holds it (the
+    paper), that is iff it is a stable pair of one of them: a start pair
+    or a pair some rotation moves onto (Gusfield-Irving 1989, ch. 3), as
+    the posets' chains list them.  A stable pair of G has the byte 1 and
+    one of G' with the man at level l the byte 2 + l; an edge that is
+    several keeps the least, the first forced run `popular_edge` would
+    try, and 0 means no popular matching holds it.  O(m log m) for the
+    two posets, each dropped once its chains are read; the table keeps
+    one byte per edge.
+    """
+    adj = inst.adj
+    first = list(accumulate(map(len, adj[: len(inst.men)]), initial=0))
+    table = bytearray(first[-1])
+    for levels in (2, 1):
+        for (m, lvl), chain in rotation_poset(inst, levels).chains.items():
+            route = levels + lvl
+            for k, _ in chain:
+                if k is not None and 0 <= k < len(adj[m]) and not 0 < table[first[m] + k] < route:
+                    table[first[m] + k] = route
+    return first, table
 
 
 def stable_matchings(

@@ -1,19 +1,38 @@
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import popmatch
 from popmatch import (
     InstanceError,
     Matching,
     decompose,
+    dominant_two_level,
     dominant_with_edge,
+    generate_random,
     is_dominant,
     is_popular,
     is_stable,
     lift_to_dominant,
     lower_to_stable,
+    parse_instance,
     popular_edge,
+    run,
+    serialize_instance,
+    stable_with_edge,
 )
+from popmatch import gale_shapley, rotations
 from popmatch.elections import MINUS, PLUS, label_edges
 from popmatch.popular_edge import NotPopularError
+from popmatch.rotations import popular_routes
+from conftest import blocks_text, cyclic_text
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_decompose_contested_hub(contested_hub):
@@ -198,3 +217,137 @@ def test_popular_edge_completeness(small_ensemble):
                 assert e in got.pairs
                 assert is_popular(inst, got)[0]
                 assert is_stable(inst, got)[0] or is_dominant(inst, got)[0]
+
+
+def composed(inst, edge):
+    # the forced runs whose answer `popular_edge` reads off its route table
+    want = stable_with_edge(inst, edge)
+    return want if want is not None else dominant_with_edge(inst, edge)
+
+
+def assert_same_witness(inst, edges):
+    for e in edges:
+        got, want = popular_edge(inst, e), composed(inst, e)
+        if want is None:
+            assert got is None, e
+        else:
+            assert got is not None and got.pairs == want.pairs, e
+            assert got.level == want.level, e
+
+
+def benchmark_queries(seed):
+    """The edge-queries workload's instance and its 120 queries."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inst = generate_random(*gen.EDGE_QUERIES, seed)
+    queries = gen.edge_queries(inst, run(inst), dominant_two_level(inst), 40, seed)
+    return inst, [tuple(e) for _cls, e in queries]
+
+
+def test_popular_edge_is_the_composed_forced_runs(small_ensemble):
+    texts = [blocks_text(k) for k in range(1, 5)] + [cyclic_text(n) for n in range(2, 7)]
+    instances = [inst for inst, _ in small_ensemble] + list(map(parse_instance, texts))
+    for inst in instances:
+        assert_same_witness(inst, sorted(inst.edges))
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_popular_edge_on_the_benchmark_queries(seed):
+    inst, edges = benchmark_queries(seed)
+    assert len(edges) == 120
+    assert_same_witness(inst, edges)
+
+
+def test_popular_edge_rejects_what_is_no_edge(shared_top):
+    inst = parse_instance(serialize_instance(shared_top))
+    for e in (("a2", "b2"), ("b1", "a1"), ("a1", "zz")):
+        for query in (popular_edge, stable_with_edge):
+            with pytest.raises(InstanceError, match=r"^\(%s,%s\) is not an edge of the instance$" % e):
+                query(inst, e)
+    assert "popular_routes" not in vars(inst)
+
+
+def test_routes_take_one_byte_per_edge(contested_hub):
+    for inst in (contested_hub, parse_instance(blocks_text(3)), parse_instance(cyclic_text(4))):
+        first, table = popular_routes(inst)
+        assert isinstance(table, bytearray) and len(table) == len(inst.edges)
+        assert first == [sum(map(len, inst.adj[:m])) for m in range(len(inst.men) + 1)]
+        assert set(table) <= {0, 1, 2, 3}
+
+
+def test_later_queries_run_at_most_one_forced_run(monkeypatch):
+    inst = parse_instance(serialize_instance(generate_random(30, 30, 0.2, 3)))
+    counts = {"run": 0, "poset": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gale_shapley, "run", counted("run", gale_shapley.run))
+    monkeypatch.setattr(rotations, "rotation_poset", counted("poset", rotations.rotation_poset))
+    edges = sorted(inst.edges)
+    popular_edge(inst, edges[0])
+    assert counts["poset"] == 2
+    answers = {True: 0, False: 0}
+    for e in edges:
+        before = counts["run"]
+        got = popular_edge(inst, e)
+        assert counts["run"] - before == (got is not None), e
+        answers[got is not None] += 1
+    assert counts["poset"] == 2
+    assert answers[True] and answers[False]
+
+
+# How far the peak RSS of parsing the edge-queries instance and answering
+# its 120 queries may rise over that of up to three forced runs per
+# query.  The table keeps one byte per edge, but building the rotation
+# poset of G' for it sets the peak: 19.5 MB against 18.2-18.3 MB (+7%)
+# on a 2-vCPU VM.  A table that kept both posets alive peaked at 20.5 MB.
+ROUTES_RSS_GROWTH = 1.10
+
+# Runs a child that parses the instance file, answers the queries with
+# `popular_edge` or with the composed forced runs, and prints their
+# answers and its peak RSS in MB, read by a small launcher (a process's
+# ru_maxrss starts at the RSS of the process that spawned it).
+QUERY_CHILD = (
+    "import json, sys\n"
+    "from popmatch import dominant_with_edge, parse_instance, popular_edge, stable_with_edge\n"
+    "inst = parse_instance(open(sys.argv[1]).read())\n"
+    "def composed(inst, e):\n"
+    "    got = stable_with_edge(inst, e)\n"
+    "    return got if got is not None else dominant_with_edge(inst, e)\n"
+    "query = popular_edge if sys.argv[3] == 'table' else composed\n"
+    "edges = [tuple(e) for e in json.load(open(sys.argv[2]))]\n"
+    "print(json.dumps([got is not None for got in (query(inst, e) for e in edges)]))\n"
+)
+QUERY_LAUNCHER = (
+    "import json, resource, subprocess, sys\n"
+    "proc = subprocess.run([sys.executable, '-c', *sys.argv[1:]], capture_output=True,\n"
+    "                      text=True)\n"
+    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+    "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, rss]))\n"
+)
+
+
+def test_route_table_keeps_the_query_peak(tmp_path):
+    inst, edges = benchmark_queries(4)
+    (tmp_path / "inst.pref").write_text(serialize_instance(inst))
+    (tmp_path / "queries.json").write_text(json.dumps(edges))
+    src = str(Path(popmatch.__file__).resolve().parents[1])
+    peaks, answers = {}, {}
+    for how in ("composed", "table"):
+        argv = [QUERY_CHILD, str(tmp_path / "inst.pref"), str(tmp_path / "queries.json"), how]
+        proc = subprocess.run(
+            [sys.executable, "-c", QUERY_LAUNCHER, *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, out, err, peaks[how] = json.loads(proc.stdout)
+        assert (code, err) == (0, ""), err
+        answers[how] = json.loads(out)
+    assert answers["table"] == answers["composed"] and any(answers["table"])
+    assert peaks["table"] <= ROUTES_RSS_GROWTH * peaks["composed"], peaks
