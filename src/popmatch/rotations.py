@@ -21,13 +21,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from . import gale_shapley
 from .gale_shapley import LevelledMatching
 from .instance import MAX_LISTED, EnumerationGuardError, Instance, Matching
 
-Copy = Tuple[int, int]  # a man, by number, at a level: his copy of that level in G'
+Copy = int  # man m's copy at level l in G', numbered levels * m + l
 # (key, the rotation that brought it) along the chain, keys ascending;
 # rotation -1 is the proposer-optimal matching
 Chain = List[Tuple[Optional[int], int]]
@@ -38,22 +38,25 @@ class RotationPoset(NamedTuple):
     """The rotations of G (of the implicit G' with levels=2) and their
     precedence.
 
-    Proposer (m, l) is man m's copy at level l.  His position is an
-    index into m's list, or len(list) for the dummy at the bottom of a
-    level-0 copy's list, -1 for the dummy at the top of a level-1 copy's
-    list, and None when he holds no one.  Rotation r is the r-th on one
-    maximal chain of the lattice, and `preds[r]` holds rotations that
-    precede it, all earlier on the chain; the order is their transitive
-    closure.  A closed set holds the preds of each member, and the
-    closed sets are the stable matchings.  Along the chain, `chains[c]`
-    lists proposer c's positions, and `held[w]` minus woman w's ranks in
-    G' (level 1 first) of the proposers she holds, each as a `Chain`.
+    Proposer c = levels * m + l is man m's copy at level l, so with one
+    level it is m.  His position is an index into m's list, or len(list)
+    for the dummy at the bottom of a level-0 copy's list, -1 for the
+    dummy at the top of a level-1 copy's list, and None when he holds no
+    one.  Rotation r is the r-th on one maximal chain of the lattice,
+    and `preds[r]` holds rotations that precede it, all earlier on the
+    chain; the order is their transitive closure.  A closed set holds
+    the preds of each member, and the closed sets are the stable
+    matchings.  Along the chain, `chains[c]` lists proposer c's
+    positions, and `held[w]` the proposers woman w holds, each as a
+    `Chain` keyed by levels * |w's list| minus her rank of him in G'
+    (level 1 first), which rises as she gains; a man's `held` is empty.
     """
 
     inst: Instance
+    levels: int
     preds: List[Set[int]]
-    chains: Dict[Copy, Chain]
-    held: Dict[int, Chain]
+    chains: List[Chain]
+    held: List[Chain]
 
     def matching(self, closed: int) -> LevelledMatching:
         """The stable matching that eliminating a closed set, given as a
@@ -63,19 +66,20 @@ class RotationPoset(NamedTuple):
         That prefix is read up to its first rotation outside the set,
         not through a bitmask per proposer, which would take O(R) bits
         for each proposer that moves."""
-        adj, names = self.inst.adj, self.inst.names
-        at = {}
-        for c, chain in self.chains.items():
+        adj, names, levels = self.inst.adj, self.inst.names, self.levels
+        at = []
+        for chain in self.chains:
             i = 1
             while i < len(chain) and closed >> chain[i][1] & 1:
                 i += 1
-            at[c] = chain[i - 1][0]
+            at.append(chain[i - 1][0])
         pairs = [
             (names[m], names[adj[m][k]])
-            for (m, _), k in at.items()
+            for m in range(len(self.inst.men))
+            for k in at[levels * m : levels * (m + 1)]
             if k is not None and 0 <= k < len(adj[m])
         ]
-        level = {names[m]: int(at[m, 0] == len(adj[m])) for m in range(len(self.inst.men))}
+        level = {names[m]: int(at[levels * m] == len(adj[m])) for m in range(len(self.inst.men))}
         return LevelledMatching(pairs, level)
 
     def partners(self, m: int) -> List[Tuple[int, int]]:
@@ -87,8 +91,8 @@ class RotationPoset(NamedTuple):
         size = len(self.inst.adj[m])
         return [
             (k, r)
-            for lvl in (0, 1)
-            for k, r in self.chains.get((m, lvl), ())
+            for chain in self.chains[self.levels * m : self.levels * (m + 1)]
+            for k, r in chain
             if k is not None and 0 <= k < size
         ]
 
@@ -157,95 +161,106 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     A rotation precedes another when it gives a proposer the woman the
     other takes from him (type 1: the last rotation on his chain), or
     when it moves a woman above a proposer whom the other moves past her
-    (type 2), found by a binary search in her `held` ranks.  O(m) for
+    (type 2), found by a binary search in her `held` keys.  O(m) for
     the walk and O(m log m) for the labelling, for m edges.
     """
     adj, back = inst.adj, inst.back
+    deg = list(map(len, adj))
     top = levels - 1
     cur = gale_shapley.run(inst, levels=levels)
     mate, pos = inst.mates(cur)
     start = list(map(cur.level.__getitem__, inst.men))
     del cur  # the walk keeps no more of it than the chains' first entries
 
-    def her_rank(m: int, lvl: int, k: int) -> int:
-        # woman adj[m][k]'s rank of (m, lvl) in G': level 1 first
-        return back[m][k] + (top - lvl) * len(adj[adj[m][k]])
-
-    chains: Dict[Copy, Chain] = {}
-    holder: Dict[int, Copy] = {}
-    held: Dict[int, Chain] = {}
+    # a chain's first entry, one tuple per position (None: he holds no one)
+    begins = {k: (k, -1) for k in (None, *range(-1, max(deg, default=0) + 1))}
+    size = levels * len(start)
+    chains: List[Chain] = [None] * size  # every slot is set below
+    holder = [-1] * len(adj)  # the proposer a woman holds, or -1
+    # woman w keys proposer (m, lvl) on his k-th woman by levels * deg[w]
+    # minus her rank of him in G', that is (lvl + 1) * deg[w] - back[m][k]
+    held: List[Chain] = [()] * len(adj)
     for m, lvl in enumerate(start):
-        c = (m, lvl)
-        chains[c] = [(pos[m] if mate[m] >= 0 else None, -1)]
-        if mate[m] >= 0:
-            holder[mate[m]] = c
-            held[mate[m]] = [(-her_rank(m, lvl, pos[m]), -1)]
+        c = levels * m + lvl
+        w, k = mate[m], pos[m]
+        if w >= 0:
+            chains[c] = [begins[k]]
+            holder[w] = c
+            held[w] = [((lvl + 1) * deg[w] - back[m][k], -1)]
+        else:
+            chains[c] = [begins[None]]
         if levels == 2:
-            chains[m, 1 - lvl] = [(len(adj[m]), -1)] if lvl else [(-1, -1)]
+            chains[c + 1 - 2 * lvl] = [begins[deg[m]]] if lvl else [begins[-1]]
     del mate, pos, start
-    # a proposer who holds no one, or a level-0 copy on his dummy, scans
-    # past his list's end and so has no successor
-    scan = {c: (len(adj[c[0]]) if k is None else k) + 1 for c, [(k, _)] in chains.items()}
+    # the scan pointers: a proposer who holds no one, or a level-0 copy
+    # on his dummy, scans past his list's end and so has no successor
+    scan = [(deg[c // levels] if k is None else k) + 1 for c, [(k, _)] in enumerate(chains)]
 
-    def successor(c: Copy) -> Optional[Copy]:
-        m, lvl = c
-        lst = adj[m]
+    def successor(c: Copy) -> Copy:  # or -1 for none
+        m, lvl = divmod(c, levels)
+        lst, ranks = adj[m], back[m]
         k = scan[c]
         while k < len(lst):
-            h = holder.get(lst[k])
-            if h is None or her_rank(m, lvl, k) < -held[lst[k]][-1][0]:
+            w = lst[k]
+            h = holder[w]
+            if h < 0 or (lvl + 1) * deg[w] - ranks[k] > held[w][-1][0]:
                 scan[c] = k
                 return h
             k += 1
         scan[c] = k
-        return (m, lvl + 1) if lvl < top and k == len(lst) else None
+        return c + 1 if lvl < top and k == len(lst) else -1
 
     preds: List[Set[int]] = []
 
     def eliminate(cycle: List[Copy]) -> None:
         # each proposer takes the woman at his scan pointer, held by the next
         r = len(preds)
-        moves = [(m, lvl, chains[m, lvl][-1], scan[m, lvl]) for m, lvl in cycle]
         before = set()
-        for m, lvl, (frm, last), to in moves:
+        for c in cycle:
+            m, lvl = divmod(c, levels)
+            frm, last = chains[c][-1]
             if last >= 0:
                 before.add(last)
-            for k in range(frm + 1, to):
-                hers = held[adj[m][k]]
-                i = bisect_right(hers, -her_rank(m, lvl, k), key=_key)
+            lst, ranks = adj[m], back[m]
+            for k in range(frm + 1, scan[c]):
+                hers = held[lst[k]]
+                i = bisect_right(hers, (lvl + 1) * deg[lst[k]] - ranks[k], key=_key)
                 if i:
                     before.add(hers[i][1])
-        for (m, lvl, _, to), c in zip(moves, cycle):
+        for c in cycle:
+            m, lvl = divmod(c, levels)
+            to = scan[c]
             chains[c].append((to, r))
             scan[c] = to + 1
-            if to < len(adj[m]):
-                holder[adj[m][to]] = c
-                held[adj[m][to]].append((-her_rank(m, lvl, to), r))
+            if to < deg[m]:
+                w = adj[m][to]
+                holder[w] = c
+                held[w].append(((lvl + 1) * deg[w] - back[m][to], r))
         preds.append(before)
 
-    dead: Set[Copy] = set()
+    dead = bytearray(size)
     stack: List[Copy] = []
-    place: Dict[Copy, int] = {}  # a proposer's index on the stack
-    for first in chains:
-        while first not in dead:
+    place = [-1] * size  # a proposer's index on the stack, or -1
+    for first in range(size):
+        while not dead[first]:
             if not stack:
                 place[first] = 0
                 stack.append(first)
             c = successor(stack[-1])
-            if c is None or c in dead:
-                dead.update(stack)
+            if c < 0 or dead[c]:
+                for x in stack:  # a dead proposer's place is never read again
+                    dead[x] = 1
                 stack.clear()
-                place.clear()
-            elif c in place:
+            elif place[c] >= 0:
                 cycle = stack[place[c] :]
                 del stack[place[c] :]
                 for x in cycle:
-                    del place[x]
+                    place[x] = -1
                 eliminate(cycle)
             else:
                 place[c] = len(stack)
                 stack.append(c)
-    return RotationPoset(inst, preds, chains, held)
+    return RotationPoset(inst, levels, preds, chains, held)
 
 
 def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
@@ -267,7 +282,8 @@ def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
     first = list(accumulate(map(len, adj[: len(inst.men)]), initial=0))
     table = bytearray(first[-1])
     for levels in (2, 1):
-        for (m, lvl), chain in rotation_poset(inst, levels).chains.items():
+        for c, chain in enumerate(rotation_poset(inst, levels).chains):
+            m, lvl = divmod(c, levels)
             route = levels + lvl
             for k, _ in chain:
                 if k is not None and 0 <= k < len(adj[m]) and not 0 < table[first[m] + k] < route:
@@ -343,14 +359,14 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
 
     for a in sorted(range(len(inst.men)), key=names.__getitem__):
         lst = adj[a]
-        rd = reached(chains[a, 0], len(lst) - 1)
+        rd = reached(chains[2 * a], len(lst) - 1)
         if rd == -1:
             continue  # a starts at level 1 and stays there
         for k in sorted(range(len(lst)), key=lambda k: names[lst[k]]):
             b = lst[k]
-            hers = held.get(b, ())
-            ra, rb = reached(chains[a, 0], k), reached(hers, -len(adj[b]))
-            rc = reached(hers, -back[a][k] - 1)
+            hers = held[b]
+            ra, rb = reached(chains[2 * a], k), reached(hers, len(adj[b]))
+            rc = reached(hers, 2 * len(adj[b]) - back[a][k] - 1)
             if ra is None or rb is None or rc == -1:
                 continue
             if rd is not None and (rd <= ra or rb >= 0 and precedes(rd, rb)):

@@ -2,16 +2,23 @@
 classified by the exhaustive oracle, a certificate replay checker, the
 explicit two-copy instance G' with deferred acceptance on it, the
 reference for everything the library does on the implicit G', and the
-lattice walk by exposed rotations that `rotation_poset` replaced.
+lattice walk by exposed rotations that `rotation_poset` replaced, and a
+launcher that reads a child's peak RSS.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import popmatch
 from popmatch import (
     Instance,
     InstanceError,
@@ -63,6 +70,34 @@ b1: a1 a2 a3
 b2: a1 a2
 b3: a1
 """
+
+
+# Runs a command and prints its exit code, stdout, stderr, wall seconds
+# and peak RSS in MB.  A process's ru_maxrss starts at the RSS of the
+# process that spawned it, so the command is spawned from this small
+# launcher rather than from the test process.
+LAUNCHER = (
+    "import json, resource, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+    "seconds = time.perf_counter() - start\n"
+    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+    "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, seconds, rss]))\n"
+)
+
+
+def measured_child(*argv, timeout=60, **env):
+    """Run this Python on argv, with the package on its path and env
+    added, from the launcher: (exit code, stdout, stderr, wall seconds,
+    peak RSS in MB)."""
+    src = str(Path(popmatch.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
 
 
 def blocks_text(count):

@@ -21,7 +21,9 @@ from popmatch import (
 )
 from popmatch.cli import main
 from popmatch.oracles import popular_edges
-from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text, cyclic_text
+from conftest import (
+    CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text, cyclic_text, measured_child,
+)
 
 
 @pytest.fixture
@@ -335,30 +337,10 @@ def test_enumerate_guards_count_the_family(tmp_path, capsys, monkeypatch):
 LISTING_WALL_S = 2.0
 LISTING_RSS_MB = 40
 
-# Runs the CLI in a child and prints its exit code, stdout line count,
-# stderr, wall seconds and peak RSS in MB.  A process's ru_maxrss starts
-# at the RSS of the process that spawned it, so the CLI is spawned from
-# this small launcher rather than from the test process.
-LAUNCHER = (
-    "import json, resource, subprocess, sys, time\n"
-    "start = time.perf_counter()\n"
-    "proc = subprocess.run([sys.executable, '-m', 'popmatch.cli', *sys.argv[1:]],\n"
-    "                      capture_output=True, text=True)\n"
-    "seconds = time.perf_counter() - start\n"
-    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
-    "print(json.dumps([proc.returncode, len(proc.stdout.splitlines()), proc.stderr,\n"
-    "                  seconds, rss]))\n"
-)
-
-
 def measured_cli(*argv: str, **env: str):
-    src = str(Path(popmatch.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, *argv], env=dict(os.environ, PYTHONPATH=src, **env),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    # exit code, stdout line count, stderr, wall seconds, peak RSS in MB
+    code, out, err, seconds, rss = measured_child("-m", "popmatch.cli", *argv, **env)
+    return code, len(out.splitlines()), err, seconds, rss
 
 
 def test_dominant_listing_holds_no_family(tmp_path):

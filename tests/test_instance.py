@@ -1,3 +1,7 @@
+import gc
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +38,19 @@ def test_empty_preference_lists_allowed():
     assert inst.edges == frozenset()
 
 
+# Women's lists longer than `instance._SCANNED` take the rank-dict side
+# of the symmetry check: men a1..a40 each list b, and b lists a1..a39
+# and then one more entry, 40 in all.
+LONG_MEN = tuple(f"a{i}" for i in range(1, 42))
+LONG_PREF = {**{m: ("b",) for m in LONG_MEN[:40]}, "b": LONG_MEN[:39]}
+
+
+def long_list_text(last):
+    lines = [f"men: {' '.join(LONG_MEN)}", "women: b c"]
+    lines += [f"{m}: {' '.join(lst)}" for m, lst in LONG_PREF.items() if m != "b"]
+    return "\n".join(lines + [f"b: {' '.join(LONG_PREF['b'] + (last,))}"]) + "\n"
+
+
 PARSE_ERRORS = [
     # (text, fragment of the message, line the error names)
     ("men: a\na: b\n", "women", 2),
@@ -58,6 +75,11 @@ PARSE_ERRORS = [
     # equal totals: the man's line names the edge; unequal: the woman's
     ("men: a1 a2\nwomen: b1\na1: b1\nb1: a2\n", "edge (a1,b1) — 'a1' lists 'b1'", 3),
     ("men: a1\nwomen: b1 b2\na1: b1\nb1: a1\nb2: a1\n", "edge (a1,b2) — 'b2' lists 'a1'", 5),
+    # a woman's list of 40 entries
+    (long_list_text("a41"), "edge (a40,b) — 'a40' lists 'b' but 'b' does not list 'a40'", 42),
+    (long_list_text("a1"), "duplicate entry 'a1' in list of 'b'", 43),
+    (long_list_text("c"), "'b' lists 'c' on its own side", 43),
+    (long_list_text("x"), "unknown neighbor 'x' in list of 'b'", 43),
 ]
 
 
@@ -152,6 +174,16 @@ INSTANCE_ERRORS = [
         {"a1": ("b1",), "b1": ("a1",), "b2": ("a1",)},
         "edge (a1,b2) — 'b2' lists 'a1' but 'a1' does not list 'b2'",
     ),
+    # a woman's list of 40 entries
+    *(
+        (check, LONG_MEN, ("b", "c"), {**LONG_PREF, "b": LONG_PREF["b"] + (last,)}, fragment)
+        for check, last, fragment in [
+            ("long-asymmetric", "a41", "edge (a40,b) — 'a40' lists 'b' but 'b' does not"),
+            ("long-duplicate-entry", "a1", "duplicate entry 'a1' in list of 'b'"),
+            ("long-own-side", "c", "'b' lists 'c' on its own side"),
+            ("long-unknown-neighbor", "x", "unknown neighbor 'x' in list of 'b'"),
+        ]
+    ),
 ]
 
 
@@ -167,12 +199,53 @@ def test_instance_checks(men, women, pref, fragment):
     assert not isinstance(err.value, ParseError)
 
 
+def mixed_lengths(seed):
+    """60 men and 30 women, half the women on the lists of about 20 men
+    and half on those of about 50, so both sides of the symmetry check
+    meet in one instance."""
+    rng = random.Random(seed)
+    men, women = [f"a{i}" for i in range(60)], [f"b{j}" for j in range(30)]
+    pref = {v: [] for v in men + women}
+    for j, w in enumerate(women):
+        for m in rng.sample(men, rng.randint(18, 22) if j % 2 else rng.randint(45, 55)):
+            pref[w].append(m)
+            pref[m].append(w)
+    for lst in pref.values():
+        rng.shuffle(lst)
+    return Instance(men, women, pref)
+
+
 def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
-    shapes = [(0, 3, 0.5), (4, 0, 0.5), (6, 5, 0.3), (9, 12, 0.6)] * 5
+    shapes = [(0, 3, 0.5), (4, 0, 0.5), (6, 5, 0.3), (9, 12, 0.6), (40, 40, 0.95)] * 4
     randoms = [generate_random(*shape, seed) for seed, shape in enumerate(shapes)]
-    for inst in (shared_top, contested_hub, nested_fan, *randoms):
-        assert parse_instance(serialize_instance(inst)) == inst
+    mixed = [mixed_lengths(seed) for seed in range(4)]
+    for inst in (shared_top, contested_hub, nested_fan, *randoms, *mixed):
+        parsed = parse_instance(serialize_instance(inst))
+        assert parsed == inst
+        adj, back = parsed.adj, parsed.back
+        assert all(
+            adj[w][back[m][k]] == m for m in range(len(parsed.men)) for k, w in enumerate(adj[m])
+        )
     assert serialize_instance(shared_top) == SHARED_TOP_TEXT
+
+
+# How far the tracemalloc peak of a parse may rise over the memory the
+# parsed instance keeps: 1.44 on the shape below, where building a rank
+# dict for every woman's list made it 2.37.
+PARSE_PEAK_GROWTH = 1.6
+
+
+def test_parse_peak_stays_near_what_the_instance_keeps():
+    text = serialize_instance(generate_random(2000, 2000, 0.01, 4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.men) == 2000
+    assert peak <= PARSE_PEAK_GROWTH * kept, (peak, kept)
 
 
 @st.composite

@@ -222,7 +222,8 @@ def test_stable_pairs_have_their_forced_witness():
         for levels in (1, 2):
             poset = rotation_poset(inst, levels)
             real = set()
-            for (m, lvl), chain in poset.chains.items():
+            for c, chain in enumerate(poset.chains):
+                m, lvl = divmod(c, levels)
                 for k, r in chain:
                     if k is None or not 0 <= k < len(adj[m]):
                         continue

@@ -1,13 +1,9 @@
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import popmatch
 from popmatch import (
     InstanceError,
     Matching,
@@ -30,7 +26,7 @@ from popmatch import gale_shapley, rotations
 from popmatch.elections import MINUS, PLUS, label_edges
 from popmatch.popular_edge import NotPopularError
 from popmatch.rotations import popular_routes
-from conftest import blocks_text, cyclic_text
+from conftest import blocks_text, cyclic_text, measured_child
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -305,14 +301,12 @@ def test_later_queries_run_at_most_one_forced_run(monkeypatch):
 # How far the peak RSS of parsing the edge-queries instance and answering
 # its 120 queries may rise over that of up to three forced runs per
 # query.  The table keeps one byte per edge, but building the rotation
-# poset of G' for it sets the peak: 19.5 MB against 18.2-18.3 MB (+7%)
-# on a 2-vCPU VM.  A table that kept both posets alive peaked at 20.5 MB.
+# poset of G' for it sets the peak: 18.4-18.5 MB against 17.3-17.4 MB
+# (+6%) on a 2-vCPU VM.
 ROUTES_RSS_GROWTH = 1.10
 
-# Runs a child that parses the instance file, answers the queries with
-# `popular_edge` or with the composed forced runs, and prints their
-# answers and its peak RSS in MB, read by a small launcher (a process's
-# ru_maxrss starts at the RSS of the process that spawned it).
+# Parses the instance file, answers the queries with `popular_edge` or
+# with the composed forced runs, and prints their answers.
 QUERY_CHILD = (
     "import json, sys\n"
     "from popmatch import dominant_with_edge, parse_instance, popular_edge, stable_with_edge\n"
@@ -324,29 +318,16 @@ QUERY_CHILD = (
     "edges = [tuple(e) for e in json.load(open(sys.argv[2]))]\n"
     "print(json.dumps([got is not None for got in (query(inst, e) for e in edges)]))\n"
 )
-QUERY_LAUNCHER = (
-    "import json, resource, subprocess, sys\n"
-    "proc = subprocess.run([sys.executable, '-c', *sys.argv[1:]], capture_output=True,\n"
-    "                      text=True)\n"
-    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
-    "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, rss]))\n"
-)
 
 
 def test_route_table_keeps_the_query_peak(tmp_path):
     inst, edges = benchmark_queries(4)
     (tmp_path / "inst.pref").write_text(serialize_instance(inst))
     (tmp_path / "queries.json").write_text(json.dumps(edges))
-    src = str(Path(popmatch.__file__).resolve().parents[1])
     peaks, answers = {}, {}
     for how in ("composed", "table"):
         argv = [QUERY_CHILD, str(tmp_path / "inst.pref"), str(tmp_path / "queries.json"), how]
-        proc = subprocess.run(
-            [sys.executable, "-c", QUERY_LAUNCHER, *argv],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, out, err, peaks[how] = json.loads(proc.stdout)
+        code, out, err, _, peaks[how] = measured_child("-c", *argv, timeout=120)
         assert (code, err) == (0, ""), err
         answers[how] = json.loads(out)
     assert answers["table"] == answers["composed"] and any(answers["table"])
