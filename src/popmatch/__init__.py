@@ -5,8 +5,9 @@ A matching is *popular* when it never loses a head-to-head
 vertex-majority election against another matching, and *dominant* when
 on top of that no election ends in a tie against a larger matching.
 The package provides verifiers with replayable certificates, solvers
-for the stable/dominant/forced-edge problems, an exhaustive oracle
-layer for ground truth at small scale, and a CLI.
+for the stable/dominant/forced-edge problems, the popular edges read
+off the rotation posets, an exhaustive oracle layer for ground truth at
+small scale, and a CLI.
 
 `import popmatch` loads only `instance`, `popular_edge` and the proposal
 engine in `gale_shapley`; every other public name imports its submodule
@@ -42,10 +43,10 @@ _NAMES = {
     "instance": "EnumerationGuardError Instance InstanceError Matching ParseError "
     "generate_random parse_instance parse_matching serialize_instance serialize_matching",
     "min_cost": "min_cost_dominant parse_costs",
-    "oracles": "classify dominant_set enumerate_matchings popular_edges popular_set stable_set",
+    "oracles": "classify dominant_set enumerate_matchings popular_set stable_set",
     "popular_edge": "Decomposition decompose dominant_with_edge inverse_map lift_to_dominant "
-    "lower_to_stable popular_edge unstable_via_pair",
-    "rotations": "exists_unstable_popular stable_matchings",
+    "lower_to_stable popular_edge",
+    "rotations": "exists_unstable_popular popular_edges stable_matchings",
     "verify": "Certificate Partition is_dominant is_popular partition",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}

@@ -204,14 +204,9 @@ def _cmd_min_cost(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.instance)
     if args.what == "popular-edges":
-        from .rotations import popular_routes
+        from .rotations import popular_edges
 
-        names = inst.names
-        # one byte per edge, man by man in list order
-        marks = iter(popular_routes(inst)[1])
-        edges = sorted(
-            (names[m], names[w]) for m in range(len(inst.men)) for w in inst.adj[m] if next(marks)
-        )
+        edges = sorted(popular_edges(inst))
         if args.json:
             print(json.dumps({"edges": [list(e) for e in edges]}))
         else:

@@ -38,11 +38,10 @@ class LabeledGraph:
     pruned subgraph G_M keeps the matching edges and every edge with a
     vote for it.
 
-    label, gm_edges and gm_adj are views by vertex name, built on first
-    access: label maps each non-matching edge (a, b), in name order, to
-    (a's vote for b vs its partner, b's vote for a vs its partner),
-    gm_edges holds the edges of G_M, and gm_adj[v] lists v's G_M
-    neighbours in name order, the vertices in declared order.
+    label and gm_edges are views by vertex name, built on first access:
+    label maps each non-matching edge (a, b), in name order, to (a's
+    vote for b vs its partner, b's vote for a vs its partner), and
+    gm_edges holds the edges of G_M.
     """
 
     def __init__(self, inst: Instance, mate: List[int], pos: List[int]):
@@ -92,16 +91,6 @@ class LabeledGraph:
     def gm_edges(self) -> frozenset:
         names = self.inst.names
         return frozenset((names[x], names[w]) for x, row, _ in self.rows() for w in row)
-
-    @cached_property
-    def gm_adj(self) -> Dict[str, Tuple[str, ...]]:
-        names = self.inst.names
-        rows: List[list] = [[] for _ in names]
-        for x, row, _ in self.rows():
-            rows[x] = row
-            for w in row:
-                rows[w].append(x)
-        return {v: tuple(map(names.__getitem__, row)) for v, row in zip(names, rows)}
 
 
 def vote(inst: Instance, u: str, x: str, y: Optional[str] = None) -> int:

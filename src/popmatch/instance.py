@@ -242,17 +242,6 @@ class Instance:
                 raise InstanceError(f"{v!r} is not adjacent to {u!r}")
         return lst.index(self.index[x]) < lst.index(self.index[y])
 
-    def induced(self, keep: Iterable[str]) -> "Instance":
-        """The subgraph induced on the given vertex set."""
-        keep = frozenset(keep)
-        men = tuple(m for m in self.men if m in keep)
-        women = tuple(w for w in self.women if w in keep)
-        index = {v: i for i, v in enumerate(men + women)}
-        new = {self.index[v]: i for v, i in index.items()}
-        lists = {v: tuple(x for x in map(new.get, self.adj[old]) if x is not None)
-                 for old, v in zip(new, index)}
-        return Instance._from_lists(men, women, index, lists, {})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented

@@ -161,7 +161,7 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     poset = rotation_poset(inst, levels=2)
     partners = [poset.partners(m) for m in range(n)]
     # only the pairs a stable matching of G' can hold are priced
-    priced = {(m, k): costs[names[m], names[adj[m][k]]] for m in range(n) for k, _ in partners[m]}
+    priced = {(m, k): costs[names[m], names[adj[m][k]]] for m in range(n) for k, _, _ in partners[m]}
     scale = lcm(*{c.denominator for c in priced.values()})
     price = {e: c.numerator * (scale // c.denominator) for e, c in priced.items()}
     by_name = sorted(range(n, len(names)), key=names.__getitem__)
@@ -173,7 +173,7 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     weights = [0] * len(gains)
     unit = 1
     for m in sorted(range(n), key=names.__getitem__, reverse=True):
-        for (was, _), (k, r) in zip(partners[m], partners[m][1:]):
+        for (was, _, _), (k, r, _) in zip(partners[m], partners[m][1:]):
             gains[r] += price[m, k] - price[m, was]
             weights[r] += (value[adj[m][k]] - value[adj[m][was]]) * unit
         if len(partners[m]) > 1:

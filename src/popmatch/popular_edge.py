@@ -9,8 +9,8 @@ posets once per instance.
 stable remainder m1; `lift_to_dominant` and `lower_to_stable` push the
 whole matching to a dominant or a stable one keeping m0 or m1, each by
 one floored run of the engine on the whole instance.  `inverse_map`
-lifts a dominant matching to G', and `unstable_via_pair` probes G' for
-a dominant matching that a given edge blocks.
+lifts a dominant matching to G'.  `rotations.popular_edges` lists every
+popular edge at once.
 """
 
 from __future__ import annotations
@@ -144,30 +144,6 @@ def dominant_with_edge(
         if got is not None:
             return got
     return None
-
-
-def unstable_via_pair(
-    inst: Instance, e1: Tuple[str, str], e2: Tuple[str, str]
-) -> Optional[Matching]:
-    """A dominant matching containing e1 = (a,v) and e2's woman side
-    (u,b) with (a,b) blocking it, if one exists: the reference probe for
-    `rotations.exists_unstable_popular`.
-
-    Probes G' for a stable matching in which v holds a at level 0 and b
-    holds u at level 1.
-    """
-    a, v = e1
-    u, b = e2
-    for e in (e1, e2):
-        if not inst.has_edge(*e):
-            raise InstanceError(f"({e[0]},{e[1]}) is not an edge of the instance")
-    if len({a, v, u, b}) < 4:
-        return None
-    if not inst.has_edge(a, b):
-        raise InstanceError(f"({a},{b}) is not an edge, so it cannot block")
-    if not (inst.prefers(a, b, v) and inst.prefers(b, a, u)):
-        raise InstanceError(f"({a},{b}) does not mutually improve on ({a},{v}), ({u},{b})")
-    return gale_shapley.forced(inst, {v: (a, 0), b: (u, 1)}, 2)
 
 
 def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:

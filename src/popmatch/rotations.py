@@ -8,12 +8,13 @@ are the projections of the stable matchings of G' (see
 chain of the lattice by one pointer walk and their precedence by
 Gusfield-Irving pair labelling, in O(m log m) on m edges; it runs on
 levelled proposers, as `gale_shapley.run` does, so G' is never built.
-Its readers are here too: `stable_matchings` lists the closed sets,
-each stable matching once, up to a count guard, `popular_routes` marks
-the popular edges, and `exists_unstable_popular` decides whether every
-popular matching is stable.  `min_cost.min_cost_dominant` reads the
-poset through `partners`, `matching` and `preds`, not through its
-encoding.
+Its readers are here too: `stable_matchings` and
+`RotationPoset.distinct_pairs` list the closed sets through one decoder,
+each matching once, up to a count guard; `popular_routes` marks the
+popular edges and `popular_edges` lists them; `exists_unstable_popular`
+decides whether every popular matching is stable.
+`min_cost.min_cost_dominant` reads the poset through `partners`,
+`matching` and `preds`, not through its encoding.
 """
 
 from __future__ import annotations
@@ -63,45 +64,40 @@ class RotationPoset(NamedTuple):
         bitmask of its rotations, leaves.  The rotations moving one
         proposer form a chain, each a pred of the next, so the set holds
         a prefix of them, and he ends where the last of those puts him.
-        That prefix is read up to its first rotation outside the set,
-        not through a bitmask per proposer, which would take O(R) bits
-        for each proposer that moves."""
+        That prefix is read by walking each chain to its first rotation
+        outside the set.  The listings' decoder `_listed` counts it
+        through a bitmask and a table per man instead, which pay only
+        over many sets: for one set of the acceptance instance's G' (908
+        rotations) they peak at 13.1 MB against 2.3 MB for this walk
+        (tracemalloc), and the masks grow as men times rotations."""
         adj, names, levels = self.inst.adj, self.inst.names, self.levels
         at = []
         for chain in self.chains:
             i = 1
             while i < len(chain) and closed >> chain[i][1] & 1:
                 i += 1
-            at.append(chain[i - 1][0])
+            at.append(chain[i - 1])
+        men = range(len(self.inst.men))
         pairs = [
             (names[m], names[adj[m][k]])
-            for m in range(len(self.inst.men))
-            for k in at[levels * m : levels * (m + 1)]
-            if k is not None and 0 <= k < len(adj[m])
+            for m in men
+            for k, _ in _real(at[levels * m : levels * (m + 1)], len(adj[m]))
         ]
-        level = {names[m]: int(at[levels * m] == len(adj[m])) for m in range(len(self.inst.men))}
+        level = {names[m]: int(at[levels * m][0] == len(adj[m])) for m in men}
         return LevelledMatching(pairs, level)
 
-    def partners(self, m: int) -> List[Tuple[int, int]]:
-        """Man m's real partners along the chain, by position in his
-        list, each beside the rotation that brought it (-1: the start).
-        In G' his level-1 copy's follow his level-0 copy's: the rotation
-        that moves the level-0 copy to the dummy moves the level-1 copy
-        off the other."""
+    def partners(self, m: int) -> List[Tuple[int, int, int]]:
+        """Man m's real partners along the chain, each as (its position
+        in his list, the rotation that brought it (-1: the start), his
+        level).  In G' his level-1 copy's follow his level-0 copy's: the
+        rotation that moves the level-0 copy to the dummy moves the
+        level-1 copy off the other."""
         size = len(self.inst.adj[m])
         return [
-            (k, r)
-            for chain in self.chains[self.levels * m : self.levels * (m + 1)]
-            for k, r in chain
-            if k is not None and 0 <= k < size
+            (k, r, lvl)
+            for lvl, chain in enumerate(self.chains[self.levels * m : self.levels * (m + 1)])
+            for k, r in _real(chain, size)
         ]
-
-    def stable_pairs(self) -> Set[Tuple[str, str]]:
-        """The pairs its stable matchings hold: the start pairs and those
-        rotations move onto."""
-        adj, names = self.inst.adj, self.inst.names
-        men = range(len(self.inst.men))
-        return {(names[m], names[adj[m][k]]) for m in men for k, _ in self.partners(m)}
 
     def closed_sets(self, limit: int = MAX_LISTED) -> List[int]:
         """Every closed set once, as a bitmask of its rotations.  Raises
@@ -122,22 +118,64 @@ class RotationPoset(NamedTuple):
     def distinct_pairs(self) -> List[Matching]:
         """The pairs of its stable matchings, each set of pairs once (two
         stable matchings of G' may share theirs), sorted."""
+        return self._listed(False, MAX_LISTED)
+
+    def _listed(self, levelled: bool, limit: int) -> list:
+        """The one decoder of the listings: its stable matchings, sorted by
+        pairs then levels, or else their distinct pairs, sorted.
+
+        A closed set holds a prefix of each man's moves (Gusfield-Irving
+        1989, ch. 3), so their count gives his partner and level.  A set
+        is read into one bytes key: per man who moves, in name order, his
+        partner's place in name order as a big-endian field, then if
+        `levelled` his level, in declared order.  Every stable matching
+        matches the same men, so the keys sort as the matchings do, and
+        each matching is built once from its key.  (An int built field
+        by field would copy the whole key once per man.)
+        """
+        sets = self.closed_sets(limit)  # refused before anything is built
         adj, names = self.inst.adj, self.inst.names
-        # a closed set holds a prefix of each man's moves, so how many
-        # of them it holds gives his partner
-        men = []
-        for m in range(len(self.inst.men)):
-            if partners := self.partners(m):
-                men.append((m, partners, sum(1 << r for _, r in partners[1:])))
-        found = {
-            tuple(partners[(s & moves).bit_count()][0] for _, partners, moves in men)
-            for s in self.closed_sets()
+        n = len(self.inst.men)
+        held = [[(names[adj[m][k]], r, lvl) for k, r, lvl in self.partners(m)] for m in range(n)]
+        # at the start a man is at level 1 iff his level-0 copy holds the dummy
+        level = {names[m]: int(self.chains[self.levels * m][0][0] == len(adj[m])) for m in range(n)}
+        fixed = [(names[m], h[0][0]) for m, h in enumerate(held) if len(h) == 1]
+        movers = [m for m in range(n) if len(held[m]) > 1]
+        moves = {m: sum(1 << r for _, r, _ in held[m][1:]) for m in movers}
+        # per mover, by the count of his moves: his field, and his level
+        fields, places = [], []
+        at = 0
+        for m in sorted(movers, key=names.__getitem__):
+            women = sorted({w for w, _, _ in held[m]})
+            size = ((len(women) - 1).bit_length() + 7) // 8
+            field = {w: i.to_bytes(size, "big") for i, w in enumerate(women)}
+            fields.append((moves[m], [field[w] for w, _, _ in held[m]]))
+            places.append((names[m], at, at + size, {b: w for w, b in field.items()}))
+            at += size
+        ups = [(moves[m], [lvl for _, _, lvl in held[m]]) for m in movers] if levelled else []
+        keys = {
+            b"".join([field[(s & mask).bit_count()] for mask, field in fields])
+            + bytes([up[(s & mask).bit_count()] for mask, up in ups])
+            for s in sets
         }
-        listed = (
-            Matching((names[m], names[adj[m][k]]) for (m, _, _), k in zip(men, key))
-            for key in found
-        )
-        return sorted(listed, key=Matching.sorted_pairs)
+        del sets
+        names_up = [names[m] for m in movers]
+        listed = []
+        for key in sorted(keys):
+            pairs = fixed + [(name, women[key[a:b]]) for name, a, b, women in places]
+            if levelled:
+                levels = level.copy()
+                levels.update(zip(names_up, key[at:]))
+                listed.append(LevelledMatching(pairs, levels))
+            else:
+                listed.append(Matching(pairs))
+        return listed
+
+
+def _real(entries: Chain, size: int) -> Chain:
+    """The chain entries whose position holds a woman of a list of
+    `size`: not None (he holds no one) nor a dummy (-1 or `size`)."""
+    return [(k, r) for k, r in entries if k is not None and 0 <= k < size]
 
 
 def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
@@ -285,10 +323,19 @@ def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
         for c, chain in enumerate(rotation_poset(inst, levels).chains):
             m, lvl = divmod(c, levels)
             route = levels + lvl
-            for k, _ in chain:
-                if k is not None and 0 <= k < len(adj[m]) and not 0 < table[first[m] + k] < route:
+            for k, _ in _real(chain, len(adj[m])):
+                if not 0 < table[first[m] + k] < route:
                     table[first[m] + k] = route
     return first, table
+
+
+def popular_edges(inst: Instance) -> Set[Tuple[str, str]]:
+    """The popular edges, those some popular matching holds: the edges
+    `popular_routes` marks, in O(m log m).  `oracles.popular_edges` is
+    the exhaustive reference."""
+    names = inst.names
+    marks = iter(popular_routes(inst)[1])  # one byte per edge, man by man
+    return {(names[m], names[w]) for m in range(len(inst.men)) for w in inst.adj[m] if next(marks)}
 
 
 def stable_matchings(
@@ -301,9 +348,7 @@ def stable_matchings(
     pairs and the level every man ends on.  Two of them may share their
     pairs, so they are told apart by both.  Sorted by pairs, then levels.
     """
-    poset = rotation_poset(inst, levels)
-    found = map(poset.matching, poset.closed_sets(limit))
-    return sorted(found, key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
+    return rotation_poset(inst, levels)._listed(True, limit)
 
 
 def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[str, str]]]:

@@ -1,9 +1,11 @@
 """Shared fixtures: three hand-checkable instances, random ensembles
 classified by the exhaustive oracle, a certificate replay checker, the
 explicit two-copy instance G' with deferred acceptance on it, the
-reference for everything the library does on the implicit G', and the
-lattice walk by exposed rotations that `rotation_poset` replaced, and a
-launcher that reads a child's peak RSS.
+reference for everything the library does on the implicit G', the
+lattice walk by exposed rotations that `rotation_poset` replaced, a
+launcher that reads a child's peak RSS, and helpers only the tests
+need: induced subgraphs, G_M as adjacency, the pair probe of G' and
+the stable pairs of a rotation poset.
 """
 
 import json
@@ -28,8 +30,8 @@ from popmatch import (
     is_stable,
     parse_instance,
     run,
-    unstable_via_pair,
 )
+from popmatch import gale_shapley
 from popmatch.elections import PLUS, vote
 from popmatch.gale_shapley import LevelledMatching
 
@@ -378,6 +380,56 @@ def blocking_candidates(inst, a, b):
             for u in inst.pref[b]:
                 if u != a and inst.prefers(b, a, u):
                     yield v, u
+
+
+def unstable_via_pair(inst, e1, e2):
+    """A dominant matching containing e1 = (a,v) and e2's woman side
+    (u,b) with (a,b) blocking it, if one exists: the reference probe for
+    `rotations.exists_unstable_popular`.
+
+    Probes G' for a stable matching in which v holds a at level 0 and b
+    holds u at level 1.
+    """
+    a, v = e1
+    u, b = e2
+    for e in (e1, e2):
+        if not inst.has_edge(*e):
+            raise InstanceError(f"({e[0]},{e[1]}) is not an edge of the instance")
+    if len({a, v, u, b}) < 4:
+        return None
+    if not inst.has_edge(a, b):
+        raise InstanceError(f"({a},{b}) is not an edge, so it cannot block")
+    if not (inst.prefers(a, b, v) and inst.prefers(b, a, u)):
+        raise InstanceError(f"({a},{b}) does not mutually improve on ({a},{v}), ({u},{b})")
+    return gale_shapley.forced(inst, {v: (a, 0), b: (u, 1)}, 2)
+
+
+def induced(inst, keep):
+    """The subgraph of inst induced on the vertices in keep."""
+    keep = set(keep)
+    pref = {v: [x for x in inst.pref[v] if x in keep] for v in inst.vertices() if v in keep}
+    return Instance(
+        [m for m in inst.men if m in keep], [w for w in inst.women if w in keep], pref
+    )
+
+
+def gm_adj(labeled):
+    """The pruned subgraph G_M of a `label_edges` result as adjacency:
+    each vertex's G_M neighbours in name order, the vertices in
+    declared order."""
+    adj = {v: [] for v in labeled.inst.vertices()}
+    for a, b in labeled.gm_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+
+
+def stable_pairs(poset):
+    """The pairs the stable matchings of a `rotation_poset` hold: the
+    start pairs and those its rotations move onto."""
+    adj, names = poset.inst.adj, poset.inst.names
+    men = range(len(poset.inst.men))
+    return {(names[m], names[adj[m][k]]) for m in men for k, _, _ in poset.partners(m)}
 
 
 def pair_scan_unstable_popular(inst):

@@ -15,6 +15,7 @@ from conftest import (
     lattice_stable_matchings,
     map_T,
     pair_scan_unstable_popular,
+    stable_pairs,
     to_level_graph,
 )
 from popmatch import (
@@ -33,12 +34,11 @@ from popmatch import (
     lower_to_stable,
     min_cost_dominant,
     popular_edge,
-    popular_edges,
     stable_matchings,
 )
 from popmatch.elections import MINUS, PLUS, label_edges
 from popmatch.rotations import rotation_poset
-from popmatch.oracles import maximum_matching_size
+from popmatch.oracles import maximum_matching_size, popular_edges
 
 
 def criterion(num, name, capsys, body):
@@ -243,7 +243,7 @@ def test_criterion_9_scalability(capsys):
         assert len(poset.preds) == 908
         # what enumerate --what popular-edges lists, checked on samples
         # in and out of it against one forced run each
-        popular = rotation_poset(inst, 1).stable_pairs() | poset.stable_pairs()
+        popular = stable_pairs(rotation_poset(inst, 1)) | stable_pairs(poset)
         assert len(popular) == 26_064
         rng = random.Random(9)
         inside = rng.sample(sorted(popular), 10)

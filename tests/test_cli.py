@@ -266,7 +266,20 @@ def test_public_names_resolve():
     namespace = {}
     exec("from popmatch import *", namespace)
     assert all(namespace[name] is getattr(popmatch, name) for name in popmatch.__all__)
-    assert "LevelledMatching" in popmatch.__all__
+    # every public name, so that adding or removing one shows in a diff
+    assert sorted(popmatch.__all__) == [
+        "Certificate", "Decomposition", "ElectionResult", "EnumerationGuardError",
+        "Instance", "InstanceError", "LabeledGraph", "LevelledMatching", "Matching",
+        "ParseError", "Partition", "classify", "compare", "decompose", "defeats",
+        "dominant_set", "dominant_two_level", "dominant_with_edge",
+        "enumerate_matchings", "exists_unstable_popular", "generate_random",
+        "inverse_map", "is_dominant", "is_popular", "is_stable", "label_edges",
+        "lift_to_dominant", "lower_to_stable", "min_cost_dominant", "parse_costs",
+        "parse_instance", "parse_matching", "partition", "popular_edge",
+        "popular_edges", "popular_set", "run", "serialize_instance",
+        "serialize_matching", "stable_matchings", "stable_set", "stable_with_edge",
+        "vote",
+    ]
 
 
 def test_enumerate_variants(shared_top_file, capsys):

@@ -16,7 +16,7 @@ from popmatch import (
     vote,
 )
 from popmatch.elections import MINUS, PLUS
-from conftest import reversed_declaration_cases
+from conftest import gm_adj, reversed_declaration_cases
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def test_labels_and_pruned_graph(shared_top):
     labeled = label_edges(shared_top, m)
     assert labeled.label == {("a1", "b1"): (PLUS, PLUS)}
     assert labeled.gm_edges == {("a1", "b1"), ("a1", "b2"), ("a2", "b1")}
-    assert labeled.gm_adj["a1"] == ("b1", "b2")
+    assert gm_adj(labeled)["a1"] == ("b1", "b2")
 
 
 def test_minus_minus_edges_pruned(nested_fan):
@@ -105,7 +105,7 @@ def test_blocking_pairs_in_lex_order(shared_top, contested_hub):
 
 
 def per_edge_labelling(inst, m):
-    """label, gm_edges and gm_adj computed edge by edge from `vote`."""
+    """label and gm_edges computed edge by edge from `vote`."""
     label = {}
     gm_edges = set(m.pairs)
     for a, b in sorted(inst.edges):
@@ -116,22 +116,15 @@ def per_edge_labelling(inst, m):
             )
             if label[(a, b)] != (MINUS, MINUS):
                 gm_edges.add((a, b))
-    adj = {v: [] for v in inst.vertices()}
-    for a, b in gm_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return label, gm_edges, {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+    return label, gm_edges
 
 
 def assert_labelling_matches_votes(inst, m):
     labeled = label_edges(inst, m)
-    label, gm_edges, gm_adj = per_edge_labelling(inst, m)
+    label, gm_edges = per_edge_labelling(inst, m)
     assert labeled.label == label
     assert list(labeled.label) == sorted(label)
     assert labeled.gm_edges == gm_edges
-    # every adjacency tuple in name order, the vertices in declared order
-    assert labeled.gm_adj == gm_adj
-    assert list(labeled.gm_adj) == list(inst.vertices())
 
 
 def test_labels_against_every_matching(small_ensemble):

@@ -19,6 +19,7 @@ from conftest import (
     map_T,
     pair_scan_unstable_popular,
     to_level_graph,
+    unstable_via_pair,
 )
 from popmatch import (
     Instance,
@@ -38,7 +39,6 @@ from popmatch import (
     popular_edge,
     stable_matchings,
     stable_with_edge,
-    unstable_via_pair,
 )
 from popmatch.gale_shapley import forced
 
@@ -239,7 +239,7 @@ def test_per_query_paths_build_no_level_graph(
 ):
     # G' has two copies of every man, so a path that built it would
     # construct an instance with more men than its input; every
-    # constructor (parse, Instance(), induced) fills it through _build
+    # constructor (parse, Instance()) fills it through _build
     sizes = []
     original = Instance._build
 

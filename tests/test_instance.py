@@ -16,7 +16,7 @@ from popmatch import (
     serialize_instance,
     serialize_matching,
 )
-from conftest import SHARED_TOP_TEXT
+from conftest import SHARED_TOP_TEXT, induced
 
 
 def test_parse_basic(shared_top):
@@ -278,7 +278,7 @@ def test_representation_round_trip(inst):
 
 
 def test_induced_subgraph(contested_hub):
-    sub = contested_hub.induced({"a1", "a3", "b1", "b3"})
+    sub = induced(contested_hub, {"a1", "a3", "b1", "b3"})
     assert sub.men == ("a1", "a3")
     assert sub.pref["a1"] == ("b1", "b3")
     assert sub.pref["b1"] == ("a1", "a3")

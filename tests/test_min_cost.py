@@ -14,6 +14,7 @@ from conftest import (
     lattice_stable_matchings,
     map_T,
     reference_min_cost_dominant,
+    stable_pairs,
 )
 from popmatch import (
     EnumerationGuardError,
@@ -29,6 +30,7 @@ from popmatch import (
     parse_instance,
     stable_matchings,
 )
+from popmatch import rotations
 from popmatch.gale_shapley import forced
 from popmatch.min_cost import _min_closure
 from popmatch.rotations import rotation_poset
@@ -239,7 +241,7 @@ def test_stable_pairs_have_their_forced_witness():
                     assert got is not None and got.pairs == want.pairs, (seed, levels, m, k)
                     assert got.level == want.level, (seed, levels, m, k)
                     checked += 1
-            assert poset.stable_pairs() == real
+            assert stable_pairs(poset) == real
     assert checked > 1000
 
 
@@ -259,6 +261,37 @@ def test_cyclic_posets_are_chains(n):
         assert keys(listed) == keys(lattice_stable_matchings(inst, levels))
     if n <= 5:
         assert stable_matchings(inst) == classify(inst).stable_set()
+
+
+def test_listings_share_one_decoder(small_ensemble, monkeypatch):
+    # both listings read the closed sets through one decoder; the walk of
+    # `matching`, one closed set at a time, is the reference for both
+    insts = [inst for inst, _ in small_ensemble]
+    insts += [parse_instance(blocks_text(k)) for k in range(1, 5)]
+    insts += [parse_instance(cyclic_text(n)) for n in range(2, 7)]
+    for inst in insts:
+        for levels in (1, 2):
+            poset = rotation_poset(inst, levels)
+            walked = [poset.matching(s) for s in poset.closed_sets()]
+            listed = stable_matchings(inst, levels=levels)
+            assert keys(listed) == sorted(keys(walked))
+            # equal pairs merge, the first listed standing for them
+            distinct = [m.sorted_pairs() for m in dict.fromkeys(listed)]
+            assert [m.sorted_pairs() for m in poset.distinct_pairs()] == distinct
+    # the count guard refuses before a matching is built
+    built = []
+    for name in ("Matching", "LevelledMatching"):
+        cls = getattr(rotations, name)
+        monkeypatch.setattr(rotations, name, lambda *a, cls=cls: built.append(cls) or cls(*a))
+    inst = parse_instance(blocks_text(3))  # 4**3 stable matchings of G'
+    assert len(stable_matchings(inst, levels=2)) == 64 and len(built) == 64
+    built.clear()
+    with pytest.raises(EnumerationGuardError):
+        stable_matchings(inst, limit=63, levels=2)
+    monkeypatch.setattr(rotations, "MAX_LISTED", 63)
+    with pytest.raises(EnumerationGuardError):
+        rotation_poset(inst, 2).distinct_pairs()
+    assert built == []
 
 
 def test_min_cost_dominant_many_blocks():

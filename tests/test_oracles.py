@@ -9,12 +9,11 @@ from popmatch import (
     classify,
     enumerate_matchings,
     generate_random,
-    popular_edges,
     popular_set,
     stable_set,
 )
 from popmatch.elections import defeats
-from popmatch.oracles import maximum_matching_size
+from popmatch.oracles import maximum_matching_size, popular_edges
 
 
 def test_enumerate_includes_empty_and_is_sorted(shared_top):

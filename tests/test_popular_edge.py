@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import popmatch
 from popmatch import (
     InstanceError,
     Matching,
@@ -22,11 +23,11 @@ from popmatch import (
     serialize_instance,
     stable_with_edge,
 )
-from popmatch import gale_shapley, rotations
+from popmatch import gale_shapley, oracles, rotations
 from popmatch.elections import MINUS, PLUS, label_edges
 from popmatch.popular_edge import NotPopularError
 from popmatch.rotations import popular_routes
-from conftest import blocks_text, cyclic_text, measured_child
+from conftest import blocks_text, cyclic_text, gm_adj, induced, measured_child
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +83,7 @@ def test_decompose_invariants(small_ensemble):
             for v in closure:
                 assert dec.m0.partner_of(v) is not None
             labeled = label_edges(inst, m)
+            adj = gm_adj(labeled)
             for (a, b), lab in labeled.label.items():
                 if lab == (PLUS, PLUS):
                     assert a in part.a0 and b in part.b1
@@ -89,13 +91,13 @@ def test_decompose_invariants(small_ensemble):
                     assert lab == (MINUS, MINUS)
             # no pruned-subgraph edge crosses from the closure to the rest
             for a in part.a1:
-                assert not any(w in dec.z for w in labeled.gm_adj[a])
+                assert not any(w in dec.z for w in adj[a])
             for b in part.b0:
-                assert not any(x in dec.y for x in labeled.gm_adj[b])
-            sub0 = inst.induced(closure)
+                assert not any(x in dec.y for x in adj[b])
+            sub0 = induced(inst, closure)
             if sub0.men or sub0.women:
                 assert is_dominant(sub0, dec.m0)[0]
-            sub1 = inst.induced(set(dec.y) | set(dec.z))
+            sub1 = induced(inst, set(dec.y) | set(dec.z))
             assert is_stable(sub1, dec.m1)[0]
 
 
@@ -270,6 +272,17 @@ def test_routes_take_one_byte_per_edge(contested_hub):
         assert isinstance(table, bytearray) and len(table) == len(inst.edges)
         assert first == [sum(map(len, inst.adj[:m])) for m in range(len(inst.men) + 1)]
         assert set(table) <= {0, 1, 2, 3}
+
+
+def test_popular_edges_read_the_posets(small_ensemble):
+    # the package name is the poset reader; the exhaustive oracle stays
+    # in `oracles` as its reference
+    assert popmatch.popular_edges is rotations.popular_edges
+    insts = [inst for inst, _ in small_ensemble]
+    insts += [parse_instance(blocks_text(k)) for k in range(1, 4)]
+    insts += [parse_instance(cyclic_text(n)) for n in range(2, 6)]
+    for inst in insts:
+        assert popmatch.popular_edges(inst) == oracles.popular_edges(inst, 64)
 
 
 def test_later_queries_run_at_most_one_forced_run(monkeypatch):

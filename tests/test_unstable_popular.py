@@ -8,6 +8,7 @@ from conftest import (
     cyclic_text,
     lattice_stable_matchings,
     pair_scan_unstable_popular,
+    unstable_via_pair,
 )
 from popmatch import (
     InstanceError,
@@ -18,7 +19,6 @@ from popmatch import (
     is_stable,
     parse_instance,
     rotations,
-    unstable_via_pair,
 )
 from popmatch.rotations import rotation_poset
 

@@ -19,7 +19,12 @@ from popmatch import (
     run,
 )
 from popmatch.verify import Certificate, _Graph
-from conftest import alternating_rows, assert_certificate_replays, reversed_declaration_cases
+from conftest import (
+    alternating_rows,
+    assert_certificate_replays,
+    gm_adj,
+    reversed_declaration_cases,
+)
 
 # Everyone is matched to b_i / a_i and (a1,b2) is the only (+,+) edge;
 # the (+,-) edges (a2,b3) and (a3,b1) close the alternating cycle
@@ -107,7 +112,7 @@ def test_partition_closure_fixed_point(small_ensemble):
 
     for inst, report in small_ensemble[:15]:
         for m, popular, dominant in zip(report.family, report.popular, report.dominant):
-            adj = label_edges(inst, m).gm_adj
+            adj = gm_adj(label_edges(inst, m))
             for seeded, applies in ((False, popular), (True, dominant)):
                 if not applies:
                     continue
