@@ -11,10 +11,11 @@ so a call loads no more of the package than that command needs.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .instance import (
     MAX_LISTED,
@@ -24,23 +25,51 @@ from .instance import (
     Matching,
     generate_random,
     parse_instance,
-    parse_matching,
+    parse_mates,
     serialize_instance,
 )
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+# The bytes read from a file at a time: its text is parsed as it is
+# decoded, so a parse holds one chunk of it, not the whole.
+_CHUNK = 1 << 16
+
+
+def _chunks(fh, path: str) -> Iterator[str]:
+    """The text of a binary file, decoded as UTF-8 chunk by chunk.  An
+    invalid byte is an InstanceError that gives its offset in the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0  # bytes fed to the decoder
+    while True:
+        data = fh.read(_CHUNK)
         try:
-            return fh.read()
+            text = decoder.decode(data, final=not data)
         except UnicodeDecodeError as exc:
-            raise InstanceError(
-                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-            )
+            # the decoder reads the bytes it held back, then the new ones
+            at = done - len(decoder.getstate()[0]) + exc.start
+            raise InstanceError(f"{path}: not valid UTF-8 ({exc.reason} at byte {at})")
+        yield text
+        if not data:
+            return
+        done += len(data)
+
+
+def _parse_file(path: str, parse: Callable, *args):
+    """parse(chunks of the file's text, *args).  An invalid byte anywhere
+    in the file is the error reported, as if the whole file were decoded
+    before parsing: a format fault found earlier gives way to it."""
+    with open(path, "rb") as fh:
+        chunks = _chunks(fh, path)
+        try:
+            return parse(chunks, *args)
+        except InstanceError:
+            for _ in chunks:  # raises at an invalid byte
+                pass
+            raise
 
 
 def _load_instance(path: str) -> Instance:
-    return parse_instance(_read(path))
+    return _parse_file(path, parse_instance)
 
 
 def _pairs(matching: Matching) -> List[List[str]]:
@@ -106,7 +135,8 @@ def _cmd_verify(args) -> int:
     from . import gale_shapley, verify
 
     inst = _load_instance(args.instance)
-    matching = parse_matching(_read(args.matching), inst)
+    # numbered as it is read: the matching is never held by name
+    matching = _parse_file(args.matching, parse_mates, inst)
     cert: Optional[verify.Certificate] = None
     if args.property == "stable":
         ok, pair = gale_shapley.is_stable(inst, matching)
@@ -172,7 +202,7 @@ def _cmd_min_cost(args) -> int:
     from . import min_cost
 
     inst = _load_instance(args.instance)
-    costs = min_cost.parse_costs(_read(args.costs), inst)
+    costs = _parse_file(args.costs, min_cost.parse_costs, inst)
     matching, total = min_cost.min_cost_dominant(inst, costs)
     try:
         decimal = str(float(total))

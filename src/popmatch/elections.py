@@ -10,9 +10,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, count
 from operator import lt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .instance import Instance, Matching
+from .instance import Instance, Matching, Mates
 
 PLUS = 1
 ZERO = 0
@@ -58,13 +58,12 @@ class LabeledGraph:
         return [v for v in order if v < n], place
 
     def rows(self) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """Per man in name order: his number, his G_M neighbours (his
+        """Per man in declared order: his number, his G_M neighbours (his
         partner among them) and the women of his (+,+) edges, both in
         name order."""
         inst, pos = self.inst, self.pos
-        men, place = self._name_order()
-        key = place.__getitem__
-        for x in men:
+        key = self._name_order()[1].__getitem__
+        for x in range(len(inst.men)):
             row, ranks, k = inst.adj[x], inst.back[x], pos[x]
             # he votes for the first k women and, if matched, holds the
             # next one; beyond that only a woman's vote keeps an edge
@@ -116,7 +115,8 @@ def defeats(inst: Instance, first: Matching, second: Matching) -> bool:
     return len(first) > len(second)
 
 
-def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:
+def label_edges(inst: Instance, matching: Union[Matching, Mates]) -> LabeledGraph:
     """Label every edge with its endpoint votes: the partners and their
-    ranks, from which `LabeledGraph` reads each vote."""
+    ranks (`Instance.mates`; a matching given by them is taken as it
+    is), from which `LabeledGraph` reads each vote."""
     return LabeledGraph(inst, *inst.mates(matching))

@@ -18,9 +18,9 @@ nothing) and his other copy holding d(a).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .instance import Instance, InstanceError, Matching
+from .instance import Instance, InstanceError, Matching, Mates
 
 
 class LevelledMatching(Matching):
@@ -114,8 +114,11 @@ def dominant_two_level(inst: Instance) -> LevelledMatching:
     return run(inst, levels=2)
 
 
-def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:
-    """Verdict plus the lexicographically least blocking pair, if any."""
+def is_stable(
+    inst: Instance, matching: Union[Matching, Mates]
+) -> Tuple[bool, Optional[Tuple[str, str]]]:
+    """Verdict plus the lexicographically least blocking pair, if any.
+    The matching is a Matching or its numbers (see `Instance.mates`)."""
     adj, back, names = inst.adj, inst.back, inst.names
     pos = inst.mates(matching)[1]
     # an unmatched woman's position is her list length, below every man

@@ -6,7 +6,8 @@ matchings are immutable after construction and safe to share.
 
 An Instance holds each list once, as vertex numbers, and parsing, the
 constructor and the generator build it through the same checks.  A
-Matching is a set of (man, woman) id pairs; `Instance.mates` numbers it.
+Matching is a set of (man, woman) id pairs; `Instance.mates` numbers it,
+and `parse_mates` reads a matching file straight into those numbers.
 
 File format (PREF v1):
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class InstanceError(ValueError):
@@ -40,6 +41,10 @@ class EnumerationGuardError(RuntimeError):
     """An exhaustive listing would exceed its guard: edges for the
     oracles, or matchings listed (`MAX_LISTED` for the CLI's)."""
 
+
+# A matching by vertex numbers: per vertex its partner or -1, and its
+# rank of the partner or its list length (`Instance.mates`).
+Mates = Tuple[List[int], List[int]]
 
 # The longest women's list `Instance._build` scans to find a man's rank;
 # a longer one gets a rank dict, which a scan past this length would not
@@ -92,8 +97,11 @@ class Instance:
     `back` is found by looking each man up on his women's lists: a scan
     of a list of at most 32 entries, a rank dict for a longer one, which
     lives only while `back` is built.  At its peak a parse holds the
-    text's lines, the numbered lists, `back` and those dicts: about 1.45
-    times what the instance keeps when no list is long.
+    numbered lists, `back`, those dicts and the lines of its input,
+    which `parse_instance` takes as the text or as chunks of it: about
+    1.45 times what the instance keeps when no list is long.  The CLI
+    reads a file in chunks, so it never holds the whole text or all its
+    lines; reading the whole file first made that 1.72 times.
     """
 
     def __init__(
@@ -204,20 +212,46 @@ class Instance:
         except ValueError:
             return None
 
-    def mates(self, matching: "Matching") -> Tuple[List[int], List[int]]:
+    def mates(self, matching: Union["Matching", Mates]) -> Mates:
         """Per vertex number: its partner's number, or -1, and its rank of
         the partner, or its list length (below every neighbour) if it has
-        none.  Raises InstanceError naming the least pair not an edge."""
-        mate = [-1] * len(self.names)
-        pos = list(map(len, self.adj))
-        for m, w in matching.pairs:
-            s = self.slot(m, w)
-            if s is None:
+        none.  Raises InstanceError naming the least pair not an edge.  A
+        matching given so already, as `parse_mates` reads it (two lists,
+        one entry per vertex), is returned as it is."""
+        if isinstance(matching, Matching):
+
+            def fault(_, message: str) -> None:
                 m, w = min(p for p in matching.pairs if self.slot(*p) is None)
                 raise InstanceError(f"pair ({m},{w}) is not an edge of the instance")
+
+            return self._number(((None, m, w) for m, w in matching.pairs), fault)
+        n = len(self.names)
+        if not (
+            isinstance(matching, tuple)
+            and len(matching) == 2
+            and all(isinstance(a, list) and len(a) == n for a in matching)
+        ):
+            raise InstanceError(f"not a Matching or the numbers of one for {n} vertices")
+        return matching
+
+    def _number(self, pairs: Iterable[Tuple[object, str, str]], fault) -> Mates:
+        """`mates` of the (tag, man, woman) triples `pairs` gives.  For the
+        first that is not an edge, or repeats a vertex, fault(tag, message)
+        raises."""
+        mate = [-1] * len(self.names)
+        pos = list(map(len, self.adj))
+        back = self.back
+        for tag, m, w in pairs:
+            s = self.slot(m, w)
+            if s is None:
+                fault(tag, f"pair ({m},{w}) is not an edge of the instance")
             i, j, k = s
+            if mate[i] >= 0:
+                fault(tag, f"vertex {m!r} matched twice")
+            if mate[j] >= 0:
+                fault(tag, f"vertex {w!r} matched twice")
             mate[i], mate[j] = j, i
-            pos[i], pos[j] = k, self.back[i][k]
+            pos[i], pos[j] = k, back[i][k]
         return mate, pos
 
     def has_edge(self, m: str, w: str) -> bool:
@@ -316,12 +350,53 @@ class Matching:
         return f"Matching({{{inner}}})"
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the PREF v1 format into a validated Instance."""
+# What `str.splitlines` breaks a line at.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(source: Union[str, Iterable[str]]) -> Iterator[str]:
+    """The lines of a text, or of the text a sequence of chunks makes:
+    those of the joined text's `str.splitlines`, with at most one
+    chunk's lines held at a time.  A text is read as one chunk.
+
+    A chunk that ends inside a line keeps that piece until a chunk with
+    a break ends the line, and the pieces are joined once then; a chunk
+    that ends in a '\\r' drops a '\\n' that starts the next, the two
+    being one line break."""
+    if isinstance(source, str):
+        source = (source,)
+
+    def blocks() -> Iterator[List[str]]:
+        piece: List[str] = []  # the line the chunks so far end inside
+        cr = False
+        for chunk in source:
+            if cr and chunk[:1] == "\n":
+                chunk, cr = chunk[1:], False
+            if chunk:
+                cr = chunk[-1] == "\r"
+                block = chunk.splitlines()
+                rest = None if chunk[-1] in _BREAKS else block.pop()
+                if block:
+                    if piece:
+                        piece.append(block[0])
+                        block[0] = "".join(piece)
+                        piece = []
+                    yield block
+                if rest is not None:
+                    piece.append(rest)
+        if piece:
+            yield ["".join(piece)]
+
+    return chain.from_iterable(blocks())
+
+
+def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
+    """Parse the PREF v1 format into a validated Instance; the source is
+    the text or a sequence of chunks of it (see `_lines`)."""
     sides: list = []
     lists, lines = {}, {}
     known: set = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(source), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -362,27 +437,35 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matching(text: str, inst: Instance) -> Matching:
-    """Parse one '<man> <woman>' pair per line into a Matching of inst."""
-    pairs = []
-    used: set = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected '<man> <woman>'", lineno)
-        m, w = parts
-        if not inst.has_edge(m, w):
-            raise ParseError(f"pair ({m},{w}) is not an edge of the instance", lineno)
-        if m in used:
-            raise ParseError(f"vertex {m!r} matched twice", lineno)
-        if w in used:
-            raise ParseError(f"vertex {w!r} matched twice", lineno)
-        used.update((m, w))
-        pairs.append((m, w))
-    return Matching(pairs)
+def parse_mates(source: Union[str, Iterable[str]], inst: Instance) -> Mates:
+    """Parse one '<man> <woman>' pair per line, the text or a sequence of
+    its chunks, straight into the arrays `Instance.mates` returns: per
+    vertex number its partner's number, or -1, and its rank of the
+    partner, or its list length.  A ParseError names the first faulty
+    line."""
+
+    def pairs() -> Iterator[Tuple[int, str, str]]:
+        for lineno, raw in enumerate(_lines(source), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected '<man> <woman>'", lineno)
+            yield lineno, *parts
+
+    def fault(lineno: int, message: str) -> None:
+        raise ParseError(message, lineno)
+
+    return inst._number(pairs(), fault)
+
+
+def parse_matching(source: Union[str, Iterable[str]], inst: Instance) -> Matching:
+    """Parse one '<man> <woman>' pair per line into a Matching of inst,
+    through `parse_mates`."""
+    mate = parse_mates(source, inst)[0]
+    names = inst.names
+    return Matching((names[m], names[mate[m]]) for m in range(len(inst.men)) if mate[m] >= 0)
 
 
 def serialize_matching(matching: Matching) -> str:

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import sys
 from math import lcm
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .gale_shapley import LevelledMatching
-from .instance import Instance, InstanceError, ParseError
+from .instance import Instance, InstanceError, ParseError, _lines
 from .rotations import rotation_poset
 
 Edge = Tuple[str, str]
 CostFunction = Dict[Edge, "Fraction"]
 
 
-def parse_costs(text: str, inst: Instance) -> CostFunction:
-    """Parse '<man> <woman> <cost>' lines; costs may be integers,
+def parse_costs(source: Union[str, Iterable[str]], inst: Instance) -> CostFunction:
+    """Parse '<man> <woman> <cost>' lines, the text or a sequence of its
+    chunks (see `instance._lines`); costs may be integers,
     decimals, or p/q fractions, all kept exact.  A cost of more digits
     than Python prints (`sys.get_int_max_str_digits()`) is an error, its
     exponent checked first: expanding 1e999999999 would not finish."""
@@ -37,7 +38,7 @@ def parse_costs(text: str, inst: Instance) -> CostFunction:
     costs: CostFunction = {}
     index, n = inst.index, len(inst.men)
     listed: Dict[int, frozenset] = {}  # a man's women, numbered, on first use
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(source), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

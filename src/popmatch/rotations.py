@@ -127,45 +127,61 @@ class RotationPoset(NamedTuple):
         A closed set holds a prefix of each man's moves (Gusfield-Irving
         1989, ch. 3), so their count gives his partner and level.  A set
         is read into one bytes key: per man who moves, in name order, his
-        partner's place in name order as a big-endian field, then if
-        `levelled` his level, in declared order.  Every stable matching
-        matches the same men, so the keys sort as the matchings do, and
-        each matching is built once from its key.  (An int built field
-        by field would copy the whole key once per man.)
+        partner's place among his women in name order as a big-endian
+        field of one width for all (one byte unless a man has more than
+        256 women), then if `levelled` his level, in declared order.
+        Every stable matching matches the same men, so the keys sort as
+        the matchings do, and each matching is built once from its key.
+        (An int built field by field would copy the whole key once per
+        man.)
         """
         sets = self.closed_sets(limit)  # refused before anything is built
         adj, names = self.inst.adj, self.inst.names
-        n = len(self.inst.men)
-        held = [[(names[adj[m][k]], r, lvl) for k, r, lvl in self.partners(m)] for m in range(n)]
-        # at the start a man is at level 1 iff his level-0 copy holds the dummy
-        level = {names[m]: int(self.chains[self.levels * m][0][0] == len(adj[m])) for m in range(n)}
-        fixed = [(names[m], h[0][0]) for m, h in enumerate(held) if len(h) == 1]
-        movers = [m for m in range(n) if len(held[m]) > 1]
-        moves = {m: sum(1 << r for _, r, _ in held[m][1:]) for m in movers}
-        # per mover, by the count of his moves: his field, and his level
-        fields, places = [], []
-        at = 0
-        for m in sorted(movers, key=names.__getitem__):
-            women = sorted({w for w, _, _ in held[m]})
-            size = ((len(women) - 1).bit_length() + 7) // 8
-            field = {w: i.to_bytes(size, "big") for i, w in enumerate(women)}
-            fields.append((moves[m], [field[w] for w, _, _ in held[m]]))
-            places.append((names[m], at, at + size, {b: w for w, b in field.items()}))
-            at += size
-        ups = [(moves[m], [lvl for _, _, lvl in held[m]]) for m in movers] if levelled else []
+        fixed, movers = [], []  # movers in declared order: (man, his partners)
+        for m in range(len(self.inst.men)):
+            held = self.partners(m)
+            if len(held) == 1:
+                fixed.append((names[m], names[adj[m][held[0][0]]]))
+            elif held:
+                movers.append((m, held))
+        byname = sorted(movers, key=lambda mover: names[mover[0]])
+        # each mover's women in name order, and his moves
+        women = [sorted({adj[m][k] for k, _, _ in held}, key=names.__getitem__) for m, held in byname]
+        moves = {m: sum(1 << r for _, r, _ in held[1:]) for m, held in movers}
+        most = max(map(len, women), default=1)
+        width = max(1, ((most - 1).bit_length() + 7) // 8)
+        code = [i.to_bytes(width, "big") for i in range(most)]
+        fields = []  # per mover in name order: his moves, and his field by their count
+        for (m, held), ws in zip(byname, women):
+            place, lst = dict(zip(ws, code)), adj[m]
+            fields.append((moves[m], [place[lst[k]] for k, _, _ in held]))
+        # per mover in declared order: his moves, and his level by their count
+        ups = [(moves[m], [lvl for _, _, lvl in held]) for m, held in movers] if levelled else []
         keys = {
             b"".join([field[(s & mask).bit_count()] for mask, field in fields])
             + bytes([up[(s & mask).bit_count()] for mask, up in ups])
             for s in sets
         }
         del sets
-        names_up = [names[m] for m in movers]
+        ids = [names[m] for m, _ in byname]
+        partner = [list(map(names.__getitem__, ws)) for ws in women]
+        at = width * len(byname)
+        # at the start a man is at level 1 iff his level-0 copy holds the dummy
+        level = {
+            names[m]: int(self.chains[self.levels * m][0][0] == len(adj[m]))
+            for m in range(len(self.inst.men))
+        } if levelled else {}
+        ups_ids = [names[m] for m, _ in movers]
         listed = []
         for key in sorted(keys):
-            pairs = fixed + [(name, women[key[a:b]]) for name, a, b, women in places]
+            # a one-byte field is read by iterating the key
+            places = key if width == 1 else [
+                int.from_bytes(key[i : i + width], "big") for i in range(0, at, width)
+            ]
+            pairs = fixed + list(zip(ids, map(list.__getitem__, partner, places)))
             if levelled:
                 levels = level.copy()
-                levels.update(zip(names_up, key[at:]))
+                levels.update(zip(ups_ids, key[at:]))
                 listed.append(LevelledMatching(pairs, levels))
             else:
                 listed.append(Matching(pairs))
@@ -373,10 +389,10 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
     share b's, so those pairs compare by chain index; C below A and D
     below B need a search back over `preds`.
 
-    Costs O(m log m) for the poset on m edges, then per edge four binary
-    searches and at most two searches back over precedence that enter no
-    rotation earlier on the chain than the one sought; nothing of R² bits
-    is built for the R rotations.
+    Costs O(m log m) for the poset on m edges, then a binary search per
+    woman for B, and per edge two for A and C and at most two searches
+    back over precedence that enter no rotation earlier on the chain than
+    the one sought; nothing of R² bits is built for the R rotations.
     """
     poset = rotation_poset(inst, 2)
     adj, back, names = inst.adj, inst.back, inst.names
@@ -402,6 +418,7 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
                     stack.append(p)
         return False
 
+    firsts = {}  # B, which depends on the woman alone, once per woman met
     for a in sorted(range(len(inst.men)), key=names.__getitem__):
         lst = adj[a]
         rd = reached(chains[2 * a], len(lst) - 1)
@@ -409,9 +426,10 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
             continue  # a starts at level 1 and stays there
         for k in sorted(range(len(lst)), key=lambda k: names[lst[k]]):
             b = lst[k]
-            hers = held[b]
-            ra, rb = reached(chains[2 * a], k), reached(hers, len(adj[b]))
-            rc = reached(hers, 2 * len(adj[b]) - back[a][k] - 1)
+            if b not in firsts:
+                firsts[b] = reached(held[b], len(adj[b]))
+            ra, rb = reached(chains[2 * a], k), firsts[b]
+            rc = reached(held[b], 2 * len(adj[b]) - back[a][k] - 1)
             if ra is None or rb is None or rc == -1:
                 continue
             if rd is not None and (rd <= ra or rb >= 0 and precedes(rd, rb)):

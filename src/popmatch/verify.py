@@ -16,15 +16,29 @@ requires the absence of an augmenting path, and the partition is the
 closure of the blocking edges (and optionally the unmatched vertices)
 under the same arcs.  Every negative verdict carries a replayable
 certificate.
+
+The digraph is held flat, in vertex numbers: one list of arcs with an
+offset per vertex, the (+,+) edges as number pairs, named only when a
+certificate is built, and the search state in lists of ints (Tarjan's
+frames keep a vertex and an arc index).  Beside the instance, a check
+holds O(|V|) ints and one int per arc; a matching may come as the
+numbers `parse_mates` reads, so the CLI never holds it by name.  On the
+acceptance instance's dominant matching (153,022 arcs) `is_dominant`
+peaks 3.9 MB above the instance and the matching (tracemalloc), where a
+list per vertex peaked at 7.1 MB.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from itertools import accumulate
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .elections import LabeledGraph, label_edges
-from .instance import Instance, Matching
+from .instance import Instance, Matching, Mates
 
 Edge = Tuple[str, str]
 
@@ -53,58 +67,66 @@ class Partition(NamedTuple):
     b1: FrozenSet[str]
 
 
-def _bfs(adj: List[List[int]], sources: List[int]) -> Tuple[List[int], List[int]]:
-    """Parent pointers of a BFS over an int-indexed digraph (-1 at a
-    source, -2 where unreached) and the order it visited vertices in."""
-    parent = [-2] * len(adj)
+def _bfs(
+    arcs: List[int], start: Sequence[int], sources: Iterable[int]
+) -> Tuple[List[int], List[int]]:
+    """Parent pointers of a BFS over a digraph whose arcs out of v are
+    arcs[start[v]:start[v + 1]] (-1 at a source, -2 where unreached) and
+    the order it visited vertices in."""
+    parent = [-2] * (len(start) - 1)
     queue = []
     for s in sources:
         if parent[s] == -2:
             parent[s] = -1
             queue.append(s)
     for v in queue:
-        for w in adj[v]:
+        for w in arcs[start[v] : start[v + 1]]:
             if parent[w] == -2:
                 parent[w] = v
                 queue.append(w)
     return parent, queue
 
 
-def _components(adj: List[List[int]], roots: int) -> List[int]:
-    """A strongly-connected-component label for every vertex reachable
-    from the first `roots` vertices, -1 elsewhere (Tarjan's algorithm
-    with an explicit call stack)."""
-    index = [-1] * len(adj)
-    low = [0] * len(adj)
-    comp = [-1] * len(adj)
+def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
+    """A strongly-connected-component label for each of the first `size`
+    vertices, whose arcs stay among them (Tarjan's algorithm with an
+    explicit call stack, each frame a vertex and its next arc)."""
+    index = [-1] * size
+    low = [0] * size
+    comp = [-1] * size
     stack: List[int] = []
     counter = 0
-    for root in range(roots):
+    for root in range(size):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        calls = [(root, iter(adj[root]))]
+        calls, at = [root], [start[root]]
         while calls:
-            v, arcs = calls[-1]
-            for w in arcs:
+            v = calls[-1]
+            i, end, lv = at[-1], start[v + 1], low[v]
+            while i < end:
+                w = arcs[i]
+                i += 1
                 if index[w] < 0:
+                    at[-1], low[v] = i, lv
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    calls.append((w, iter(adj[w])))
+                    calls.append(w)
+                    at.append(start[w])
                     break
                 # a visited vertex without a component is still on the stack
-                if comp[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
+                if index[w] < lv and comp[w] < 0:
+                    lv = index[w]
             else:
+                low[v] = lv
                 calls.pop()
-                if calls:
-                    u = calls[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
+                at.pop()
+                if calls and lv < low[calls[-1]]:
+                    low[calls[-1]] = lv
+                if lv == index[v]:
                     while True:
                         w = stack.pop()
                         comp[w] = v
@@ -113,38 +135,87 @@ def _components(adj: List[List[int]], roots: int) -> List[int]:
     return comp
 
 
+def _reverse(arcs: List[int], start: Sequence[int], size: int) -> Tuple[List[int], Sequence[int]]:
+    """The arcs among the first `size` vertices reversed, as (arcs,
+    start) again; the arcs into a vertex keep the order of their tails."""
+    offsets = [0] * (size + 1)
+    for y in arcs[: start[size]]:
+        offsets[y + 1] += 1
+    offsets = array("q", accumulate(offsets))
+    tails = [0] * offsets[-1]
+    free = offsets[:size]  # the next slot of each vertex
+    for x in range(size):
+        for y in arcs[start[x] : start[x + 1]]:
+            tails[free[y]] = x
+            free[y] += 1
+    return tails, offsets
+
+
 class _Graph:
-    """The alternating digraph of a matching: vertex ids are the men,
-    then the women (`Instance` numbering); mate[v] is v's partner or
-    -1; succ[x] lists M(y) for each non-matching G_M edge (x, y) whose y
-    is matched, in the name order of y; free[x] lists man x's unmatched
-    neighbours (all in G_M) in name order; pp holds the (+,+) edges in
-    lexicographic order.  All four come from one pass of
-    `LabeledGraph.rows` over the men in name order, so a woman's row
-    fills in the name order of the men."""
+    """The alternating digraph of a matching, in flat arrays.
+
+    Vertices are numbered as in `Instance`, the men first; mate[v] is
+    v's partner or -1.  The arcs out of v are arcs[start[v]:start[v + 1]]:
+    M(y) for each non-matching G_M edge (x, y) whose y is matched, in the
+    name order of y; the offsets are an array of machine ints, with no
+    int object apiece.  pp holds the (+,+) edges as (man, woman) numbers,
+    in the name order of the pairs; they are named only in a
+    certificate.  An unmatched woman votes for every edge, so a man's
+    unmatched neighbours, all in G_M, are read off his list.
+
+    One pass of `LabeledGraph.rows` over the men lays out their arcs
+    and lists each matched man's other G_M women; a counting sort of
+    those lists, the men taken in name order, lays out the women's."""
 
     def __init__(self, labeled: LabeledGraph):
         inst = labeled.inst
-        self.names, self.index, self.n_men = inst.names, inst.index, len(inst.men)
+        self.names, self.adj, self.n_men = inst.names, inst.adj, len(inst.men)
         self.mate = mate = labeled.mate
-        names = self.names
-        self.succ: List[List[int]] = [[] for _ in names]
-        self.free: List[List[int]] = [[] for _ in range(self.n_men)]
-        self.pp: List[Edge] = []
+        names, n, size = self.names, self.n_men, len(mate)
+        arcs: List[int] = []
+        start = array("q", [0]) * (size + 1)
+        pp: List[Tuple[int, int]] = []
+        # per matched man, his G_M women but his partner: a woman's arcs
+        others: List[int] = []
+        ends = array("q", [0]) * (n + 1)
         for x, row, both in labeled.rows():
             y = mate[x]
-            self.succ[x] = [mate[w] for w in row if w != y and mate[w] >= 0]
-            self.free[x] = [w for w in row if mate[w] < 0]
+            arcs += [mate[w] for w in row if w != y and mate[w] >= 0]
+            start[x + 1] = len(arcs)
             if y >= 0:
-                for w in row:
-                    if w != y:
-                        self.succ[w].append(y)
-            self.pp += [(names[x], names[w]) for w in both]
+                others += [w for w in row if w != y]
+            ends[x + 1] = len(others)
+            pp += [(x, w) for w in both]
+        pp.sort(key=lambda e: names[e[0]])  # stable: each man's stay in name order
+        fan = [0] * size
+        for w in others:
+            fan[w] += 1
+        start[n:] = array("q", accumulate(fan[n:], initial=start[n]))
+        arcs += [0] * (start[size] - start[n])
+        free = start[:size]  # the next slot of each woman
+        for x in sorted(range(n), key=names.__getitem__):
+            y = mate[x]
+            for w in others[ends[x] : ends[x + 1]]:
+                arcs[free[w]] = y
+                free[w] += 1
+        self.arcs, self.start, self.pp = arcs, start, pp
+
+    def row(self, v: int) -> List[int]:
+        """The arcs out of vertex v."""
+        return self.arcs[self.start[v] : self.start[v + 1]]
+
+    def unmatched(self, x: int) -> List[int]:
+        """Man x's unmatched neighbours, in his list's order."""
+        mate = self.mate
+        return [w for w in self.adj[x] if mate[w] < 0]
 
     @cached_property
     def reach(self) -> Tuple[List[int], List[int]]:
         """`_bfs` from every unmatched vertex."""
-        return _bfs(self.succ, [v for v, p in enumerate(self.mate) if p < 0])
+        return _bfs(self.arcs, self.start, [v for v, p in enumerate(self.mate) if p < 0])
+
+    def edge(self, e: Tuple[int, int]) -> Edge:
+        return self.names[e[0]], self.names[e[1]]
 
     def walk(self, ids: List[int]) -> Tuple[str, ...]:
         """Vertices x0 -> ... -> xk as the alternating path x0, M(x1), x1, ..., xk."""
@@ -167,70 +238,68 @@ def _violation(g: _Graph) -> Optional[Certificate]:
     popular."""
     if not g.pp:
         return None
-    for a, b in g.pp:
-        for x, y in ((a, b), (b, a)):
-            if g.mate[g.index[x]] < 0:
-                return Certificate("pp-path-from-unmatched", (x, y), ((a, b),))
+    names, mate = g.names, g.mate
+    for e in g.pp:
+        for x, y in (e, e[::-1]):
+            if mate[x] < 0:
+                return Certificate("pp-path-from-unmatched", (names[x], names[y]), (g.edge(e),))
 
     parent = g.reach[0]
-    for a, b in g.pp:
-        for x, y in ((a, b), (b, a)):
-            if parent[g.index[x]] == -2:
+    for e in g.pp:
+        for x, y in (e, e[::-1]):
+            if parent[x] == -2:
                 continue
-            chain = g.path(parent, g.index[x])
+            chain, y = g.path(parent, x), names[y]
             if y in chain:
                 # the walk closes on itself: the suffix from y is an
                 # alternating cycle through the (+,+) edge
                 cycle = chain[chain.index(y) :] + (y,)
-                return Certificate("pp-cycle", cycle, ((a, b),))
-            return Certificate("pp-path-from-unmatched", chain + (y,), ((a, b),))
+                return Certificate("pp-cycle", cycle, (g.edge(e),))
+            return Certificate("pp-path-from-unmatched", chain + (y,), (g.edge(e),))
 
     # Every (+,+) edge now has both ends matched and marks the arc
     # a -> M(b) of the men's part; the woman an arc crosses is the
     # partner of its head.
-    succ, men = g.succ, range(g.n_men)
-    marked = [(g.index[a], g.mate[g.index[b]]) for a, b in g.pp]
-    comp = _components(succ, g.n_men)
-    for (a, b), (u, v) in zip(g.pp, marked):
-        if comp[u] == comp[v]:
-            # Every path from v to u stays inside their component.
-            cycle = g.path(_bfs(succ, [v])[0], u)
-            return Certificate("pp-cycle", (b,) + cycle + (b,), ((a, b),))
+    arcs, start, n = g.arcs, g.start, g.n_men
+    comp = _components(arcs, start, n)
+    for e in g.pp:
+        if comp[e[0]] == comp[mate[e[1]]]:
+            # Every path from M(b) to a stays inside their component.
+            cycle = g.path(_bfs(arcs, start, [mate[e[1]]])[0], e[0])
+            b = names[e[1]]
+            return Certificate("pp-cycle", (b,) + cycle + (b,), (g.edge(e),))
 
     # No marked arc lies on a cycle, so a head never reaches its own
     # tail and every path found below is simple.
-    pred: List[List[int]] = [[] for _ in men]
-    for x in men:
-        for y in succ[x]:
-            pred[y].append(x)
-    first_pp: Dict[int, Edge] = {}
-    for e, (u, _) in zip(g.pp, marked):
-        first_pp.setdefault(u, e)
-    toward = _bfs(pred, list(first_pp))[0]
-    for (a, b), (u, v) in zip(g.pp, marked):
-        if toward[v] != -2:
-            ids = [v]
+    first_pp: Dict[int, Tuple[int, int]] = {}
+    for e in g.pp:
+        first_pp.setdefault(e[0], e)
+    toward = _bfs(*_reverse(arcs, start, n), first_pp)[0]
+    for e in g.pp:
+        if toward[mate[e[1]]] != -2:
+            ids = [mate[e[1]]]
             while toward[ids[-1]] != -1:
                 ids.append(toward[ids[-1]])
-            second = first_pp[ids[-1]]
-            return Certificate(
-                "two-pp-path", (a, b) + g.walk(ids) + (second[1],), ((a, b), second)
-            )
+            first, second = g.edge(e), g.edge(first_pp[ids[-1]])
+            return Certificate("two-pp-path", first + g.walk(ids) + second[1:], (first, second))
     return None
 
 
 def _dominance_violation(g: _Graph) -> Optional[Certificate]:
     """The certificate `is_dominant` reports, or None if the matching is
     dominant: a popularity violation, else an augmenting path from the
-    first man in BFS order with an unmatched G_M neighbour."""
+    first man in BFS order with an unmatched neighbour, to the first of
+    them in name order."""
     cert = _violation(g)
     if cert is not None:
         return cert
     parent, order = g.reach
     for x in order:
-        if x < g.n_men and g.free[x]:
-            w = g.names[g.free[x][0]]
-            return Certificate("augmenting-path", g.path(parent, x) + (w,))
+        if x < g.n_men:
+            free = g.unmatched(x)
+            if free:
+                w = min(map(g.names.__getitem__, free))
+                return Certificate("augmenting-path", g.path(parent, x) + (w,))
     return None
 
 
@@ -239,14 +308,14 @@ def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
     reaches, and a0 and b1 the (+,+) edges' ends and the partners of
     what it reaches."""
     names, mate = g.names, g.mate
-    sources = [mate[g.index[v]] for e in g.pp for v in e]
+    sources = [mate[v] for e in g.pp for v in e]
     if seed_unmatched:
         sources += [v for v, p in enumerate(mate) if p < 0]
-    a0 = {y for y, _ in g.pp}
-    b1 = {z for _, z in g.pp}
+    a0 = {names[y] for y, _ in g.pp}
+    b1 = {names[z] for _, z in g.pp}
     a1: Set[str] = set()
     b0: Set[str] = set()
-    for v, p in enumerate(_bfs(g.succ, [v for v in sources if v >= 0])[0]):
+    for v, p in enumerate(_bfs(g.arcs, g.start, [v for v in sources if v >= 0])[0]):
         if p != -2:
             (a1 if v < g.n_men else b0).add(names[v])
             if mate[v] >= 0:
@@ -254,7 +323,7 @@ def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
     return Partition(*map(frozenset, (a0, a1, b0, b1)))
 
 
-def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Partition:
+def partition(inst: Instance, matching: Union[Matching, Mates], seed_unmatched: bool) -> Partition:
     """Seed the four sets and close them under adjacency in the pruned
     subgraph: a matched vertex next to a b0 woman or an a1 man joins a0
     or b1, and its partner joins b0 or a1."""
@@ -263,7 +332,7 @@ def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Parti
 
 
 def checked_partition(
-    inst: Instance, matching: Matching, dominant: bool
+    inst: Instance, matching: Union[Matching, Mates], dominant: bool
 ) -> Tuple[Optional[Certificate], Optional[Partition]]:
     """The certificate of `is_popular` (of `is_dominant` if dominant)
     and, when there is none, the `partition` seeded by the unmatched
@@ -276,19 +345,20 @@ def checked_partition(
 
 
 def is_popular(
-    inst: Instance, matching: Matching
+    inst: Instance, matching: Union[Matching, Mates]
 ) -> Tuple[bool, Optional[Certificate]]:
     """Check the three alternating-walk conditions in the pruned
     subgraph in O(|V| + |E|) time; on failure return the first
     certificate found, preferring unmatched-path, then cycle, then
     two-edge-path witnesses and taking (+,+) edges in lexicographic
-    order within each kind."""
+    order within each kind.  The matching is a Matching or its numbers
+    (see `Instance.mates`)."""
     cert = _violation(_Graph(label_edges(inst, matching)))
     return cert is None, cert
 
 
 def is_dominant(
-    inst: Instance, matching: Matching
+    inst: Instance, matching: Union[Matching, Mates]
 ) -> Tuple[bool, Optional[Certificate]]:
     """Popularity plus the absence of an augmenting path in the pruned
     subgraph."""

@@ -10,6 +10,7 @@ import pytest
 import popmatch
 from popmatch import (
     Instance,
+    InstanceError,
     Matching,
     classify,
     dominant_two_level,
@@ -19,11 +20,13 @@ from popmatch import (
     serialize_instance,
     serialize_matching,
 )
+from popmatch import cli
 from popmatch.cli import main
 from popmatch.oracles import popular_edges
 from conftest import (
-    CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, blocks_text, cyclic_text, measured_child,
+    CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, blocks_text, cyclic_text, measured_child,
 )
+from test_exit_codes import BAD_LINES
 
 
 @pytest.fixture
@@ -490,6 +493,92 @@ def test_non_utf8_instance_is_exit_2(tmp_path, capsys):
     path.write_bytes(b"men: a\xff\n")
     code, _, err = run_cli(capsys, "solve", "--property", "stable", "-i", str(path))
     assert code == 2 and "error:" in err and "UTF-8" in err
+
+
+def whole_text_parse(path, parse, *args):
+    """The reader the streamed one replaced: the whole file decoded, then
+    its text parsed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+    return parse(text, *args)
+
+
+# A format fault on line 4, and an invalid UTF-8 byte on the last line, 8.
+FAULT_THEN_BAD_BYTE = SHARED_TOP_TEXT.replace("a2: b1", "a2 b1").encode() + b"# \xc3\x28\n"
+
+
+def streamed_read_files(big):
+    """Instance, matching and cost files, as bytes, that a streamed read
+    could get wrong: every line break `str.splitlines` knows, a BOM, bad
+    lines, and invalid UTF-8 at the end or after a format fault; with
+    `big`, a '\\r\\n' split across the default chunk boundary."""
+    lines = SHARED_TOP_TEXT.splitlines()
+    instances = []
+    for base in (SHARED_TOP_TEXT, CONTESTED_HUB_TEXT, NESTED_FAN_TEXT):
+        rows = base.splitlines()
+        for bad in BAD_LINES:
+            for at in (0, 2, len(rows)):
+                instances.append("\n".join(rows[:at] + [bad] + rows[at:]) + "\n")
+    for brk in ("\v", "\f", "\x1c", "\x85", "\u2028", "\r", "\r\n"):
+        # a fault at the end shows the line count in its message
+        instances += [brk.join(lines) + brk, brk.join(lines), brk.join(lines + ["zz"]) + brk]
+    instances.append("\ufeff" + SHARED_TOP_TEXT)
+    instances = [text.encode() for text in instances]
+    instances += [
+        SHARED_TOP_TEXT.rstrip("\n").encode() + b"\xff",  # on a last line without newline
+        SHARED_TOP_TEXT.encode() + b"a2: \xe2\x82",  # cut off at the end
+        FAULT_THEN_BAD_BYTE,
+    ]
+    if big:
+        # the '\\r' ends the first chunk, the '\\n' starts the second
+        pad = b"#" + b"x" * (cli._CHUNK - 2)
+        instances.append(pad + b"\r\n" + (SHARED_TOP_TEXT + "zz\n").replace("\n", "\r\n").encode())
+        instances.append(pad + b"\xc3\xa9\xff\n" + SHARED_TOP_TEXT.encode())
+    matchings = [
+        b"a1 b2\r\na2 b1\r\n", b"a1 b2\x0ba2 b1", "a1 b2\u2028a2 b1".encode(), b"a1 b1 b2\n# \xff\n",
+        b"# \xe2\x82\xac\na1 b2\na2 b1", b"a1 b2\na1 b1\n", b"a1 b2\n\xff",
+    ]
+    costs = [b"a1 b1 1\ra1 b2 2\ra2 b1 3\r", b"a1 b1 1\na1 b1 x\n\xff", b"a1 b1 1\x1ca1 b2 2\x1ca2 b1 3"]
+    return instances, matchings, costs
+
+
+@pytest.mark.parametrize("chunk", [1, 3, cli._CHUNK])
+def test_streamed_read_matches_the_whole_text_read(tmp_path, capsys, monkeypatch, chunk):
+    instances, matchings, costs = streamed_read_files(big=chunk == cli._CHUNK)
+    good = tmp_path / "good.pref"
+    good.write_text(SHARED_TOP_TEXT)
+    matching = tmp_path / "m.txt"
+    matching.write_text("a1 b2\na2 b1\n")
+    runs = []
+    for k, data in enumerate(instances):
+        (tmp_path / f"i{k}").write_bytes(data)
+        i = ["-i", str(tmp_path / f"i{k}")]
+        runs += [["solve", "--property", "stable"] + i,
+                 ["verify", "--property", "dominant", "-m", str(matching)] + i]
+    for k, data in enumerate(matchings):
+        (tmp_path / f"m{k}").write_bytes(data)
+        runs += [["verify", "--property", p, "-m", str(tmp_path / f"m{k}"), "-i", str(good)]
+                 for p in ("stable", "popular", "dominant")]
+    for k, data in enumerate(costs):
+        (tmp_path / f"c{k}").write_bytes(data)
+        runs.append(["min-cost-dominant", "--costs", str(tmp_path / f"c{k}"), "-i", str(good)])
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for argv in runs:
+        streamed = run_cli(capsys, *argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_parse_file", whole_text_parse)
+            assert run_cli(capsys, *argv) == streamed, argv
+    # the invalid byte after a format fault is what the file is refused
+    # for, at its offset in the whole file
+    faulty = tmp_path / "fault.pref"
+    faulty.write_bytes(FAULT_THEN_BAD_BYTE)
+    at = FAULT_THEN_BAD_BYTE.index(b"\xc3")
+    assert run_cli(capsys, "solve", "--property", "stable", "-i", str(faulty)) == (
+        2, "", f"error: {faulty}: not valid UTF-8 (invalid continuation byte at byte {at})\n"
+    )
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):

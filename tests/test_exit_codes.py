@@ -86,13 +86,15 @@ def inputs(draw):
 )
 @given(json_out=st.booleans(), texts=inputs())
 @example(json_out=False, texts=(SHARED_TOP_TEXT, "", "a1 b1 0\na1 b2 1e5000\na2 b1 0\n", "a1,b1"))
+# a format fault, then an invalid UTF-8 byte (a lone surrogate escapes it)
+@example(json_out=True, texts=(SHARED_TOP_TEXT + "a1 b1\n# \udcff\n", "a1 b1\n\udcff", "", "a1,b1"))
 def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, json_out, texts):
     # every command on the same files
     instance, matching, costs, edge = texts
     d = tmp_path_factory.mktemp("fuzz")
     paths = {}
     for name, text in (("instance", instance), ("matching", matching), ("costs", costs)):
-        (d / name).write_text(text, encoding="utf-8")
+        (d / name).write_text(text, encoding="utf-8", errors="surrogateescape")
         paths[name] = str(d / name)
     for command in COMMANDS:
         argv = [arg.format(edge=edge, **paths) for arg in command]

@@ -16,7 +16,9 @@ from popmatch import (
     serialize_instance,
     serialize_matching,
 )
-from conftest import SHARED_TOP_TEXT, induced
+from popmatch.cli import _load_instance
+from popmatch.instance import _lines, parse_mates
+from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, induced
 
 
 def test_parse_basic(shared_top):
@@ -235,17 +237,46 @@ def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
 PARSE_PEAK_GROWTH = 1.6
 
 
-def test_parse_peak_stays_near_what_the_instance_keeps():
-    text = serialize_instance(generate_random(2000, 2000, 0.01, 4))
+def traced(fn, *args):
+    """fn(*args), with the memory it keeps and its peak (tracemalloc)."""
     gc.collect()
     tracemalloc.start()
     try:
-        inst = parse_instance(text)
+        result = fn(*args)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_parse_peak_stays_near_what_the_instance_keeps():
+    text = serialize_instance(generate_random(2000, 2000, 0.01, 4))
+    inst, kept, peak = traced(parse_instance, text)
     assert len(inst.men) == 2000
     assert peak <= PARSE_PEAK_GROWTH * kept, (peak, kept)
+
+
+def test_file_parse_peak_stays_near_what_the_instance_keeps(tmp_path):
+    # the CLI reads the file as it parses it, so the peak holds one chunk
+    # of its text, not the whole text and its lines: 1.44 times what the
+    # instance keeps, against 1.72 for a read of the whole file first
+    path = tmp_path / "inst.pref"
+    path.write_text(serialize_instance(generate_random(2000, 2000, 0.01, 4)))
+    inst, kept, peak = traced(_load_instance, str(path))
+    assert len(inst.men) == 2000
+    assert peak <= PARSE_PEAK_GROWTH * kept, (peak, kept)
+
+
+# Every line break `str.splitlines` knows, '\r' and '\n' the likeliest.
+BREAKS = ["\r", "\n"] * 4 + list("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+@settings(max_examples=500, deadline=None)
+@given(chunks=st.lists(st.text(st.sampled_from(["a", ":", " "] + BREAKS), max_size=6), max_size=8))
+def test_chunked_lines_are_the_lines_of_the_text(chunks):
+    # chunks cut anywhere, empty ones too, give the joined text's lines,
+    # a '\r\n' across a cut included
+    assert list(_lines(chunks)) == "".join(chunks).splitlines()
 
 
 @st.composite
@@ -308,6 +339,26 @@ def test_matching_of_checks_edges(shared_top):
     assert Matching.of(shared_top, [("a1", "b1")]).sorted_pairs() == (("a1", "b1"),)
 
 
+def test_mates_takes_a_matching_or_its_numbers(shared_top):
+    from popmatch import is_dominant, is_popular, is_stable, label_edges, partition
+
+    numbers = parse_mates("a1 b2\na2 b1\n", shared_top)
+    assert shared_top.mates(numbers) is numbers
+    assert shared_top.mates(Matching([("a1", "b2"), ("a2", "b1")])) == numbers
+    other = parse_instance(CONTESTED_HUB_TEXT)
+    assert len(other.names) != len(shared_top.names)
+    foreign = parse_mates("", other)
+    for wrong in ({("a1", "b2")}, [("a1", "b2")], foreign, (numbers[0], numbers[1][:-1]),
+                  (tuple(numbers[0]), numbers[1]), (*numbers, numbers[0])):
+        with pytest.raises(InstanceError, match="not a Matching"):
+            shared_top.mates(wrong)
+        for check in (is_stable, is_popular, is_dominant, label_edges):
+            with pytest.raises(InstanceError, match="not a Matching"):
+                check(shared_top, wrong)
+        with pytest.raises(InstanceError, match="not a Matching"):
+            partition(shared_top, wrong, True)
+
+
 def test_has_edge():
     inst = parse_instance(SHARED_TOP_TEXT)
     edges = {(m, w) for m in inst.men for w in inst.pref[m]}
@@ -334,6 +385,9 @@ def test_parse_matching(shared_top):
         parse_matching("a2 b2\n", shared_top)
     with pytest.raises(ParseError, match="matched twice"):
         parse_matching("a1 b1\na1 b2\n", shared_top)
+    with pytest.raises(ParseError, match="vertex 'b1' matched twice") as err:
+        parse_matching("# a woman twice\na1 b1\na2 b1\n", shared_top)
+    assert err.value.line == 3
 
 
 def test_generate_random_is_seed_deterministic():

@@ -1,8 +1,9 @@
 """The package under the oldest Python that pyproject.toml declares.
 
-The smoke script imports every public name, parses a fixture and an
-instance with 40-entry lists, and runs the proposal engine at both
-levels, the rotation poset of G' and the dominance verifier; its output
+The smoke script imports every public name, reads a fixture and an
+instance with 40-entry lists from files in chunks, and runs the proposal
+engine at both levels, the verifiers on the matchings it finds, read
+into vertex numbers, and the rotation poset of G'; its output
 under the floor Python must equal its output under this one.  The test
 skips only where no Python of the floor's minor version starts.
 """
@@ -22,19 +23,27 @@ from conftest import NESTED_FAN_TEXT
 ROOT = Path(__file__).resolve().parents[1]
 
 SMOKE = """\
-import sys
+import os, sys, tempfile
 import popmatch
-from popmatch import is_dominant, parse_instance, run
+from popmatch import cli, is_dominant, is_popular, parse_instance, run, serialize_matching
+from popmatch.instance import parse_mates
 from popmatch.rotations import rotation_poset
 
 print(sys.version_info[:2] >= tuple(map(int, sys.argv[1].split("."))))
 print([type(getattr(popmatch, name)).__name__ for name in popmatch.__all__])
+cli._CHUNK = 7  # many chunks, some ending inside a line
 for text in sys.argv[2:]:
-    inst = parse_instance(text)
-    print(inst, inst.back[0][:5])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "inst.pref")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        inst = cli._load_instance(path)
+    print(inst == parse_instance(text), inst, inst.back[0][:5])
     for levels in (1, 2):
         found = run(inst, levels=levels)
         print(levels, found.sorted_pairs()[:5], sum(found.level.values()))
+        mates = parse_mates(serialize_matching(found), inst)
+        print(is_popular(inst, mates), is_dominant(inst, mates))
     poset = rotation_poset(inst, 2)
     print(len(poset.preds), poset.partners(0)[:5], is_dominant(inst, run(inst, levels=2))[0])
 """
