@@ -39,30 +39,20 @@ class LabeledGraph:
     vote for it.
 
     label and gm_edges are views by vertex name, built on first access:
-    label maps each non-matching edge (a, b), in name order, to (a's
-    vote for b vs its partner, b's vote for a vs its partner), and
-    gm_edges holds the edges of G_M.
+    label maps each non-matching edge (a, b), in id order
+    (`Instance.id_order`), to (a's vote for b vs its partner, b's vote
+    for a vs its partner), and gm_edges holds the edges of G_M.
     """
 
     def __init__(self, inst: Instance, mate: List[int], pos: List[int]):
         self.inst, self.mate, self.pos = inst, mate, pos
 
-    def _name_order(self) -> Tuple[List[int], List[int]]:
-        """The men's numbers in name order, and every vertex's place in
-        name order."""
-        names, n = self.inst.names, len(self.inst.men)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        place = [0] * len(names)
-        for i, v in enumerate(order):
-            place[v] = i
-        return [v for v in order if v < n], place
-
     def rows(self) -> Iterator[Tuple[int, List[int], List[int]]]:
         """Per man in declared order: his number, his G_M neighbours (his
-        partner among them) and the women of his (+,+) edges, both in
-        name order."""
+        partner among them) and the women of his (+,+) edges, both in id
+        order (`Instance.id_order`)."""
         inst, pos = self.inst, self.pos
-        key = self._name_order()[1].__getitem__
+        key = inst.id_order[1].__getitem__
         for x in range(len(inst.men)):
             row, ranks, k = inst.adj[x], inst.back[x], pos[x]
             # he votes for the first k women and, if matched, holds the
@@ -74,10 +64,9 @@ class LabeledGraph:
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
         inst, mate, pos = self.inst, self.mate, self.pos
-        names = inst.names
-        men, place = self._name_order()
+        names, (order, place) = inst.names, inst.id_order
         label = {}
-        for x in men:
+        for x in order[: len(inst.men)]:
             row, k = inst.adj[x], pos[x]
             for _, w, r, i in sorted(zip(map(place.__getitem__, row), row, inst.back[x], count())):
                 if w != mate[x]:

@@ -50,8 +50,9 @@ def run(
     list runs out below the top level starts it again one level up.
     Each woman holds the best acceptable proposer seen so far: any of a
     higher level beats any of a lower one, and her own ranking decides
-    within a level.  Every man starts free at level 0, queued in name
-    order.  Deterministic for fixed inputs.
+    within a level.  Every man starts free at level 0, queued in
+    declared order: the order of proposals does not change the result
+    (Gusfield-Irving 1989, ch. 1).
     """
     if levels not in (1, 2):
         raise ValueError(f"levels must be 1 or 2, got {levels!r}")
@@ -75,7 +76,7 @@ def run(
     pos = list(map(len, adj))
     next_ix = [0] * n
     level = [0] * n
-    queue = deque(sorted(range(n), key=names.__getitem__))
+    queue = deque(range(n))
 
     while queue:
         m = queue.popleft()
@@ -117,21 +118,18 @@ def dominant_two_level(inst: Instance) -> LevelledMatching:
 def is_stable(
     inst: Instance, matching: Union[Matching, Mates]
 ) -> Tuple[bool, Optional[Tuple[str, str]]]:
-    """Verdict plus the lexicographically least blocking pair, if any.
-    The matching is a Matching or its numbers (see `Instance.mates`)."""
+    """Verdict plus the lexicographically least blocking pair, if any,
+    read in `Instance.id_order`.  The matching is a Matching or its
+    numbers (see `Instance.mates`)."""
     adj, back, names = inst.adj, inst.back, inst.names
     pos = inst.mates(matching)[1]
-    # an unmatched woman's position is her list length, below every man
-    best = min(
-        (
-            (names[m], names[w])
-            for m in range(len(inst.men))
-            for w, p in zip(adj[m][: pos[m]], back[m])
-            if p < pos[w]
-        ),
-        default=None,
-    )
-    return (best is None, best)
+    order, place = inst.id_order
+    for m in order[: len(inst.men)]:
+        # an unmatched woman's position is her list length, below every man
+        blocking = [w for w, p in zip(adj[m][: pos[m]], back[m]) if p < pos[w]]
+        if blocking:
+            return False, (names[m], names[min(blocking, key=place.__getitem__)])
+    return True, None
 
 
 def forced(

@@ -142,7 +142,7 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     start pairs and those rotations move onto), and `_min_closure` picks
     the cheapest closed set with one minimum cut.  Ties go to the least `sorted_pairs()`: every
     dominant matching matches the same men, so that is the least vector
-    of partners read in men's name order, and each man who moves adds a
+    of partners read in men's id order, and each man who moves adds a
     digit for his partner below the cost, in base |women| + 1.  Then they
     go to the least levels in declared man order: levels only rise as
     rotations are added, and the cut returns the least of the cheapest
@@ -165,20 +165,19 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     priced = {(m, k): costs[names[m], names[adj[m][k]]] for m in range(n) for k, _, _ in partners[m]}
     scale = lcm(*{c.denominator for c in priced.values()})
     price = {e: c.numerator * (scale // c.denominator) for e, c in priced.items()}
-    by_name = sorted(range(n, len(names)), key=names.__getitem__)
-    value = {w: v for v, w in enumerate(by_name)}
+    order, place = inst.id_order
     # per rotation its cost change, and the change each of its moves
-    # makes to a partner's place in name order, one digit per man who
-    # moves, the first in name order the most significant
+    # makes to a partner's place in id order (`Instance.id_order`), one
+    # digit per man who moves, the first in id order the most significant
     gains = [0] * len(poset.preds)
     weights = [0] * len(gains)
     unit = 1
-    for m in sorted(range(n), key=names.__getitem__, reverse=True):
+    for m in reversed(order[:n]):
         for (was, _, _), (k, r, _) in zip(partners[m], partners[m][1:]):
             gains[r] += price[m, k] - price[m, was]
-            weights[r] += (value[adj[m][k]] - value[adj[m][was]]) * unit
+            weights[r] += (place[adj[m][k]] - place[adj[m][was]]) * unit
         if len(partners[m]) > 1:
-            unit *= len(by_name) + 1
+            unit *= len(inst.women) + 1
     weights = [w + gain * unit for w, gain in zip(weights, gains)]
     best = poset.matching(sum(1 << r for r in _min_closure(weights, poset.preds)))
     return best, sum((costs[e] for e in best.pairs), Fraction(0))

@@ -59,15 +59,11 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     cert, part = verify.checked_partition(inst, matching, dominant=False)
     if cert is not None:
         raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
-    a_side = part.a0 | part.a1
-    m0 = []
-    m1 = []
-    for m, w in matching.sorted_pairs():
-        (m0 if m in a_side else m1).append((m, w))
-    b_side = part.b0 | part.b1
+    a_side, b_side = part.a0 | part.a1, part.b0 | part.b1
+    m0 = Matching(p for p in matching.pairs if p[0] in a_side)
     return Decomposition(
-        m0=Matching(m0),
-        m1=Matching(m1),
+        m0=m0,
+        m1=Matching(matching.pairs - m0.pairs),
         partition=part,
         y=tuple(m for m in inst.men if m not in a_side),
         z=tuple(w for w in inst.women if w not in b_side),

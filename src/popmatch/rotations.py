@@ -126,10 +126,11 @@ class RotationPoset(NamedTuple):
 
         A closed set holds a prefix of each man's moves (Gusfield-Irving
         1989, ch. 3), so their count gives his partner and level.  A set
-        is read into one bytes key: per man who moves, in name order, his
-        partner's place among his women in name order as a big-endian
-        field of one width for all (one byte unless a man has more than
-        256 women), then if `levelled` his level, in declared order.
+        is read into one bytes key: per man who moves, in id order
+        (`Instance.id_order`), his partner's place among his women in id
+        order as a big-endian field of one width for all (one byte unless
+        a man has more than 256 women), then if `levelled` his level, in
+        declared order.
         Every stable matching matches the same men, so the keys sort as
         the matchings do, and each matching is built once from its key.
         (An int built field by field would copy the whole key once per
@@ -144,15 +145,16 @@ class RotationPoset(NamedTuple):
                 fixed.append((names[m], names[adj[m][held[0][0]]]))
             elif held:
                 movers.append((m, held))
-        byname = sorted(movers, key=lambda mover: names[mover[0]])
-        # each mover's women in name order, and his moves
-        women = [sorted({adj[m][k] for k, _, _ in held}, key=names.__getitem__) for m, held in byname]
+        key = self.inst.id_order[1].__getitem__
+        by_id = sorted(movers, key=lambda mover: key(mover[0]))
+        # each mover's women in id order, and his moves
+        women = [sorted({adj[m][k] for k, _, _ in held}, key=key) for m, held in by_id]
         moves = {m: sum(1 << r for _, r, _ in held[1:]) for m, held in movers}
         most = max(map(len, women), default=1)
         width = max(1, ((most - 1).bit_length() + 7) // 8)
         code = [i.to_bytes(width, "big") for i in range(most)]
-        fields = []  # per mover in name order: his moves, and his field by their count
-        for (m, held), ws in zip(byname, women):
+        fields = []  # per mover in id order: his moves, and his field by their count
+        for (m, held), ws in zip(by_id, women):
             place, lst = dict(zip(ws, code)), adj[m]
             fields.append((moves[m], [place[lst[k]] for k, _, _ in held]))
         # per mover in declared order: his moves, and his level by their count
@@ -163,9 +165,9 @@ class RotationPoset(NamedTuple):
             for s in sets
         }
         del sets
-        ids = [names[m] for m, _ in byname]
+        ids = [names[m] for m, _ in by_id]
         partner = [list(map(names.__getitem__, ws)) for ws in women]
-        at = width * len(byname)
+        at = width * len(by_id)
         # at the start a man is at level 1 iff his level-0 copy holds the dummy
         level = {
             names[m]: int(self.chains[self.levels * m][0][0] == len(adj[m]))
@@ -395,7 +397,7 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
     the one sought; nothing of R² bits is built for the R rotations.
     """
     poset = rotation_poset(inst, 2)
-    adj, back, names = inst.adj, inst.back, inst.names
+    adj, back, names, (order, place) = inst.adj, inst.back, inst.names, inst.id_order
     preds, chains, held = poset.preds, poset.chains, poset.held
 
     def reached(chain: Chain, key: int) -> Optional[int]:
@@ -419,12 +421,12 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
         return False
 
     firsts = {}  # B, which depends on the woman alone, once per woman met
-    for a in sorted(range(len(inst.men)), key=names.__getitem__):
+    for a in order[: len(inst.men)]:
         lst = adj[a]
         rd = reached(chains[2 * a], len(lst) - 1)
         if rd == -1:
             continue  # a starts at level 1 and stays there
-        for k in sorted(range(len(lst)), key=lambda k: names[lst[k]]):
+        for k in sorted(range(len(lst)), key=lambda k: place[lst[k]]):
             b = lst[k]
             if b not in firsts:
                 firsts[b] = reached(held[b], len(adj[b]))

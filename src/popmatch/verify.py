@@ -17,15 +17,19 @@ closure of the blocking edges (and optionally the unmatched vertices)
 under the same arcs.  Every negative verdict carries a replayable
 certificate.
 
+Ties are broken in id order (`Instance.id_order`), but the search from
+the unmatched vertices is seeded in declared order, and the reversed
+arcs a two-pp-path is found on keep their tails' declared order.  The
+walks those two searches give follow declaration order, and so can a
+two-pp-path's second edge and whether a walk from an unmatched vertex
+through its (+,+) edge's far end is a pp-cycle.  The verdict does not.
+
 The digraph is held flat, in vertex numbers: one list of arcs with an
 offset per vertex, the (+,+) edges as number pairs, named only when a
 certificate is built, and the search state in lists of ints (Tarjan's
 frames keep a vertex and an arc index).  Beside the instance, a check
 holds O(|V|) ints and one int per arc; a matching may come as the
-numbers `parse_mates` reads, so the CLI never holds it by name.  On the
-acceptance instance's dominant matching (153,022 arcs) `is_dominant`
-peaks 3.9 MB above the instance and the matching (tracemalloc), where a
-list per vertex peaked at 7.1 MB.
+numbers `parse_mates` reads, so the CLI never holds it by name.
 """
 
 from __future__ import annotations
@@ -157,21 +161,22 @@ class _Graph:
     Vertices are numbered as in `Instance`, the men first; mate[v] is
     v's partner or -1.  The arcs out of v are arcs[start[v]:start[v + 1]]:
     M(y) for each non-matching G_M edge (x, y) whose y is matched, in the
-    name order of y; the offsets are an array of machine ints, with no
-    int object apiece.  pp holds the (+,+) edges as (man, woman) numbers,
-    in the name order of the pairs; they are named only in a
-    certificate.  An unmatched woman votes for every edge, so a man's
-    unmatched neighbours, all in G_M, are read off his list.
+    id order of y (`Instance.id_order`); the offsets are an array of
+    machine ints, with no int object apiece.  pp holds the (+,+) edges as
+    (man, woman) numbers, in the id order of the pairs; they are named
+    only in a certificate.  An unmatched woman votes for every edge, so
+    a man's unmatched neighbours, all in G_M, are read off his list.
 
     One pass of `LabeledGraph.rows` over the men lays out their arcs
     and lists each matched man's other G_M women; a counting sort of
-    those lists, the men taken in name order, lays out the women's."""
+    those lists, the men taken in id order, lays out the women's."""
 
     def __init__(self, labeled: LabeledGraph):
         inst = labeled.inst
         self.names, self.adj, self.n_men = inst.names, inst.adj, len(inst.men)
         self.mate = mate = labeled.mate
-        names, n, size = self.names, self.n_men, len(mate)
+        order, self.place = inst.id_order
+        n, size = self.n_men, len(mate)
         arcs: List[int] = []
         start = array("q", [0]) * (size + 1)
         pp: List[Tuple[int, int]] = []
@@ -186,23 +191,19 @@ class _Graph:
                 others += [w for w in row if w != y]
             ends[x + 1] = len(others)
             pp += [(x, w) for w in both]
-        pp.sort(key=lambda e: names[e[0]])  # stable: each man's stay in name order
+        pp.sort(key=lambda e: self.place[e[0]])  # stable: each man's stay in id order
         fan = [0] * size
         for w in others:
             fan[w] += 1
         start[n:] = array("q", accumulate(fan[n:], initial=start[n]))
         arcs += [0] * (start[size] - start[n])
         free = start[:size]  # the next slot of each woman
-        for x in sorted(range(n), key=names.__getitem__):
+        for x in order[:n]:
             y = mate[x]
             for w in others[ends[x] : ends[x + 1]]:
                 arcs[free[w]] = y
                 free[w] += 1
         self.arcs, self.start, self.pp = arcs, start, pp
-
-    def row(self, v: int) -> List[int]:
-        """The arcs out of vertex v."""
-        return self.arcs[self.start[v] : self.start[v + 1]]
 
     def unmatched(self, x: int) -> List[int]:
         """Man x's unmatched neighbours, in his list's order."""
@@ -289,7 +290,7 @@ def _dominance_violation(g: _Graph) -> Optional[Certificate]:
     """The certificate `is_dominant` reports, or None if the matching is
     dominant: a popularity violation, else an augmenting path from the
     first man in BFS order with an unmatched neighbour, to the first of
-    them in name order."""
+    them in id order."""
     cert = _violation(g)
     if cert is not None:
         return cert
@@ -298,8 +299,8 @@ def _dominance_violation(g: _Graph) -> Optional[Certificate]:
         if x < g.n_men:
             free = g.unmatched(x)
             if free:
-                w = min(map(g.names.__getitem__, free))
-                return Certificate("augmenting-path", g.path(parent, x) + (w,))
+                w = min(free, key=g.place.__getitem__)
+                return Certificate("augmenting-path", g.path(parent, x) + (g.names[w],))
     return None
 
 

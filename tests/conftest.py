@@ -245,14 +245,20 @@ def random_matching(inst, rng):
 
 def reversed_declaration_cases():
     """(instance, matching) pairs whose name order differs from their
-    vertex order: multi-digit ids sort by name as a1 < a10 < a2, and the
-    sides are declared in reverse."""
+    vertex order: multi-digit ids sort by name as a1 < a10 < a2, and each
+    generated instance is declared twice, its sides reversed and then
+    shuffled, so the declared, the generated and the name order all
+    differ."""
     rng = random.Random(5)
     for seed in range(6):
         base = generate_random(13, 12, 0.3, seed)
-        inst = Instance(base.men[::-1], base.women[::-1], base.pref)
-        for m in [run(inst)] + [random_matching(inst, rng) for _ in range(20)]:
-            yield inst, m
+        for men, women in (
+            (base.men[::-1], base.women[::-1]),
+            (rng.sample(base.men, len(base.men)), rng.sample(base.women, len(base.women))),
+        ):
+            inst = Instance(men, women, base.pref)
+            for m in [run(inst)] + [random_matching(inst, rng) for _ in range(20)]:
+                yield inst, m
 
 
 def alternating_rows(inst, matching):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from popmatch.cli import main
 from popmatch.oracles import popular_edges
 from conftest import (
     CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, blocks_text, cyclic_text, measured_child,
+    random_matching,
 )
 from test_exit_codes import BAD_LINES
 
@@ -755,3 +757,50 @@ def test_lazy_package_keeps_its_names():
     assert run_fresh(code) == "[]\nTrue\nFalse True\nTrue\n"
     with pytest.raises(AttributeError, match="no_such_name"):
         popmatch.no_such_name
+
+
+def test_answers_do_not_depend_on_declaration_order(tmp_path, capsys):
+    # the same instance declared as generated and shuffled (every line
+    # moved) gets the same answers.  verify's search from the unmatched
+    # vertices is seeded in declared order, so for popular and dominant
+    # only the verdict, the certificate's kind and its (+,+) edges count
+    rng = random.Random(23)
+    for seed in range(100):
+        base = generate_random(3 + seed % 10, 3 + seed // 10, (0.3, 0.5)[seed % 2], seed)
+        shuffled = Instance(
+            rng.sample(base.men, len(base.men)), rng.sample(base.women, len(base.women)), base.pref
+        )
+        paths = []
+        for k, inst in enumerate((base, shuffled)):
+            paths.append(tmp_path / f"{seed}-{k}.pref")
+            paths[-1].write_text(serialize_instance(inst))
+        edges = sorted(base.edges)
+        costs = tmp_path / f"{seed}.costs"
+        costs.write_text("".join(f"{m} {w} {rng.randrange(4)}/{rng.randrange(1, 3)}\n" for m, w in edges))
+        matchings = []
+        for k, m in enumerate([run(base), run(base, levels=2), random_matching(base, rng)]):
+            matchings.append(str(tmp_path / f"{seed}-m{k}"))
+            Path(matchings[-1]).write_text(serialize_matching(m))
+        json_flag = ("--json",) * (seed % 2)
+        commands = [
+            ("solve", "--property", "stable"),
+            ("solve", "--property", "dominant"),
+            ("popular-vs-stable",),
+            ("min-cost-dominant", "--costs", str(costs)),
+            ("enumerate", "--what", "stable"),
+            ("enumerate", "--what", "dominant"),
+            ("enumerate", "--what", "popular-edges"),
+        ]
+        commands += [("popular-edge", "--edge", f"{m},{w}") for m, w in rng.sample(edges, min(2, len(edges)))]
+        commands += [("verify", "--property", "stable", "-m", m) for m in matchings]
+        for command in commands:
+            got = [run_cli(capsys, *command, *json_flag, "-i", str(p)) for p in paths]
+            assert got[0] == got[1], (seed, command)
+        for prop in ("popular", "dominant"):
+            for m in matchings:
+                got = []
+                for p in paths:
+                    code, out, err = run_cli(capsys, "verify", "--property", prop, "-m", m, "--json", "-i", str(p))
+                    cert = json.loads(out)["certificate"]
+                    got.append((code, err, cert and (cert["kind"], cert["pp_edges"])))
+                assert got[0] == got[1], (seed, prop, m)

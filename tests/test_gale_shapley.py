@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from popmatch import (
+    Instance,
     InstanceError,
     Matching,
     generate_random,
@@ -11,6 +14,7 @@ from popmatch import (
 )
 from popmatch.gale_shapley import forced
 from popmatch.rotations import stable_matchings
+from conftest import reversed_declaration_cases
 
 
 def test_run_shared_top(shared_top):
@@ -47,6 +51,29 @@ def test_is_stable_returns_least_blocking_pair(shared_top, contested_hub):
     ok, pair = is_stable(contested_hub, Matching([("a1", "b1"), ("a2", "b2")]))
     assert not ok and pair == ("a2", "b1")
     assert is_stable(contested_hub, Matching())[0] is False
+
+
+def test_engine_does_not_depend_on_declaration_order():
+    # men are queued in declared order, and deferred acceptance ends on
+    # the same matching whatever the order of proposals: each instance,
+    # declared reversed or shuffled, gives the pairs and levels of the
+    # same instance declared in id order, at both levels, with and
+    # without floors, and so does the forced query
+    def result(m):
+        return m and (m.pairs, m.level)
+
+    rng = random.Random(3)
+    for inst in dict.fromkeys(inst for inst, _ in reversed_declaration_cases()):
+        by_id = Instance(sorted(inst.men), sorted(inst.women), inst.pref)
+        edges = sorted(inst.edges)
+        for levels in (1, 2):
+            for size in (0, 1, 1, 2, 3):
+                floors = {w: (m, rng.randrange(levels)) for m, w in rng.sample(edges, size)}
+                got = [result(run(i, floors, levels)) for i in (inst, by_id)]
+                assert got[0] == got[1]
+                if floors:
+                    got = [result(forced(i, floors, levels)) for i in (inst, by_id)]
+                    assert got[0] == got[1]
 
 
 def test_forced_query(shared_top):

@@ -1,11 +1,15 @@
 """The package under the oldest Python that pyproject.toml declares.
 
-The smoke script imports every public name, reads a fixture and an
-instance with 40-entry lists from files in chunks, and runs the proposal
-engine at both levels, the verifiers on the matchings it finds, read
-into vertex numbers, and the rotation poset of G'; its output
-under the floor Python must equal its output under this one.  The test
-skips only where no Python of the floor's minor version starts.
+The smoke script imports every public name, reads a fixture, an
+instance with 40-entry lists and one declared in reverse from files in
+chunks, and runs the proposal engine at both levels, the verifiers on
+the matchings it finds, read into vertex numbers, and the rotation poset
+of G'.  On the reversed declaration it runs every reader of
+`Instance.id_order` too: the stability and dominance checks on matchings
+that fail them, `exists_unstable_popular`, `min_cost_dominant`, the
+listing of G''s stable matchings and `popular_edges`.  Its output under
+the floor Python must equal its output under this one.  The test skips
+only where no Python of the floor's minor version starts.
 """
 
 import os
@@ -18,14 +22,21 @@ from pathlib import Path
 import pytest
 
 import popmatch
+from popmatch import (
+    Instance, generate_random, is_dominant, is_stable, parse_instance, run, serialize_instance,
+)
 from conftest import NESTED_FAN_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
 
 SMOKE = """\
 import os, sys, tempfile
+from fractions import Fraction
 import popmatch
-from popmatch import cli, is_dominant, is_popular, parse_instance, run, serialize_matching
+from popmatch import (
+    cli, exists_unstable_popular, is_dominant, is_popular, is_stable, min_cost_dominant,
+    parse_instance, popular_edges, run, serialize_matching, stable_matchings,
+)
 from popmatch.instance import parse_mates
 from popmatch.rotations import rotation_poset
 
@@ -46,6 +57,18 @@ for text in sys.argv[2:]:
         print(is_popular(inst, mates), is_dominant(inst, mates))
     poset = rotation_poset(inst, 2)
     print(len(poset.preds), poset.partners(0)[:5], is_dominant(inst, run(inst, levels=2))[0])
+
+def levelled(m):
+    return m.sorted_pairs(), sorted(m.level.items())
+
+# the last instance is declared in reverse: the readers of the id order
+print(is_stable(inst, run(inst, levels=2)), is_dominant(inst, run(inst)))
+found = exists_unstable_popular(inst)
+print(levelled(found[0]), found[1])
+best, cost = min_cost_dominant(inst, dict.fromkeys(inst.edges, Fraction(1)))
+print(levelled(best), cost)
+print([levelled(m) for m in stable_matchings(inst, levels=2)])
+print(sorted(popular_edges(inst)))
 """
 
 
@@ -98,7 +121,11 @@ def test_smoke_runs_under_the_declared_floor():
     if python is None:
         pytest.skip(f"no Python {version} starts here")
     src = str(Path(popmatch.__file__).resolve().parents[1])
-    argv = ["-c", SMOKE, version, NESTED_FAN_TEXT, long_lists_text()]
+    base = generate_random(13, 12, 0.3, 0)
+    reversed_text = serialize_instance(Instance(base.men[::-1], base.women[::-1], base.pref))
+    inst = parse_instance(reversed_text)  # whose matchings fail the checks the smoke runs
+    assert not is_stable(inst, run(inst, levels=2))[0] and not is_dominant(inst, run(inst))[0]
+    argv = ["-c", SMOKE, version, NESTED_FAN_TEXT, long_lists_text(), reversed_text]
     outputs = {}
     for exe in (python, sys.executable):
         proc = subprocess.run(

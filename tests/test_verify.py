@@ -166,7 +166,8 @@ def test_alternating_rows_follow_names(small_ensemble):
         g = _Graph(label_edges(inst, m))
         names = inst.names
         succ, free, pp = alternating_rows(inst, m)
-        assert {names[v]: [names[y] for y in g.row(v)] for v in range(len(names))} == succ
+        rows = {v: g.arcs[g.start[v] : g.start[v + 1]] for v in range(len(names))}
+        assert {names[v]: [names[y] for y in row] for v, row in rows.items()} == succ
         assert {a: sorted(names[w] for w in g.unmatched(x)) for x, a in enumerate(inst.men)} == free
         assert [g.edge(e) for e in g.pp] == pp
 
