@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import json
 import os
 import sys
@@ -284,7 +285,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="popmatch",
         description="Stable, popular and dominant matchings in bipartite "

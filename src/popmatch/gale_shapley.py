@@ -12,13 +12,17 @@ level-1 copy above every level-0 copy.  Stable matchings of G' project
 exactly onto the dominant matchings of the base instance.  A stable
 matching of G' is a levelled matching of the base instance, in which a
 man at level l stands for his level-l copy holding his partner (or
-nothing) and his other copy holding d(a).
+nothing) and his other copy holding d(a).  Neither this engine nor
+`rotations.rotation_poset` models the copies: both walk a man, his
+list once per level, level 0 first, and his move from the end of his
+level-0 list to his level-1 list is the move of his level-0 copy onto
+d(a), which always takes it, and of his level-1 copy off it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from .instance import Instance, InstanceError, Matching, Mates
 
@@ -54,6 +58,20 @@ def run(
     declared order: the order of proposals does not change the result
     (Gusfield-Irving 1989, ch. 1).
     """
+    holds, _, level = _propose(inst, floors, levels)
+    names, n = inst.names, len(inst.men)
+    pairs = ((names[holds[w]], names[w]) for w in range(n, len(names)) if holds[w] >= 0)
+    return LevelledMatching(pairs, dict(zip(inst.men, level)))
+
+
+def _propose(
+    inst: Instance, floors: Optional[Mapping[str, Tuple[str, int]]], levels: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """The loop of `run`, on numbers: (holds, next_ix, level), where
+    holds[w] is the man woman w holds (-1: no one), and man m holds the
+    woman before next_ix[m] on his list at level[m], or, if no one holds
+    him, has run out of his list at the top level.  `rotations` walks
+    on from these arrays."""
     if levels not in (1, 2):
         raise ValueError(f"levels must be 1 or 2, got {levels!r}")
     adj, back, names = inst.adj, inst.back, inst.names
@@ -105,8 +123,7 @@ def run(
                 break
         next_ix[m] = i
         level[m] = lvl
-    pairs = ((names[holds[w]], names[w]) for w in range(n, len(names)) if holds[w] >= 0)
-    return LevelledMatching(pairs, dict(zip(inst.men, level)))
+    return holds, next_ix, level
 
 
 def dominant_two_level(inst: Instance) -> LevelledMatching:

@@ -1,9 +1,8 @@
 """Minimum-cost dominant matchings with exact rational arithmetic.
 
 Dominant matchings are the projections of the stable matchings of the
-two-copy instance G' (see `gale_shapley`), and a G' matching costs what
-its projection costs when copy edges inherit the base cost and dummy
-edges cost nothing.  So the problem is min-cost stable matching in G',
+two-copy instance G' (see `gale_shapley`), and a stable matching of G'
+costs what its projection costs.  So the problem is min-cost stable matching in G',
 which Irving, Leather and Gusfield (J. ACM 1987) solve on the rotation
 poset of `rotations.rotation_poset`: the stable matchings are the
 proposer-optimal matching with the rotations of a closed set

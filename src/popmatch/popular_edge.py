@@ -83,14 +83,9 @@ def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
     cert, part = verify.checked_partition(inst, matching, dominant=True)
     if cert is not None:
         raise NotDominantError(f"matching is not dominant: {cert.kind}", cert)
-    overlap = part.a0 & part.a1
-    if overlap:
-        raise NotDominantError(
-            "matching is not dominant: reachability sides overlap",
-            verify.Certificate("partition-overlap", tuple(sorted(overlap))),
-        )
-    # Unmatched men are seeded into the level-1 side, so every man at
-    # level 0 is matched.
+    # The sides are disjoint: an overlap would join two alternating paths
+    # into one that the check above rejects.  Unmatched men are seeded
+    # into the level-1 side, so every man at level 0 is matched.
     return LevelledMatching(matching.pairs, {a: int(a in part.a1) for a in inst.men})
 
 

@@ -6,8 +6,9 @@ J. ACM 1987; Gusfield-Irving 1989, ch. 3), and the dominant matchings
 are the projections of the stable matchings of G' (see
 `gale_shapley`).  `rotation_poset` finds every rotation on one maximal
 chain of the lattice by one pointer walk and their precedence by
-Gusfield-Irving pair labelling, in O(m log m) on m edges; it runs on
-levelled proposers, as `gale_shapley.run` does, so G' is never built.
+Gusfield-Irving pair labelling, in O(m log m) on m edges; it walks
+each man once per level, on from where `gale_shapley.run` stops, so G'
+is never built.
 Its readers are here too: `stable_matchings` and
 `RotationPoset.distinct_pairs` list the closed sets through one decoder,
 each matching once, up to a count guard; `popular_routes` marks the
@@ -28,10 +29,9 @@ from . import gale_shapley
 from .gale_shapley import LevelledMatching
 from .instance import MAX_LISTED, EnumerationGuardError, Instance, Matching
 
-Copy = int  # man m's copy at level l in G', numbered levels * m + l
 # (key, the rotation that brought it) along the chain, keys ascending;
 # rotation -1 is the proposer-optimal matching
-Chain = List[Tuple[Optional[int], int]]
+Chain = List[Tuple[int, int]]
 _key = itemgetter(0)
 
 
@@ -39,18 +39,17 @@ class RotationPoset(NamedTuple):
     """The rotations of G (of the implicit G' with levels=2) and their
     precedence.
 
-    Proposer c = levels * m + l is man m's copy at level l, so with one
-    level it is m.  His position is an index into m's list, or len(list)
-    for the dummy at the bottom of a level-0 copy's list, -1 for the
-    dummy at the top of a level-1 copy's list, and None when he holds no
-    one.  Rotation r is the r-th on one maximal chain of the lattice,
-    and `preds[r]` holds rotations that precede it, all earlier on the
-    chain; the order is their transitive closure.  A closed set holds
-    the preds of each member, and the closed sets are the stable
-    matchings.  Along the chain, `chains[c]` lists proposer c's
-    positions, and `held[w]` the proposers woman w holds, each as a
-    `Chain` keyed by levels * |w's list| minus her rank of him in G'
-    (level 1 first), which rises as she gains; a man's `held` is empty.
+    Man m's index l * deg(m) + k stands for the k-th woman of his list
+    at level l, and levels * deg(m) for no one; it only rises as he
+    moves, as his proposals in `gale_shapley.run` do.  Rotation r is the
+    r-th on one maximal chain of the lattice, and `preds[r]` holds
+    rotations that precede it, all earlier on the chain; the order is
+    their transitive closure.  A closed set holds the preds of each
+    member, and the closed sets are the stable matchings.  Along the
+    chain, `chains[m]` lists man m's indices, and `held[w]` the men
+    woman w holds, each as a `Chain` keyed by levels * |w's list| minus
+    her rank of him in G' (level 1 first), which rises as she gains; a
+    man's `held` is empty.
     """
 
     inst: Instance
@@ -62,7 +61,7 @@ class RotationPoset(NamedTuple):
     def matching(self, closed: int) -> LevelledMatching:
         """The stable matching that eliminating a closed set, given as a
         bitmask of its rotations, leaves.  The rotations moving one
-        proposer form a chain, each a pred of the next, so the set holds
+        man form a chain, each a pred of the next, so the set holds
         a prefix of them, and he ends where the last of those puts him.
         That prefix is read by walking each chain to its first rotation
         outside the set.  The listings' decoder `_listed` counts it
@@ -71,33 +70,26 @@ class RotationPoset(NamedTuple):
         rotations) they peak at 13.1 MB against 2.3 MB for this walk
         (tracemalloc), and the masks grow as men times rotations."""
         adj, names, levels = self.inst.adj, self.inst.names, self.levels
-        at = []
-        for chain in self.chains:
+        pairs, level = [], {}
+        for m, chain in enumerate(self.chains):
             i = 1
             while i < len(chain) and closed >> chain[i][1] & 1:
                 i += 1
-            at.append(chain[i - 1])
-        men = range(len(self.inst.men))
-        pairs = [
-            (names[m], names[adj[m][k]])
-            for m in men
-            for k, _ in _real(at[levels * m : levels * (m + 1)], len(adj[m]))
-        ]
-        level = {names[m]: int(at[levels * m][0] == len(adj[m])) for m in men}
+            deg, at = len(adj[m]), chain[i - 1][0]
+            if at < levels * deg:
+                lvl, k = divmod(at, deg)
+                pairs.append((names[m], names[adj[m][k]]))
+            else:
+                lvl = levels - 1  # he holds no one, having run out of his list
+            level[names[m]] = lvl
         return LevelledMatching(pairs, level)
 
     def partners(self, m: int) -> List[Tuple[int, int, int]]:
-        """Man m's real partners along the chain, each as (its position
-        in his list, the rotation that brought it (-1: the start), his
-        level).  In G' his level-1 copy's follow his level-0 copy's: the
-        rotation that moves the level-0 copy to the dummy moves the
-        level-1 copy off the other."""
-        size = len(self.inst.adj[m])
-        return [
-            (k, r, lvl)
-            for lvl, chain in enumerate(self.chains[self.levels * m : self.levels * (m + 1)])
-            for k, r in _real(chain, size)
-        ]
+        """Man m's partners along the chain, each as (its position in his
+        list, the rotation that brought it (-1: the start), his level):
+        the indices of his chain that stand for a woman."""
+        deg = len(self.inst.adj[m])
+        return [(i % deg, r, i // deg) for i, r in self.chains[m] if i < self.levels * deg]
 
     def closed_sets(self, limit: int = MAX_LISTED) -> List[int]:
         """Every closed set once, as a bitmask of its rotations.  Raises
@@ -139,8 +131,10 @@ class RotationPoset(NamedTuple):
         sets = self.closed_sets(limit)  # refused before anything is built
         adj, names = self.inst.adj, self.inst.names
         fixed, movers = [], []  # movers in declared order: (man, his partners)
+        level = {}  # each man's level at the start; one who holds no one is at the top
         for m in range(len(self.inst.men)):
             held = self.partners(m)
+            level[names[m]] = held[0][2] if held else self.levels - 1
             if len(held) == 1:
                 fixed.append((names[m], names[adj[m][held[0][0]]]))
             elif held:
@@ -168,11 +162,6 @@ class RotationPoset(NamedTuple):
         ids = [names[m] for m, _ in by_id]
         partner = [list(map(names.__getitem__, ws)) for ws in women]
         at = width * len(by_id)
-        # at the start a man is at level 1 iff his level-0 copy holds the dummy
-        level = {
-            names[m]: int(self.chains[self.levels * m][0][0] == len(adj[m]))
-            for m in range(len(self.inst.men))
-        } if levelled else {}
         ups_ids = [names[m] for m, _ in movers]
         listed = []
         for key in sorted(keys):
@@ -190,132 +179,115 @@ class RotationPoset(NamedTuple):
         return listed
 
 
-def _real(entries: Chain, size: int) -> Chain:
-    """The chain entries whose position holds a woman of a list of
-    `size`: not None (he holds no one) nor a dummy (-1 or `size`)."""
-    return [(k, r) for k, r in entries if k is not None and 0 <= k < size]
-
-
 def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     """Every rotation and their precedence (Gusfield-Irving, ch. 3).
 
     The rotations are found on one maximal chain from the
-    proposer-optimal matching of `gale_shapley.run`, by one walk with a
-    scan pointer per proposer (Gusfield 1987; Gusfield-Irving 3.3).  A
-    proposer's successor is the holder of the first woman from his
-    pointer on who strictly prefers him, or his own level-1 copy, which
-    holds the dummy his level-0 copy reaches at the end of his list.
+    proposer-optimal matching, by one walk with a scan pointer per man
+    (Gusfield 1987; Gusfield-Irving 3.3) that goes on from where the
+    proposals of `gale_shapley.run` stopped.  A man's successor is the
+    holder of the first woman from his pointer on who strictly prefers
+    him, his list scanned once per level as in `run`, so at levels=2 he
+    may be his own successor: one level up, his woman prefers him.
     Women only gain, so a woman who refuses him refuses him for good and
     the pointer only advances.  The walk follows successors on a stack;
-    a proposer met again closes a rotation, which is eliminated, and the
-    walk resumes from the proposer below it.  A proposer with no
-    successor (his list ends, or the next woman is unmatched, so in
-    every stable matching) never moves again, and neither does any
-    proposer whose successor never moves, so a stack that reaches one
-    is dead.
+    a man met again closes a rotation, which is eliminated, and the walk
+    resumes from the man below it.  A man with no successor (his list
+    ends at the top level, or the next woman is unmatched, so in every
+    stable matching) never moves again, and neither does any man whose
+    successor never moves, so a stack that reaches one is dead.
 
-    A rotation precedes another when it gives a proposer the woman the
-    other takes from him (type 1: the last rotation on his chain), or
-    when it moves a woman above a proposer whom the other moves past her
-    (type 2), found by a binary search in her `held` keys.  O(m) for
-    the walk and O(m log m) for the labelling, for m edges.
+    A rotation precedes another when it gives a man the woman the other
+    takes from him (type 1: the last rotation on his chain), or when it
+    moves a woman above a man whom the other moves past her (type 2),
+    found by a binary search in her `held` keys.  O(m) for the walk and
+    O(m log m) for the labelling, for m edges.
     """
     adj, back = inst.adj, inst.back
     deg = list(map(len, adj))
-    top = levels - 1
-    cur = gale_shapley.run(inst, levels=levels)
-    mate, pos = inst.mates(cur)
-    start = list(map(cur.level.__getitem__, inst.men))
-    del cur  # the walk keeps no more of it than the chains' first entries
-
-    # a chain's first entry, one tuple per position (None: he holds no one)
-    begins = {k: (k, -1) for k in (None, *range(-1, max(deg, default=0) + 1))}
-    size = levels * len(start)
-    chains: List[Chain] = [None] * size  # every slot is set below
-    holder = [-1] * len(adj)  # the proposer a woman holds, or -1
-    # woman w keys proposer (m, lvl) on his k-th woman by levels * deg[w]
-    # minus her rank of him in G', that is (lvl + 1) * deg[w] - back[m][k]
+    n = len(inst.men)
+    holder, scan, level = gale_shapley._propose(inst, None, levels)
+    # woman w keys man m at level l on his k-th woman by levels * deg[w]
+    # minus her rank of him in G', that is (l + 1) * deg[w] - back[m][k]
     held: List[Chain] = [()] * len(adj)
-    for m, lvl in enumerate(start):
-        c = levels * m + lvl
-        w, k = mate[m], pos[m]
-        if w >= 0:
-            chains[c] = [begins[k]]
-            holder[w] = c
+    # a chain's first entry, one tuple per index
+    begins = [(i, -1) for i in range(levels * max(deg[:n], default=0) + 1)]
+    chains: List[Chain] = []
+    for m, lvl in enumerate(level):
+        # he holds the woman before his pointer at his level, or, having
+        # run out of his list, no one; the pointer becomes an index
+        k = scan[m] - 1
+        i = scan[m] = lvl * deg[m] + scan[m]
+        if k >= 0 and holder[adj[m][k]] == m:
+            w = adj[m][k]
             held[w] = [((lvl + 1) * deg[w] - back[m][k], -1)]
-        else:
-            chains[c] = [begins[None]]
-        if levels == 2:
-            chains[c + 1 - 2 * lvl] = [begins[deg[m]]] if lvl else [begins[-1]]
-    del mate, pos, start
-    # the scan pointers: a proposer who holds no one, or a level-0 copy
-    # on his dummy, scans past his list's end and so has no successor
-    scan = [(deg[c // levels] if k is None else k) + 1 for c, [(k, _)] in enumerate(chains)]
+            i -= 1
+        chains.append([begins[i]])
 
-    def successor(c: Copy) -> Copy:  # or -1 for none
-        m, lvl = divmod(c, levels)
-        lst, ranks = adj[m], back[m]
-        k = scan[c]
-        while k < len(lst):
-            w = lst[k]
-            h = holder[w]
-            if h < 0 or (lvl + 1) * deg[w] - ranks[k] > held[w][-1][0]:
-                scan[c] = k
-                return h
-            k += 1
-        scan[c] = k
-        return c + 1 if lvl < top and k == len(lst) else -1
+    def successor(m: int) -> int:  # or -1 for none
+        lst, ranks, size = adj[m], back[m], deg[m]
+        lvl, k = divmod(scan[m], size) if size else (levels, 0)
+        while lvl < levels:
+            while k < size:
+                w = lst[k]
+                h = holder[w]
+                if h < 0 or (lvl + 1) * deg[w] - ranks[k] > held[w][-1][0]:
+                    scan[m] = lvl * size + k
+                    return h
+                k += 1
+            lvl, k = lvl + 1, 0
+        scan[m] = levels * size
+        return -1
 
     preds: List[Set[int]] = []
 
-    def eliminate(cycle: List[Copy]) -> None:
-        # each proposer takes the woman at his scan pointer, held by the next
+    def eliminate(cycle: List[int]) -> None:
+        # each man takes the woman at his scan pointer, held by the next
         r = len(preds)
         before = set()
-        for c in cycle:
-            m, lvl = divmod(c, levels)
-            frm, last = chains[c][-1]
+        for m in cycle:
+            frm, last = chains[m][-1]
             if last >= 0:
                 before.add(last)
             lst, ranks = adj[m], back[m]
-            for k in range(frm + 1, scan[c]):
+            for i in range(frm + 1, scan[m]):
+                lvl, k = divmod(i, deg[m])
                 hers = held[lst[k]]
-                i = bisect_right(hers, (lvl + 1) * deg[lst[k]] - ranks[k], key=_key)
-                if i:
-                    before.add(hers[i][1])
-        for c in cycle:
-            m, lvl = divmod(c, levels)
-            to = scan[c]
-            chains[c].append((to, r))
-            scan[c] = to + 1
-            if to < deg[m]:
-                w = adj[m][to]
-                holder[w] = c
-                held[w].append(((lvl + 1) * deg[w] - back[m][to], r))
+                j = bisect_right(hers, (lvl + 1) * deg[lst[k]] - ranks[k], key=_key)
+                if j:
+                    before.add(hers[j][1])
+        for m in cycle:
+            i = scan[m]
+            chains[m].append((i, r))
+            scan[m] = i + 1
+            lvl, k = divmod(i, deg[m])
+            w = adj[m][k]
+            holder[w] = m
+            held[w].append(((lvl + 1) * deg[w] - back[m][k], r))
         preds.append(before)
 
-    dead = bytearray(size)
-    stack: List[Copy] = []
-    place = [-1] * size  # a proposer's index on the stack, or -1
-    for first in range(size):
+    dead = bytearray(n)
+    stack: List[int] = []
+    place = [-1] * n  # a man's index on the stack, or -1
+    for first in range(n):
         while not dead[first]:
             if not stack:
                 place[first] = 0
                 stack.append(first)
-            c = successor(stack[-1])
-            if c < 0 or dead[c]:
-                for x in stack:  # a dead proposer's place is never read again
+            m = successor(stack[-1])
+            if m < 0 or dead[m]:
+                for x in stack:  # a dead man's place is never read again
                     dead[x] = 1
                 stack.clear()
-            elif place[c] >= 0:
-                cycle = stack[place[c] :]
-                del stack[place[c] :]
+            elif place[m] >= 0:
+                cycle = stack[place[m] :]
+                del stack[place[m] :]
                 for x in cycle:
                     place[x] = -1
                 eliminate(cycle)
             else:
-                place[c] = len(stack)
-                stack.append(c)
+                place[m] = len(stack)
+                stack.append(m)
     return RotationPoset(inst, levels, preds, chains, held)
 
 
@@ -338,12 +310,12 @@ def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
     first = list(accumulate(map(len, adj[: len(inst.men)]), initial=0))
     table = bytearray(first[-1])
     for levels in (2, 1):
-        for c, chain in enumerate(rotation_poset(inst, levels).chains):
-            m, lvl = divmod(c, levels)
-            route = levels + lvl
-            for k, _ in _real(chain, len(adj[m])):
-                if not 0 < table[first[m] + k] < route:
-                    table[first[m] + k] = route
+        poset = rotation_poset(inst, levels)
+        for m in range(len(inst.men)):
+            for k, _, lvl in poset.partners(m):
+                if not 0 < table[first[m] + k] < levels + lvl:
+                    table[first[m] + k] = levels + lvl
+        del poset
     return first, table
 
 
@@ -377,17 +349,17 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
     If any popular matching is unstable then some dominant matching is,
     and the dominant matchings are the closed sets of G''s poset.  For
     an edge (a, b), with b k-th on a's list and a r-th on b's, these
-    rotations of G' are found on a's level-0 copy a0's chain and on b's,
-    a rank in G' putting level 1 first:
-      - A moves a0 past b, beyond position k;
+    rotations of G' are found on a's chain, by his index, and on b's,
+    by a rank in G' putting level 1 first:
+      - A moves a past b, beyond index k;
       - B gives b her first level-1 partner, of rank below |b's list|;
-      - C gives b a partner of rank r or better, at or above a1;
-      - D moves a0 to his dummy.
+      - C gives b a partner of rank r or better, at or above a at level 1;
+      - D lifts a to level 1, to an index of |a's list| or more.
     (a, b) blocks the matching a closed set leaves iff the set holds A
     and B and neither C nor D.  A condition that holds from the start
     needs no rotation, and one that never holds settles the edge, so the
     answer is whether C and D lie outside the down-set of A and B, and
-    that down-set is the witness.  A and D share a0's chain and B and C
+    that down-set is the witness.  A and D share a's chain and B and C
     share b's, so those pairs compare by chain index; C below A and D
     below B need a search back over `preds`.
 
@@ -423,14 +395,14 @@ def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[st
     firsts = {}  # B, which depends on the woman alone, once per woman met
     for a in order[: len(inst.men)]:
         lst = adj[a]
-        rd = reached(chains[2 * a], len(lst) - 1)
+        rd = reached(chains[a], len(lst) - 1)
         if rd == -1:
             continue  # a starts at level 1 and stays there
         for k in sorted(range(len(lst)), key=lambda k: place[lst[k]]):
             b = lst[k]
             if b not in firsts:
                 firsts[b] = reached(held[b], len(adj[b]))
-            ra, rb = reached(chains[2 * a], k), firsts[b]
+            ra, rb = reached(chains[a], k), firsts[b]
             rc = reached(held[b], 2 * len(adj[b]) - back[a][k] - 1)
             if ra is None or rb is None or rc == -1:
                 continue

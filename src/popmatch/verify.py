@@ -51,7 +51,7 @@ class Certificate(NamedTuple):
     """A replayable witness of a popularity or dominance violation.
 
     kind: blocking-pair | pp-cycle | pp-path-from-unmatched |
-    two-pp-path | augmenting-path | partition-overlap.  path is the
+    two-pp-path | augmenting-path.  path is the
     vertex sequence of the witness walk (first == last for a cycle);
     pp_edges names the (+,+) edges the walk uses.
     """

@@ -190,9 +190,6 @@ def assert_certificate_replays(inst, matching, cert):
     def norm(u, v):
         return (u, v) if inst.is_man(u) else (v, u)
 
-    if cert.kind == "partition-overlap":
-        assert cert.path
-        return
     if cert.kind == "blocking-pair":
         assert votes(*norm(*cert.path)) == (PLUS, PLUS)
         return

@@ -13,6 +13,8 @@ from conftest import (
     blocking_candidates,
     blocks_text,
     build_level_graph,
+    cyclic_text,
+    ensemble_instance,
     explicit_level_run,
     f_values,
     lattice_stable_matchings,
@@ -41,6 +43,7 @@ from popmatch import (
     stable_with_edge,
 )
 from popmatch.gale_shapley import forced
+from popmatch.rotations import rotation_poset
 
 
 def ref_dominant_with_edge(inst, u, v):
@@ -201,6 +204,35 @@ def test_levelled_walk_matches_explicit(small_ensemble):
     assert shared
     # the last instance is 5 blocks, with four stable matchings of G' each
     assert len(got) == 4**5
+
+
+def test_rotation_walk_matches_explicit():
+    # the walk on men at two levels is the ordinary walk on the explicit
+    # G': as many rotations and the same stable pairs, the copies mapped
+    # back to (man, level) and the dummy pairs dropped
+    insts = [ensemble_instance(seed) for seed in range(200)]
+    insts += [parse_instance(blocks_text(k)) for k in range(1, 5)]
+    insts += [parse_instance(cyclic_text(n)) for n in range(2, 9)]
+    for inst in insts:
+        implicit = rotation_poset(inst, 2)
+        level = build_level_graph(inst)
+        g = level.graph
+        explicit = rotation_poset(g, 1)
+        assert len(implicit.preds) == len(explicit.preds)
+        names = inst.names
+        pairs = {
+            (names[m], names[inst.adj[m][k]], lvl)
+            for m in range(len(inst.men))
+            for k, _, lvl in implicit.partners(m)
+        }
+        copies = set()
+        for c in range(len(g.men)):
+            a, lvl = level.origin[g.names[c]]
+            for k, _, _ in explicit.partners(c):
+                w = g.names[g.adj[c][k]]
+                if w not in level.dummy_base:
+                    copies.add((a, w, lvl))
+        assert pairs == copies
 
 
 def explicit_min_cost_dominant(inst, costs):

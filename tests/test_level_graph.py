@@ -16,6 +16,7 @@ from popmatch import (
     stable_matchings,
 )
 from popmatch.popular_edge import NotDominantError
+from popmatch.verify import partition
 
 
 def test_build_level_graph_lists(shared_top):
@@ -123,6 +124,15 @@ def test_inverse_map_round_trip(shared_top, small_ensemble):
             aux = to_level_graph(level, lifted)
             assert is_stable(level.graph, aux)[0]
             assert map_T(level, aux) == d
+
+
+def test_dominant_partition_sides_are_disjoint(small_ensemble):
+    # an overlap would join two alternating paths into one the dominance
+    # check rejects, so `inverse_map` never meets one
+    for inst, report in small_ensemble:
+        for d in report.dominant_set():
+            part = partition(inst, d, True)
+            assert not part.a0 & part.a1 and not part.b0 & part.b1
 
 
 def test_inverse_map_top_choice_case():

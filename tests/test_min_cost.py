@@ -213,7 +213,7 @@ def test_closed_sets_are_the_stable_matchings(small_ensemble):
 
 
 def test_stable_pairs_have_their_forced_witness():
-    # the rotations moving one proposer form a chain, so the down-set of
+    # the rotations moving one man form a chain, so the down-set of
     # the rotation that brings a pair gives the men-best stable matching
     # holding it (Gusfield-Irving 1989, ch. 3), which is also what one
     # forced run finds: this ties the pointer walk to the proposal engine
@@ -224,11 +224,8 @@ def test_stable_pairs_have_their_forced_witness():
         for levels in (1, 2):
             poset = rotation_poset(inst, levels)
             real = set()
-            for c, chain in enumerate(poset.chains):
-                m, lvl = divmod(c, levels)
-                for k, r in chain:
-                    if k is None or not 0 <= k < len(adj[m]):
-                        continue
+            for m in range(len(inst.men)):
+                for k, r, lvl in poset.partners(m):
                     real.add((names[m], names[adj[m][k]]))
                     down, todo = set(), [r] if r >= 0 else []
                     while todo:
