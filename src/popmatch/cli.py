@@ -11,12 +11,11 @@ so a call loads no more of the package than that command needs.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import os
 import sys
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .instance import (
     MAX_LISTED,
@@ -28,43 +27,58 @@ from .instance import (
     parse_instance,
     parse_mates,
     serialize_instance,
+    serialize_matching,
 )
 
 
-# The bytes read from a file at a time: its text is parsed as it is
-# decoded, so a parse holds one chunk of it, not the whole.
+# The bytes read from a file at a time: its lines are parsed as they are
+# decoded, so a parse holds about one block of the text, not the whole.
 _CHUNK = 1 << 16
 
 
-def _chunks(fh, path: str) -> Iterator[str]:
-    """The text of a binary file, decoded as UTF-8 chunk by chunk.  An
-    invalid byte is an InstanceError that gives its offset in the file."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    done = 0  # bytes fed to the decoder
+def _lines(fh, path: str) -> Iterator[str]:
+    """The lines of a binary file's UTF-8 text, as `str.splitlines` gives
+    them.  Each block read is decoded up to its last '\\n', or '\\r' not
+    at its end: neither byte occurs inside a UTF-8 sequence, and no such
+    cut splits a '\\r\\n', so each part's lines are lines of the whole
+    text.  An invalid byte is an InstanceError that gives its offset in
+    the file."""
+    rest = bytearray()  # the bytes read after the last cut
+    done = 0  # the bytes before it
     while True:
         data = fh.read(_CHUNK)
+        if data:
+            # searched from the new bytes on, so a long line costs linear
+            # time; a '\r' held at the end is no longer the last byte
+            start = len(rest)
+            rest += data
+            cut = 1 + max(rest.rfind(b"\n", start), rest.rfind(b"\r", max(start - 1, 0), -1))
+            if not cut:
+                continue
+        else:
+            cut = len(rest)
         try:
-            text = decoder.decode(data, final=not data)
+            text = rest[:cut].decode()
         except UnicodeDecodeError as exc:
-            # the decoder reads the bytes it held back, then the new ones
-            at = done - len(decoder.getstate()[0]) + exc.start
+            at = done + exc.start
             raise InstanceError(f"{path}: not valid UTF-8 ({exc.reason} at byte {at})")
-        yield text
+        del rest[:cut]
+        done += cut
+        yield from text.splitlines()
         if not data:
             return
-        done += len(data)
 
 
 def _parse_file(path: str, parse: Callable, *args):
-    """parse(chunks of the file's text, *args).  An invalid byte anywhere
-    in the file is the error reported, as if the whole file were decoded
-    before parsing: a format fault found earlier gives way to it."""
+    """parse(the file's lines, *args).  An invalid byte anywhere in the
+    file is the error reported, as if the whole file were decoded before
+    parsing: a format fault found earlier gives way to it."""
     with open(path, "rb") as fh:
-        chunks = _chunks(fh, path)
+        lines = _lines(fh, path)
         try:
-            return parse(chunks, *args)
+            return parse(lines, *args)
         except InstanceError:
-            for _ in chunks:  # raises at an invalid byte
+            for _ in lines:  # raises at an invalid byte
                 pass
             raise
 
@@ -73,29 +87,15 @@ def _load_instance(path: str) -> Instance:
     return _parse_file(path, parse_instance)
 
 
-def _pairs(matching: Matching) -> List[List[str]]:
-    return [[m, w] for m, w in matching.sorted_pairs()]
-
-
 def _print_matching(matching: Matching) -> None:
     # one write: unbuffered, each print is a system call
-    sys.stdout.write("".join(f"{m} {w}\n" for m, w in matching.sorted_pairs()) or "{}\n")
+    sys.stdout.write(serialize_matching(matching) or "{}\n")
 
 
 def _matching_line(matching: Matching) -> str:
     if not matching:
         return "{}"
     return " ".join(f"{m},{w}" for m, w in matching.sorted_pairs())
-
-
-def _certificate_json(cert: Optional["verify.Certificate"]):
-    if cert is None:
-        return None
-    return {
-        "kind": cert.kind,
-        "path": list(cert.path),
-        "pp_edges": [list(e) for e in cert.pp_edges],
-    }
 
 
 def _parse_edge(text: str) -> Tuple[str, str]:
@@ -126,7 +126,7 @@ def _cmd_solve(args) -> int:
 
     result = gale_shapley.run(inst, levels=1 + (args.property == "dominant"))
     if args.json:
-        print(json.dumps({"matching": _pairs(result)}))
+        print(json.dumps({"matching": result.sorted_pairs()}))
     else:
         _print_matching(result)
     return 0
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     else:
         ok, cert = verify.is_dominant(inst, matching)
     if args.json:
-        print(json.dumps({"verdict": ok, "certificate": _certificate_json(cert)}))
+        print(json.dumps({"verdict": ok, "certificate": cert and cert._asdict()}))
     else:
         print("true" if ok else "false")
         if cert is not None:
@@ -170,7 +170,7 @@ def _cmd_popular_edge(args) -> int:
     if args.json:
         out = {"found": result is not None}
         if result is not None:
-            out["matching"] = _pairs(result)
+            out["matching"] = result.sorted_pairs()
         print(json.dumps(out))
     elif result is None:
         print("no popular matching contains this edge")
@@ -187,8 +187,8 @@ def _cmd_popular_vs_stable(args) -> int:
     if args.json:
         out = {"all_stable": found is None}
         if found is not None:
-            out["matching"] = _pairs(found[0])
-            out["blocking_pair"] = list(found[1])
+            out["matching"] = found[0].sorted_pairs()
+            out["blocking_pair"] = found[1]
         print(json.dumps(out))
     elif found is None:
         print("all popular matchings are stable")
@@ -218,7 +218,7 @@ def _cmd_min_cost(args) -> int:
                 "denominator": total.denominator,
                 "decimal": decimal,
             }
-            out = json.dumps({"matching": _pairs(matching), "cost": cost})
+            out = json.dumps({"matching": matching.sorted_pairs(), "cost": cost})
         else:
             out = f"cost: {total} ({decimal})"
     except ValueError:
@@ -239,7 +239,7 @@ def _cmd_enumerate(args) -> int:
 
         edges = sorted(popular_edges(inst))
         if args.json:
-            print(json.dumps({"edges": [list(e) for e in edges]}))
+            print(json.dumps({"edges": edges}))
         else:
             sys.stdout.write("".join(f"{m} {w}\n" for m, w in edges))
         return 0
@@ -257,7 +257,7 @@ def _cmd_enumerate(args) -> int:
 
             family = [m for m in family if is_popular(inst, m)[0]]
     if args.json:
-        print(json.dumps({"matchings": [_pairs(m) for m in family]}))
+        print(json.dumps({"matchings": [m.sorted_pairs() for m in family]}))
     else:
         sys.stdout.write("".join(f"{_matching_line(m)}\n" for m in family))
     return 0

@@ -99,8 +99,8 @@ class Instance:
     of a list of at most 32 entries, a rank dict for a longer one, which
     lives only while `back` is built.  At its peak a parse holds the
     numbered lists, `back`, those dicts and the lines of its input,
-    which `parse_instance` takes as the text or as chunks of it: about
-    1.45 times what the instance keeps when no list is long.
+    which the CLI hands `parse_instance` one block of the file at a
+    time: about 1.45 times what the instance keeps when no list is long.
     """
 
     def __init__(
@@ -363,56 +363,26 @@ class Matching:
         return f"Matching({{{inner}}})"
 
 
-# What `str.splitlines` breaks a line at.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _lines(source: Union[str, Iterable[str]]) -> Iterator[str]:
-    """The lines of a text, or of the text a sequence of chunks makes:
-    those of the joined text's `str.splitlines`, with at most one
-    chunk's lines held at a time.  A text is read as one chunk.
-
-    A chunk that ends inside a line keeps that piece until a chunk with
-    a break ends the line, and the pieces are joined once then; a chunk
-    that ends in a '\\r' drops a '\\n' that starts the next, the two
-    being one line break."""
+def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
+    """(line number, stripped line) for each line of source that is
+    neither blank nor a '#' comment: the one record loop of the instance,
+    matching and cost formats.  source is the text, or its lines as
+    `str.splitlines` gives them."""
     if isinstance(source, str):
-        source = (source,)
-
-    def blocks() -> Iterator[List[str]]:
-        piece: List[str] = []  # the line the chunks so far end inside
-        cr = False
-        for chunk in source:
-            if cr and chunk[:1] == "\n":
-                chunk, cr = chunk[1:], False
-            if chunk:
-                cr = chunk[-1] == "\r"
-                block = chunk.splitlines()
-                rest = None if chunk[-1] in _BREAKS else block.pop()
-                if block:
-                    if piece:
-                        piece.append(block[0])
-                        block[0] = "".join(piece)
-                        piece = []
-                    yield block
-                if rest is not None:
-                    piece.append(rest)
-        if piece:
-            yield ["".join(piece)]
-
-    return chain.from_iterable(blocks())
+        source = source.splitlines()
+    for lineno, raw in enumerate(source, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
     """Parse the PREF v1 format into a validated Instance; the source is
-    the text or a sequence of chunks of it (see `_lines`)."""
+    the text, or its lines as `str.splitlines` gives them."""
     sides: list = []
     lists, lines = {}, {}
     known: set = set()
-    for lineno, raw in enumerate(_lines(source), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(source):
         head, sep, tail = line.partition(":")
         if not sep:
             raise ParseError("malformed line (missing ':')", lineno)
@@ -451,17 +421,14 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_mates(source: Union[str, Iterable[str]], inst: Instance) -> Mates:
-    """Parse one '<man> <woman>' pair per line, the text or a sequence of
-    its chunks, straight into the arrays `Instance.mates` returns: per
-    vertex number its partner's number, or -1, and its rank of the
-    partner, or its list length.  A ParseError names the first faulty
-    line."""
+    """Parse one '<man> <woman>' pair per line, the text or its lines as
+    `str.splitlines` gives them, straight into the arrays `Instance.mates`
+    returns: per vertex number its partner's number, or -1, and its rank
+    of the partner, or its list length.  A ParseError names the first
+    faulty line."""
 
     def pairs() -> Iterator[Tuple[int, str, str]]:
-        for lineno, raw in enumerate(_lines(source), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _records(source):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected '<man> <woman>'", lineno)

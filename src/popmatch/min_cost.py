@@ -17,7 +17,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .gale_shapley import LevelledMatching
-from .instance import Instance, InstanceError, ParseError, _lines
+from .instance import Instance, InstanceError, ParseError, _records
 from .rotations import rotation_poset
 
 Edge = Tuple[str, str]
@@ -25,9 +25,9 @@ CostFunction = Dict[Edge, "Fraction"]
 
 
 def parse_costs(source: Union[str, Iterable[str]], inst: Instance) -> CostFunction:
-    """Parse '<man> <woman> <cost>' lines, the text or a sequence of its
-    chunks (see `instance._lines`); costs may be integers,
-    decimals, or p/q fractions, all kept exact.  A cost of more digits
+    """Parse '<man> <woman> <cost>' lines, the text or its lines as
+    `str.splitlines` gives them; costs may be integers, decimals, or p/q
+    fractions, all kept exact.  A cost of more digits
     than Python prints (`sys.get_int_max_str_digits()`) is an error, its
     exponent checked first: expanding 1e999999999 would not finish."""
     from fractions import Fraction
@@ -37,10 +37,7 @@ def parse_costs(source: Union[str, Iterable[str]], inst: Instance) -> CostFuncti
     costs: CostFunction = {}
     index, n = inst.index, len(inst.men)
     listed: Dict[int, frozenset] = {}  # a man's women, numbered, on first use
-    for lineno, raw in enumerate(_lines(source), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(source):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected '<man> <woman> <cost>'", lineno)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,8 +6,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import popmatch
 from popmatch import (
@@ -581,6 +584,48 @@ def test_streamed_read_matches_the_whole_text_read(tmp_path, capsys, monkeypatch
     assert run_cli(capsys, "solve", "--property", "stable", "-i", str(faulty)) == (
         2, "", f"error: {faulty}: not valid UTF-8 (invalid continuation byte at byte {at})\n"
     )
+
+
+# Every line break `str.splitlines` knows, '\r' and '\n' the likeliest.
+BREAKS = ["\r", "\n"] * 4 + list("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.text(st.sampled_from(["a", ":", " ", "é"] + BREAKS), max_size=24),
+    bad=st.none() | st.tuples(st.integers(0, 60), st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])),
+    chunk=st.integers(1, 8),
+)
+def test_read_lines_are_the_lines_of_the_whole_text(text, bad, chunk):
+    # blocks cut anywhere, inside a '\r\n' or a UTF-8 sequence too, give
+    # the lines of the whole file's decode, or its error at its offset
+    data = text.encode()
+    if bad is not None:
+        at = min(bad[0], len(data))
+        data = data[:at] + bad[1] + data[at:]
+    try:
+        want = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        want = f"f: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        try:
+            got = list(cli._lines(io.BytesIO(data), "f"))
+        except InstanceError as exc:
+            got = str(exc)
+    assert got == want
+
+
+def test_a_line_longer_than_a_block_is_read_in_linear_time(tmp_path, monkeypatch):
+    # a reader that searched or copied the bytes held since the last line
+    # end once per block would take seconds on this one 2 MB line
+    path = tmp_path / "long.pref"
+    path.write_bytes(b"x" * 2_000_000 + b"\r\n")
+    monkeypatch.setattr(cli, "_CHUNK", 64)
+    start = time.process_time()
+    with open(path, "rb") as fh:
+        lines = list(cli._lines(fh, str(path)))
+    assert time.process_time() - start < 2
+    assert lines == ["x" * 2_000_000]
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):

@@ -48,7 +48,8 @@ COMMANDS = [
 
 
 def garbled(draw, lines, pool):
-    """The lines with up to two of them dropped or replaced from pool."""
+    """The lines with up to two of them dropped or replaced from pool,
+    each ended by one line break that `str.splitlines` knows."""
     lines = list(lines)
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(lines)))
@@ -56,7 +57,8 @@ def garbled(draw, lines, pool):
             del lines[i]
         else:
             lines.insert(i, draw(st.sampled_from(pool)))
-    return "\n".join(lines) + "\n"
+    brk = draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\x85", "\u2028"]))
+    return brk.join(lines) + brk
 
 
 @st.composite

@@ -17,8 +17,10 @@ from popmatch import (
     serialize_matching,
 )
 from popmatch.cli import _load_instance
-from popmatch.instance import _lines, parse_mates
-from conftest import CONTESTED_HUB_TEXT, SHARED_TOP_TEXT, induced
+from popmatch.instance import parse_mates
+from popmatch.min_cost import parse_costs
+from conftest import CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, induced
+from test_exit_codes import BAD_LINES
 
 
 def test_parse_basic(shared_top):
@@ -267,16 +269,30 @@ def test_file_parse_peak_stays_near_what_the_instance_keeps(tmp_path):
     assert peak <= PARSE_PEAK_GROWTH * kept, (peak, kept)
 
 
-# Every line break `str.splitlines` knows, '\r' and '\n' the likeliest.
-BREAKS = ["\r", "\n"] * 4 + list("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+def parsed(parse, *args):
+    """parse(*args), or the class, message and line of the error it raises."""
+    try:
+        return parse(*args)
+    except InstanceError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
 
 
-@settings(max_examples=500, deadline=None)
-@given(chunks=st.lists(st.text(st.sampled_from(["a", ":", " "] + BREAKS), max_size=6), max_size=8))
-def test_chunked_lines_are_the_lines_of_the_text(chunks):
-    # chunks cut anywhere, empty ones too, give the joined text's lines,
-    # a '\r\n' across a cut included
-    assert list(_lines(chunks)) == "".join(chunks).splitlines()
+def test_parsers_take_the_lines_of_the_text():
+    # the CLI hands the parsers lines, which must read as the text does:
+    # the same instance, matching or costs, or the same error and line
+    texts = [SHARED_TOP_TEXT, CONTESTED_HUB_TEXT, NESTED_FAN_TEXT]
+    for base in list(texts):
+        rows = base.splitlines()
+        texts += ["\r\n".join(rows[:at] + [bad] + rows[at:]) for bad in BAD_LINES for at in (0, 2)]
+    for text in texts:
+        assert parsed(parse_instance, text.splitlines()) == parsed(parse_instance, text), text
+    inst = parse_instance(SHARED_TOP_TEXT)
+    matchings = ["a1 b2\na2 b1\n", "# c\n\na2 b1\r\n", "a1 b1 b2\n", "a1 b2\va1 b1", "zz b1\n"]
+    for text in matchings:
+        assert parsed(parse_mates, text.splitlines(), inst) == parsed(parse_mates, text, inst)
+    costs = ["a1 b1 1\ra1 b2 2/3\n", "a1 b1 x\n", "a1 b1 1\n\na1 b1 2\n", "a2 b2 1\n", "a1 b1\n"]
+    for text in costs:
+        assert parsed(parse_costs, text.splitlines(), inst) == parsed(parse_costs, text, inst)
 
 
 @st.composite

@@ -2,7 +2,7 @@
 
 The smoke script imports every public name, reads a fixture, an
 instance with 40-entry lists and one declared in reverse from files in
-chunks, and runs the proposal engine at both levels, the verifiers on
+small blocks, and runs the proposal engine at both levels, the verifiers on
 the matchings it finds, read into vertex numbers, and the rotation poset
 of G'.  On the reversed declaration it runs every reader of
 `Instance.id_order` too: the stability and dominance checks on matchings
@@ -42,7 +42,7 @@ from popmatch.rotations import rotation_poset
 
 print(sys.version_info[:2] >= tuple(map(int, sys.argv[1].split("."))))
 print([type(getattr(popmatch, name)).__name__ for name in popmatch.__all__])
-cli._CHUNK = 7  # many chunks, some ending inside a line
+cli._CHUNK = 7  # blocks shorter than most lines, each decoded to its last line end
 for text in sys.argv[2:]:
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "inst.pref")
