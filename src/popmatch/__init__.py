@@ -18,6 +18,7 @@ from .instance import (
     EnumerationGuardError,
     Instance,
     InstanceError,
+    LevelledMatching,
     Matching,
     ParseError,
     generate_random,
@@ -39,8 +40,8 @@ __version__ = "1.0.0"
 # access and binds it here.
 _NAMES = {
     "elections": "ElectionResult LabeledGraph compare defeats label_edges vote",
-    "gale_shapley": "LevelledMatching dominant_two_level is_stable run stable_with_edge",
-    "instance": "EnumerationGuardError Instance InstanceError Matching ParseError "
+    "gale_shapley": "dominant_two_level is_stable run stable_with_edge",
+    "instance": "EnumerationGuardError Instance InstanceError LevelledMatching Matching ParseError "
     "generate_random parse_instance parse_matching serialize_instance serialize_matching",
     "min_cost": "min_cost_dominant parse_costs",
     "oracles": "classify dominant_set enumerate_matchings popular_set stable_set",

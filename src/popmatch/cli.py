@@ -25,7 +25,7 @@ from .instance import (
     Matching,
     generate_random,
     parse_instance,
-    parse_mates,
+    parse_matching,
     serialize_instance,
     serialize_matching,
 )
@@ -93,9 +93,7 @@ def _print_matching(matching: Matching) -> None:
 
 
 def _matching_line(matching: Matching) -> str:
-    if not matching:
-        return "{}"
-    return " ".join(f"{m},{w}" for m, w in matching.sorted_pairs())
+    return " ".join(f"{m},{w}" for m, w in matching.sorted_pairs()) or "{}"
 
 
 def _parse_edge(text: str) -> Tuple[str, str]:
@@ -137,7 +135,7 @@ def _cmd_verify(args) -> int:
 
     inst = _load_instance(args.instance)
     # numbered as it is read: the matching is never held by name
-    matching = _parse_file(args.matching, parse_mates, inst)
+    matching = _parse_file(args.matching, parse_matching, inst)
     cert: Optional[verify.Certificate] = None
     if args.property == "stable":
         ok, pair = gale_shapley.is_stable(inst, matching)

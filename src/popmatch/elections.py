@@ -10,9 +10,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, count
 from operator import lt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .instance import Instance, Matching, Mates
+from .instance import Instance, Matching
 
 PLUS = 1
 ZERO = 0
@@ -104,8 +104,7 @@ def defeats(inst: Instance, first: Matching, second: Matching) -> bool:
     return len(first) > len(second)
 
 
-def label_edges(inst: Instance, matching: Union[Matching, Mates]) -> LabeledGraph:
+def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:
     """Label every edge with its endpoint votes: the partners and their
-    ranks (`Instance.mates`; a matching given by them is taken as it
-    is), from which `LabeledGraph` reads each vote."""
+    ranks (`Instance.mates`), from which `LabeledGraph` reads each vote."""
     return LabeledGraph(inst, *inst.mates(matching))

@@ -5,6 +5,8 @@ One proposal loop covers plain deferred acceptance, forced-edge runs
 levels it runs deferred acceptance on the two-copy instance G' without
 building G'.  The forced-edge query `forced` is one run with floors at
 either number of levels; `is_stable` is the blocking-pair scan of G.
+A result is a `LevelledMatching` in the numbers the loop keeps: each
+man's position on his list and his level, named only when read by id.
 
 G' splits each man a of the base instance into a level-0 copy and a
 level-1 copy sharing a private dummy woman d(a); base women rank every
@@ -22,21 +24,9 @@ d(a), which always takes it, and of his level-1 copy off it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple
 
-from .instance import Instance, InstanceError, Matching, Mates
-
-
-class LevelledMatching(Matching):
-    """A matching plus `level`: man -> the level he ended on.  With two
-    levels it stands for a matching of G'.  Equality
-    compares the pairs only."""
-
-    __slots__ = ("level",)
-
-    def __init__(self, pairs: Iterable[tuple], level: Mapping[str, int]):
-        super().__init__(pairs)
-        self.level = level
+from .instance import Instance, InstanceError, LevelledMatching, Matching
 
 
 def run(
@@ -58,10 +48,11 @@ def run(
     declared order: the order of proposals does not change the result
     (Gusfield-Irving 1989, ch. 1).
     """
-    holds, _, level = _propose(inst, floors, levels)
-    names, n = inst.names, len(inst.men)
-    pairs = ((names[holds[w]], names[w]) for w in range(n, len(names)) if holds[w] >= 0)
-    return LevelledMatching(pairs, dict(zip(inst.men, level)))
+    holds, at, level = _propose(inst, floors, levels)
+    adj = inst.adj
+    # each man holds the woman before his index, if she holds him
+    pos = [i - 1 if i and holds[adj[m][i - 1]] == m else len(adj[m]) for m, i in enumerate(at)]
+    return LevelledMatching(inst, pos, level)
 
 
 def _propose(
@@ -132,12 +123,9 @@ def dominant_two_level(inst: Instance) -> LevelledMatching:
     return run(inst, levels=2)
 
 
-def is_stable(
-    inst: Instance, matching: Union[Matching, Mates]
-) -> Tuple[bool, Optional[Tuple[str, str]]]:
+def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:
     """Verdict plus the lexicographically least blocking pair, if any,
-    read in `Instance.id_order`.  The matching is a Matching or its
-    numbers (see `Instance.mates`)."""
+    read in `Instance.id_order`."""
     adj, back, names = inst.adj, inst.back, inst.names
     pos = inst.mates(matching)[1]
     order, place = inst.id_order
@@ -164,16 +152,17 @@ def forced(
     (Gusfield-Irving 1989), so each of them holds her man in it too.
     """
     for w, (m, _) in held.items():
-        if not inst.has_edge(m, w):
+        if inst.slot(m, w) is None:
             raise InstanceError(f"({m},{w}) is not an edge of the instance")
     got = run(inst, held, levels=levels)
     for w, (m, lvl) in held.items():
-        if got.partner_of(w) != m or got.level[m] != lvl:
+        i, _, k = inst.slot(m, w)
+        if got.pos[i] != k or got.lvl[i] != lvl:
             return None
     return got
 
 
-def stable_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:
+def stable_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatching]:
     """The men-optimal stable matching containing the edge, if one exists."""
     u, v = edge
     return forced(inst, {v: (u, 0)})

@@ -6,8 +6,10 @@ matchings are immutable after construction and safe to share.
 
 An Instance holds each list once, as vertex numbers, and parsing, the
 constructor and the generator build it through the same checks.  A
-Matching is a set of (man, woman) id pairs; `Instance.mates` numbers it,
-and `parse_mates` reads a matching file straight into those numbers.
+Matching is a set of (man, woman) id pairs, the way a caller gives one;
+every matching the package returns, `parse_matching`'s too, is a
+LevelledMatching, held in the numbers of the instance it is bound to.
+`Instance.mates` reads either into the numbers the checks work on.
 
 File format (PREF v1):
 
@@ -41,10 +43,6 @@ class EnumerationGuardError(RuntimeError):
     """An exhaustive listing would exceed its guard: edges for the
     oracles, or matchings listed (`MAX_LISTED` for the CLI's)."""
 
-
-# A matching by vertex numbers: per vertex its partner or -1, and its
-# rank of the partner or its list length (`Instance.mates`).
-Mates = Tuple[List[int], List[int]]
 
 # The longest women's list `Instance._build` scans to find a man's rank;
 # a longer one gets a rank dict, which a scan past this length would not
@@ -225,44 +223,45 @@ class Instance:
         except ValueError:
             return None
 
-    def mates(self, matching: Union["Matching", Mates]) -> Mates:
+    def mates(self, matching: "Matching") -> Tuple[List[int], List[int]]:
         """Per vertex number: its partner's number, or -1, and its rank of
         the partner, or its list length (below every neighbour) if it has
-        none.  Raises InstanceError naming the least pair not an edge.  A
-        matching given so already, as `parse_mates` reads it (two lists,
-        one entry per vertex), is returned as it is."""
-        if isinstance(matching, Matching):
+        none.  A matching numbered on this very instance is read off its
+        numbers; any other Matching, one numbered on another instance
+        too, by its ids, and an InstanceError names the least pair that
+        is not an edge."""
+        if not isinstance(matching, Matching):
+            raise InstanceError(f"not a Matching: {type(matching).__name__}")
+        if isinstance(matching, LevelledMatching) and matching.inst is self:
+            adj, back = self.adj, self.back
+            mate = [-1] * len(self.names)
+            pos = list(map(len, adj))
+            for m, k in enumerate(matching.pos):
+                if k < pos[m]:
+                    w = adj[m][k]
+                    mate[m], mate[w] = w, m
+                    pos[m], pos[w] = k, back[m][k]
+            return mate, pos
+        return self._number((None, m, w) for m, w in sorted(matching.pairs))
 
-            def fault(_, message: str) -> None:
-                m, w = min(p for p in matching.pairs if self.slot(*p) is None)
-                raise InstanceError(f"pair ({m},{w}) is not an edge of the instance")
-
-            return self._number(((None, m, w) for m, w in matching.pairs), fault)
-        n = len(self.names)
-        if not (
-            isinstance(matching, tuple)
-            and len(matching) == 2
-            and all(isinstance(a, list) and len(a) == n for a in matching)
-        ):
-            raise InstanceError(f"not a Matching or the numbers of one for {n} vertices")
-        return matching
-
-    def _number(self, pairs: Iterable[Tuple[object, str, str]], fault) -> Mates:
-        """`mates` of the (tag, man, woman) triples `pairs` gives.  For the
-        first that is not an edge, or repeats a vertex, fault(tag, message)
-        raises."""
+    def _number(
+        self, pairs: Iterable[Tuple[Optional[int], str, str]]
+    ) -> Tuple[List[int], List[int]]:
+        """`mates` of the (line, man, woman) triples `pairs` gives.  The
+        first that is not an edge, or repeats a vertex, raises the error
+        `_error` gives for its line."""
         mate = [-1] * len(self.names)
         pos = list(map(len, self.adj))
         back = self.back
-        for tag, m, w in pairs:
+        for line, m, w in pairs:
             s = self.slot(m, w)
             if s is None:
-                fault(tag, f"pair ({m},{w}) is not an edge of the instance")
+                raise _error(f"pair ({m},{w}) is not an edge of the instance", line)
             i, j, k = s
             if mate[i] >= 0:
-                fault(tag, f"vertex {m!r} matched twice")
+                raise _error(f"vertex {m!r} matched twice", line)
             if mate[j] >= 0:
-                fault(tag, f"vertex {w!r} matched twice")
+                raise _error(f"vertex {w!r} matched twice", line)
             mate[i], mate[j] = j, i
             pos[i], pos[j] = k, back[i][k]
         return mate, pos
@@ -363,6 +362,38 @@ class Matching:
         return f"Matching({{{inner}}})"
 
 
+class LevelledMatching(Matching):
+    """A matching in the numbers of the instance `inst` it is bound to:
+    pos[m] is the position of man m's partner on his list, or its length
+    if he has none, and lvl[m] the level he ended on, 0 in a matching of
+    the instance itself (with two levels it stands for a matching of G',
+    see `gale_shapley`).  `sorted_pairs` reads the numbers; the
+    views by id, `pairs`, `partner_of`, `len`, `level` (man -> level,
+    in declared order) and the hash, are built on first read.  Equality
+    compares the pairs only, so it equals the Matching of its pairs."""
+
+    __slots__ = ("inst", "pos", "lvl", "level")
+
+    def __init__(self, inst: Instance, pos: List[int], lvl: List[int]):
+        self.inst, self.pos, self.lvl = inst, pos, lvl
+
+    def __getattr__(self, name: str):
+        # called only when lookup fails: for a view, while its slot is unset
+        if name == "level":
+            self.level = dict(zip(self.inst.men, self.lvl))
+        elif name in Matching.__slots__:
+            Matching.__init__(self, self.sorted_pairs())
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def sorted_pairs(self) -> tuple:
+        """The pairs, the men in `Instance.id_order`."""
+        names, adj, pos = self.inst.names, self.inst.adj, self.pos
+        men = self.inst.id_order[0][: len(pos)]
+        return tuple([(names[m], names[adj[m][pos[m]]]) for m in men if pos[m] < len(adj[m])])
+
+
 def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
     """(line number, stripped line) for each line of source that is
     neither blank nor a '#' comment: the one record loop of the instance,
@@ -420,12 +451,10 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_mates(source: Union[str, Iterable[str]], inst: Instance) -> Mates:
+def parse_matching(source: Union[str, Iterable[str]], inst: Instance) -> LevelledMatching:
     """Parse one '<man> <woman>' pair per line, the text or its lines as
-    `str.splitlines` gives them, straight into the arrays `Instance.mates`
-    returns: per vertex number its partner's number, or -1, and its rank
-    of the partner, or its list length.  A ParseError names the first
-    faulty line."""
+    `str.splitlines` gives them, straight into a matching numbered on
+    inst, at level 0.  A ParseError names the first faulty line."""
 
     def pairs() -> Iterator[Tuple[int, str, str]]:
         for lineno, line in _records(source):
@@ -434,18 +463,8 @@ def parse_mates(source: Union[str, Iterable[str]], inst: Instance) -> Mates:
                 raise ParseError("expected '<man> <woman>'", lineno)
             yield lineno, *parts
 
-    def fault(lineno: int, message: str) -> None:
-        raise ParseError(message, lineno)
-
-    return inst._number(pairs(), fault)
-
-
-def parse_matching(source: Union[str, Iterable[str]], inst: Instance) -> Matching:
-    """Parse one '<man> <woman>' pair per line into a Matching of inst,
-    through `parse_mates`."""
-    mate = parse_mates(source, inst)[0]
-    names = inst.names
-    return Matching((names[m], names[mate[m]]) for m in range(len(inst.men)) if mate[m] >= 0)
+    n = len(inst.men)
+    return LevelledMatching(inst, inst._number(pairs())[1][:n], [0] * n)
 
 
 def serialize_matching(matching: Matching) -> str:

@@ -16,8 +16,7 @@ import sys
 from math import lcm
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
-from .gale_shapley import LevelledMatching
-from .instance import Instance, InstanceError, ParseError, _records
+from .instance import Instance, InstanceError, LevelledMatching, ParseError, _records
 from .rotations import rotation_poset
 
 Edge = Tuple[str, str]
@@ -176,4 +175,5 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
             unit *= len(inst.women) + 1
     weights = [w + gain * unit for w, gain in zip(weights, gains)]
     best = poset.matching(sum(1 << r for r in _min_closure(weights, poset.preds)))
-    return best, sum((costs[e] for e in best.pairs), Fraction(0))
+    held = ((m, k) for m, k in enumerate(best.pos) if k < len(adj[m]))
+    return best, sum(map(priced.__getitem__, held), Fraction(0))

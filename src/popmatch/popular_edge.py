@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from . import gale_shapley
-from .gale_shapley import LevelledMatching
-from .instance import Instance, InstanceError, Matching
+from .instance import Instance, InstanceError, LevelledMatching, Matching
 
 
 class NotDominantError(InstanceError):
@@ -44,8 +43,8 @@ class Decomposition(NamedTuple):
     men and women outside the closure, in declared order.
     """
 
-    m0: Matching
-    m1: Matching
+    m0: LevelledMatching
+    m1: LevelledMatching
     partition: "verify.Partition"
     y: Tuple[str, ...]
     z: Tuple[str, ...]
@@ -60,10 +59,17 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     if cert is not None:
         raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
     a_side, b_side = part.a0 | part.a1, part.b0 | part.b1
-    m0 = Matching(p for p in matching.pairs if p[0] in a_side)
+    pos, adj, n = inst.mates(matching)[1], inst.adj, len(inst.men)
+    inside = [a in a_side for a in inst.men]
+    m0, m1 = (
+        LevelledMatching(
+            inst, [pos[m] if inside[m] == own else len(adj[m]) for m in range(n)], [0] * n
+        )
+        for own in (True, False)
+    )
     return Decomposition(
         m0=m0,
-        m1=Matching(matching.pairs - m0.pairs),
+        m1=m1,
         partition=part,
         y=tuple(m for m in inst.men if m not in a_side),
         z=tuple(w for w in inst.women if w not in b_side),
@@ -86,7 +92,8 @@ def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
     # The sides are disjoint: an overlap would join two alternating paths
     # into one that the check above rejects.  Unmatched men are seeded
     # into the level-1 side, so every man at level 0 is matched.
-    return LevelledMatching(matching.pairs, {a: int(a in part.a1) for a in inst.men})
+    pos = inst.mates(matching)[1][: len(inst.men)]
+    return LevelledMatching(inst, pos, [int(a in part.a1) for a in inst.men])
 
 
 def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
@@ -106,13 +113,11 @@ def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
     `test_lift_matches_explicit`.
     """
     dec = decompose(inst, matching)
-    a1 = dec.partition.a1
-    floors = {w: (m, int(m in a1)) for m, w in dec.m0.pairs}
-    floors.update((w, (m, 0)) for m, w in dec.m1.pairs)
-    return gale_shapley.run(inst, floors, levels=2)
+    a1 = dec.partition.a1  # no man of m1 is on the a1 side
+    return gale_shapley.run(inst, {w: (m, int(m in a1)) for m, w in matching.pairs}, levels=2)
 
 
-def lower_to_stable(inst: Instance, matching: Matching) -> Matching:
+def lower_to_stable(inst: Instance, matching: Matching) -> LevelledMatching:
     """Transform a popular matching into a stable one that keeps the
     remainder part m1 intact: the men-optimal stable matching holding
     m1, by one forced-edge run (`gale_shapley.forced`).  That m1 extends
@@ -124,9 +129,7 @@ def lower_to_stable(inst: Instance, matching: Matching) -> Matching:
     return gale_shapley.forced(inst, {w: (m, 0) for m, w in dec.m1.pairs})
 
 
-def dominant_with_edge(
-    inst: Instance, edge: Tuple[str, str]
-) -> Optional[Matching]:
+def dominant_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatching]:
     """A dominant matching containing the edge, if any: force the edge
     onto the man at level 0, then at level 1, in G'."""
     u, v = edge
@@ -137,7 +140,7 @@ def dominant_with_edge(
     return None
 
 
-def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[Matching]:
+def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatching]:
     """A popular matching containing the edge, if any.
 
     The witness is that of `stable_with_edge` if there is one (smaller

@@ -26,8 +26,7 @@ from operator import itemgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from . import gale_shapley
-from .gale_shapley import LevelledMatching
-from .instance import MAX_LISTED, EnumerationGuardError, Instance, Matching
+from .instance import MAX_LISTED, EnumerationGuardError, Instance, LevelledMatching
 
 # (key, the rotation that brought it) along the chain, keys ascending;
 # rotation -1 is the proposer-optimal matching
@@ -69,20 +68,18 @@ class RotationPoset(NamedTuple):
         over many sets: for one set of the acceptance instance's G' (908
         rotations) they peak at 13.1 MB against 2.3 MB for this walk
         (tracemalloc), and the masks grow as men times rotations."""
-        adj, names, levels = self.inst.adj, self.inst.names, self.levels
-        pairs, level = [], {}
+        adj, levels = self.inst.adj, self.levels
+        pos, level = [], []
         for m, chain in enumerate(self.chains):
             i = 1
             while i < len(chain) and closed >> chain[i][1] & 1:
                 i += 1
             deg, at = len(adj[m]), chain[i - 1][0]
-            if at < levels * deg:
-                lvl, k = divmod(at, deg)
-                pairs.append((names[m], names[adj[m][k]]))
-            else:
-                lvl = levels - 1  # he holds no one, having run out of his list
-            level[names[m]] = lvl
-        return LevelledMatching(pairs, level)
+            # at levels * deg he holds no one, having run out of his list
+            lvl, k = divmod(at, deg) if at < levels * deg else (levels - 1, deg)
+            pos.append(k)
+            level.append(lvl)
+        return LevelledMatching(self.inst, pos, level)
 
     def partners(self, m: int) -> List[Tuple[int, int, int]]:
         """Man m's partners along the chain, each as (its position in his
@@ -107,14 +104,15 @@ class RotationPoset(NamedTuple):
                     sets.append(sets[i] | 1 << r)
         return sets
 
-    def distinct_pairs(self) -> List[Matching]:
+    def distinct_pairs(self) -> List[LevelledMatching]:
         """The pairs of its stable matchings, each set of pairs once (two
         stable matchings of G' may share theirs), sorted."""
         return self._listed(False, MAX_LISTED)
 
-    def _listed(self, levelled: bool, limit: int) -> list:
+    def _listed(self, levelled: bool, limit: int) -> List[LevelledMatching]:
         """The one decoder of the listings: its stable matchings, sorted by
-        pairs then levels, or else their distinct pairs, sorted.
+        pairs then levels, or else their distinct pairs, sorted, each a
+        matching of the instance itself, at level 0.
 
         A closed set holds a prefix of each man's moves (Gusfield-Irving
         1989, ch. 3), so their count gives his partner and level.  A set
@@ -129,53 +127,49 @@ class RotationPoset(NamedTuple):
         man.)
         """
         sets = self.closed_sets(limit)  # refused before anything is built
-        adj, names = self.inst.adj, self.inst.names
-        fixed, movers = [], []  # movers in declared order: (man, his partners)
-        level = {}  # each man's level at the start; one who holds no one is at the top
-        for m in range(len(self.inst.men)):
+        inst, adj = self.inst, self.inst.adj
+        pos, level = [], []  # each man's at the start
+        movers = []  # in declared order: (man, his partners)
+        for m in range(len(inst.men)):
             held = self.partners(m)
-            level[names[m]] = held[0][2] if held else self.levels - 1
-            if len(held) == 1:
-                fixed.append((names[m], names[adj[m][held[0][0]]]))
-            elif held:
+            pos.append(held[0][0] if held else len(adj[m]))
+            level.append(held[0][2] if held else self.levels - 1)
+            if len(held) > 1:
                 movers.append((m, held))
-        key = self.inst.id_order[1].__getitem__
+        key = inst.id_order[1].__getitem__
         by_id = sorted(movers, key=lambda mover: key(mover[0]))
-        # each mover's women in id order, and his moves
-        women = [sorted({adj[m][k] for k, _, _ in held}, key=key) for m, held in by_id]
+        # each mover's positions of his women, in id order of the women
+        women = [sorted({k for k, _, _ in held}, key=lambda k: key(adj[m][k])) for m, held in by_id]
         moves = {m: sum(1 << r for _, r, _ in held[1:]) for m, held in movers}
         most = max(map(len, women), default=1)
         width = max(1, ((most - 1).bit_length() + 7) // 8)
         code = [i.to_bytes(width, "big") for i in range(most)]
         fields = []  # per mover in id order: his moves, and his field by their count
-        for (m, held), ws in zip(by_id, women):
-            place, lst = dict(zip(ws, code)), adj[m]
-            fields.append((moves[m], [place[lst[k]] for k, _, _ in held]))
+        for (m, held), ks in zip(by_id, women):
+            place = dict(zip(ks, code))
+            fields.append((moves[m], [place[k] for k, _, _ in held]))
         # per mover in declared order: his moves, and his level by their count
         ups = [(moves[m], [lvl for _, _, lvl in held]) for m, held in movers] if levelled else []
+        level = level if levelled else [0] * len(level)
         keys = {
             b"".join([field[(s & mask).bit_count()] for mask, field in fields])
             + bytes([up[(s & mask).bit_count()] for mask, up in ups])
             for s in sets
         }
         del sets
-        ids = [names[m] for m, _ in by_id]
-        partner = [list(map(names.__getitem__, ws)) for ws in women]
         at = width * len(by_id)
-        ups_ids = [names[m] for m, _ in movers]
         listed = []
         for key in sorted(keys):
             # a one-byte field is read by iterating the key
             places = key if width == 1 else [
                 int.from_bytes(key[i : i + width], "big") for i in range(0, at, width)
             ]
-            pairs = fixed + list(zip(ids, map(list.__getitem__, partner, places)))
-            if levelled:
-                levels = level.copy()
-                levels.update(zip(ups_ids, key[at:]))
-                listed.append(LevelledMatching(pairs, levels))
-            else:
-                listed.append(Matching(pairs))
+            got, lvl = pos.copy(), level.copy()
+            for (m, _), ks, i in zip(by_id, women, places):
+                got[m] = ks[i]
+            for (m, _), up in zip(movers, key[at:]):
+                lvl[m] = up
+            listed.append(LevelledMatching(inst, got, lvl))
         return listed
 
 
@@ -341,7 +335,9 @@ def stable_matchings(
     return rotation_poset(inst, levels)._listed(True, limit)
 
 
-def exists_unstable_popular(inst: Instance) -> Optional[Tuple[Matching, Tuple[str, str]]]:
+def exists_unstable_popular(
+    inst: Instance,
+) -> Optional[Tuple[LevelledMatching, Tuple[str, str]]]:
     """The least edge in id order that blocks some dominant matching, with
     the men-best dominant matching it blocks, or None if every popular
     matching is stable.

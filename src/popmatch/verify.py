@@ -28,8 +28,8 @@ The digraph is held flat, in vertex numbers: one list of arcs with an
 offset per vertex, the (+,+) edges as number pairs, named only when a
 certificate is built, and the search state in lists of ints (Tarjan's
 frames keep a vertex and an arc index).  Beside the instance, a check
-holds O(|V|) ints and one int per arc; a matching may come as the
-numbers `parse_mates` reads, so the CLI never holds it by name.
+holds O(|V|) ints and one int per arc; a matching numbered on the
+instance, as `parse_matching` reads one, is never named.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate
-from typing import (
-    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .elections import LabeledGraph, label_edges
-from .instance import Instance, Matching, Mates
+from .instance import Instance, Matching
 
 Edge = Tuple[str, str]
 
@@ -324,7 +322,7 @@ def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
     return Partition(*map(frozenset, (a0, a1, b0, b1)))
 
 
-def partition(inst: Instance, matching: Union[Matching, Mates], seed_unmatched: bool) -> Partition:
+def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Partition:
     """Seed the four sets and close them under adjacency in the pruned
     subgraph: a matched vertex next to a b0 woman or an a1 man joins a0
     or b1, and its partner joins b0 or a1."""
@@ -333,7 +331,7 @@ def partition(inst: Instance, matching: Union[Matching, Mates], seed_unmatched: 
 
 
 def checked_partition(
-    inst: Instance, matching: Union[Matching, Mates], dominant: bool
+    inst: Instance, matching: Matching, dominant: bool
 ) -> Tuple[Optional[Certificate], Optional[Partition]]:
     """The certificate of `is_popular` (of `is_dominant` if dominant)
     and, when there is none, the `partition` seeded by the unmatched
@@ -345,22 +343,17 @@ def checked_partition(
     return None, _partition(g, seed_unmatched=dominant)
 
 
-def is_popular(
-    inst: Instance, matching: Union[Matching, Mates]
-) -> Tuple[bool, Optional[Certificate]]:
+def is_popular(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Certificate]]:
     """Check the three alternating-walk conditions in the pruned
     subgraph in O(|V| + |E|) time; on failure return the first
     certificate found, preferring unmatched-path, then cycle, then
     two-edge-path witnesses and taking (+,+) edges in lexicographic
-    order within each kind.  The matching is a Matching or its numbers
-    (see `Instance.mates`)."""
+    order within each kind."""
     cert = _violation(_Graph(label_edges(inst, matching)))
     return cert is None, cert
 
 
-def is_dominant(
-    inst: Instance, matching: Union[Matching, Mates]
-) -> Tuple[bool, Optional[Certificate]]:
+def is_dominant(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Certificate]]:
     """Popularity plus the absence of an augmenting path in the pruned
     subgraph."""
     cert = _dominance_violation(_Graph(label_edges(inst, matching)))

@@ -24,16 +24,17 @@ import popmatch
 from popmatch import (
     Instance,
     InstanceError,
+    LevelledMatching,
     Matching,
     classify,
     generate_random,
     is_stable,
     parse_instance,
     run,
+    serialize_matching,
 )
 from popmatch import gale_shapley
 from popmatch.elections import PLUS, vote
-from popmatch.gale_shapley import LevelledMatching
 
 # Two men both ranking b1 first; the unique stable matching {(a1,b1)}
 # leaves a2 and b2 out, while the perfect matching {(a1,b2),(a2,b1)}
@@ -224,6 +225,20 @@ def assert_certificate_replays(inst, matching, cert):
         assert not in_m[0] and not in_m[-1]
     else:
         raise AssertionError(f"unknown certificate kind {cert.kind!r}")
+
+
+def assert_named_alike(result):
+    """A numbered result stands for the Matching of its pairs: equal to
+    it and of its hash both ways, so one dict key, with the same views by
+    id, its pairs in the same order and the same serialization."""
+    named = Matching(result.sorted_pairs())
+    assert result == named and named == result and hash(result) == hash(named)
+    assert len(dict.fromkeys([result, named])) == 1 and {named: 1}[result] == 1
+    assert result.sorted_pairs() == tuple(sorted(result.pairs)) == named.sorted_pairs()
+    assert len(result) == len(named) and list(result) == list(named)
+    assert all(result.partner_of(v) == named.partner_of(v) for v in result.inst.names)
+    assert serialize_matching(result) == serialize_matching(named)
+    assert list(result.level) == list(result.inst.men)
 
 
 def random_matching(inst, rng):
@@ -487,7 +502,7 @@ def _exposed_rotations(inst, matching, levels):
     positions, and (m, 0) points at (m, 1) when no woman below his
     partner will have him."""
     top = levels - 1
-    adj, back, names = inst.adj, inst.back, inst.names
+    adj, back = inst.adj, inst.back
     level = list(map(matching.level.__getitem__, inst.men))
     mate, pos = inst.mates(matching)
 
@@ -521,7 +536,7 @@ def _exposed_rotations(inst, matching, levels):
             path.append(cur)
             cur = nxt[cur]
         if color.get(cur) == 1:
-            cycles.append([(names[m], lvl) for m, lvl in path[path.index(cur):]])
+            cycles.append(path[path.index(cur):])
         for v in path:
             color[v] = 2
     return cycles
@@ -533,16 +548,16 @@ def _eliminate(matching, cycle):
     dummy otherwise; a level-0 proposer taking the dummy moves his man
     up a level, and the man's level-1 proposer, also on the cycle,
     brings his new partner."""
-    pairs = dict(matching.pairs)
-    level = dict(matching.level)
-    held = [pairs[m] if level[m] == lvl else None for m, lvl in cycle]
+    adj = matching.inst.adj
+    pos, level = list(matching.pos), list(matching.lvl)
+    held = [adj[m][pos[m]] if level[m] == lvl else None for m, lvl in cycle]
     for (m, lvl), w in zip(cycle, held[1:] + held[:1]):
         if w is None:
             level[m] = lvl + 1
         else:
-            pairs[m] = w
+            pos[m] = adj[m].index(w)
             level[m] = lvl
-    return LevelledMatching(pairs.items(), level)
+    return LevelledMatching(matching.inst, pos, level)
 
 
 def lattice_stable_matchings(inst, levels=1):
@@ -553,7 +568,7 @@ def lattice_stable_matchings(inst, levels=1):
     pairs, then levels."""
 
     def key(m):
-        return m.pairs, tuple(m.level.values())
+        return tuple(m.pos), tuple(m.lvl)
 
     start = run(inst, levels=levels)
     seen = {key(start): start}

@@ -14,7 +14,7 @@ from popmatch import (
 )
 from popmatch.gale_shapley import forced
 from popmatch.rotations import stable_matchings
-from conftest import reversed_declaration_cases
+from conftest import assert_named_alike, reversed_declaration_cases
 
 
 def test_run_shared_top(shared_top):
@@ -58,8 +58,11 @@ def test_engine_does_not_depend_on_declaration_order():
     # the same matching whatever the order of proposals: each instance,
     # declared reversed or shuffled, gives the pairs and levels of the
     # same instance declared in id order, at both levels, with and
-    # without floors, and so does the forced query
+    # without floors, and so does the forced query; each result stands
+    # for the Matching of its pairs
     def result(m):
+        if m is not None:
+            assert_named_alike(m)
         return m and (m.pairs, m.level)
 
     rng = random.Random(3)

@@ -17,9 +17,11 @@ from popmatch import (
     serialize_matching,
 )
 from popmatch.cli import _load_instance
-from popmatch.instance import parse_mates
 from popmatch.min_cost import parse_costs
-from conftest import CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, induced
+from conftest import (
+    CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, assert_named_alike, induced,
+    reversed_declaration_cases,
+)
 from test_exit_codes import BAD_LINES
 
 
@@ -289,7 +291,7 @@ def test_parsers_take_the_lines_of_the_text():
     inst = parse_instance(SHARED_TOP_TEXT)
     matchings = ["a1 b2\na2 b1\n", "# c\n\na2 b1\r\n", "a1 b1 b2\n", "a1 b2\va1 b1", "zz b1\n"]
     for text in matchings:
-        assert parsed(parse_mates, text.splitlines(), inst) == parsed(parse_mates, text, inst)
+        assert parsed(parse_matching, text.splitlines(), inst) == parsed(parse_matching, text, inst)
     costs = ["a1 b1 1\ra1 b2 2/3\n", "a1 b1 x\n", "a1 b1 1\n\na1 b1 2\n", "a2 b2 1\n", "a1 b1\n"]
     for text in costs:
         assert parsed(parse_costs, text.splitlines(), inst) == parsed(parse_costs, text, inst)
@@ -355,17 +357,20 @@ def test_matching_of_checks_edges(shared_top):
     assert Matching.of(shared_top, [("a1", "b1")]).sorted_pairs() == (("a1", "b1"),)
 
 
-def test_mates_takes_a_matching_or_its_numbers(shared_top):
+def test_mates_numbers_a_foreign_matching_by_its_ids(shared_top):
     from popmatch import is_dominant, is_popular, is_stable, label_edges, partition
 
-    numbers = parse_mates("a1 b2\na2 b1\n", shared_top)
-    assert shared_top.mates(numbers) is numbers
-    assert shared_top.mates(Matching([("a1", "b2"), ("a2", "b1")])) == numbers
-    other = parse_instance(CONTESTED_HUB_TEXT)
-    assert len(other.names) != len(shared_top.names)
-    foreign = parse_mates("", other)
-    for wrong in ({("a1", "b2")}, [("a1", "b2")], foreign, (numbers[0], numbers[1][:-1]),
-                  (tuple(numbers[0]), numbers[1]), (*numbers, numbers[0])):
+    numbered = parse_matching("a1 b2\na2 b1\n", shared_top)
+    assert shared_top.mates(numbered) == shared_top.mates(Matching(numbered.pairs))
+    # the same vertex numbers on an instance of the same size, where
+    # (a1,b2) is no edge: the matching is read by its ids there
+    other = parse_instance("men: a1 a2\nwomen: b1 b2\na1: b1\na2: b2 b1\nb1: a1 a2\nb2: a2\n")
+    for check in (is_stable, is_popular, is_dominant, label_edges):
+        with pytest.raises(InstanceError, match=r"pair \(a1,b2\) is not an edge"):
+            check(other, numbered)
+    with pytest.raises(InstanceError, match=r"pair \(a1,b2\) is not an edge"):
+        partition(other, numbered, True)
+    for wrong in ({("a1", "b2")}, [("a1", "b2")], shared_top.mates(numbered)):
         with pytest.raises(InstanceError, match="not a Matching"):
             shared_top.mates(wrong)
         for check in (is_stable, is_popular, is_dominant, label_edges):
@@ -394,8 +399,11 @@ def test_parse_shares_declared_ids():
 
 def test_parse_matching(shared_top):
     m = parse_matching("# witness\na1 b2\na2 b1\n", shared_top)
-    assert m == Matching([("a1", "b2"), ("a2", "b1")])
+    assert m == Matching([("a1", "b2"), ("a2", "b1")]) and m.level == {"a1": 0, "a2": 0}
     assert serialize_matching(m) == "a1 b2\na2 b1\n"
+    assert_named_alike(m)
+    for inst, named in list(reversed_declaration_cases())[:40]:
+        assert_named_alike(parse_matching(serialize_matching(named), inst))
     assert serialize_matching(Matching()) == ""
     with pytest.raises(ParseError, match="not an edge"):
         parse_matching("a2 b2\n", shared_top)

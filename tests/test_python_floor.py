@@ -35,9 +35,8 @@ from fractions import Fraction
 import popmatch
 from popmatch import (
     cli, exists_unstable_popular, is_dominant, is_popular, is_stable, min_cost_dominant,
-    parse_instance, popular_edges, run, serialize_matching, stable_matchings,
+    parse_instance, parse_matching, popular_edges, run, serialize_matching, stable_matchings,
 )
-from popmatch.instance import parse_mates
 from popmatch.rotations import rotation_poset
 
 print(sys.version_info[:2] >= tuple(map(int, sys.argv[1].split("."))))
@@ -53,8 +52,8 @@ for text in sys.argv[2:]:
     for levels in (1, 2):
         found = run(inst, levels=levels)
         print(levels, found.sorted_pairs()[:5], sum(found.level.values()))
-        mates = parse_mates(serialize_matching(found), inst)
-        print(is_popular(inst, mates), is_dominant(inst, mates))
+        read = parse_matching(serialize_matching(found), inst)
+        print(is_popular(inst, read), is_dominant(inst, read))
     poset = rotation_poset(inst, 2)
     print(len(poset.preds), poset.partners(0)[:5], is_dominant(inst, run(inst, levels=2))[0])
 

@@ -192,11 +192,19 @@ def test_empty_matching_unpopular_with_edges(shared_top):
 
 
 def test_is_dominant_examples(nested_fan):
-    near = Matching([("a1", "b1"), ("a2", "b2")])
-    ok, cert = is_dominant(nested_fan, near)
-    assert not ok and cert.kind == "augmenting-path"
-    assert cert.path[0] == "a3" and cert.path[-1] == "b3"
-    assert_certificate_replays(nested_fan, near, cert)
+    # the path ends at the first unmatched neighbour in id order: a0
+    # lists b3 before b1
+    ends = parse_instance(
+        "men: a0 a1 a2\nwomen: b0 b4 b1 b2 b3\na0: b4 b3 b1\na1: b4\na2: b2\n"
+        "b0:\nb4: a0 a1\nb1: a0\nb2: a2\nb3: a0\n"
+    )
+    for inst, near, path in (
+        (nested_fan, Matching([("a1", "b1"), ("a2", "b2")]), ("a3", "b1", "a1", "b3")),
+        (ends, Matching([("a0", "b4"), ("a2", "b2")]), ("a1", "b4", "a0", "b1")),
+    ):
+        ok, cert = is_dominant(inst, near)
+        assert not ok and cert == Certificate("augmenting-path", path)
+        assert_certificate_replays(inst, near, cert)
     assert is_dominant(nested_fan, Matching([("a1", "b2"), ("a2", "b1")]))[0]
 
 
