@@ -3,8 +3,9 @@
 One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors) and levelled proposers.  With two
 levels it runs deferred acceptance on the two-copy instance G' without
-building G'.  The forced-edge query `forced` is one run with floors at
-either number of levels; `is_stable` is the blocking-pair scan of G.
+building G'.  A floored run, such as the forced-edge query `forced`,
+resumes from the unforced run's final state, which the instance keeps
+per level; `is_stable` is the blocking-pair scan of G.
 A result is a `LevelledMatching` in the numbers the loop keeps: each
 man's position on his list and his level, named only when read by id.
 
@@ -46,46 +47,61 @@ def run(
     higher level beats any of a lower one, and her own ranking decides
     within a level.  Every man starts free at level 0, queued in
     declared order: the order of proposals does not change the result
-    (Gusfield-Irving 1989, ch. 1).
+    (Gusfield-Irving 1989, ch. 1), so a floored run resumes (`_floored`).
     """
-    holds, at, level = _propose(inst, floors, levels)
-    adj = inst.adj
-    # each man holds the woman before his index, if she holds him
-    pos = [i - 1 if i and holds[adj[m][i - 1]] == m else len(adj[m]) for m, i in enumerate(at)]
-    return LevelledMatching(inst, pos, level)
-
-
-def _propose(
-    inst: Instance, floors: Optional[Mapping[str, Tuple[str, int]]], levels: int
-) -> Tuple[List[int], List[int], List[int]]:
-    """The loop of `run`, on numbers: (holds, next_ix, level), where
-    holds[w] is the man woman w holds (-1: no one), and man m holds the
-    woman before next_ix[m] on his list at level[m], or, if no one holds
-    him, has run out of his list at the top level.  `rotations` walks
-    on from these arrays."""
+    if not floors:
+        return LevelledMatching(inst, *_propose(inst, levels)[3:])
     if levels not in (1, 2):
         raise ValueError(f"levels must be 1 or 2, got {levels!r}")
-    adj, back, names = inst.adj, inst.back, inst.names
-    # her position for a proposer: her rank of him less her list length
-    # per level he is on, so lower is better
-    floor = {}
-    for w, (m, lvl) in (floors or {}).items():
+    held = []  # the floors by number, as `_floored` takes them
+    for w, (m, lvl) in floors.items():
         s = inst.slot(m, w)
         if s is None:
             raise InstanceError(f"acceptance floor ({m},{w}) is not an edge")
         if lvl not in range(levels):
             raise ValueError(f"acceptance floor ({m},{w}) at level {lvl!r} of {levels}")
-        i, j, k = s
-        floor[j] = back[i][k] - lvl * len(adj[j])
+        held.append((s[0], s[2], lvl))
+    return _floored(inst, held, levels)
+
+
+def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching:
+    """`run` with floors by number: for each (m, k, l) of `held`, the k-th
+    woman on man m's list refuses every proposer she ranks below m at
+    level l.  Cutting lists only adds refusals and the order of proposals
+    does not matter (McVitie-Wilson 1971), so it resumes from a copy of
+    the unforced final state, kept on the instance from the first call
+    at `levels` on: O(n) copies plus the proposals beyond it."""
+    key = f"unforced_state_{levels}"
+    if key not in vars(inst):
+        vars(inst)[key] = _propose(inst, levels)
+    state = [a.copy() for a in vars(inst)[key]]
+    return LevelledMatching(inst, *_propose(inst, levels, held, state)[3:])
+
+
+def _propose(inst: Instance, levels: int, held=(), state=None) -> List[List[int]]:
+    """The loop of `run`, on numbers: [holds, pos, next_ix, at, level],
+    where woman w holds man holds[w] (-1: no one) at her position pos[w]
+    and man m the woman before next_ix[m] on his list at level[m], at
+    position at[m] (its length: he ran out of it at the top level).  It
+    starts from empty arrays, or goes on from `state`, which it changes,
+    with the men `held`'s women refuse.  `rotations` walks on from it."""
+    adj, back, n = inst.adj, inst.back, len(inst.men)
+    queue = deque(range(n) if state is None else ())
+    if state is None:
+        if levels not in (1, 2):
+            raise ValueError(f"levels must be 1 or 2, got {levels!r}")
+        # her position for a proposer: her rank of him less her list length
+        # per level he is on (lower is better); her list length for no one
+        state = [[-1] * len(adj), list(map(len, adj)), [0] * n, [0] * n, [0] * n]
+    holds, pos, next_ix, at, level = state
+    floor = {}  # the worst position each floored woman accepts
+    for m, k, lvl in held:
+        w = adj[m][k]
+        floor[w] = back[m][k] - lvl * len(adj[w])
+        if holds[w] >= 0 and pos[w] > floor[w]:
+            queue.append(holds[w])
+            holds[w], pos[w] = -1, len(adj[w])
     top = levels - 1
-    n = len(inst.men)
-    # holds[w], pos[w]: the proposer woman w holds and her position for
-    # him; a woman who holds no one ranks him at her list length
-    holds = [-1] * len(names)
-    pos = list(map(len, adj))
-    next_ix = [0] * n
-    level = [0] * n
-    queue = deque(range(n))
 
     while queue:
         m = queue.popleft()
@@ -95,6 +111,7 @@ def _propose(
         while True:
             if i == len(lst):
                 if lvl == top:
+                    at[m] = i
                     break
                 lvl += 1
                 i = 0
@@ -111,10 +128,11 @@ def _propose(
                     queue.append(holds[w])
                 holds[w] = m
                 pos[w] = p
+                at[m] = i - 1
                 break
         next_ix[m] = i
         level[m] = lvl
-    return holds, next_ix, level
+    return state
 
 
 def dominant_two_level(inst: Instance) -> LevelledMatching:
@@ -143,13 +161,14 @@ def forced(
     """The men-optimal stable matching (of G' with levels=2) in which each
     woman w of `held` holds the man at the level held[w], if one exists.
 
-    One `run` in which each such woman refuses anyone below her man at
-    his level, which is deferred acceptance on the instance with her
-    list cut below him.  If she holds him there, no cut pair blocks the
-    result, since she ranks every cut man below him.  A stable matching
-    holding all the pairs is stable in the cut instance, where the run's
-    result is the worst for every woman and matches the same women
-    (Gusfield-Irving 1989), so each of them holds her man in it too.
+    One floored `run` in which each such woman refuses anyone below her
+    man at his level, which is deferred acceptance on the instance with
+    her list cut below him, resumed from the kept unforced state.  If
+    she holds him there, no cut pair blocks the result, since she ranks
+    every cut man below him.  A stable matching holding all the pairs is
+    stable in the cut instance, where the run's result is the worst for
+    every woman and matches the same women (Gusfield-Irving 1989), so
+    each of them holds her man in it too.
     """
     for w, (m, _) in held.items():
         if inst.slot(m, w) is None:

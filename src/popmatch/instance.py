@@ -2,7 +2,10 @@
 
 An instance is a bipartite graph whose two sides are called *men* and
 *women*; every vertex ranks its neighbors strictly.  Instances and
-matchings are immutable after construction and safe to share.
+matchings are immutable after construction and safe to share: an
+instance's write-once caches (cached properties, `popular_edge`'s route
+table, the engine's unforced state per level) never change once built,
+and queries copy that state before proposing on from it.
 
 An Instance holds each list once, as vertex numbers, and parsing, the
 constructor and the generator build it through the same checks.  A

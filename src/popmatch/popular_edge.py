@@ -100,8 +100,8 @@ def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
     """Transform a popular matching into a dominant one that keeps the
     closure part m0 intact.
 
-    One two-level run of the engine on the whole instance (deferred
-    acceptance on its implicit G'), in which each m0 woman refuses
+    One floored two-level run of the engine on the whole instance
+    (deferred acceptance on its implicit G'): each m0 woman refuses
     anyone below her man at his side's level (1 on the a1 side, else 0)
     and each m1 woman anyone below her partner at level 0.  That is
     deferred acceptance on G' with those lists cut, and a cut pair
@@ -112,21 +112,24 @@ def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
     against deferred acceptance on the explicit G' by
     `test_lift_matches_explicit`.
     """
-    dec = decompose(inst, matching)
+    dec, adj = decompose(inst, matching), inst.adj
     a1 = dec.partition.a1  # no man of m1 is on the a1 side
-    return gale_shapley.run(inst, {w: (m, int(m in a1)) for m, w in matching.pairs}, levels=2)
+    pos = enumerate(map(min, dec.m0.pos, dec.m1.pos))  # m0 and m1 split the matching
+    held = [(m, k, int(inst.men[m] in a1)) for m, k in pos if k < len(adj[m])]
+    return gale_shapley._floored(inst, held, 2)
 
 
 def lower_to_stable(inst: Instance, matching: Matching) -> LevelledMatching:
     """Transform a popular matching into a stable one that keeps the
     remainder part m1 intact: the men-optimal stable matching holding
-    m1, by one forced-edge run (`gale_shapley.forced`).  That m1 extends
-    to a stable matching is the paper's decomposition; the oracle check
-    that this is the men-best stable matching containing m1 is
-    `test_lower_to_stable`.
+    m1, by one run with m1's women floored as in `gale_shapley.forced`,
+    which keeps m1 as m1 extends to a stable matching (the paper's
+    decomposition).  The oracle check that this is the men-best stable
+    matching containing m1 is `test_lower_to_stable`.
     """
-    dec = decompose(inst, matching)
-    return gale_shapley.forced(inst, {w: (m, 0) for m, w in dec.m1.pairs})
+    adj = inst.adj
+    held = [(m, k, 0) for m, k in enumerate(decompose(inst, matching).m1.pos) if k < len(adj[m])]
+    return gale_shapley._floored(inst, held, 1)
 
 
 def dominant_with_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatching]:
@@ -145,11 +148,13 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
 
     The witness is that of `stable_with_edge` if there is one (smaller
     and blocking-pair-free), else that of `dominant_with_edge`.  The
-    first call on an instance reads which of those routes finds one for
-    each edge off the rotation posets of G and G' and keeps that table
-    on the instance (`rotations.popular_routes`: O(m log m) time, one
-    byte per edge).  After it, a "no" is one lookup and a "yes" is one
-    forced run on the known route.
+    first call on an instance keeps on it which of those routes finds
+    one for each edge, read off the rotation posets of G and G'
+    (`rotations.popular_routes`: O(m log m) time, one byte per edge),
+    and the engine's unforced state at both levels (`gale_shapley._floored`).
+    After it, a "no" is one lookup and a "yes" is one floored run on the
+    known route, resumed from the kept state: O(n) list copies plus the
+    proposals made beyond the unforced matching.
     """
     u, v = edge
     s = inst.slot(u, v)
@@ -160,9 +165,11 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
         from .rotations import popular_routes
 
         routes = vars(inst)["popular_routes"] = popular_routes(inst)
+        for levels in (1, 2):
+            gale_shapley._floored(inst, (), levels)  # keeps the unforced state
     first, table = routes
     route = table[first[s[0]] + s[2]]
     if not route:
         return None
     levels = 1 + (route > 1)
-    return gale_shapley.forced(inst, {v: (u, route - levels)}, levels)
+    return gale_shapley._floored(inst, [(s[0], s[2], route - levels)], levels)

@@ -200,7 +200,7 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     adj, back = inst.adj, inst.back
     deg = list(map(len, adj))
     n = len(inst.men)
-    holder, scan, level = gale_shapley._propose(inst, None, levels)
+    holder, _, scan, _, level = gale_shapley._propose(inst, levels)
     # woman w keys man m at level l on his k-th woman by levels * deg[w]
     # minus her rank of him in G', that is (l + 1) * deg[w] - back[m][k]
     held: List[Chain] = [()] * len(adj)

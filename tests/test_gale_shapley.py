@@ -9,12 +9,24 @@ from popmatch import (
     Matching,
     generate_random,
     is_stable,
+    lift_to_dominant,
+    lower_to_stable,
+    parse_instance,
+    popular_edge,
     run,
+    serialize_instance,
     stable_with_edge,
 )
+from popmatch import gale_shapley
 from popmatch.gale_shapley import forced
 from popmatch.rotations import stable_matchings
-from conftest import assert_named_alike, reversed_declaration_cases
+from conftest import (
+    assert_named_alike,
+    blocks_text,
+    cyclic_text,
+    ensemble_instance,
+    reversed_declaration_cases,
+)
 
 
 def test_run_shared_top(shared_top):
@@ -155,3 +167,55 @@ def test_stable_with_edge_matches_oracle(small_ensemble):
             assert (got is not None) == (e in in_some_stable)
             if got is not None:
                 assert e in got.pairs and is_stable(inst, got)[0]
+
+
+def test_resumed_run_equals_the_run_from_empty_arrays():
+    # a floored run goes on from a copy of the kept unforced state, and
+    # ends in the state the same loop started from empty arrays ends in:
+    # single floors on every edge (80 sampled on the larger instances) at
+    # every level and random floors on several women
+    rng = random.Random(5)
+    insts = [ensemble_instance(seed) for seed in range(200)]
+    insts += [parse_instance(cyclic_text(6)), parse_instance(blocks_text(4))]
+    insts.append(generate_random(300, 300, 0.03, 1))
+    compared = 0
+    for inst in insts:
+        edges = sorted(inst.edges)
+        if not edges:
+            continue
+        single = edges if len(edges) <= 80 else rng.sample(edges, 80)
+        for levels in (1, 2):
+            cases = [{w: (m, lvl)} for m, w in single for lvl in range(levels)]
+            for _ in range(20):
+                size = rng.randint(min(2, len(edges)), min(6, len(edges)))
+                cases.append({w: (m, rng.randrange(levels)) for m, w in rng.sample(edges, size)})
+            for floors in cases:
+                got = run(inst, floors, levels)
+                held = [inst.slot(m, w)[::2] + (lvl,) for w, (m, lvl) in floors.items()]
+                kept = [a.copy() for a in vars(inst)[f"unforced_state_{levels}"]]
+                state = gale_shapley._propose(inst, levels, held, kept)
+                assert state == gale_shapley._propose(inst, levels, held), floors
+                assert (got.pos, got.lvl) == (state[3], state[4])
+                compared += 1
+    assert compared > 15_000
+
+
+def test_queries_leave_the_kept_state_alone():
+    # every query copies the kept state: each answer, in sorted and then
+    # in reverse order with the transformations of each popular witness
+    # run in between, is the answer on a fresh parse of the instance
+    text = serialize_instance(generate_random(12, 12, 0.3, 5))
+    inst = parse_instance(text)
+    edges = sorted(inst.edges)
+
+    def answers(inst, e):
+        got = popular_edge(inst, e)
+        if got is None:
+            return None
+        got = (got, lift_to_dominant(inst, got), lower_to_stable(inst, got))
+        return [(m.pos, m.lvl) for m in got]
+
+    fresh = {e: answers(parse_instance(text), e) for e in edges}
+    assert any(fresh.values()) and not all(fresh.values())
+    for e in edges + edges[::-1]:
+        assert answers(inst, e) == fresh[e], e

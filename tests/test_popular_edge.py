@@ -18,13 +18,16 @@ from popmatch import (
     lift_to_dominant,
     lower_to_stable,
     parse_instance,
+    parse_matching,
     popular_edge,
     run,
     serialize_instance,
+    serialize_matching,
     stable_with_edge,
 )
 from popmatch import gale_shapley, oracles, rotations
 from popmatch.elections import MINUS, PLUS, label_edges
+from popmatch.instance import LevelledMatching
 from popmatch.popular_edge import NotPopularError
 from popmatch.rotations import popular_routes
 from conftest import blocks_text, cyclic_text, gm_adj, induced, measured_child
@@ -180,6 +183,26 @@ def test_lower_to_stable(shared_top, small_ensemble):
                 assert down == p
 
 
+def test_transformations_floor_by_number(monkeypatch, nested_fan, contested_hub):
+    # lift_to_dominant and lower_to_stable hand the engine their floors
+    # as numbers: neither builds an id view of a numbered matching
+    seen = []
+    getattr_ = LevelledMatching.__getattr__
+
+    def spy(self, name):
+        seen.append(name)
+        return getattr_(self, name)
+
+    for inst in (nested_fan, contested_hub):
+        popular = [parse_matching(serialize_matching(p), inst) for p in oracles.popular_set(inst)]
+        assert len(popular) > 1
+        monkeypatch.setattr(LevelledMatching, "__getattr__", spy)
+        results = [f(inst, p) for p in popular for f in (lift_to_dominant, lower_to_stable)]
+        monkeypatch.undo()
+        assert seen == [] and all(isinstance(r, LevelledMatching) for r in results)
+        assert all(is_popular(inst, r)[0] for r in results)
+
+
 def test_dominant_with_edge(shared_top, contested_hub):
     assert dominant_with_edge(shared_top, ("a1", "b2")) == Matching(
         [("a1", "b2"), ("a2", "b1")]
@@ -285,30 +308,67 @@ def test_popular_edges_read_the_posets(small_ensemble):
         assert popmatch.popular_edges(inst) == oracles.popular_edges(inst, 64)
 
 
-def test_later_queries_run_at_most_one_forced_run(monkeypatch):
-    inst = parse_instance(serialize_instance(generate_random(30, 30, 0.2, 3)))
-    counts = {"run": 0, "poset": 0}
+def _count_runs(monkeypatch, counts):
+    """Counts floored runs, rotation posets and runs of the engine from
+    empty arrays, these per level."""
+    propose = gale_shapley._propose
+
+    def from_empty(inst, levels, held=(), state=None):
+        if state is None:
+            counts[f"empty{levels}"] = counts.get(f"empty{levels}", 0) + 1
+        return propose(inst, levels, held, state)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] = counts.get(name, 0) + 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(gale_shapley, "run", counted("run", gale_shapley.run))
+    monkeypatch.setattr(gale_shapley, "_propose", from_empty)
+    monkeypatch.setattr(gale_shapley, "_floored", counted("floored", gale_shapley._floored))
     monkeypatch.setattr(rotations, "rotation_poset", counted("poset", rotations.rotation_poset))
+
+
+def test_later_queries_run_at_most_one_forced_run(monkeypatch):
+    # the first query builds the two rotation posets and keeps the
+    # unforced state at both levels; after it a "yes" is one floored run
+    # resumed from that state, a "no" none, and no query starts the
+    # engine from empty arrays
+    inst = parse_instance(serialize_instance(generate_random(30, 30, 0.2, 3)))
+    counts = {}
+    _count_runs(monkeypatch, counts)
     edges = sorted(inst.edges)
     popular_edge(inst, edges[0])
-    assert counts["poset"] == 2
+    started = {"empty1": 2, "empty2": 2, "poset": 2}
+    assert {k: counts[k] for k in started} == started
     answers = {True: 0, False: 0}
     for e in edges:
-        before = counts["run"]
+        before = counts.get("floored", 0)
         got = popular_edge(inst, e)
-        assert counts["run"] - before == (got is not None), e
+        assert counts.get("floored", 0) - before == (got is not None), e
         answers[got is not None] += 1
-    assert counts["poset"] == 2
+    assert {k: counts[k] for k in started} == started
     assert answers[True] and answers[False]
+
+
+def test_cli_popular_edge_starts_once_per_level(monkeypatch, tmp_path, capsys):
+    # each `popular-edge` call runs the engine from empty arrays at most
+    # once per level: the stable route, then the dominant one at level 0
+    # and at level 1 resume from the state of the first run at their level
+    from popmatch import cli
+
+    path = tmp_path / "inst.pref"
+    path.write_text(serialize_instance(generate_random(12, 12, 0.3, 5)))
+    codes, counts = set(), {}
+    _count_runs(monkeypatch, counts)
+    for m, w in sorted(parse_instance(path.read_text()).edges):
+        counts.clear()
+        codes.add(cli.main(["popular-edge", "--edge", f"{m},{w}", "-i", str(path)]))
+        capsys.readouterr()
+        assert counts.get("empty1", 0) <= 1 and counts.get("empty2", 0) <= 1, (m, w, counts)
+        assert counts.get("floored", 0) in (1, 2, 3)
+    assert codes == {0, 1}
 
 
 # How far the peak RSS of parsing the edge-queries instance and answering
