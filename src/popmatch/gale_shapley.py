@@ -64,17 +64,33 @@ def run(
     return _floored(inst, held, levels)
 
 
+class _Overlay(dict):
+    """A private write layer over a kept list: a read of an entry not
+    written here reads the list, and the list is never written."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self, kept: List[int]):
+        self.kept = kept
+
+    def __missing__(self, i: int) -> int:
+        return self.kept[i]
+
+
 def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching:
     """`run` with floors by number: for each (m, k, l) of `held`, the k-th
     woman on man m's list refuses every proposer she ranks below m at
     level l.  Cutting lists only adds refusals and the order of proposals
-    does not matter (McVitie-Wilson 1971), so it resumes from a copy of
-    the unforced final state, kept on the instance from the first call
-    at `levels` on: O(n) copies plus the proposals beyond it."""
+    does not matter (McVitie-Wilson 1971), so it resumes from the
+    unforced final state, kept on the instance from the first call at
+    `levels` on.  The run writes `holds`, `pos` and `next_ix` to private
+    overlays of the kept lists and copies only `at` and `level`, which
+    become the result: two O(n) copies plus the proposals beyond it."""
     key = f"unforced_state_{levels}"
     if key not in vars(inst):
         vars(inst)[key] = _propose(inst, levels)
-    state = [a.copy() for a in vars(inst)[key]]
+    holds, pos, next_ix, at, level = vars(inst)[key]
+    state = [_Overlay(holds), _Overlay(pos), _Overlay(next_ix), at.copy(), level.copy()]
     return LevelledMatching(inst, *_propose(inst, levels, held, state)[3:])
 
 

@@ -5,7 +5,7 @@ An instance is a bipartite graph whose two sides are called *men* and
 matchings are immutable after construction and safe to share: an
 instance's write-once caches (cached properties, `popular_edge`'s route
 table, the engine's unforced state per level) never change once built,
-and queries copy that state before proposing on from it.
+and queries propose on from that state through private write overlays.
 
 An Instance holds each list once, as vertex numbers, and parsing, the
 constructor and the generator build it through the same checks.  A
@@ -371,9 +371,12 @@ class LevelledMatching(Matching):
     if he has none, and lvl[m] the level he ended on, 0 in a matching of
     the instance itself (with two levels it stands for a matching of G',
     see `gale_shapley`).  `sorted_pairs` reads the numbers; the
-    views by id, `pairs`, `partner_of`, `len`, `level` (man -> level,
-    in declared order) and the hash, are built on first read.  Equality
-    compares the pairs only, so it equals the Matching of its pairs."""
+    views by id, `pairs`, `partner_of`, `len` and `level` (man -> level,
+    in declared order), are built on first read.  It equals, and hashes
+    as, the Matching of its pairs, whatever its levels, and the hash is
+    read off the numbers.  Two matchings bound to the same instance
+    compare their `pos`, which builds no view either: every producer
+    leaves an unmatched man at his list's length."""
 
     __slots__ = ("inst", "pos", "lvl", "level")
 
@@ -384,11 +387,20 @@ class LevelledMatching(Matching):
         # called only when lookup fails: for a view, while its slot is unset
         if name == "level":
             self.level = dict(zip(self.inst.men, self.lvl))
+        elif name == "_hash":
+            self._hash = hash(frozenset(self.sorted_pairs()))
         elif name in Matching.__slots__:
             Matching.__init__(self, self.sorted_pairs())
         else:
             raise AttributeError(name)
         return getattr(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LevelledMatching) and other.inst is self.inst:
+            return self.pos == other.pos
+        return Matching.__eq__(self, other)
+
+    __hash__ = Matching.__hash__
 
     def sorted_pairs(self) -> tuple:
         """The pairs, the men in `Instance.id_order`."""

@@ -55,11 +55,11 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     the remainder."""
     from . import verify
 
-    cert, part = verify.checked_partition(inst, matching, dominant=False)
+    cert, part, pos = verify.checked_partition(inst, matching, dominant=False)
     if cert is not None:
         raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
     a_side, b_side = part.a0 | part.a1, part.b0 | part.b1
-    pos, adj, n = inst.mates(matching)[1], inst.adj, len(inst.men)
+    adj, n = inst.adj, len(inst.men)
     inside = [a in a_side for a in inst.men]
     m0, m1 = (
         LevelledMatching(
@@ -86,14 +86,13 @@ def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
     """
     from . import verify
 
-    cert, part = verify.checked_partition(inst, matching, dominant=True)
+    cert, part, pos = verify.checked_partition(inst, matching, dominant=True)
     if cert is not None:
         raise NotDominantError(f"matching is not dominant: {cert.kind}", cert)
     # The sides are disjoint: an overlap would join two alternating paths
     # into one that the check above rejects.  Unmatched men are seeded
     # into the level-1 side, so every man at level 0 is matched.
-    pos = inst.mates(matching)[1][: len(inst.men)]
-    return LevelledMatching(inst, pos, [int(a in part.a1) for a in inst.men])
+    return LevelledMatching(inst, pos[: len(inst.men)], [int(a in part.a1) for a in inst.men])
 
 
 def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
@@ -153,8 +152,9 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
     (`rotations.popular_routes`: O(m log m) time, one byte per edge),
     and the engine's unforced state at both levels (`gale_shapley._floored`).
     After it, a "no" is one lookup and a "yes" is one floored run on the
-    known route, resumed from the kept state: O(n) list copies plus the
-    proposals made beyond the unforced matching.
+    known route, resumed from the kept state through private overlays:
+    two O(n) list copies plus the proposals made beyond the unforced
+    matching.
     """
     u, v = edge
     s = inst.slot(u, v)

@@ -332,15 +332,16 @@ def partition(inst: Instance, matching: Matching, seed_unmatched: bool) -> Parti
 
 def checked_partition(
     inst: Instance, matching: Matching, dominant: bool
-) -> Tuple[Optional[Certificate], Optional[Partition]]:
+) -> Tuple[Optional[Certificate], Optional[Partition], List[int]]:
     """The certificate of `is_popular` (of `is_dominant` if dominant)
     and, when there is none, the `partition` seeded by the unmatched
-    vertices exactly when dominant, from one labelling."""
-    g = _Graph(label_edges(inst, matching))
+    vertices exactly when dominant, from one labelling; and the
+    matching's partner ranks as `Instance.mates` gives them, read once."""
+    labeled = label_edges(inst, matching)
+    g = _Graph(labeled)
     cert = _dominance_violation(g) if dominant else _violation(g)
-    if cert is not None:
-        return cert, None
-    return None, _partition(g, seed_unmatched=dominant)
+    part = None if cert is not None else _partition(g, seed_unmatched=dominant)
+    return cert, part, labeled.pos
 
 
 def is_popular(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Certificate]]:

@@ -201,9 +201,10 @@ def test_resumed_run_equals_the_run_from_empty_arrays():
 
 
 def test_queries_leave_the_kept_state_alone():
-    # every query copies the kept state: each answer, in sorted and then
-    # in reverse order with the transformations of each popular witness
-    # run in between, is the answer on a fresh parse of the instance
+    # every query proposes on from the kept state through private
+    # overlays: each answer, in sorted and then in reverse order with the
+    # transformations of each popular witness run in between, is the
+    # answer on a fresh parse of the instance
     text = serialize_instance(generate_random(12, 12, 0.3, 5))
     inst = parse_instance(text)
     edges = sorted(inst.edges)
@@ -219,3 +220,28 @@ def test_queries_leave_the_kept_state_alone():
     assert any(fresh.values()) and not all(fresh.values())
     for e in edges + edges[::-1]:
         assert answers(inst, e) == fresh[e], e
+
+
+def test_floored_runs_never_write_the_kept_lists():
+    # the kept lists at both levels stay the same objects with the same
+    # contents through every edge's query, each popular witness lifted
+    # to a dominant and lowered to a stable matching in between
+    for inst in (generate_random(12, 12, 0.3, 5), generate_random(40, 40, 0.15, 2)):
+        inst = parse_instance(serialize_instance(inst))
+        edges = sorted(inst.edges)
+        popular_edge(inst, edges[0])  # keeps the unforced state per level
+        kept = {lv: list(vars(inst)[f"unforced_state_{lv}"]) for lv in (1, 2)}
+        contents = {lv: [a.copy() for a in lists] for lv, lists in kept.items()}
+        floored = 0
+        for e in edges:
+            got = popular_edge(inst, e)
+            if got is not None:
+                lift_to_dominant(inst, got)
+                lower_to_stable(inst, got)
+                floored += 3
+        assert 0 < floored < 3 * len(edges)  # some "yes", some "no"
+        for lv, lists in kept.items():
+            now = vars(inst)[f"unforced_state_{lv}"]
+            assert len(now) == 5 and all(a is b for a, b in zip(now, lists)), lv
+            assert [type(a) for a in now] == [list] * 5, lv
+            assert now == contents[lv], lv

@@ -10,13 +10,22 @@ from popmatch import (
     InstanceError,
     Matching,
     ParseError,
+    decompose,
     generate_random,
+    inverse_map,
+    lift_to_dominant,
+    lower_to_stable,
     parse_instance,
     parse_matching,
+    popular_edge,
+    run,
     serialize_instance,
     serialize_matching,
 )
 from popmatch.cli import _load_instance
+from popmatch.gale_shapley import _floored, forced
+from popmatch.instance import LevelledMatching
+from popmatch.rotations import rotation_poset, stable_matchings
 from popmatch.min_cost import parse_costs
 from conftest import (
     CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, assert_named_alike, induced,
@@ -437,3 +446,107 @@ def test_generate_random_rejects_bad_density():
         generate_random(2, 2, 0.0, seed=0)
     with pytest.raises(ValueError):
         generate_random(2, 2, 1.5, seed=0)
+
+
+def _unset(matching, name):
+    """True if the Matching slot `name` is unset; reads the slot itself,
+    so that no view is built on the way."""
+    try:
+        getattr(Matching, name).__get__(matching)
+    except AttributeError:
+        return True
+    return False
+
+
+def _producers(inst, report):
+    """Every kind of numbered matching the package returns on inst: the
+    engine's unforced, forced and floored runs, parsed matchings, the
+    parts of a decomposition, inverse maps, the rotation listings and
+    the transformations, each with the name of its producer."""
+    edges = sorted(inst.edges)
+    for levels in (1, 2):
+        yield "run", run(inst, levels=levels)
+        for m, w in edges:
+            for lvl in range(levels):
+                yield "run", run(inst, {w: (m, lvl)}, levels)
+                yield "forced", forced(inst, {w: (m, lvl)}, levels)
+                s = inst.slot(m, w)
+                yield "_floored", _floored(inst, [(s[0], s[2], lvl)], levels)
+        poset = rotation_poset(inst, levels)
+        for closed in poset.closed_sets():
+            yield "rotations", poset.matching(closed)
+        yield from (("rotations", m) for m in poset.distinct_pairs())
+        yield from (("rotations", m) for m in stable_matchings(inst, levels=levels))
+    for e in edges:
+        yield "popular_edge", popular_edge(inst, e)
+    for p in report.popular_set():
+        yield "parse_matching", parse_matching(serialize_matching(p), inst)
+        dec = decompose(inst, p)
+        yield "decompose", dec.m0
+        yield "decompose", dec.m1
+        yield "lift_to_dominant", lift_to_dominant(inst, p)
+        yield "lower_to_stable", lower_to_stable(inst, p)
+    for p in report.dominant_set():
+        yield "inverse_map", inverse_map(inst, p)
+
+
+def test_every_producer_leaves_an_unmatched_man_at_his_list_length(small_ensemble):
+    # `LevelledMatching.__eq__` compares `pos` on one instance, which is
+    # the pairs' equality only if an unmatched man's position is always
+    # his list's length, never a larger number
+    seen = set()
+    for inst, report in small_ensemble:
+        n = len(inst.men)
+        for name, got in _producers(inst, report):
+            if got is None:
+                continue
+            seen.add(name)
+            assert got.inst is inst and len(got.pos) == len(got.lvl) == n, name
+            # the positions `Instance._number` gives the pairs by id
+            assert got.pos == inst.mates(Matching(got.sorted_pairs()))[1][:n], name
+    assert seen == {
+        "run", "forced", "_floored", "rotations", "popular_edge", "parse_matching",
+        "decompose", "lift_to_dominant", "lower_to_stable", "inverse_map",
+    }
+
+
+def test_levelled_matching_hashes_and_compares_as_its_pairs(small_ensemble):
+    compared = 0
+    for inst, report in small_ensemble[:20]:
+        twin = parse_instance(serialize_instance(inst))
+        assert twin == inst and twin is not inst
+        got = [m for _, m in _producers(inst, report) if m is not None]
+        for m in got:
+            named = Matching(m.sorted_pairs())
+            fresh = LevelledMatching(inst, m.pos, m.lvl)
+            # hashing and comparing on one instance builds no view by id
+            assert hash(fresh) == hash(named)
+            assert fresh == LevelledMatching(inst, list(m.pos), [1] * len(m.pos))
+            assert not fresh != m
+            assert _unset(fresh, "pairs") and _unset(fresh, "_partner")
+            assert not _unset(fresh, "_hash")
+            # lvl does not count, and a plain Matching compares by pairs
+            relevel = LevelledMatching(inst, m.pos, [1 - x for x in m.lvl])
+            assert relevel == fresh and hash(relevel) == hash(fresh)
+            assert fresh == named and named == fresh
+            # so does a matching bound to an equal, distinct instance
+            on_twin = LevelledMatching(twin, m.pos, m.lvl)
+            assert on_twin == fresh and fresh == on_twin and hash(on_twin) == hash(fresh)
+            compared += 1
+        for a in got[:30]:
+            for b in got[:30]:
+                assert (a == b) == (a.pairs == b.pairs)
+                assert (LevelledMatching(twin, a.pos, a.lvl) == b) == (a.pairs == b.pairs)
+    assert compared > 1000
+
+
+def test_matchings_on_distinct_instances_compare_by_pairs(shared_top):
+    # the same numbers on an instance of the same size stand for other
+    # pairs there: (a1,b2),(a2,b1) on shared_top, only (a2,b2) on other
+    other = parse_instance("men: a1 a2\nwomen: b1 b2\na1: b1\na2: b2 b1\nb1: a1 a2\nb2: a2\n")
+    here = LevelledMatching(shared_top, [1, 0], [0, 0])
+    there = LevelledMatching(other, [1, 0], [0, 0])
+    assert here != there and there != here
+    assert here == Matching([("a1", "b2"), ("a2", "b1")])
+    assert there == Matching([("a2", "b2")])
+    assert len({here, there, Matching([("a2", "b2")])}) == 2

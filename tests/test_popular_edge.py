@@ -6,12 +6,14 @@ import pytest
 
 import popmatch
 from popmatch import (
+    Instance,
     InstanceError,
     Matching,
     decompose,
     dominant_two_level,
     dominant_with_edge,
     generate_random,
+    inverse_map,
     is_dominant,
     is_popular,
     is_stable,
@@ -201,6 +203,28 @@ def test_transformations_floor_by_number(monkeypatch, nested_fan, contested_hub)
         monkeypatch.undo()
         assert seen == [] and all(isinstance(r, LevelledMatching) for r in results)
         assert all(is_popular(inst, r)[0] for r in results)
+
+
+def test_transformations_number_an_id_matching_once(monkeypatch, contested_hub):
+    # a matching given by id is numbered once per call: the verifier's
+    # labelling hands its partner ranks on to `decompose` and `inverse_map`
+    inst = contested_hub
+    popular = [Matching(p.sorted_pairs()) for p in oracles.popular_set(inst)]
+    dominant = [Matching(p.sorted_pairs()) for p in oracles.dominant_set(inst)]
+    assert len(popular) > 1 and dominant
+    calls = []
+    number = Instance._number
+
+    def spy(self, pairs):
+        calls.append(self)
+        return number(self, pairs)
+
+    monkeypatch.setattr(Instance, "_number", spy)
+    cases = [(f, p) for p in popular for f in (decompose, lift_to_dominant, lower_to_stable)]
+    for f, p in cases + [(inverse_map, p) for p in dominant]:
+        calls.clear()
+        f(inst, p)
+        assert calls == [inst], (f.__name__, p)
 
 
 def test_dominant_with_edge(shared_top, contested_hub):
