@@ -5,7 +5,8 @@ One proposal loop covers plain deferred acceptance, forced-edge runs
 levels it runs deferred acceptance on the two-copy instance G' without
 building G'.  A floored run, such as the forced-edge query `forced`,
 resumes from the unforced run's final state, which the instance keeps
-per level; `is_stable` is the blocking-pair scan of G.
+per level, through private overlays that copy none of it; `is_stable`
+is the blocking-pair scan of G.
 A result is a `LevelledMatching` in the numbers the loop keeps: each
 man's position on his list and his level, named only when read by id.
 
@@ -65,8 +66,9 @@ def run(
 
 
 class _Overlay(dict):
-    """A private write layer over a kept list: a read of an entry not
-    written here reads the list, and the list is never written."""
+    """A private write layer over the kept list `kept`: a read of an
+    entry not written here reads the list, and the list is never
+    written.  A floored run's result reads two (`instance._merged`)."""
 
     __slots__ = ("kept",)
 
@@ -83,14 +85,15 @@ def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching
     level l.  Cutting lists only adds refusals and the order of proposals
     does not matter (McVitie-Wilson 1971), so it resumes from the
     unforced final state, kept on the instance from the first call at
-    `levels` on.  The run writes `holds`, `pos` and `next_ix` to private
-    overlays of the kept lists and copies only `at` and `level`, which
-    become the result: two O(n) copies plus the proposals beyond it."""
+    `levels` on.  The run writes all five lists to private overlays of
+    the kept ones and copies none: the result is bound to the overlays
+    of `at` and `level` and builds its `pos` and `lvl` on first read.
+    A run costs the proposals made beyond the unforced matching, and
+    its overlays hold an entry for each man and woman they touch."""
     key = f"unforced_state_{levels}"
     if key not in vars(inst):
         vars(inst)[key] = _propose(inst, levels)
-    holds, pos, next_ix, at, level = vars(inst)[key]
-    state = [_Overlay(holds), _Overlay(pos), _Overlay(next_ix), at.copy(), level.copy()]
+    state = list(map(_Overlay, vars(inst)[key]))
     return LevelledMatching(inst, *_propose(inst, levels, held, state)[3:])
 
 
@@ -190,9 +193,10 @@ def forced(
         if inst.slot(m, w) is None:
             raise InstanceError(f"({m},{w}) is not an edge of the instance")
     got = run(inst, held, levels=levels)
+    at, level = got._runs or (got.pos, got.lvl)  # the overlays: no list built
     for w, (m, lvl) in held.items():
         i, _, k = inst.slot(m, w)
-        if got.pos[i] != k or got.lvl[i] != lvl:
+        if at[i] != k or level[i] != lvl:
             return None
     return got
 

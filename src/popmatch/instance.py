@@ -370,18 +370,25 @@ class LevelledMatching(Matching):
     pos[m] is the position of man m's partner on his list, or its length
     if he has none, and lvl[m] the level he ended on, 0 in a matching of
     the instance itself (with two levels it stands for a matching of G',
-    see `gale_shapley`).  `sorted_pairs` reads the numbers; the
-    views by id, `pairs`, `partner_of`, `len` and `level` (man -> level,
-    in declared order), are built on first read.  It equals, and hashes
-    as, the Matching of its pairs, whatever its levels, and the hash is
-    read off the numbers.  Two matchings bound to the same instance
-    compare their `pos`, which builds no view either: every producer
-    leaves an unmatched man at his list's length."""
+    see `gale_shapley`).  `pos` and `lvl` are lists, or the overlays a
+    floored run wrote over the kept lists (`gale_shapley._floored`):
+    then the lists are built on first read, and until then the matching
+    holds only the entries the run changed.  `sorted_pairs` reads the
+    numbers; the views by id, `pairs`, `partner_of`, `len` and `level`
+    (man -> level, in declared order), are built on first read.  It
+    equals, and hashes as, the Matching of its pairs, whatever its
+    levels, and the hash is read off the numbers.  Two matchings bound
+    to the same instance compare their positions, which builds no view
+    either: every producer leaves an unmatched man at his list's length."""
 
-    __slots__ = ("inst", "pos", "lvl", "level")
+    __slots__ = ("inst", "pos", "lvl", "level", "_runs")
 
     def __init__(self, inst: Instance, pos: List[int], lvl: List[int]):
-        self.inst, self.pos, self.lvl = inst, pos, lvl
+        self.inst = inst
+        if isinstance(pos, dict):
+            self._runs = pos, lvl  # until `pos` or `lvl` is read
+        else:
+            self.pos, self.lvl, self._runs = pos, lvl, None
 
     def __getattr__(self, name: str):
         # called only when lookup fails: for a view, while its slot is unset
@@ -389,24 +396,49 @@ class LevelledMatching(Matching):
             self.level = dict(zip(self.inst.men, self.lvl))
         elif name == "_hash":
             self._hash = hash(frozenset(self.sorted_pairs()))
+        elif name in ("pos", "lvl"):
+            self.pos, self.lvl = map(_merged, self._runs)
+            self._runs = None
         elif name in Matching.__slots__:
             Matching.__init__(self, self.sorted_pairs())
         else:
             raise AttributeError(name)
         return getattr(self, name)
 
+    def _pos(self) -> List[int]:
+        """`pos`, without keeping it if it is not built yet."""
+        return self.pos if self._runs is None else _merged(self._runs[0])
+
+    def __reduce__(self):
+        # copy and pickle the numbers alone: reading every slot would build
+        # every view
+        return LevelledMatching, (self.inst, *(self._runs or (self.pos, self.lvl)))
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LevelledMatching) and other.inst is self.inst:
-            return self.pos == other.pos
+            a, b = self._runs, other._runs
+            if a and b and a[0].kept is b[0].kept:
+                # two overlays of one list: only their entries can differ
+                a, b = a[0], b[0]
+                return all(a[m] == b[m] for m in a.keys() | b.keys())
+            return self._pos() == other._pos()
         return Matching.__eq__(self, other)
 
     __hash__ = Matching.__hash__
 
     def sorted_pairs(self) -> tuple:
         """The pairs, the men in `Instance.id_order`."""
-        names, adj, pos = self.inst.names, self.inst.adj, self.pos
+        names, adj, pos = self.inst.names, self.inst.adj, self._pos()
         men = self.inst.id_order[0][: len(pos)]
         return tuple([(names[m], names[adj[m][pos[m]]]) for m in men if pos[m] < len(adj[m])])
+
+
+def _merged(overlay: dict) -> List[int]:
+    """The list an overlay stands for: its kept list under its entries."""
+    got = overlay.kept.copy()
+    for i, x in overlay.items():
+        got[i] = x
+    return got
 
 
 def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:

@@ -153,8 +153,9 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
     and the engine's unforced state at both levels (`gale_shapley._floored`).
     After it, a "no" is one lookup and a "yes" is one floored run on the
     known route, resumed from the kept state through private overlays:
-    two O(n) list copies plus the proposals made beyond the unforced
-    matching.
+    the proposals made beyond the unforced matching, and no list copied.
+    The witness holds the entries that run changed, and builds its
+    positions only when they are read.
     """
     u, v = edge
     s = inst.slot(u, v)

@@ -449,10 +449,10 @@ def test_generate_random_rejects_bad_density():
 
 
 def _unset(matching, name):
-    """True if the Matching slot `name` is unset; reads the slot itself,
-    so that no view is built on the way."""
+    """True if the slot `name` of a matching is unset; reads the slot
+    itself, so that no view is built on the way."""
     try:
-        getattr(Matching, name).__get__(matching)
+        getattr(type(matching), name).__get__(matching)
     except AttributeError:
         return True
     return False

@@ -1,5 +1,8 @@
+import copy
 import importlib.util
 import json
+import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ from popmatch.instance import LevelledMatching
 from popmatch.popular_edge import NotPopularError
 from popmatch.rotations import popular_routes
 from conftest import blocks_text, cyclic_text, gm_adj, induced, measured_child
+from test_instance import _unset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -185,20 +189,26 @@ def test_lower_to_stable(shared_top, small_ensemble):
                 assert down == p
 
 
-def test_transformations_floor_by_number(monkeypatch, nested_fan, contested_hub):
-    # lift_to_dominant and lower_to_stable hand the engine their floors
-    # as numbers: neither builds an id view of a numbered matching
-    seen = []
+def _spy_on_views(monkeypatch, seen):
+    """Lists in `seen` the name of every view or list a LevelledMatching
+    builds on first read, until `monkeypatch.undo()`."""
     getattr_ = LevelledMatching.__getattr__
 
     def spy(self, name):
         seen.append(name)
         return getattr_(self, name)
 
+    monkeypatch.setattr(LevelledMatching, "__getattr__", spy)
+
+
+def test_transformations_floor_by_number(monkeypatch, nested_fan, contested_hub):
+    # lift_to_dominant and lower_to_stable hand the engine their floors
+    # as numbers: neither builds an id view of a numbered matching
+    seen = []
     for inst in (nested_fan, contested_hub):
         popular = [parse_matching(serialize_matching(p), inst) for p in oracles.popular_set(inst)]
         assert len(popular) > 1
-        monkeypatch.setattr(LevelledMatching, "__getattr__", spy)
+        _spy_on_views(monkeypatch, seen)
         results = [f(inst, p) for p in popular for f in (lift_to_dominant, lower_to_stable)]
         monkeypatch.undo()
         assert seen == [] and all(isinstance(r, LevelledMatching) for r in results)
@@ -429,3 +439,100 @@ def test_route_table_keeps_the_query_peak(tmp_path):
         answers[how] = json.loads(out)
     assert answers["table"] == answers["composed"] and any(answers["table"])
     assert peaks["table"] <= ROUTES_RSS_GROWTH * peaks["composed"], peaks
+
+
+def test_witnesses_build_their_positions_on_first_read(monkeypatch, small_ensemble):
+    # a floored run copies no list: its witness holds the overlays of the
+    # kept `at` and `level`, and `popular_edge`, `forced`, hashing and
+    # comparing read them without building `pos`, `lvl` or a view by id
+    seen = []
+    checked = 0
+    for inst, _ in small_ensemble:
+        inst = parse_instance(serialize_instance(inst))
+        edges = sorted(inst.edges)
+        popular_edge(inst, edges[0])  # keeps the unforced state per level
+        _spy_on_views(monkeypatch, seen)
+        got = [(e, popular_edge(inst, e), popular_edge(inst, e)) for e in edges]
+        got = [(e, w, w2) for e, w, w2 in got if w is not None]
+        unforced = [gale_shapley._floored(inst, (), levels) for levels in (1, 2)]
+        for e, w, w2 in got:
+            assert hash(w) == hash(w2) and w == w2 and not w != w2, e
+            # overlays of one kept list differ only where either has entries
+            for u in unforced:
+                same = Matching(w.sorted_pairs()) == Matching(u.sorted_pairs())
+                assert (w == u) == (u == w) == same, e
+        for m, w in edges:
+            for levels in (1, 2):
+                gale_shapley.forced(inst, {w: (m, levels - 1)}, levels)
+        monkeypatch.undo()
+        assert got and set(seen) <= {"_hash"}, set(seen)
+        seen.clear()
+        for e, w, w2 in got:
+            for name in ("pos", "lvl", "level", "pairs", "_partner"):
+                assert _unset(w, name) and _unset(w2, name), (e, name)
+            # pickling and copying round-trip a witness whose lists are
+            # unbuilt, and build neither its lists nor its views
+            for twin in (copy.copy(w), pickle.loads(pickle.dumps(w))):
+                assert all(_unset(w, name) for name in ("pos", "lvl", "pairs")), e
+                assert twin == w and hash(twin) == hash(w)
+                assert (twin.pos, twin.lvl) == (w2.pos, w2.lvl), e
+            # the first read gives the lists of the run on fresh copies of
+            # the kept state
+            m, k = inst.slot(*e)[::2]
+            for levels in (1, 2):
+                for lvl in range(levels):
+                    floored = gale_shapley._floored(inst, [(m, k, lvl)], levels)
+                    fresh = [a.copy() for a in vars(inst)[f"unforced_state_{levels}"]]
+                    state = gale_shapley._propose(inst, levels, [(m, k, lvl)], fresh)
+                    assert (floored.pos, floored.lvl) == (state[3], state[4]), e
+                    checked += 1
+            assert w.pos == w2.pos and isinstance(w.pos, list) and w._runs is None
+            assert w == w2 and hash(w) == hash(w2)
+            assert copy.copy(w) == w == pickle.loads(pickle.dumps(w))
+    assert checked > 300
+
+
+def _count_overlay_entries(monkeypatch):
+    """The overlay entries each floored run writes, listed per run."""
+    written = []
+    propose = gale_shapley._propose
+
+    def counted(inst, levels, held=(), state=None):
+        got = propose(inst, levels, held, state)
+        if state is not None:
+            assert all(type(a) is gale_shapley._Overlay for a in got)
+            written.append(sum(map(len, got)))
+        return got
+
+    monkeypatch.setattr(gale_shapley, "_propose", counted)
+    return written
+
+
+# The overlay entries written in all by the floored runs of the query
+# list in `test_floored_runs_write_what_they_change`: 50 "yes" answers,
+# from none to 905 entries each.  Copying a kept list instead adds one
+# entry per man or woman to every run.
+WRITTEN_ENTRIES = 4365
+
+
+def test_floored_runs_write_what_they_change(monkeypatch):
+    # a deterministic work count: forcing a pair of the unforced matching
+    # at either level moves no one and writes no overlay entry, and the
+    # entries written by a fixed seeded list of queries are pinned
+    inst = generate_random(200, 200, 0.1, 29)
+    stable, dominant = run(inst), dominant_two_level(inst)
+    rng = random.Random(29)
+    queries = rng.sample(sorted(inst.edges), 100)
+    queries += rng.sample(sorted(dominant.pairs - stable.pairs), 30)
+    written = _count_overlay_entries(monkeypatch)
+    popular_edge(inst, queries[0])  # keeps the unforced state per level
+    written.clear()
+    for m, w in stable.sorted_pairs():
+        assert stable_with_edge(inst, (m, w)) == stable
+    for m, w in dominant.sorted_pairs():
+        assert gale_shapley.forced(inst, {w: (m, dominant.level[m])}, 2) == dominant
+    assert written == [0] * (len(stable) + len(dominant))
+    written.clear()
+    answers = [popular_edge(inst, e) is not None for e in queries]
+    assert len(written) == sum(answers) and 0 < sum(answers) < len(queries)
+    assert sum(written) == WRITTEN_ENTRIES, written
