@@ -33,8 +33,10 @@ that names its line.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -51,6 +53,14 @@ class EnumerationGuardError(RuntimeError):
 # a longer one gets a rank dict, which a scan past this length would not
 # match in speed.
 _SCANNED = 32
+
+
+class _Ranks(dict):
+    """A long list's rank dict, read as the list is: `index` gives the
+    rank of an entry and raises on a miss."""
+
+    index = dict.__getitem__
+
 
 # The most matchings a listing holds: the closed sets of a rotation
 # poset, or the matchings `enumerate --what matchings|popular` lists.
@@ -96,12 +106,19 @@ class Instance:
     tie-breaks read, is built on first access too.  Construction checks
     the instance and raises InstanceError on the first fault.
 
-    `back` is found by looking each man up on his women's lists: a scan
-    of a list of at most 32 entries, a rank dict for a longer one, which
-    lives only while `back` is built.  At its peak a parse holds the
-    numbered lists, `back`, those dicts and the lines of its input,
-    which the CLI hands `parse_instance` one block of the file at a
-    time: about 1.45 times what the instance keeps when no list is long.
+    Each row `back[m]` is an `array` of the narrowest unsigned ints that
+    hold the ranks of the longest women's list: one byte a rank up to
+    256 entries ('B'), else two ('H'), else four; all rows of an instance
+    share the typecode.  It is found by looking each man up on his
+    women's lists: a scan of a list of at most 32 entries, a rank dict
+    for a longer one, which lives only while `back` is built.  A parse
+    writes each list straight into `adj` by number and its line into one
+    array of ints; only an undeclared owner's list, which no valid file
+    has, goes to a side map.  At its peak a parse holds the numbered
+    lists, `back` and the lines of its input, which the CLI hands
+    `parse_instance` one block of the file at a time: about 1.05 times
+    what the instance keeps when no list is long (1.31 when the whole
+    text and its lines are held).
     """
 
     def __init__(
@@ -110,60 +127,72 @@ class Instance:
         men, women = tuple(men), tuple(women)
         _check_ids(men + women, set())
         index = {v: i for i, v in enumerate(men + women)}
-        # declared owners first, in order; an undeclared entry stays a string
-        lists = dict.fromkeys(men + women, ())
-        lists.update({v: tuple([index.get(x, str(x)) for x in lst]) for v, lst in pref.items()})
-        self._build(men, women, index, lists, {})
+        adj: list = [()] * len(index)
+        stray = {}  # the lists of undeclared owners, after the declared ones
+        for v, lst in pref.items():
+            lst = tuple([index.get(x, str(x)) for x in lst])  # undeclared: the id
+            if v in index:
+                adj[index[v]] = lst
+            else:
+                stray[v] = lst, 0
+        self._build(men, women, index, adj, None, stray)
 
     @classmethod
-    def _from_lists(cls, men, women, index, lists, lines) -> "Instance":
+    def _from_lists(cls, men, women, index, adj, lines=None, stray=None) -> "Instance":
         inst = cls.__new__(cls)
-        inst._build(men, women, index, lists, lines)
+        inst._build(men, women, index, adj, lines, stray or {})
         return inst
 
-    def _build(self, men, women, index, lists, lines) -> None:
-        """Set the lists from `lists`, owner id -> entries, each a vertex
-        number or, if undeclared, its id.  A valid instance passes in bulk:
-        owners declared, each man found on his women's lists, no repeats,
-        equal totals.  Else the first fault in order is raised, with its
-        line from `lines`."""
+    def _build(self, men, women, index, adj, lines, stray) -> None:
+        """Set the lists from `adj`, each vertex's entries by number: a
+        vertex number or, if undeclared, its id.  `lines[v]` is the file
+        line of v's list, 0 if none, and `stray` maps an undeclared owner
+        to its list and line.  A valid instance passes in bulk: owners
+        declared, each man found on his women's lists, no repeats, equal
+        totals.  Else the first fault in line order is raised; without
+        `lines`, in declared order, the undeclared owners last."""
         self.men, self.women, self.index = men, women, index
         self.names = names = men + women
         n = len(men)
-        adj = [lists.get(v, ()) for v in names]
         back = None
-        if all(v in index for v in lists):
-            # finds a man's rank on each woman's list: a scan of a short
-            # list, a dict built for a long one, and a miss on a man's
-            find = [().index] * n + [
-                lst.index if len(lst) <= _SCANNED
-                else {m: k for k, m in enumerate(lst)}.__getitem__
-                for lst in adj[n:]
+        if not stray:
+            # where a man's rank is found: a short woman's list itself, a
+            # rank dict for a long one, and a miss on a man's
+            find = [()] * n + [
+                lst if len(lst) <= _SCANNED else _Ranks(zip(lst, range(len(lst))))
+                for lst in islice(adj, n, None)
             ]
+            # the narrowest unsigned ints that hold every rank
+            longest = max(map(len, islice(adj, n, None)), default=0)
+            code = next(c for c in "BHIL" if 256 ** array(c).itemsize >= longest)
             try:  # an own-side or undeclared entry of a man is not found either
-                back = [tuple([find[w](m) for w in adj[m]]) for m in range(n)]
+                back = [array(code, [find[w].index(m) for w in adj[m]]) for m in range(n)]
             except (KeyError, ValueError, TypeError):
                 pass
+            del find  # before the totals check, so the two never peak together
             # men's entries found back land on distinct slots of women's
             # lists, so equal totals leave no slot over for a repeat or a
             # stray entry of a woman's
-            sides = (adj[:n], map(set, adj[:n]), adj[n:])
+            sides = (islice(adj, n), map(set, islice(adj, n)), islice(adj, n, None))
             if len({sum(map(len, side)) for side in sides}) > 1:
                 back = None
         if back is None:
-            for head, ids in lists.items():
-                fault = self._list_fault(head, ids, lines.get(head))
+            line = lines.__getitem__ if lines else lambda v: 0
+            owned = [(line(v), v, names[v], lst) for v, lst in enumerate(adj)]
+            owned += [(at, len(names), head, lst) for head, (lst, at) in stray.items()]
+            owned.sort(key=itemgetter(0, 1))  # stable: strays keep their order
+            for at, _, head, lst in owned:
+                fault = self._list_fault(head, lst, at or None)
                 if fault:
                     raise fault
             # the first entry, men's lists first, that is not listed back
             listed = [set(lst) for lst in adj]
             v, x = next((v, x) for v, lst in enumerate(adj) for x in lst if v not in listed[x])
             m, w = (v, x) if v < n else (x, v)
-            v, x = names[v], names[x]
             raise _error(
                 f"asymmetric adjacency: edge ({names[m]},{names[w]}) — "
-                f"{v!r} lists {x!r} but {x!r} does not list {v!r}",
-                lines.get(v),
+                f"{names[v]!r} lists {names[x]!r} but {names[x]!r} does not list {names[v]!r}",
+                line(v) or None,
             )
         self.adj, self.back = adj, back
 
@@ -194,8 +223,6 @@ class Instance:
     def id_order(self) -> Tuple[Sequence[int], Sequence[int]]:
         """(order, place): the men's numbers in id order, then the women's,
         and each vertex's place in its side's order, in 4-byte ints."""
-        from array import array  # here, not at import: 0.2 MB RSS per CLI call
-
         names, n = self.names, len(self.men)
         order = array("i", sorted(range(n), key=names.__getitem__))
         order += array("i", sorted(range(n, len(names)), key=names.__getitem__))
@@ -458,7 +485,7 @@ def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
     """Parse the PREF v1 format into a validated Instance; the source is
     the text, or its lines as `str.splitlines` gives them."""
     sides: list = []
-    lists, lines = {}, {}
+    stray: dict = {}  # undeclared owner -> (its list, its line)
     known: set = set()
     for lineno, line in _records(source):
         head, sep, tail = line.partition(":")
@@ -476,17 +503,23 @@ def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
             number = index.__getitem__
             if len(sides) == 2:
                 known.clear()  # index holds the ids from here on
+                adj: list = [()] * len(index)
+                lines = array("i", [0]) * len(index)  # each list's line, 0 if none
             continue
-        if head in lists:
+        v = index.get(head)
+        if lines[v] if v is not None else head in stray:
             raise ParseError(f"duplicate preference line for {head!r}", lineno)
         try:
-            lists[head] = tuple(map(number, items))
+            lst = tuple(map(number, items))
         except KeyError:
-            lists[head] = tuple([index.get(x, x) for x in items])  # undeclared: the id
-        lines[head] = lineno
+            lst = tuple([index.get(x, x) for x in items])  # undeclared: the id
+        if v is None:
+            stray[head] = lst, lineno
+        else:
+            adj[v], lines[v] = lst, lineno
     if len(sides) < 2:
         raise ParseError("missing men:/women: declarations")
-    return Instance._from_lists(*sides, index, lists, lines)
+    return Instance._from_lists(*sides, index, adj, lines, stray)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -494,7 +527,9 @@ def serialize_instance(inst: Instance) -> str:
     names = inst.names
     lines = ["men: " + " ".join(inst.men), "women: " + " ".join(inst.women)]
     for v, lst in zip(names, inst.adj):
-        lines.append(f"{v}: " + " ".join([names[x] for x in lst]) if lst else f"{v}:")
+        # one itemgetter call reads two or more ids; of one it gives the id
+        ids = itemgetter(*lst)(names) if len(lst) > 1 else [names[x] for x in lst]
+        lines.append(f"{v}: " + " ".join(ids) if lst else f"{v}:")
     return "\n".join(lines) + "\n"
 
 
@@ -534,15 +569,15 @@ def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Inst
     women = tuple(f"b{j + 1}" for j in range(n_women))
     index = {v: i for i, v in enumerate(men + women)}
     number = list(index.values())  # the lists share these int objects
-    lists: dict = {}
+    adj: list = []
     woman_nbrs: list = [[] for _ in range(n_women)]
-    for i, m in enumerate(men):
+    for i in range(n_men):
         hits = np.flatnonzero(rng.random(n_women) < density)
         nbrs = (n_men + hits[rng.permutation(len(hits))]).tolist()
-        lists[m] = tuple(map(number.__getitem__, nbrs))
+        adj.append(tuple(map(number.__getitem__, nbrs)))
         for j in hits.tolist():
             woman_nbrs[j].append(number[i])
-    for w, nbrs in zip(women, woman_nbrs):
+    for nbrs in woman_nbrs:
         order = rng.permutation(len(nbrs))
-        lists[w] = tuple(map(nbrs.__getitem__, order.tolist()))
-    return Instance._from_lists(men, women, index, lists, {})
+        adj.append(tuple(map(nbrs.__getitem__, order.tolist())))
+    return Instance._from_lists(men, women, index, adj)

@@ -450,6 +450,17 @@ def stable_pairs(poset):
     return {(names[m], names[adj[m][k]]) for m in men for k, _, _ in poset.partners(m)}
 
 
+def assert_women_optimal_end(poset):
+    """The last closed set of a men's `rotation_poset` at one level, every
+    rotation eliminated, is the women-optimal stable matching, which the
+    engine finds on the instance with its sides swapped (Gusfield-Irving
+    1989, ch. 3): the walk checked against the engine, with no oracle."""
+    inst = poset.inst
+    swapped = run(Instance(inst.women, inst.men, inst.pref))
+    last = poset.matching((1 << len(poset.preds)) - 1)
+    assert last == Matching((m, w) for w, m in swapped.pairs)
+
+
 def pair_scan_unstable_popular(inst):
     """The per-edge-pair scan, the reference for `exists_unstable_popular`:
     edges in id order, and for each every pair of edges it can block,

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    assert_women_optimal_end,
     build_level_graph,
     lattice_stable_matchings,
     map_T,
@@ -243,7 +244,9 @@ def test_criterion_9_scalability(capsys):
         assert len(poset.preds) == 908
         # what enumerate --what popular-edges lists, checked on samples
         # in and out of it against one forced run each
-        popular = stable_pairs(rotation_poset(inst, 1)) | stable_pairs(poset)
+        stable = rotation_poset(inst, 1)
+        assert_women_optimal_end(stable)
+        popular = stable_pairs(stable) | stable_pairs(poset)
         assert len(popular) == 26_064
         rng = random.Random(9)
         inside = rng.sample(sorted(popular), 10)

@@ -13,6 +13,7 @@ from popmatch import (
     decompose,
     generate_random,
     inverse_map,
+    is_dominant,
     lift_to_dominant,
     lower_to_stable,
     parse_instance,
@@ -29,7 +30,7 @@ from popmatch.rotations import rotation_poset, stable_matchings
 from popmatch.min_cost import parse_costs
 from conftest import (
     CONTESTED_HUB_TEXT, NESTED_FAN_TEXT, SHARED_TOP_TEXT, assert_named_alike, induced,
-    reversed_declaration_cases,
+    reversed_declaration_cases, stable_pairs,
 )
 from test_exit_codes import BAD_LINES
 
@@ -114,6 +115,57 @@ def test_parse_checks_lists_in_line_order():
     with pytest.raises(ParseError) as err:
         parse_instance("men: a c\nwomen: b\nc: a\na: x\n")
     assert err.value.line == 3 and "own side" in str(err.value)
+
+
+# Two faults planted on two lines of a valid instance, in both orders.
+# Each kind replaces its owner's line (the undeclared owner adds one),
+# with the message it is reported by.
+FAULT_BASE = {
+    "a1": "b1 b2", "a2": "b2 b3", "a3": "b3 b1", "b1": "a3 a1", "b2": "a1 a2", "b3": "a2 a3",
+}
+FAULTS = {
+    "undeclared owner": ("c9", ["c9: b1"], "preference list for unknown vertex 'c9'"),
+    "unknown neighbour": ("a1", ["a1: b1 x9 b2"], "unknown neighbor 'x9' in list of 'a1'"),
+    "own-side entry": ("a2", ["a2: b2 a1 b3"], "'a2' lists 'a1' on its own side"),
+    "repeated entry": ("a3", ["a3: b3 b1 b3"], "duplicate entry 'b3' in list of 'a3'"),
+    "asymmetric edge": (
+        "b1",
+        ["b1: a3 a1 a2"],
+        "asymmetric adjacency: edge (a2,b1) — 'b1' lists 'a2' but 'a2' does not list 'b1'",
+    ),
+    "duplicate line": ("b2", ["b2: a1 a2", "b2: a1 a2"], "duplicate preference line for 'b2'"),
+}
+FAULT_PAIRS = [(one, two) for one in FAULTS for two in FAULTS if one != two]
+
+
+@pytest.mark.parametrize("first,second", FAULT_PAIRS, ids=[" then ".join(p) for p in FAULT_PAIRS])
+def test_parse_reports_the_first_fault_in_file_order(first, second):
+    # a repeated preference line stops the read where it stands; every
+    # list is checked, in line order, before adjacency is
+    (head1, rows1, msg1), (head2, rows2, msg2) = FAULTS[first], FAULTS[second]
+    middle = [f"{v}: {lst}" for v, lst in FAULT_BASE.items() if v not in (head1, head2)]
+    rows = ["men: a1 a2 a3", "women: b1 b2 b3", *rows1, *middle, *rows2]
+    at1, at2 = 2 + len(rows1), len(rows)
+    if "duplicate line" in (first, second):
+        msg, at = (msg1, at1) if first == "duplicate line" else (msg2, at2)
+    else:
+        msg, at = (msg1, at1) if first != "asymmetric edge" else (msg2, at2)
+    text = "\n".join(rows) + "\n"
+    assert parsed(parse_instance, text) == (ParseError, f"line {at}: {msg}", at)
+    if "duplicate line" in (first, second):
+        return
+    # the constructor checks the lists in declared order, an undeclared
+    # owner's last, whatever the order it is given them in
+    pref = dict(row.split(":") for row in rows[2:])
+    pref = {v.strip(): lst.split() for v, lst in pref.items()}
+    owners = [*FAULT_BASE, "c9"]
+    ranked = sorted(
+        (kind == "asymmetric edge", owners.index(FAULTS[kind][0]), FAULTS[kind][2])
+        for kind in (first, second)
+    )
+    assert parsed(Instance, ("a1", "a2", "a3"), ("b1", "b2", "b3"), pref) == (
+        InstanceError, ranked[0][2], None
+    )
 
 
 def test_parse_error_carries_line_number():
@@ -244,10 +296,55 @@ def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
     assert serialize_instance(shared_top) == SHARED_TOP_TEXT
 
 
+@pytest.mark.parametrize("longest,code", [(256, "B"), (257, "H")])
+def test_back_holds_ranks_in_the_narrowest_unsigned_ints(longest, code):
+    # b0 lists every man: 256 ranks fit one byte, 257 take two, and
+    # every row of one instance has the same typecode
+    rng = random.Random(longest)
+    men, women = [f"a{i}" for i in range(longest)], [f"b{j}" for j in range(260)]
+    pref = {v: [] for v in men + women}
+    for m in men:
+        for w in ["b0", *rng.sample(women[1:], 4)]:
+            pref[m].append(w)
+            pref[w].append(m)
+    for lst in pref.values():
+        rng.shuffle(lst)
+    inst, reverse = Instance(men, women, pref), Instance(men[::-1], women[::-1], pref)
+    for one in (inst, reverse, parse_instance(serialize_instance(inst))):
+        adj, back = one.adj, one.back
+        assert {row.typecode for row in back} == {code}
+        assert all(
+            adj[w][back[m][k]] == m for m in range(len(one.men)) for k, w in enumerate(adj[m])
+        )
+    for levels in (1, 2):
+        got, again = run(inst, levels=levels), run(reverse, levels=levels)
+        assert got == again and got.level == again.level
+        # the verdicts agree; where an augmenting path starts follows the
+        # declared order, so only its kind is compared
+        verdicts = {(ok, cert and cert.kind) for ok, cert in (
+            is_dominant(inst, got), is_dominant(reverse, got)
+        )}
+        assert verdicts == {(levels == 2, None if levels == 2 else "augmenting-path")}
+        poset, other = rotation_poset(inst, levels), rotation_poset(reverse, levels)
+        assert len(poset.preds) == len(other.preds) > 0
+        assert stable_pairs(poset) == stable_pairs(other)
+        every = (1 << len(poset.preds)) - 1
+        assert poset.matching(every) == other.matching(every)
+
+
 # How far the tracemalloc peak of a parse may rise over the memory the
-# parsed instance keeps: 1.44 on the shape below, where building a rank
-# dict for every woman's list made it 2.37.
-PARSE_PEAK_GROWTH = 1.6
+# parsed instance keeps, on the shape below: 1.31 for the whole text,
+# which the parse holds with its lines, and 1.05 for the CLI's read of
+# the file in blocks.  With name-keyed dicts of the lists and their
+# lines during the parse, and a bound method per woman's list while
+# `back` was built, both were 1.44; a rank dict for every woman's list
+# made it 2.37.
+PARSE_PEAK_GROWTH = 1.4
+FILE_PARSE_PEAK_GROWTH = 1.15
+
+# What that instance keeps (bytes, tracemalloc): 1.535e6 with `back` in
+# one byte per rank, 1.736e6 with a pointer per rank.
+PARSE_KEPT = 1.6e6
 
 
 def traced(fn, *args):
@@ -266,18 +363,19 @@ def test_parse_peak_stays_near_what_the_instance_keeps():
     text = serialize_instance(generate_random(2000, 2000, 0.01, 4))
     inst, kept, peak = traced(parse_instance, text)
     assert len(inst.men) == 2000
+    assert kept <= PARSE_KEPT, kept
     assert peak <= PARSE_PEAK_GROWTH * kept, (peak, kept)
 
 
 def test_file_parse_peak_stays_near_what_the_instance_keeps(tmp_path):
     # the CLI reads the file as it parses it, so the peak holds one chunk
-    # of its text, not the whole text and its lines: 1.44 times what the
-    # instance keeps, against 1.72 for a read of the whole file first
+    # of its text, not the whole text and its lines
     path = tmp_path / "inst.pref"
     path.write_text(serialize_instance(generate_random(2000, 2000, 0.01, 4)))
     inst, kept, peak = traced(_load_instance, str(path))
     assert len(inst.men) == 2000
-    assert peak <= PARSE_PEAK_GROWTH * kept, (peak, kept)
+    assert kept <= PARSE_KEPT, kept
+    assert peak <= FILE_PARSE_PEAK_GROWTH * kept, (peak, kept)
 
 
 def parsed(parse, *args):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     assert_named_alike,
+    assert_women_optimal_end,
     blocks_text,
     build_level_graph,
     cyclic_text,
@@ -259,6 +260,13 @@ def test_cyclic_posets_are_chains(n):
         assert keys(listed) == keys(lattice_stable_matchings(inst, levels))
     if n <= 5:
         assert stable_matchings(inst) == classify(inst).stable_set()
+
+
+@pytest.mark.parametrize("text", [cyclic_text(50), blocks_text(6)], ids=["cyclic50", "blocks6"])
+def test_women_optimal_end(text):
+    poset = rotation_poset(parse_instance(text), 1)
+    assert len(poset.preds) > 1
+    assert_women_optimal_end(poset)
 
 
 def test_listings_share_one_decoder(small_ensemble, monkeypatch):
