@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="A minimum-cost dominant matching, exactly: a cheapest stable "
         "matching of G', found as the cheapest closed set of its rotation poset by "
         "one minimum cut. Ties go to the least sorted pairs, then to the least "
-        "levels in declared man order. Polynomial: O(m log m) to find the R "
+        "levels in men's id order. Polynomial: O(m log m) to find the R "
         "rotations of G' on m edges, then one max flow on R + 2 nodes.",
     )
     p.add_argument("--costs", required=True, help="cost file: '<man> <woman> <cost>' lines")

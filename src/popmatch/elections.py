@@ -39,36 +39,34 @@ class LabeledGraph:
     vote for it.
 
     label and gm_edges are views by vertex name, built on first access:
-    label maps each non-matching edge (a, b), in id order
-    (`Instance.id_order`), to (a's vote for b vs its partner, b's vote
-    for a vs its partner), and gm_edges holds the edges of G_M.
+    label maps each non-matching edge (a, b), in id order, to (a's
+    vote for b vs its partner, b's vote for a vs its partner), and
+    gm_edges holds the edges of G_M.
     """
 
     def __init__(self, inst: Instance, mate: List[int], pos: List[int]):
         self.inst, self.mate, self.pos = inst, mate, pos
 
     def rows(self) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """Per man in declared order: his number, his G_M neighbours (his
-        partner among them) and the women of his (+,+) edges, both in id
-        order (`Instance.id_order`)."""
+        """Per man in number order, which is id order: his number, his
+        G_M neighbours (his partner among them) and the women of his
+        (+,+) edges, both sorted."""
         inst, pos = self.inst, self.pos
-        key = inst.id_order[1].__getitem__
         for x in range(len(inst.men)):
             row, ranks, k = inst.adj[x], inst.back[x], pos[x]
             # he votes for the first k women and, if matched, holds the
             # next one; beyond that only a woman's vote keeps an edge
             voted = [w for w, r in zip(row[k + 1 :], ranks[k + 1 :]) if r < pos[w]]
             both = [w for w, r in zip(row[:k], ranks[:k]) if r < pos[w]]
-            yield x, sorted(chain(row[: k + 1], voted), key=key), sorted(both, key=key)
+            yield x, sorted(chain(row[: k + 1], voted)), sorted(both)
 
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
-        inst, mate, pos = self.inst, self.mate, self.pos
-        names, (order, place) = inst.names, inst.id_order
+        inst, mate, pos, names = self.inst, self.mate, self.pos, self.inst.names
         label = {}
-        for x in order[: len(inst.men)]:
+        for x in range(len(inst.men)):
             row, k = inst.adj[x], pos[x]
-            for _, w, r, i in sorted(zip(map(place.__getitem__, row), row, inst.back[x], count())):
+            for w, r, i in sorted(zip(row, inst.back[x], count())):
                 if w != mate[x]:
                     label[names[x], names[w]] = (
                         PLUS if i < k else MINUS, PLUS if r < pos[w] else MINUS

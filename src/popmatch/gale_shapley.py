@@ -46,8 +46,8 @@ def run(
     list runs out below the top level starts it again one level up.
     Each woman holds the best acceptable proposer seen so far: any of a
     higher level beats any of a lower one, and her own ranking decides
-    within a level.  Every man starts free at level 0, queued in
-    declared order: the order of proposals does not change the result
+    within a level.  Every man starts free at level 0, queued in id
+    order: the order of proposals does not change the result
     (Gusfield-Irving 1989, ch. 1), so a floored run resumes (`_floored`).
     """
     if not floors:
@@ -161,16 +161,15 @@ def dominant_two_level(inst: Instance) -> LevelledMatching:
 
 
 def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:
-    """Verdict plus the lexicographically least blocking pair, if any,
-    read in `Instance.id_order`."""
+    """Verdict plus the lexicographically least blocking pair, if any:
+    the least by number, which is id order."""
     adj, back, names = inst.adj, inst.back, inst.names
     pos = inst.mates(matching)[1]
-    order, place = inst.id_order
-    for m in order[: len(inst.men)]:
+    for m in range(len(inst.men)):
         # an unmatched woman's position is her list length, below every man
         blocking = [w for w, p in zip(adj[m][: pos[m]], back[m]) if p < pos[w]]
         if blocking:
-            return False, (names[m], names[min(blocking, key=place.__getitem__)])
+            return False, (names[m], names[min(blocking)])
     return True, None
 
 

@@ -83,6 +83,13 @@ def _error(message: str, line: Optional[int]) -> InstanceError:
     return InstanceError(message) if line is None else ParseError(message, line)
 
 
+def _numbering(men: Sequence[str], women: Sequence[str]) -> Dict[str, int]:
+    """Each vertex's number, the men first, then the women, each side in
+    id order: every tie-break compares numbers, so outputs are functions
+    of the ids, whatever order a file declares them in."""
+    return {v: i for i, v in enumerate(chain(sorted(men), sorted(women)))}
+
+
 def _check_ids(ids: Sequence[str], known: set, line: Optional[int] = None) -> None:
     """Add declared ids to known, rejecting repeated and malformed ones."""
     for v in ids:
@@ -96,15 +103,17 @@ def _check_ids(ids: Sequence[str], known: set, line: Optional[int] = None) -> No
 class Instance:
     """A bipartite graph with strict two-sided preference lists.
 
-    Vertex v is numbered men first, then women, in declared order;
-    `names[v]` is its id and `index` the inverse.  `adj[v]` lists its
-    neighbours' numbers in decreasing preference, and `back[m][k]` is the
-    rank of man m on the list of his k-th woman.  `pref`, `rank` and
-    `edges` are views by id, built on first access: id -> neighbour ids,
-    id -> {neighbour id: position} (lower is better), and the set of
-    (man, woman) edges; `id_order`, the order by id that the outputs'
-    tie-breaks read, is built on first access too.  Construction checks
-    the instance and raises InstanceError on the first fault.
+    Vertex v is numbered men first, then women, each side in id order;
+    `names[v]` is its id and `index` the inverse, so every tie-break is a
+    comparison of numbers.  Declared order belongs to the input alone:
+    `men` and `women` keep it, and so do `serialize_instance` and the
+    order faults are reported in.  `adj[v]` lists v's neighbours'
+    numbers in decreasing preference, and `back[m][k]` is the rank of
+    man m on the list of his k-th woman.  `pref`, `rank` and `edges` are
+    views by id, built on first access: id -> neighbour ids, id ->
+    {neighbour id: position} (lower is better), and the set of (man,
+    woman) edges.  Construction checks the instance and raises
+    InstanceError on the first fault.
 
     Each row `back[m]` is an `array` of the narrowest unsigned ints that
     hold the ranks of the longest women's list: one byte a rank up to
@@ -126,7 +135,7 @@ class Instance:
     ):
         men, women = tuple(men), tuple(women)
         _check_ids(men + women, set())
-        index = {v: i for i, v in enumerate(men + women)}
+        index = _numbering(men, women)
         adj: list = [()] * len(index)
         stray = {}  # the lists of undeclared owners, after the declared ones
         for v, lst in pref.items():
@@ -152,7 +161,7 @@ class Instance:
         totals.  Else the first fault in line order is raised; without
         `lines`, in declared order, the undeclared owners last."""
         self.men, self.women, self.index = men, women, index
-        self.names = names = men + women
+        self.names = names = tuple(index)
         n = len(men)
         back = None
         if not stray:
@@ -178,16 +187,17 @@ class Instance:
                 back = None
         if back is None:
             line = lines.__getitem__ if lines else lambda v: 0
-            owned = [(line(v), v, names[v], lst) for v, lst in enumerate(adj)]
-            owned += [(at, len(names), head, lst) for head, (lst, at) in stray.items()]
-            owned.sort(key=itemgetter(0, 1))  # stable: strays keep their order
-            for at, _, head, lst in owned:
+            declared = list(map(index.__getitem__, men + women))
+            owned = [(line(v), names[v], adj[v]) for v in declared]
+            owned += [(at, head, lst) for head, (lst, at) in stray.items()]
+            owned.sort(key=itemgetter(0))  # stable: strays keep their order
+            for at, head, lst in owned:
                 fault = self._list_fault(head, lst, at or None)
                 if fault:
                     raise fault
             # the first entry, men's lists first, that is not listed back
             listed = [set(lst) for lst in adj]
-            v, x = next((v, x) for v, lst in enumerate(adj) for x in lst if v not in listed[x])
+            v, x = next((v, x) for v in declared for x in adj[v] if v not in listed[x])
             m, w = (v, x) if v < n else (x, v)
             raise _error(
                 f"asymmetric adjacency: edge ({names[m]},{names[w]}) — "
@@ -218,18 +228,6 @@ class Instance:
     def pref(self) -> Dict[str, Tuple[str, ...]]:
         names = self.names
         return {v: tuple(map(names.__getitem__, lst)) for v, lst in zip(names, self.adj)}
-
-    @cached_property
-    def id_order(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """(order, place): the men's numbers in id order, then the women's,
-        and each vertex's place in its side's order, in 4-byte ints."""
-        names, n = self.names, len(self.men)
-        order = array("i", sorted(range(n), key=names.__getitem__))
-        order += array("i", sorted(range(n, len(names)), key=names.__getitem__))
-        place = array("i", [0]) * len(names)
-        for i, v in enumerate(order):
-            place[v] = i if v < n else i - n
-        return order, place
 
     @cached_property
     def rank(self) -> Dict[str, Dict[str, int]]:
@@ -402,8 +400,8 @@ class LevelledMatching(Matching):
     then the lists are built on first read, and until then the matching
     holds only the entries the run changed.  `sorted_pairs` reads the
     numbers; the views by id, `pairs`, `partner_of`, `len` and `level`
-    (man -> level, in declared order), are built on first read.  It
-    equals, and hashes as, the Matching of its pairs, whatever its
+    (man -> level, the men in declared order), are built on first read.
+    It equals, and hashes as, the Matching of its pairs, whatever its
     levels, and the hash is read off the numbers.  Two matchings bound
     to the same instance compare their positions, which builds no view
     either: every producer leaves an unmatched man at his list's length."""
@@ -420,7 +418,8 @@ class LevelledMatching(Matching):
     def __getattr__(self, name: str):
         # called only when lookup fails: for a view, while its slot is unset
         if name == "level":
-            self.level = dict(zip(self.inst.men, self.lvl))
+            lvl, index = self.lvl, self.inst.index
+            self.level = {m: lvl[index[m]] for m in self.inst.men}
         elif name == "_hash":
             self._hash = hash(frozenset(self.sorted_pairs()))
         elif name in ("pos", "lvl"):
@@ -454,10 +453,10 @@ class LevelledMatching(Matching):
     __hash__ = Matching.__hash__
 
     def sorted_pairs(self) -> tuple:
-        """The pairs, the men in `Instance.id_order`."""
-        names, adj, pos = self.inst.names, self.inst.adj, self._pos()
-        men = self.inst.id_order[0][: len(pos)]
-        return tuple([(names[m], names[adj[m][pos[m]]]) for m in men if pos[m] < len(adj[m])])
+        """The pairs, the men in number order, which is id order."""
+        names, adj = self.inst.names, self.inst.adj
+        pos = enumerate(self._pos())
+        return tuple([(names[m], names[adj[m][k]]) for m, k in pos if k < len(adj[m])])
 
 
 def _merged(overlay: dict) -> List[int]:
@@ -499,10 +498,10 @@ def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
                 raise ParseError(f"expected '{side}:' declaration", lineno)
             _check_ids(items, known, lineno)
             sides.append(tuple(items))
-            index = {v: i for i, v in enumerate(chain(*sides))}
-            number = index.__getitem__
             if len(sides) == 2:
                 known.clear()  # index holds the ids from here on
+                index = _numbering(*sides)
+                number = index.__getitem__
                 adj: list = [()] * len(index)
                 lines = array("i", [0]) * len(index)  # each list's line, 0 if none
             continue
@@ -524,9 +523,10 @@ def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
 
 def serialize_instance(inst: Instance) -> str:
     """Inverse of parse_instance; vertex lines in declared order."""
-    names = inst.names
+    names, adj, index = inst.names, inst.adj, inst.index
     lines = ["men: " + " ".join(inst.men), "women: " + " ".join(inst.women)]
-    for v, lst in zip(names, inst.adj):
+    for v in inst.men + inst.women:
+        lst = adj[index[v]]
         # one itemgetter call reads two or more ids; of one it gives the id
         ids = itemgetter(*lst)(names) if len(lst) > 1 else [names[x] for x in lst]
         lines.append(f"{v}: " + " ".join(ids) if lst else f"{v}:")
@@ -567,17 +567,18 @@ def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Inst
     rng = np.random.default_rng(seed)
     men = tuple(f"a{i + 1}" for i in range(n_men))
     women = tuple(f"b{j + 1}" for j in range(n_women))
-    index = {v: i for i, v in enumerate(men + women)}
-    number = list(index.values())  # the lists share these int objects
-    adj: list = []
+    index = _numbering(men, women)
+    # by declared position, each vertex's number; the lists share these ints
+    number = list(map(index.__getitem__, men + women))
+    adj: list = [()] * len(number)
     woman_nbrs: list = [[] for _ in range(n_women)]
     for i in range(n_men):
         hits = np.flatnonzero(rng.random(n_women) < density)
         nbrs = (n_men + hits[rng.permutation(len(hits))]).tolist()
-        adj.append(tuple(map(number.__getitem__, nbrs)))
+        adj[number[i]] = tuple(map(number.__getitem__, nbrs))
         for j in hits.tolist():
             woman_nbrs[j].append(number[i])
-    for nbrs in woman_nbrs:
+    for j, nbrs in enumerate(woman_nbrs):
         order = rng.permutation(len(nbrs))
-        adj.append(tuple(map(nbrs.__getitem__, order.tolist())))
+        adj[number[n_men + j]] = tuple(map(nbrs.__getitem__, order.tolist()))
     return Instance._from_lists(men, women, index, adj)

@@ -139,7 +139,7 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     dominant matching matches the same men, so that is the least vector
     of partners read in men's id order, and each man who moves adds a
     digit for his partner below the cost, in base |women| + 1.  Then they
-    go to the least levels in declared man order: levels only rise as
+    go to the least levels in men's id order: levels only rise as
     rotations are added, and the cut returns the least of the cheapest
     closed sets.  Costs O(m log m) for the R rotations of G' on m edges,
     then one max flow on R + 2 nodes whose capacities have O(n log n)
@@ -160,17 +160,16 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     priced = {(m, k): costs[names[m], names[adj[m][k]]] for m in range(n) for k, _, _ in partners[m]}
     scale = lcm(*{c.denominator for c in priced.values()})
     price = {e: c.numerator * (scale // c.denominator) for e, c in priced.items()}
-    order, place = inst.id_order
     # per rotation its cost change, and the change each of its moves
-    # makes to a partner's place in id order (`Instance.id_order`), one
-    # digit per man who moves, the first in id order the most significant
+    # makes to a partner's number, one digit per man who moves, the first
+    # in id order the most significant
     gains = [0] * len(poset.preds)
     weights = [0] * len(gains)
     unit = 1
-    for m in reversed(order[:n]):
+    for m in reversed(range(n)):
         for (was, _, _), (k, r, _) in zip(partners[m], partners[m][1:]):
             gains[r] += price[m, k] - price[m, was]
-            weights[r] += (place[adj[m][k]] - place[adj[m][was]]) * unit
+            weights[r] += (adj[m][k] - adj[m][was]) * unit
         if len(partners[m]) > 1:
             unit *= len(inst.women) + 1
     weights = [w + gain * unit for w, gain in zip(weights, gains)]

@@ -67,9 +67,8 @@ def _partner_ranks(inst: Instance, family: List[Matching]) -> np.ndarray:
     unmatched vertices get a sentinel worse than any rank."""
     import numpy as np
 
-    vertices = inst.men + inst.women
-    index = {v: i for i, v in enumerate(vertices)}
-    pr = np.full((len(family), len(vertices)), _UNMATCHED_RANK, dtype=np.int16)
+    index = inst.index
+    pr = np.full((len(family), len(index)), _UNMATCHED_RANK, dtype=np.int16)
     for i, matching in enumerate(family):
         for m, w in matching.pairs:
             pr[i, index[m]] = inst.rank[m][w]
@@ -172,7 +171,7 @@ def maximum_matching_size(inst: Instance) -> int:
     depth-first search with an explicit stack)."""
     match: dict = {}
     size = 0
-    for root in inst.men:
+    for root in inst.names[: len(inst.men)]:
         seen: Set[str] = set()
         # stack[i] is the i-th man on the search path with his untried
         # women; path[i] is the woman he tries, held by stack[i + 1]

@@ -40,7 +40,7 @@ class Decomposition(NamedTuple):
 
     m0 covers the closure side (all of it matched, dominant there); m1
     is the untouched remainder (stable on the rest).  y and z are the
-    men and women outside the closure, in declared order.
+    men and women outside the closure, in id order.
     """
 
     m0: LevelledMatching
@@ -59,8 +59,8 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
     if cert is not None:
         raise NotPopularError(f"matching is not popular: {cert.kind}", cert)
     a_side, b_side = part.a0 | part.a1, part.b0 | part.b1
-    adj, n = inst.adj, len(inst.men)
-    inside = [a in a_side for a in inst.men]
+    adj, n, names = inst.adj, len(inst.men), inst.names
+    inside = [a in a_side for a in names[:n]]
     m0, m1 = (
         LevelledMatching(
             inst, [pos[m] if inside[m] == own else len(adj[m]) for m in range(n)], [0] * n
@@ -71,8 +71,8 @@ def decompose(inst: Instance, matching: Matching) -> Decomposition:
         m0=m0,
         m1=m1,
         partition=part,
-        y=tuple(m for m in inst.men if m not in a_side),
-        z=tuple(w for w in inst.women if w not in b_side),
+        y=tuple(m for m in names[:n] if m not in a_side),
+        z=tuple(w for w in names[n:] if w not in b_side),
     )
 
 
@@ -92,7 +92,8 @@ def inverse_map(inst: Instance, matching: Matching) -> LevelledMatching:
     # The sides are disjoint: an overlap would join two alternating paths
     # into one that the check above rejects.  Unmatched men are seeded
     # into the level-1 side, so every man at level 0 is matched.
-    return LevelledMatching(inst, pos[: len(inst.men)], [int(a in part.a1) for a in inst.men])
+    men = inst.names[: len(inst.men)]
+    return LevelledMatching(inst, pos[: len(men)], [int(a in part.a1) for a in men])
 
 
 def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
@@ -114,7 +115,7 @@ def lift_to_dominant(inst: Instance, matching: Matching) -> LevelledMatching:
     dec, adj = decompose(inst, matching), inst.adj
     a1 = dec.partition.a1  # no man of m1 is on the a1 side
     pos = enumerate(map(min, dec.m0.pos, dec.m1.pos))  # m0 and m1 split the matching
-    held = [(m, k, int(inst.men[m] in a1)) for m, k in pos if k < len(adj[m])]
+    held = [(m, k, int(inst.names[m] in a1)) for m, k in pos if k < len(adj[m])]
     return gale_shapley._floored(inst, held, 2)
 
 

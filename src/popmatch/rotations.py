@@ -116,11 +116,10 @@ class RotationPoset(NamedTuple):
 
         A closed set holds a prefix of each man's moves (Gusfield-Irving
         1989, ch. 3), so their count gives his partner and level.  A set
-        is read into one bytes key: per man who moves, in id order
-        (`Instance.id_order`), his partner's place among his women in id
+        is read into one bytes key: per man who moves, in number order,
+        which is id order, his partner's place among his women in id
         order as a big-endian field of one width for all (one byte unless
-        a man has more than 256 women), then if `levelled` his level, in
-        declared order.
+        a man has more than 256 women), then if `levelled` his level.
         Every stable matching matches the same men, so the keys sort as
         the matchings do, and each matching is built once from its key.
         (An int built field by field would copy the whole key once per
@@ -129,27 +128,26 @@ class RotationPoset(NamedTuple):
         sets = self.closed_sets(limit)  # refused before anything is built
         inst, adj = self.inst, self.inst.adj
         pos, level = [], []  # each man's at the start
-        movers = []  # in declared order: (man, his partners)
+        movers = []  # (man, his partners)
         for m in range(len(inst.men)):
             held = self.partners(m)
             pos.append(held[0][0] if held else len(adj[m]))
             level.append(held[0][2] if held else self.levels - 1)
             if len(held) > 1:
                 movers.append((m, held))
-        key = inst.id_order[1].__getitem__
-        by_id = sorted(movers, key=lambda mover: key(mover[0]))
         # each mover's positions of his women, in id order of the women
-        women = [sorted({k for k, _, _ in held}, key=lambda k: key(adj[m][k])) for m, held in by_id]
-        moves = {m: sum(1 << r for _, r, _ in held[1:]) for m, held in movers}
+        women = [sorted({k for k, _, _ in held}, key=adj[m].__getitem__) for m, held in movers]
+        moves = [sum(1 << r for _, r, _ in held[1:]) for _, held in movers]
         most = max(map(len, women), default=1)
         width = max(1, ((most - 1).bit_length() + 7) // 8)
         code = [i.to_bytes(width, "big") for i in range(most)]
-        fields = []  # per mover in id order: his moves, and his field by their count
-        for (m, held), ks in zip(by_id, women):
-            place = dict(zip(ks, code))
-            fields.append((moves[m], [place[k] for k, _, _ in held]))
-        # per mover in declared order: his moves, and his level by their count
-        ups = [(moves[m], [lvl for _, _, lvl in held]) for m, held in movers] if levelled else []
+        # per mover: his moves, and his field and his level by their count
+        fields, ups = [], []
+        for mask, (_, held), ks in zip(moves, movers, women):
+            byte = dict(zip(ks, code))
+            fields.append((mask, [byte[k] for k, _, _ in held]))
+            if levelled:
+                ups.append((mask, [lvl for _, _, lvl in held]))
         level = level if levelled else [0] * len(level)
         keys = {
             b"".join([field[(s & mask).bit_count()] for mask, field in fields])
@@ -157,7 +155,7 @@ class RotationPoset(NamedTuple):
             for s in sets
         }
         del sets
-        at = width * len(by_id)
+        at = width * len(movers)
         listed = []
         for key in sorted(keys):
             # a one-byte field is read by iterating the key
@@ -165,7 +163,7 @@ class RotationPoset(NamedTuple):
                 int.from_bytes(key[i : i + width], "big") for i in range(0, at, width)
             ]
             got, lvl = pos.copy(), level.copy()
-            for (m, _), ks, i in zip(by_id, women, places):
+            for (m, _), ks, i in zip(movers, women, places):
                 got[m] = ks[i]
             for (m, _), up in zip(movers, key[at:]):
                 lvl[m] = up
@@ -262,25 +260,25 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
 
     dead = bytearray(n)
     stack: List[int] = []
-    place = [-1] * n  # a man's index on the stack, or -1
+    depth = [-1] * n  # a man's index on the stack, or -1
     for first in range(n):
         while not dead[first]:
             if not stack:
-                place[first] = 0
+                depth[first] = 0
                 stack.append(first)
             m = successor(stack[-1])
             if m < 0 or dead[m]:
-                for x in stack:  # a dead man's place is never read again
+                for x in stack:  # a dead man's depth is never read again
                     dead[x] = 1
                 stack.clear()
-            elif place[m] >= 0:
-                cycle = stack[place[m] :]
-                del stack[place[m] :]
+            elif depth[m] >= 0:
+                cycle = stack[depth[m] :]
+                del stack[depth[m] :]
                 for x in cycle:
-                    place[x] = -1
+                    depth[x] = -1
                 eliminate(cycle)
             else:
-                place[m] = len(stack)
+                depth[m] = len(stack)
                 stack.append(m)
     return RotationPoset(inst, levels, preds, chains, held)
 
@@ -365,7 +363,7 @@ def exists_unstable_popular(
     the one sought; nothing of R² bits is built for the R rotations.
     """
     poset = rotation_poset(inst, 2)
-    adj, back, names, (order, place) = inst.adj, inst.back, inst.names, inst.id_order
+    adj, back, names = inst.adj, inst.back, inst.names
     preds, chains, held = poset.preds, poset.chains, poset.held
 
     def reached(chain: Chain, key: int) -> Optional[int]:
@@ -389,12 +387,12 @@ def exists_unstable_popular(
         return False
 
     firsts = {}  # B, which depends on the woman alone, once per woman met
-    for a in order[: len(inst.men)]:
+    for a in range(len(inst.men)):
         lst = adj[a]
         rd = reached(chains[a], len(lst) - 1)
         if rd == -1:
             continue  # a starts at level 1 and stays there
-        for k in sorted(range(len(lst)), key=lambda k: place[lst[k]]):
+        for k in sorted(range(len(lst)), key=lst.__getitem__):
             b = lst[k]
             if b not in firsts:
                 firsts[b] = reached(held[b], len(adj[b]))

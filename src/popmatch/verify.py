@@ -17,12 +17,9 @@ closure of the blocking edges (and optionally the unmatched vertices)
 under the same arcs.  Every negative verdict carries a replayable
 certificate.
 
-Ties are broken in id order (`Instance.id_order`), but the search from
-the unmatched vertices is seeded in declared order, and the reversed
-arcs a two-pp-path is found on keep their tails' declared order.  The
-walks those two searches give follow declaration order, and so can a
-two-pp-path's second edge and whether a walk from an unmatched vertex
-through its (+,+) edge's far end is a pp-cycle.  The verdict does not.
+Vertices are numbered in id order (`Instance`), and every search and
+tie-break here follows the numbers, so a certificate, like the
+verdict, is a function of the ids, not of the order they are declared.
 
 The digraph is held flat, in vertex numbers: one list of arcs with an
 offset per vertex, the (+,+) edges as number pairs, named only when a
@@ -159,21 +156,20 @@ class _Graph:
     Vertices are numbered as in `Instance`, the men first; mate[v] is
     v's partner or -1.  The arcs out of v are arcs[start[v]:start[v + 1]]:
     M(y) for each non-matching G_M edge (x, y) whose y is matched, in the
-    id order of y (`Instance.id_order`); the offsets are an array of
-    machine ints, with no int object apiece.  pp holds the (+,+) edges as
-    (man, woman) numbers, in the id order of the pairs; they are named
-    only in a certificate.  An unmatched woman votes for every edge, so
-    a man's unmatched neighbours, all in G_M, are read off his list.
+    order of y; the offsets are an array of machine ints, with no int
+    object apiece.  pp holds the (+,+) edges as (man, woman) numbers,
+    sorted; they are named only in a certificate.  An unmatched woman
+    votes for every edge, so a man's unmatched neighbours, all in G_M,
+    are read off his list.
 
     One pass of `LabeledGraph.rows` over the men lays out their arcs
     and lists each matched man's other G_M women; a counting sort of
-    those lists, the men taken in id order, lays out the women's."""
+    those lists, the men taken in order, lays out the women's."""
 
     def __init__(self, labeled: LabeledGraph):
         inst = labeled.inst
         self.names, self.adj, self.n_men = inst.names, inst.adj, len(inst.men)
         self.mate = mate = labeled.mate
-        order, self.place = inst.id_order
         n, size = self.n_men, len(mate)
         arcs: List[int] = []
         start = array("q", [0]) * (size + 1)
@@ -189,14 +185,13 @@ class _Graph:
                 others += [w for w in row if w != y]
             ends[x + 1] = len(others)
             pp += [(x, w) for w in both]
-        pp.sort(key=lambda e: self.place[e[0]])  # stable: each man's stay in id order
         fan = [0] * size
         for w in others:
             fan[w] += 1
         start[n:] = array("q", accumulate(fan[n:], initial=start[n]))
         arcs += [0] * (start[size] - start[n])
         free = start[:size]  # the next slot of each woman
-        for x in order[:n]:
+        for x in range(n):
             y = mate[x]
             for w in others[ends[x] : ends[x + 1]]:
                 arcs[free[w]] = y
@@ -297,7 +292,7 @@ def _dominance_violation(g: _Graph) -> Optional[Certificate]:
         if x < g.n_men:
             free = g.unmatched(x)
             if free:
-                w = min(free, key=g.place.__getitem__)
+                w = min(free)
                 return Certificate("augmenting-path", g.path(parent, x) + (g.names[w],))
     return None
 

@@ -514,7 +514,7 @@ def _exposed_rotations(inst, matching, levels):
     partner will have him."""
     top = levels - 1
     adj, back = inst.adj, inst.back
-    level = list(map(matching.level.__getitem__, inst.men))
+    level = list(map(matching.level.__getitem__, inst.names[: len(inst.men)]))
     mate, pos = inst.mates(matching)
 
     def successor(m, lvl, start):
@@ -591,14 +591,14 @@ def lattice_stable_matchings(inst, levels=1):
             if key(new) not in seen:
                 seen[key(new)] = new
                 stack.append(new)
-    return sorted(seen.values(), key=lambda m: (m.sorted_pairs(), tuple(m.level.values())))
+    return sorted(seen.values(), key=lambda m: (m.sorted_pairs(), tuple(m.lvl)))
 
 
 def reference_min_cost_dominant(inst, costs):
     """The cheapest stable matching of the implicit G', by costing every
     one `lattice_stable_matchings` lists: the reference for
     `min_cost_dominant`.  Ties go to the least sorted pairs, then, by the
-    listing's order, to the least levels in declared man order."""
+    listing's order, to the least levels in men's id order."""
     for a in inst.men:
         for b in inst.pref[a]:
             if (a, b) not in costs:

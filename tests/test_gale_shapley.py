@@ -66,8 +66,8 @@ def test_is_stable_returns_least_blocking_pair(shared_top, contested_hub):
 
 
 def test_engine_does_not_depend_on_declaration_order():
-    # men are queued in declared order, and deferred acceptance ends on
-    # the same matching whatever the order of proposals: each instance,
+    # men are queued in id order, and deferred acceptance ends on the
+    # same matching whatever the order of proposals: each instance,
     # declared reversed or shuffled, gives the pairs and levels of the
     # same instance declared in id order, at both levels, with and
     # without floors, and so does the forced query; each result stands

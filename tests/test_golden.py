@@ -4,11 +4,12 @@ compared with the committed transcript.
 
 The inputs are the three fixtures, `blocks_text(1..3)`,
 `cyclic_text(2..5)`, 40 `ensemble_instance` seeds and copies of five of
-them declared in a shuffled order, so that the id-order tie-breaks are
-pinned too.  Each command runs in text and with --json.  The matchings
-`verify` reads are the ones `solve` prints, a seeded random matching and
-three faulty files; a faulty or any other changed output shows as the
-first command whose record differs.
+them declared in a shuffled order, numbered by id all the same, so that
+the id-order tie-breaks and certificates are pinned too.  Each command
+runs in text and with --json.  The matchings `verify` reads are the
+ones `solve` prints, a seeded random matching and three faulty files; a
+faulty or any other changed output shows as the first command whose
+record differs.
 
 Regenerating the transcript is an output change:
 

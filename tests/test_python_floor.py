@@ -4,9 +4,9 @@ The smoke script imports every public name, reads a fixture, an
 instance with 40-entry lists and one declared in reverse from files in
 small blocks, and runs the proposal engine at both levels, the verifiers on
 the matchings it finds, read into vertex numbers, and the rotation poset
-of G'.  On the reversed declaration it runs every reader of
-`Instance.id_order` too: the stability and dominance checks on matchings
-that fail them, `exists_unstable_popular`, `min_cost_dominant`, the
+of G'.  On the reversed declaration, whose numbers follow the ids and
+not the declared order, it runs every id-order tie-break too: the
+stability and dominance checks on matchings that fail them, `exists_unstable_popular`, `min_cost_dominant`, the
 listing of G''s stable matchings and `popular_edges`.  Its output under
 the floor Python must equal its output under this one.  The test skips
 only where no Python of the floor's minor version starts.
@@ -60,7 +60,7 @@ for text in sys.argv[2:]:
 def levelled(m):
     return m.sorted_pairs(), sorted(m.level.items())
 
-# the last instance is declared in reverse: the readers of the id order
+# the last instance is declared in reverse: the id-order tie-breaks
 print(is_stable(inst, run(inst, levels=2)), is_dominant(inst, run(inst)))
 found = exists_unstable_popular(inst)
 print(levelled(found[0]), found[1])
