@@ -23,11 +23,11 @@ from .instance import (
     Instance,
     InstanceError,
     Matching,
+    _blocks,
     generate_random,
     parse_instance,
     parse_matching,
     serialize_instance,
-    serialize_matching,
 )
 
 
@@ -88,8 +88,11 @@ def _load_instance(path: str) -> Instance:
 
 
 def _print_matching(matching: Matching) -> None:
-    # one write: unbuffered, each print is a system call
-    sys.stdout.write(serialize_matching(matching) or "{}\n")
+    # a write per block: unbuffered, each write is a system call
+    blocks = _blocks(matching)
+    sys.stdout.write(next(blocks, "{}\n"))
+    for block in blocks:
+        sys.stdout.write(block)
 
 
 def _matching_line(matching: Matching) -> str:
@@ -276,7 +279,7 @@ def _cmd_gen(args) -> int:
                     "written": args.output,
                     "men": len(inst.men),
                     "women": len(inst.women),
-                    "edges": sum(map(len, inst.adj[: len(inst.men)])),
+                    "edges": inst.first[len(inst.men)],
                 }
             )
         )

@@ -28,13 +28,13 @@ class ElectionResult(NamedTuple):
 
 class LabeledGraph:
     """The votes on the edges of an instance under a matching, read off
-    the instance's own lists (`Instance.adj`, `Instance.back`).
+    the instance's own lists (`Instance.adj`, `back` and `first`).
 
     mate[v] is the partner of vertex number v, or -1, and pos[v] its
     rank of the partner, or its list length if it has none.  Man m votes
-    for the k-th woman w on his list against his partner iff
-    k < pos[m], and she for him iff back[m][k] < pos[w]: an unmatched
-    vertex votes for every edge, and no one for a matching edge.  The
+    for the k-th woman w on his list against his partner iff k < pos[m],
+    and she for him iff back[first[m] + k] < pos[w]: an unmatched vertex
+    votes for every edge, and no one for a matching edge.  The
     pruned subgraph G_M keeps the matching edges and every edge with a
     vote for it.
 
@@ -51,25 +51,26 @@ class LabeledGraph:
         """Per man in number order, which is id order: his number, his
         G_M neighbours (his partner among them) and the women of his
         (+,+) edges, both sorted."""
-        inst, pos = self.inst, self.pos
+        inst, pos, back = self.inst, self.pos, self.inst.back
         for x in range(len(inst.men)):
-            row, ranks, k = inst.adj[x], inst.back[x], pos[x]
+            row, f, k = inst.adj[x], inst.first[x], pos[x]
             # he votes for the first k women and, if matched, holds the
             # next one; beyond that only a woman's vote keeps an edge
-            voted = [w for w, r in zip(row[k + 1 :], ranks[k + 1 :]) if r < pos[w]]
-            both = [w for w, r in zip(row[:k], ranks[:k]) if r < pos[w]]
+            voted = [w for i, w in enumerate(row[k + 1 :], f + k + 1) if back[i] < pos[w]]
+            both = [w for i, w in enumerate(row[:k], f) if back[i] < pos[w]]
             yield x, sorted(chain(row[: k + 1], voted)), sorted(both)
 
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
-        inst, mate, pos, names = self.inst, self.mate, self.pos, self.inst.names
+        inst, mate, pos = self.inst, self.mate, self.pos
+        names, back = inst.names, inst.back
         label = {}
         for x in range(len(inst.men)):
-            row, k = inst.adj[x], pos[x]
-            for w, r, i in sorted(zip(row, inst.back[x], count())):
+            f = inst.first[x]
+            for w, i in sorted(zip(inst.adj[x], count(f))):
                 if w != mate[x]:
                     label[names[x], names[w]] = (
-                        PLUS if i < k else MINUS, PLUS if r < pos[w] else MINUS
+                        PLUS if i < f + pos[x] else MINUS, PLUS if back[i] < pos[w] else MINUS
                     )
         return label
 

@@ -104,7 +104,7 @@ def _propose(inst: Instance, levels: int, held=(), state=None) -> List[List[int]
     position at[m] (its length: he ran out of it at the top level).  It
     starts from empty arrays, or goes on from `state`, which it changes,
     with the men `held`'s women refuse.  `rotations` walks on from it."""
-    adj, back, n = inst.adj, inst.back, len(inst.men)
+    adj, back, first, n = inst.adj, inst.back, inst.first, len(inst.men)
     queue = deque(range(n) if state is None else ())
     if state is None:
         if levels not in (1, 2):
@@ -116,7 +116,7 @@ def _propose(inst: Instance, levels: int, held=(), state=None) -> List[List[int]
     floor = {}  # the worst position each floored woman accepts
     for m, k, lvl in held:
         w = adj[m][k]
-        floor[w] = back[m][k] - lvl * len(adj[w])
+        floor[w] = back[first[m] + k] - lvl * len(adj[w])
         if holds[w] >= 0 and pos[w] > floor[w]:
             queue.append(holds[w])
             holds[w], pos[w] = -1, len(adj[w])
@@ -124,7 +124,7 @@ def _propose(inst: Instance, levels: int, held=(), state=None) -> List[List[int]
 
     while queue:
         m = queue.popleft()
-        lst, ranks = adj[m], back[m]
+        lst, f = adj[m], first[m]
         i = next_ix[m]
         lvl = level[m]
         while True:
@@ -136,7 +136,7 @@ def _propose(inst: Instance, levels: int, held=(), state=None) -> List[List[int]
                 i = 0
                 continue
             w = lst[i]
-            p = ranks[i]
+            p = back[f + i]
             i += 1
             if lvl:
                 p -= lvl * len(adj[w])
@@ -163,11 +163,11 @@ def dominant_two_level(inst: Instance) -> LevelledMatching:
 def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:
     """Verdict plus the lexicographically least blocking pair, if any:
     the least by number, which is id order."""
-    adj, back, names = inst.adj, inst.back, inst.names
+    adj, back, first, names = inst.adj, inst.back, inst.first, inst.names
     pos = inst.mates(matching)[1]
     for m in range(len(inst.men)):
         # an unmatched woman's position is her list length, below every man
-        blocking = [w for w, p in zip(adj[m][: pos[m]], back[m]) if p < pos[w]]
+        blocking = [w for i, w in enumerate(adj[m][: pos[m]], first[m]) if back[i] < pos[w]]
         if blocking:
             return False, (names[m], names[min(blocking)])
     return True, None

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -108,26 +108,26 @@ class Instance:
     comparison of numbers.  Declared order belongs to the input alone:
     `men` and `women` keep it, and so do `serialize_instance` and the
     order faults are reported in.  `adj[v]` lists v's neighbours'
-    numbers in decreasing preference, and `back[m][k]` is the rank of
-    man m on the list of his k-th woman.  `pref`, `rank` and `edges` are
-    views by id, built on first access: id -> neighbour ids, id ->
-    {neighbour id: position} (lower is better), and the set of (man,
-    woman) edges.  Construction checks the instance and raises
-    InstanceError on the first fault.
+    numbers in decreasing preference, and `back[first[m] + k]` is the
+    rank of man m on the list of his k-th woman (`first[n]` is the number
+    of edges, for n men).  `pref`, `rank` and `edges` are views by id,
+    built on first access: id -> neighbour ids, id -> {neighbour id:
+    position} (lower is better), and the set of (man, woman) edges.
+    Construction checks the instance and raises InstanceError on the
+    first fault.
 
-    Each row `back[m]` is an `array` of the narrowest unsigned ints that
-    hold the ranks of the longest women's list: one byte a rank up to
-    256 entries ('B'), else two ('H'), else four; all rows of an instance
-    share the typecode.  It is found by looking each man up on his
-    women's lists: a scan of a list of at most 32 entries, a rank dict
-    for a longer one, which lives only while `back` is built.  A parse
-    writes each list straight into `adj` by number and its line into one
-    array of ints; only an undeclared owner's list, which no valid file
-    has, goes to a side map.  At its peak a parse holds the numbered
-    lists, `back` and the lines of its input, which the CLI hands
-    `parse_instance` one block of the file at a time: about 1.05 times
-    what the instance keeps when no list is long (1.31 when the whole
-    text and its lines are held).
+    `back` is one `array`, man by man, of the narrowest unsigned ints
+    that hold the ranks of the longest women's list: one byte a rank up
+    to 256 entries ('B'), else two ('H'), else four.  It is found by
+    looking each man up on his women's lists: a scan of a list of at
+    most 32 entries, a rank dict for a longer one, which lives only
+    while `back` is built.  A parse writes each list straight into `adj`
+    by number and its line into one array of ints; only an undeclared
+    owner's list, which no valid file has, goes to a side map.  At its
+    peak a parse holds the numbered lists, `back` and the lines of its
+    input not yet read, which the CLI hands `parse_instance` one block
+    of the file at a time: about 1.04 times what the instance keeps when
+    no list is long (1.03 to 1.12 when the whole text is given).
     """
 
     def __init__(
@@ -173,11 +173,11 @@ class Instance:
             ]
             # the narrowest unsigned ints that hold every rank
             longest = max(map(len, islice(adj, n, None)), default=0)
-            code = next(c for c in "BHIL" if 256 ** array(c).itemsize >= longest)
+            back = array(next(c for c in "BHIL" if 256 ** array(c).itemsize >= longest))
             try:  # an own-side or undeclared entry of a man is not found either
-                back = [array(code, [find[w].index(m) for w in adj[m]]) for m in range(n)]
+                back.extend(find[w].index(m) for m in range(n) for w in adj[m])
             except (KeyError, ValueError, TypeError):
-                pass
+                back = None
             del find  # before the totals check, so the two never peak together
             # men's entries found back land on distinct slots of women's
             # lists, so equal totals leave no slot over for a repeat or a
@@ -204,7 +204,8 @@ class Instance:
                 f"{names[v]!r} lists {names[x]!r} but {names[x]!r} does not list {names[v]!r}",
                 line(v) or None,
             )
-        self.adj, self.back = adj, back
+        first = array("q", accumulate(map(len, islice(adj, n)), initial=0))
+        self.adj, self.back, self.first = adj, back, first
 
     def _list_fault(self, head: str, ids: tuple, line) -> Optional[InstanceError]:
         """The first fault of one list: an undeclared owner, or an entry
@@ -261,14 +262,14 @@ class Instance:
         if not isinstance(matching, Matching):
             raise InstanceError(f"not a Matching: {type(matching).__name__}")
         if isinstance(matching, LevelledMatching) and matching.inst is self:
-            adj, back = self.adj, self.back
+            adj, back, first = self.adj, self.back, self.first
             mate = [-1] * len(self.names)
             pos = list(map(len, adj))
             for m, k in enumerate(matching.pos):
                 if k < pos[m]:
                     w = adj[m][k]
                     mate[m], mate[w] = w, m
-                    pos[m], pos[w] = k, back[m][k]
+                    pos[m], pos[w] = k, back[first[m] + k]
             return mate, pos
         return self._number((None, m, w) for m, w in sorted(matching.pairs))
 
@@ -280,7 +281,7 @@ class Instance:
         `_error` gives for its line."""
         mate = [-1] * len(self.names)
         pos = list(map(len, self.adj))
-        back = self.back
+        back, first = self.back, self.first
         for line, m, w in pairs:
             s = self.slot(m, w)
             if s is None:
@@ -291,7 +292,7 @@ class Instance:
             if mate[j] >= 0:
                 raise _error(f"vertex {w!r} matched twice", line)
             mate[i], mate[j] = j, i
-            pos[i], pos[j] = k, back[i][k]
+            pos[i], pos[j] = k, back[first[i] + k]
         return mate, pos
 
     def has_edge(self, m: str, w: str) -> bool:
@@ -325,7 +326,7 @@ class Instance:
         return hash((self.men, self.women, tuple(self.adj)))
 
     def __repr__(self) -> str:
-        edges = sum(map(len, self.adj[: len(self.men)]))
+        edges = self.first[len(self.men)]
         return f"Instance(men={len(self.men)}, women={len(self.women)}, edges={edges})"
 
 
@@ -366,13 +367,14 @@ class Matching:
         return u in self._partner
 
     def sorted_pairs(self) -> tuple:
-        return tuple(sorted(self.pairs))
+        # not tuple(self), which asks `len`: a LevelledMatching builds `pairs` for it
+        return tuple(iter(self))
 
     def __contains__(self, pair: tuple) -> bool:
         return pair in self.pairs
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.sorted_pairs())
+        return iter(sorted(self.pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -398,9 +400,10 @@ class LevelledMatching(Matching):
     see `gale_shapley`).  `pos` and `lvl` are lists, or the overlays a
     floored run wrote over the kept lists (`gale_shapley._floored`):
     then the lists are built on first read, and until then the matching
-    holds only the entries the run changed.  `sorted_pairs` reads the
-    numbers; the views by id, `pairs`, `partner_of`, `len` and `level`
-    (man -> level, the men in declared order), are built on first read.
+    holds only the entries the run changed.  Iterating it, and so
+    `sorted_pairs`, reads the numbers; the views by id, `pairs`,
+    `partner_of`, `len` and `level` (man -> level, the men in declared
+    order), are built on first read.
     It equals, and hashes as, the Matching of its pairs, whatever its
     levels, and the hash is read off the numbers.  Two matchings bound
     to the same instance compare their positions, which builds no view
@@ -452,11 +455,11 @@ class LevelledMatching(Matching):
 
     __hash__ = Matching.__hash__
 
-    def sorted_pairs(self) -> tuple:
+    def __iter__(self) -> Iterator[tuple]:
         """The pairs, the men in number order, which is id order."""
         names, adj = self.inst.names, self.inst.adj
         pos = enumerate(self._pos())
-        return tuple([(names[m], names[adj[m][k]]) for m, k in pos if k < len(adj[m])])
+        return ((names[m], names[adj[m][k]]) for m, k in pos if k < len(adj[m]))
 
 
 def _merged(overlay: dict) -> List[int]:
@@ -471,9 +474,10 @@ def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
     """(line number, stripped line) for each line of source that is
     neither blank nor a '#' comment: the one record loop of the instance,
     matching and cost formats.  source is the text, or its lines as
-    `str.splitlines` gives them."""
+    `str.splitlines` gives them; a text's lines are let go as read."""
     if isinstance(source, str):
-        source = source.splitlines()
+        lines = source.splitlines()[::-1]
+        source = (lines.pop() for _ in range(len(lines)))
     for lineno, raw in enumerate(source, 1):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -551,7 +555,17 @@ def parse_matching(source: Union[str, Iterable[str]], inst: Instance) -> Levelle
 
 def serialize_matching(matching: Matching) -> str:
     """One pair per line, lexicographic order; empty matching -> empty body."""
-    return "".join(f"{m} {w}\n" for m, w in matching.sorted_pairs())
+    return "".join(_blocks(matching))
+
+
+_BLOCK = 1 << 12  # the most pairs `_blocks` writes in one block
+
+
+def _blocks(matching: Matching) -> Iterator[str]:
+    """`serialize_matching`'s text in blocks, which the CLI writes as made."""
+    pairs = iter(matching)
+    while block := "".join([f"{m} {w}\n" for m, w in islice(pairs, _BLOCK)]):
+        yield block
 
 
 def generate_random(n_men: int, n_women: int, density: float, seed: int) -> Instance:

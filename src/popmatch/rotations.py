@@ -20,8 +20,8 @@ decides whether every popular matching is stable.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from itertools import accumulate
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
 
@@ -195,12 +195,12 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     found by a binary search in her `held` keys.  O(m) for the walk and
     O(m log m) for the labelling, for m edges.
     """
-    adj, back = inst.adj, inst.back
+    adj, back, first = inst.adj, inst.back, inst.first
     deg = list(map(len, adj))
     n = len(inst.men)
     holder, _, scan, _, level = gale_shapley._propose(inst, levels)
     # woman w keys man m at level l on his k-th woman by levels * deg[w]
-    # minus her rank of him in G', that is (l + 1) * deg[w] - back[m][k]
+    # minus her rank of him in G', that is (l + 1) * deg[w] - back[first[m] + k]
     held: List[Chain] = [()] * len(adj)
     # a chain's first entry, one tuple per index
     begins = [(i, -1) for i in range(levels * max(deg[:n], default=0) + 1)]
@@ -212,18 +212,18 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
         i = scan[m] = lvl * deg[m] + scan[m]
         if k >= 0 and holder[adj[m][k]] == m:
             w = adj[m][k]
-            held[w] = [((lvl + 1) * deg[w] - back[m][k], -1)]
+            held[w] = [((lvl + 1) * deg[w] - back[first[m] + k], -1)]
             i -= 1
         chains.append([begins[i]])
 
     def successor(m: int) -> int:  # or -1 for none
-        lst, ranks, size = adj[m], back[m], deg[m]
+        lst, f, size = adj[m], first[m], deg[m]
         lvl, k = divmod(scan[m], size) if size else (levels, 0)
         while lvl < levels:
             while k < size:
                 w = lst[k]
                 h = holder[w]
-                if h < 0 or (lvl + 1) * deg[w] - ranks[k] > held[w][-1][0]:
+                if h < 0 or (lvl + 1) * deg[w] - back[f + k] > held[w][-1][0]:
                     scan[m] = lvl * size + k
                     return h
                 k += 1
@@ -241,11 +241,11 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
             frm, last = chains[m][-1]
             if last >= 0:
                 before.add(last)
-            lst, ranks = adj[m], back[m]
+            lst, f = adj[m], first[m]
             for i in range(frm + 1, scan[m]):
                 lvl, k = divmod(i, deg[m])
                 hers = held[lst[k]]
-                j = bisect_right(hers, (lvl + 1) * deg[lst[k]] - ranks[k], key=_key)
+                j = bisect_right(hers, (lvl + 1) * deg[lst[k]] - back[f + k], key=_key)
                 if j:
                     before.add(hers[j][1])
         for m in cycle:
@@ -255,17 +255,17 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
             lvl, k = divmod(i, deg[m])
             w = adj[m][k]
             holder[w] = m
-            held[w].append(((lvl + 1) * deg[w] - back[m][k], r))
+            held[w].append(((lvl + 1) * deg[w] - back[first[m] + k], r))
         preds.append(before)
 
     dead = bytearray(n)
     stack: List[int] = []
     depth = [-1] * n  # a man's index on the stack, or -1
-    for first in range(n):
-        while not dead[first]:
+    for top in range(n):
+        while not dead[top]:
             if not stack:
-                depth[first] = 0
-                stack.append(first)
+                depth[top] = 0
+                stack.append(top)
             m = successor(stack[-1])
             if m < 0 or dead[m]:
                 for x in stack:  # a dead man's depth is never read again
@@ -283,10 +283,10 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     return RotationPoset(inst, levels, preds, chains, held)
 
 
-def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
+def popular_routes(inst: Instance) -> Tuple[array, bytearray]:
     """For each edge, which forced run finds a popular matching holding
     it: (first, table), man m's k-th edge having the byte
-    table[first[m] + k].
+    table[first[m] + k], with the instance's own edge offsets `first`.
 
     An edge is popular iff a stable matching of G or of G' holds it (the
     paper), that is iff it is a stable pair of one of them: a start pair
@@ -298,8 +298,7 @@ def popular_routes(inst: Instance) -> Tuple[List[int], bytearray]:
     two posets, each dropped once its chains are read; the table keeps
     one byte per edge.
     """
-    adj = inst.adj
-    first = list(accumulate(map(len, adj[: len(inst.men)]), initial=0))
+    first = inst.first
     table = bytearray(first[-1])
     for levels in (2, 1):
         poset = rotation_poset(inst, levels)
@@ -363,7 +362,7 @@ def exists_unstable_popular(
     the one sought; nothing of R² bits is built for the R rotations.
     """
     poset = rotation_poset(inst, 2)
-    adj, back, names = inst.adj, inst.back, inst.names
+    adj, back, first, names = inst.adj, inst.back, inst.first, inst.names
     preds, chains, held = poset.preds, poset.chains, poset.held
 
     def reached(chain: Chain, key: int) -> Optional[int]:
@@ -397,7 +396,7 @@ def exists_unstable_popular(
             if b not in firsts:
                 firsts[b] = reached(held[b], len(adj[b]))
             ra, rb = reached(chains[a], k), firsts[b]
-            rc = reached(held[b], 2 * len(adj[b]) - back[a][k] - 1)
+            rc = reached(held[b], 2 * len(adj[b]) - back[first[a] + k] - 1)
             if ra is None or rb is None or rc == -1:
                 continue
             if rd is not None and (rd <= ra or rb >= 0 and precedes(rd, rb)):

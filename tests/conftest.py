@@ -513,12 +513,12 @@ def _exposed_rotations(inst, matching, levels):
     positions, and (m, 0) points at (m, 1) when no woman below his
     partner will have him."""
     top = levels - 1
-    adj, back = inst.adj, inst.back
+    adj, back, first = inst.adj, inst.back, inst.first
     level = list(map(matching.level.__getitem__, inst.names[: len(inst.men)]))
     mate, pos = inst.mates(matching)
 
     def successor(m, lvl, start):
-        for w, p in zip(adj[m][start:], back[m][start:]):
+        for w, p in zip(adj[m][start:], back[first[m] + start : first[m + 1]]):
             h = mate[w]
             if h < 0:
                 return None

@@ -24,7 +24,7 @@ from popmatch import (
     serialize_instance,
     serialize_matching,
 )
-from popmatch import cli
+from popmatch import cli, instance
 from popmatch.cli import main
 from popmatch.oracles import popular_edges
 from conftest import (
@@ -90,6 +90,31 @@ def test_solve_json(shared_top_file, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"matching": [["a1", "b2"], ["a2", "b1"]]}
+
+
+class Writes(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, text):
+        self.append(text)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 12])
+def test_solve_writes_its_matching_a_block_at_a_time(tmp_path, monkeypatch, block):
+    # a block of at most `block` pairs per write, reading together as
+    # `serialize_matching`; an empty matching is still one "{}" line
+    inst = generate_random(9, 9, 0.4, 5)
+    path, empty = tmp_path / "i.pref", tmp_path / "e.pref"
+    path.write_text(serialize_instance(inst))
+    empty.write_text("men: a1\nwomen: b1\na1:\nb1:\n")
+    monkeypatch.setattr(instance, "_BLOCK", block)
+    for levels, prop in ((1, "stable"), (2, "dominant")):
+        want = serialize_matching(run(inst, levels=levels))
+        for source, text in ((path, want), (empty, "{}\n")):
+            monkeypatch.setattr(sys, "stdout", Writes())
+            assert main(["solve", "--property", prop, "-i", str(source)]) == 0
+            assert "".join(sys.stdout) == text
+            assert len(sys.stdout) == -(-text.count("\n") // block)
 
 
 def test_solve_rejects_algo_mismatch(shared_top_file, capsys):

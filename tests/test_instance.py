@@ -1,6 +1,8 @@
 import gc
 import random
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from popmatch import (
     serialize_instance,
     serialize_matching,
 )
+from popmatch import cli
 from popmatch.cli import _load_instance
 from popmatch.gale_shapley import _floored, forced
 from popmatch.instance import LevelledMatching
@@ -289,17 +292,18 @@ def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
     for inst in (shared_top, contested_hub, nested_fan, *randoms, *mixed):
         parsed = parse_instance(serialize_instance(inst))
         assert parsed == inst
-        adj, back = parsed.adj, parsed.back
+        adj, back, first = parsed.adj, parsed.back, parsed.first
         assert all(
-            adj[w][back[m][k]] == m for m in range(len(parsed.men)) for k, w in enumerate(adj[m])
+            adj[w][back[first[m] + k]] == m
+            for m in range(len(parsed.men))
+            for k, w in enumerate(adj[m])
         )
     assert serialize_instance(shared_top) == SHARED_TOP_TEXT
 
 
 @pytest.mark.parametrize("longest,code", [(256, "B"), (257, "H")])
 def test_back_holds_ranks_in_the_narrowest_unsigned_ints(longest, code):
-    # b0 lists every man: 256 ranks fit one byte, 257 take two, and
-    # every row of one instance has the same typecode
+    # b0 lists every man: 256 ranks fit one byte, 257 take two
     rng = random.Random(longest)
     men, women = [f"a{i}" for i in range(longest)], [f"b{j}" for j in range(260)]
     pref = {v: [] for v in men + women}
@@ -311,10 +315,12 @@ def test_back_holds_ranks_in_the_narrowest_unsigned_ints(longest, code):
         rng.shuffle(lst)
     inst, reverse = Instance(men, women, pref), Instance(men[::-1], women[::-1], pref)
     for one in (inst, reverse, parse_instance(serialize_instance(inst))):
-        adj, back = one.adj, one.back
-        assert {row.typecode for row in back} == {code}
+        adj, back, first = one.adj, one.back, one.first
+        assert back.typecode == code and len(back) == first[len(one.men)]
         assert all(
-            adj[w][back[m][k]] == m for m in range(len(one.men)) for k, w in enumerate(adj[m])
+            adj[w][back[first[m] + k]] == m
+            for m in range(len(one.men))
+            for k, w in enumerate(adj[m])
         )
     for levels in (1, 2):
         got, again = run(inst, levels=levels), run(reverse, levels=levels)
@@ -341,17 +347,18 @@ def test_back_holds_ranks_in_the_narrowest_unsigned_ints(longest, code):
 PARSE_PEAK_GROWTH = 1.4
 FILE_PARSE_PEAK_GROWTH = 1.15
 
-# What that instance keeps (bytes, tracemalloc): 1.535e6 with `back` in
-# one byte per rank, 1.736e6 with a pointer per rank.
+# What that instance keeps (bytes, tracemalloc): 1.376e6 with `back` one
+# array of a byte per rank, 1.535e6 with an array per man, 1.736e6 with a
+# pointer per rank.
 PARSE_KEPT = 1.6e6
 
 
-def traced(fn, *args):
-    """fn(*args), with the memory it keeps and its peak (tracemalloc)."""
+def traced(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the memory it keeps and its peak (tracemalloc)."""
     gc.collect()
     tracemalloc.start()
     try:
-        result = fn(*args)
+        result = fn(*args, **kwargs)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,6 +382,23 @@ def test_file_parse_peak_stays_near_what_the_instance_keeps(tmp_path):
     assert len(inst.men) == 2000
     assert kept <= PARSE_KEPT, kept
     assert peak <= FILE_PARSE_PEAK_GROWTH * kept, (peak, kept)
+
+
+def test_printing_a_matching_peaks_below_the_engine_run(monkeypatch):
+    # the CLI writes a matching a block of pairs at a time, so printing
+    # one of more pairs than a block holds them neither all nor their
+    # lines: it peaks below the run that found it, by tracemalloc.  Here
+    # a block takes about a third of the run's peak; all the id pairs
+    # held at once, even without their lines, take almost all of it
+    inst = generate_random(12000, 12000, 0.0007, 1)
+    written = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=lambda text: written.append(len(text))))
+    for levels in (1, 2):
+        got, _, engine = traced(run, inst, levels=levels)
+        written.clear()
+        _, _, printing = traced(cli._print_matching, got)
+        assert printing < engine / 2, (printing, engine)
+        assert sum(written) == len(serialize_matching(got)) and len(written) > 1
 
 
 def parsed(parse, *args):
@@ -428,8 +452,9 @@ def test_representation_round_trip(inst):
         for x in inst.pref[v]:
             assert inst.rank[v][x] == inst.pref[v].index(x)
     for m, lst in enumerate(inst.adj[: len(inst.men)]):
-        for w, r in zip(lst, inst.back[m]):
-            assert inst.adj[w][r] == m
+        for k, w in enumerate(lst):
+            assert inst.adj[w][inst.back[inst.first[m] + k]] == m
+    assert len(inst.back) == inst.first[len(inst.men)] == len(inst.edges)
 
 
 def test_induced_subgraph(contested_hub):

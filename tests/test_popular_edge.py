@@ -327,7 +327,9 @@ def test_routes_take_one_byte_per_edge(contested_hub):
     for inst in (contested_hub, parse_instance(blocks_text(3)), parse_instance(cyclic_text(4))):
         first, table = popular_routes(inst)
         assert isinstance(table, bytearray) and len(table) == len(inst.edges)
-        assert first == [sum(map(len, inst.adj[:m])) for m in range(len(inst.men) + 1)]
+        # the instance's own edge offsets, not a copy
+        assert first is inst.first
+        assert list(first) == [sum(map(len, inst.adj[:m])) for m in range(len(inst.men) + 1)]
         assert set(table) <= {0, 1, 2, 3}
 
 

@@ -3,8 +3,8 @@
 The smoke script imports every public name, reads a fixture, an
 instance with 40-entry lists and one declared in reverse from files in
 small blocks, and runs the proposal engine at both levels, the verifiers on
-the matchings it finds, read into vertex numbers, and the rotation poset
-of G'.  On the reversed declaration, whose numbers follow the ids and
+the matchings it finds, written in small blocks and read into vertex
+numbers, and the rotation poset of G'.  On the reversed declaration, whose numbers follow the ids and
 not the declared order, it runs every id-order tie-break too: the
 stability and dominance checks on matchings that fail them, `exists_unstable_popular`, `min_cost_dominant`, the
 listing of G''s stable matchings and `popular_edges`.  Its output under
@@ -42,13 +42,14 @@ from popmatch.rotations import rotation_poset
 print(sys.version_info[:2] >= tuple(map(int, sys.argv[1].split("."))))
 print([type(getattr(popmatch, name)).__name__ for name in popmatch.__all__])
 cli._CHUNK = 7  # blocks shorter than most lines, each decoded to its last line end
+popmatch.instance._BLOCK = 2  # matchings written two pairs a block
 for text in sys.argv[2:]:
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "inst.pref")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         inst = cli._load_instance(path)
-    print(inst == parse_instance(text), inst, inst.back[0][:5])
+    print(inst == parse_instance(text), inst, inst.back[: inst.first[1]][:5])
     for levels in (1, 2):
         found = run(inst, levels=levels)
         print(levels, found.sorted_pairs()[:5], sum(found.level.values()))
