@@ -47,18 +47,16 @@ class LabeledGraph:
     def __init__(self, inst: Instance, mate: List[int], pos: List[int]):
         self.inst, self.mate, self.pos = inst, mate, pos
 
-    def rows(self) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """Per man in number order, which is id order: his number, his
-        G_M neighbours (his partner among them) and the women of his
-        (+,+) edges, both sorted."""
+    def rows(self) -> Iterator[Tuple[int, List[int]]]:
+        """Per man in number order, which is id order: his number and his
+        G_M neighbours but his partner, sorted."""
         inst, pos, back = self.inst, self.pos, self.inst.back
         for x in range(len(inst.men)):
             row, f, k = inst.adj[x], inst.first[x], pos[x]
             # he votes for the first k women and, if matched, holds the
             # next one; beyond that only a woman's vote keeps an edge
             voted = [w for i, w in enumerate(row[k + 1 :], f + k + 1) if back[i] < pos[w]]
-            both = [w for i, w in enumerate(row[:k], f) if back[i] < pos[w]]
-            yield x, sorted(chain(row[: k + 1], voted)), sorted(both)
+            yield x, sorted(chain(row[:k], voted))
 
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
@@ -76,8 +74,10 @@ class LabeledGraph:
 
     @cached_property
     def gm_edges(self) -> frozenset:
-        names = self.inst.names
-        return frozenset((names[x], names[w]) for x, row, _ in self.rows() for w in row)
+        names, mate = self.inst.names, self.mate
+        edges = [(x, w) for x, row in self.rows() for w in row]
+        edges += [(x, w) for x, w in enumerate(mate[: len(self.inst.men)]) if w >= 0]
+        return frozenset((names[x], names[w]) for x, w in edges)
 
 
 def vote(inst: Instance, u: str, x: str, y: Optional[str] = None) -> int:

@@ -26,7 +26,7 @@ d(a), which always takes it, and of his level-1 copy off it.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from .instance import Instance, InstanceError, LevelledMatching, Matching
 
@@ -163,14 +163,22 @@ def dominant_two_level(inst: Instance) -> LevelledMatching:
 def is_stable(inst: Instance, matching: Matching) -> Tuple[bool, Optional[Tuple[str, str]]]:
     """Verdict plus the lexicographically least blocking pair, if any:
     the least by number, which is id order."""
-    adj, back, first, names = inst.adj, inst.back, inst.first, inst.names
-    pos = inst.mates(matching)[1]
+    for m, blocking in _blocking(inst, inst.mates(matching)[1]):
+        return False, (inst.names[m], inst.names[min(blocking)])
+    return True, None
+
+
+def _blocking(inst: Instance, pos: List[int]) -> Iterator[Tuple[int, List[int]]]:
+    """The blocking pairs of the matching whose partner ranks are `pos`
+    (`Instance.mates`), read as far as asked: each man who is in one, in
+    number order, and the women he blocks with, in his list's order.
+    A blocking pair is exactly a (+,+) edge, which `verify` lists here."""
+    adj, back, first = inst.adj, inst.back, inst.first
     for m in range(len(inst.men)):
         # an unmatched woman's position is her list length, below every man
         blocking = [w for i, w in enumerate(adj[m][: pos[m]], first[m]) if back[i] < pos[w]]
         if blocking:
-            return False, (names[m], names[min(blocking)])
-    return True, None
+            yield m, blocking
 
 
 def forced(

@@ -36,7 +36,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate, chain, islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 
@@ -283,17 +283,23 @@ class Instance:
         pos = list(map(len, self.adj))
         back, first = self.back, self.first
         for line, m, w in pairs:
-            s = self.slot(m, w)
-            if s is None:
-                raise _error(f"pair ({m},{w}) is not an edge of the instance", line)
-            i, j, k = s
-            if mate[i] >= 0:
-                raise _error(f"vertex {m!r} matched twice", line)
-            if mate[j] >= 0:
-                raise _error(f"vertex {w!r} matched twice", line)
+            i, j, k = self._pair(m, w, mate, line)
             mate[i], mate[j] = j, i
             pos[i], pos[j] = k, back[first[i] + k]
         return mate, pos
+
+    def _pair(self, m: str, w: str, mate: List[int], line: Optional[int]) -> Tuple[int, int, int]:
+        """`slot(m, w)` of a pair whose ends `mate` leaves unmatched;
+        else the error `_error` gives for line: not an edge, or a
+        vertex matched twice."""
+        s = self.slot(m, w)
+        if s is None:
+            raise _error(f"pair ({m},{w}) is not an edge of the instance", line)
+        if mate[s[0]] >= 0:
+            raise _error(f"vertex {m!r} matched twice", line)
+        if mate[s[1]] >= 0:
+            raise _error(f"vertex {w!r} matched twice", line)
+        return s
 
     def has_edge(self, m: str, w: str) -> bool:
         """True if (m, w) is an edge with m a man."""
@@ -367,7 +373,7 @@ class Matching:
         return u in self._partner
 
     def sorted_pairs(self) -> tuple:
-        # not tuple(self), which asks `len`: a LevelledMatching builds `pairs` for it
+        # not tuple(self), which asks `len`: a second pass over a LevelledMatching
         return tuple(iter(self))
 
     def __contains__(self, pair: tuple) -> bool:
@@ -401,9 +407,9 @@ class LevelledMatching(Matching):
     floored run wrote over the kept lists (`gale_shapley._floored`):
     then the lists are built on first read, and until then the matching
     holds only the entries the run changed.  Iterating it, and so
-    `sorted_pairs`, reads the numbers; the views by id, `pairs`,
-    `partner_of`, `len` and `level` (man -> level, the men in declared
-    order), are built on first read.
+    `sorted_pairs`, and `len` read the numbers; the views by id, `pairs`,
+    `partner_of` and `level` (man -> level, the men in declared order),
+    are built on first read.
     It equals, and hashes as, the Matching of its pairs, whatever its
     levels, and the hash is read off the numbers.  Two matchings bound
     to the same instance compare their positions, which builds no view
@@ -455,6 +461,10 @@ class LevelledMatching(Matching):
 
     __hash__ = Matching.__hash__
 
+    def __len__(self) -> int:
+        """The number of pairs, counted off the positions: no view built."""
+        return sum(map(lt, self._pos(), map(len, self.inst.adj)))
+
     def __iter__(self) -> Iterator[tuple]:
         """The pairs, the men in number order, which is id order."""
         names, adj = self.inst.names, self.inst.adj
@@ -470,15 +480,20 @@ def _merged(overlay: dict) -> List[int]:
     return got
 
 
-def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
-    """(line number, stripped line) for each line of source that is
-    neither blank nor a '#' comment: the one record loop of the instance,
-    matching and cost formats.  source is the text, or its lines as
-    `str.splitlines` gives them; a text's lines are let go as read."""
+def _lines(source: Union[str, Iterable[str]]) -> Iterable[str]:
+    """The lines of source, the text or its lines as `str.splitlines`
+    gives them; a text's lines are let go as read."""
     if isinstance(source, str):
         lines = source.splitlines()[::-1]
-        source = (lines.pop() for _ in range(len(lines)))
-    for lineno, raw in enumerate(source, 1):
+        return (lines.pop() for _ in range(len(lines)))
+    return source
+
+
+def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
+    """(line number, stripped line) for each line of source (`_lines`)
+    that is neither blank nor a '#' comment: the record loop of the
+    instance and cost formats, which `parse_matching` reads as it does."""
+    for lineno, raw in enumerate(_lines(source), 1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -540,17 +555,29 @@ def serialize_instance(inst: Instance) -> str:
 def parse_matching(source: Union[str, Iterable[str]], inst: Instance) -> LevelledMatching:
     """Parse one '<man> <woman>' pair per line, the text or its lines as
     `str.splitlines` gives them, straight into a matching numbered on
-    inst, at level 0.  A ParseError names the first faulty line."""
+    inst, at level 0.  A ParseError names the first faulty line.
 
-    def pairs() -> Iterator[Tuple[int, str, str]]:
-        for lineno, line in _records(source):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected '<man> <woman>'", lineno)
-            yield lineno, *parts
-
-    n = len(inst.men)
-    return LevelledMatching(inst, inst._number(pairs())[1][:n], [0] * n)
+    A pair's line is read with one split, two lookups of an id and one
+    search of the man's list; only a fault goes on to `Instance._pair`,
+    which names it as `Instance.mates` does."""
+    get, adj, n = inst.index.get, inst.adj, len(inst.men)
+    mate = [-1] * len(adj)
+    pos = list(map(len, adj[:n]))
+    for lineno, raw in enumerate(_lines(source), 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":  # as `_records` skips it
+            continue
+        if len(parts) != 2:
+            raise ParseError("expected '<man> <woman>'", lineno)
+        i, j = get(parts[0], n), get(parts[1])
+        try:
+            k = adj[i].index(j) if i < n else -1
+        except ValueError:
+            k = -1
+        if k < 0 or mate[i] >= 0 or mate[j] >= 0:
+            i, j, k = inst._pair(*parts, mate, lineno)  # raises the line's fault
+        mate[i], mate[j], pos[i] = j, i, k
+    return LevelledMatching(inst, pos, [0] * n)
 
 
 def serialize_matching(matching: Matching) -> str:

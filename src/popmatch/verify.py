@@ -6,27 +6,41 @@ for each non-matching G_M edge (x, y) whose y is matched; no arc joins
 the men's part to the women's.  A matching is unpopular (Huang and
 Kavitha) exactly when some (+,+) edge sits on an alternating path from
 an unmatched vertex, on an alternating cycle, or on an alternating path
-with a second (+,+) edge.  The first condition is one search from the
-unmatched vertices.  For the other two, mark the arcs of (+,+) edges in
-the men's part: a marked arc inside a strongly connected component
-closes a cycle, and a marked head that reaches another marked tail
-gives a two-edge path.  The check takes O(|V| + |E|) time, nothing in
-it recurses, and witnesses are reported in that order.  Dominance also
-requires the absence of an augmenting path, and the partition is the
-closure of the blocking edges (and optionally the unmatched vertices)
-under the same arcs.  Every negative verdict carries a replayable
+with a second (+,+) edge.  A (+,+) edge is a blocking pair, so every
+check starts from the blocking-pair scan of `gale_shapley.is_stable`:
+with no (+,+) edge the matching is popular, as every stable matching
+is, and an edge with an unmatched end is a witness by itself.  The
+first condition is then a search from the unmatched vertices, one per
+side.  For the other two, mark the arcs of (+,+) edges in the men's
+part: a marked arc inside a strongly connected component closes a
+cycle, and a marked head that reaches another marked tail gives a
+two-edge path, found by one search of the women's part, which is the
+men's reversed.  Dominance also requires the absence of an augmenting
+path: no man reached from the unmatched men has an unmatched
+neighbour.  The partition is the closure of the blocking edges (and
+optionally the unmatched vertices) under the same arcs.  The check
+takes O(|V| + |E|) time, nothing in it recurses, and witnesses are
+reported in that order.  Every negative verdict carries a replayable
 certificate.
 
 Vertices are numbered in id order (`Instance`), and every search and
 tie-break here follows the numbers, so a certificate, like the
 verdict, is a function of the ids, not of the order they are declared.
 
-The digraph is held flat, in vertex numbers: one list of arcs with an
-offset per vertex, the (+,+) edges as number pairs, named only when a
-certificate is built, and the search state in lists of ints (Tarjan's
+A check builds only what its answer reads, and each search stops once
+its answer is fixed.  An unmatched vertex votes for every edge, so its
+arcs, the partners of its matched neighbours, are read off its list.
+The matched men's arcs are laid out in one labelling pass when a
+search first reads one.  The matched women's are the men's reversed
+under M: woman w has an arc to M(x) for each tail x of an arc into
+M(w).  One counting sort of the men's arcs lays them out when a search
+first reads one.  Each half is flat, one list of arcs with an offset
+per vertex.  The (+,+) edges are number pairs, named only when a
+certificate is built, and the search state is lists of ints (Tarjan's
 frames keep a vertex and an arc index).  Beside the instance, a check
-holds O(|V|) ints and one int per arc; a matching numbered on the
-instance, as `parse_matching` reads one, is never named.
+holds O(|V|) ints and one int per arc of each half it builds; a
+matching numbered on the instance, as `parse_matching` reads one, is
+never named.
 """
 
 from __future__ import annotations
@@ -34,9 +48,10 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .elections import LabeledGraph, label_edges
+from .gale_shapley import _blocking
 from .instance import Instance, Matching
 
 Edge = Tuple[str, str]
@@ -66,24 +81,43 @@ class Partition(NamedTuple):
     b1: FrozenSet[str]
 
 
-def _bfs(
-    arcs: List[int], start: Sequence[int], sources: Iterable[int]
-) -> Tuple[List[int], List[int]]:
-    """Parent pointers of a BFS over a digraph whose arcs out of v are
-    arcs[start[v]:start[v + 1]] (-1 at a source, -2 where unreached) and
-    the order it visited vertices in."""
-    parent = [-2] * (len(start) - 1)
-    queue = []
-    for s in sources:
-        if parent[s] == -2:
-            parent[s] = -1
-            queue.append(s)
-    for v in queue:
-        for w in arcs[start[v] : start[v + 1]]:
-            if parent[w] == -2:
-                parent[w] = v
-                queue.append(w)
-    return parent, queue
+class _Search:
+    """A breadth-first search of the digraph of `g` from `sources`, run
+    only as far as it is read.  Iterating it yields the vertices in the
+    order the search visits them, each before its arcs are read, from
+    the first on, and reads on where an earlier iteration stopped.
+    parent[v] is the vertex v was found from: -1 at a source, -2 while
+    v is unfound; searches of the two sides can share one list."""
+
+    def __init__(self, g: "_Graph", sources: Iterable[int], parent: Optional[List[int]] = None):
+        self.out = g.out
+        self.parent = parent = [-2] * len(g.mate) if parent is None else parent
+        self.queue = queue = []
+        for s in sources:
+            if parent[s] == -2:
+                parent[s] = -1
+                queue.append(s)
+        self.expanded = 0  # the vertices whose arcs are read
+
+    def __iter__(self) -> Iterator[int]:
+        queue, parent, out = self.queue, self.parent, self.out
+        for i, v in enumerate(queue):  # the queue grows as it is read
+            yield v
+            if i == self.expanded:
+                self.expanded += 1
+                for w in out(v):
+                    if parent[w] == -2:
+                        parent[w] = v
+                        queue.append(w)
+
+    def finds(self, v: int) -> bool:
+        """Whether the search reaches v, read on until it does."""
+        parent = self.parent
+        if parent[v] == -2 and self.expanded < len(self.queue):
+            for _ in self:
+                if parent[v] != -2:
+                    break
+        return parent[v] != -2
 
 
 def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
@@ -134,79 +168,82 @@ def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
     return comp
 
 
-def _reverse(arcs: List[int], start: Sequence[int], size: int) -> Tuple[List[int], Sequence[int]]:
-    """The arcs among the first `size` vertices reversed, as (arcs,
-    start) again; the arcs into a vertex keep the order of their tails."""
-    offsets = [0] * (size + 1)
-    for y in arcs[: start[size]]:
-        offsets[y + 1] += 1
-    offsets = array("q", accumulate(offsets))
-    tails = [0] * offsets[-1]
-    free = offsets[:size]  # the next slot of each vertex
-    for x in range(size):
-        for y in arcs[start[x] : start[x + 1]]:
-            tails[free[y]] = x
-            free[y] += 1
-    return tails, offsets
-
-
 class _Graph:
-    """The alternating digraph of a matching, in flat arrays.
+    """The alternating digraph of a matching, each half built when a
+    search first reads it.
 
     Vertices are numbered as in `Instance`, the men first; mate[v] is
-    v's partner or -1.  The arcs out of v are arcs[start[v]:start[v + 1]]:
-    M(y) for each non-matching G_M edge (x, y) whose y is matched, in the
-    order of y; the offsets are an array of machine ints, with no int
-    object apiece.  pp holds the (+,+) edges as (man, woman) numbers,
-    sorted; they are named only in a certificate.  An unmatched woman
-    votes for every edge, so a man's unmatched neighbours, all in G_M,
-    are read off his list.
-
-    One pass of `LabeledGraph.rows` over the men lays out their arcs
-    and lists each matched man's other G_M women; a counting sort of
-    those lists, the men taken in order, lays out the women's."""
+    v's partner or -1.  `out(v)` gives the arcs out of v: M(y) for each
+    non-matching G_M edge (v, y) whose y is matched, in the order of y.
+    An unmatched vertex's are read off its list.  `men` and `women` hold
+    the matched vertices' as (arcs, start), the arcs out of v being
+    arcs[start[v]:start[v + 1]] and the offsets an array of machine
+    ints, with no int object apiece: `men` is one pass of
+    `LabeledGraph.rows`, and `women` its transpose under M, one counting
+    sort of it.  pp holds the (+,+) edges as (man, woman) numbers,
+    sorted, from the blocking-pair scan; they are named only in a
+    certificate."""
 
     def __init__(self, labeled: LabeledGraph):
         inst = labeled.inst
+        self.labeled = labeled
         self.names, self.adj, self.n_men = inst.names, inst.adj, len(inst.men)
-        self.mate = mate = labeled.mate
-        n, size = self.n_men, len(mate)
+        self.mate = labeled.mate
+        self.pp = [(x, w) for x, row in _blocking(inst, labeled.pos) for w in sorted(row)]
+
+    @cached_property
+    def men(self) -> Tuple[List[int], Sequence[int]]:
+        mate = self.mate
         arcs: List[int] = []
-        start = array("q", [0]) * (size + 1)
-        pp: List[Tuple[int, int]] = []
-        # per matched man, his G_M women but his partner: a woman's arcs
-        others: List[int] = []
-        ends = array("q", [0]) * (n + 1)
-        for x, row, both in labeled.rows():
-            y = mate[x]
-            arcs += [mate[w] for w in row if w != y and mate[w] >= 0]
+        start = array("q", [0]) * (self.n_men + 1)
+        for x, row in self.labeled.rows():
+            if mate[x] >= 0:
+                arcs += [mate[w] for w in row if mate[w] >= 0]
             start[x + 1] = len(arcs)
-            if y >= 0:
-                others += [w for w in row if w != y]
-            ends[x + 1] = len(others)
-            pp += [(x, w) for w in both]
-        fan = [0] * size
-        for w in others:
-            fan[w] += 1
-        start[n:] = array("q", accumulate(fan[n:], initial=start[n]))
-        arcs += [0] * (start[size] - start[n])
-        free = start[:size]  # the next slot of each woman
+        return arcs, start
+
+    @cached_property
+    def women(self) -> Tuple[List[int], Sequence[int]]:
+        # woman w has an arc to M(x) for each arc x -> M(w) of the men's
+        # half, in x order: as many arcs as M(w) has coming in
+        arcs, start = self.men
+        mate, n = self.mate, self.n_men
+        fan = [0] * n
+        for a in arcs:
+            fan[a] += 1
+        offsets = array("q", [0]) * (len(mate) + 1)
+        offsets[n:] = array("q", accumulate([fan[m] if m >= 0 else 0 for m in mate[n:]], initial=0))
+        heads = [0] * len(arcs)
+        free = [offsets[w] if w >= 0 else 0 for w in mate[:n]]  # the next slot of M(a), by a
         for x in range(n):
             y = mate[x]
-            for w in others[ends[x] : ends[x + 1]]:
-                arcs[free[w]] = y
-                free[w] += 1
-        self.arcs, self.start, self.pp = arcs, start, pp
+            for a in arcs[start[x] : start[x + 1]]:
+                heads[free[a]] = y
+                free[a] += 1
+        return heads, offsets
+
+    def out(self, v: int) -> List[int]:
+        mate = self.mate
+        if mate[v] < 0:
+            return [mate[y] for y in sorted(self.adj[v]) if mate[y] >= 0]
+        arcs, start = self.men if v < self.n_men else self.women
+        return arcs[start[v] : start[v + 1]]
+
+    @cached_property
+    def reach(self) -> Tuple[_Search, _Search]:
+        """The searches from the unmatched men and from the unmatched
+        women.  No arc joins the sides, so together they are the search
+        from every unmatched vertex: the same parents, and each side
+        visited in the same order."""
+        free = [v for v, p in enumerate(self.mate) if p < 0]
+        n, parent = self.n_men, [-2] * len(self.mate)
+        men = _Search(self, [v for v in free if v < n], parent)
+        return men, _Search(self, [v for v in free if v >= n], parent)
 
     def unmatched(self, x: int) -> List[int]:
         """Man x's unmatched neighbours, in his list's order."""
         mate = self.mate
         return [w for w in self.adj[x] if mate[w] < 0]
-
-    @cached_property
-    def reach(self) -> Tuple[List[int], List[int]]:
-        """`_bfs` from every unmatched vertex."""
-        return _bfs(self.arcs, self.start, [v for v, p in enumerate(self.mate) if p < 0])
 
     def edge(self, e: Tuple[int, int]) -> Edge:
         return self.names[e[0]], self.names[e[1]]
@@ -220,7 +257,7 @@ class _Graph:
         return tuple(out)
 
     def path(self, parent: List[int], v: int) -> Tuple[str, ...]:
-        """The alternating path from a BFS source to v."""
+        """The alternating path from a search's source to v."""
         ids = [v]
         while parent[ids[-1]] >= 0:
             ids.append(parent[ids[-1]])
@@ -238,12 +275,14 @@ def _violation(g: _Graph) -> Optional[Certificate]:
             if mate[x] < 0:
                 return Certificate("pp-path-from-unmatched", (names[x], names[y]), (g.edge(e),))
 
-    parent = g.reach[0]
+    # The first (+,+) edge with an end reached from an unmatched vertex,
+    # its man first: each side's search stops at the first edge's end or
+    # runs to its own end.
     for e in g.pp:
-        for x, y in (e, e[::-1]):
-            if parent[x] == -2:
+        for search, (x, y) in zip(g.reach, (e, e[::-1])):
+            if not search.finds(x):
                 continue
-            chain, y = g.path(parent, x), names[y]
+            chain, y = g.path(search.parent, x), names[y]
             if y in chain:
                 # the walk closes on itself: the suffix from y is an
                 # alternating cycle through the (+,+) edge
@@ -252,28 +291,32 @@ def _violation(g: _Graph) -> Optional[Certificate]:
             return Certificate("pp-path-from-unmatched", chain + (y,), (g.edge(e),))
 
     # Every (+,+) edge now has both ends matched and marks the arc
-    # a -> M(b) of the men's part; the woman an arc crosses is the
+    # a -> M(b) of the men's half; the woman an arc crosses is the
     # partner of its head.
-    arcs, start, n = g.arcs, g.start, g.n_men
-    comp = _components(arcs, start, n)
+    arcs, start = g.men
+    comp = _components(arcs, start, g.n_men)
     for e in g.pp:
         if comp[e[0]] == comp[mate[e[1]]]:
             # Every path from M(b) to a stays inside their component.
-            cycle = g.path(_bfs(arcs, start, [mate[e[1]]])[0], e[0])
+            search = _Search(g, [mate[e[1]]])
+            search.finds(e[0])
             b = names[e[1]]
-            return Certificate("pp-cycle", (b,) + cycle + (b,), (g.edge(e),))
+            return Certificate("pp-cycle", (b,) + g.path(search.parent, e[0]) + (b,), (g.edge(e),))
 
     # No marked arc lies on a cycle, so a head never reaches its own
-    # tail and every path found below is simple.
+    # tail and every path found below is simple.  A man reaches a marked
+    # tail x in the men's half iff his partner is reached from M(x) in
+    # the women's, its transpose under M.
     first_pp: Dict[int, Tuple[int, int]] = {}
     for e in g.pp:
         first_pp.setdefault(e[0], e)
-    toward = _bfs(*_reverse(arcs, start, n), first_pp)[0]
+    toward = _Search(g, [mate[x] for x in first_pp])
     for e in g.pp:
-        if toward[mate[e[1]]] != -2:
-            ids = [mate[e[1]]]
-            while toward[ids[-1]] != -1:
-                ids.append(toward[ids[-1]])
+        if toward.finds(e[1]):
+            ids = [e[1]]
+            while toward.parent[ids[-1]] != -1:
+                ids.append(toward.parent[ids[-1]])
+            ids = [mate[w] for w in ids]  # M(b) to the marked tail
             first, second = g.edge(e), g.edge(first_pp[ids[-1]])
             return Certificate("two-pp-path", first + g.walk(ids) + second[1:], (first, second))
     return None
@@ -282,23 +325,21 @@ def _violation(g: _Graph) -> Optional[Certificate]:
 def _dominance_violation(g: _Graph) -> Optional[Certificate]:
     """The certificate `is_dominant` reports, or None if the matching is
     dominant: a popularity violation, else an augmenting path from the
-    first man in BFS order with an unmatched neighbour, to the first of
-    them in id order."""
+    first man, in the order of the search from the unmatched men, with
+    an unmatched neighbour, to the first of them in id order."""
     cert = _violation(g)
     if cert is not None:
         return cert
-    parent, order = g.reach
-    for x in order:
-        if x < g.n_men:
-            free = g.unmatched(x)
-            if free:
-                w = min(free)
-                return Certificate("augmenting-path", g.path(parent, x) + (g.names[w],))
+    search = g.reach[0]
+    for x in search:
+        free = g.unmatched(x)
+        if free:
+            return Certificate("augmenting-path", g.path(search.parent, x) + (g.names[min(free)],))
     return None
 
 
 def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
-    """One `_bfs` from the seeds: a1 and b0 are the men and women it
+    """One search from the seeds: a1 and b0 are the men and women it
     reaches, and a0 and b1 the (+,+) edges' ends and the partners of
     what it reaches."""
     names, mate = g.names, g.mate
@@ -309,7 +350,10 @@ def _partition(g: _Graph, seed_unmatched: bool) -> Partition:
     b1 = {names[z] for _, z in g.pp}
     a1: Set[str] = set()
     b0: Set[str] = set()
-    for v, p in enumerate(_bfs(g.arcs, g.start, [v for v in sources if v >= 0])[0]):
+    search = _Search(g, [v for v in sources if v >= 0])
+    for _ in search:  # to its end
+        pass
+    for v, p in enumerate(search.parent):
         if p != -2:
             (a1 if v < g.n_men else b0).add(names[v])
             if mate[v] >= 0:

@@ -274,7 +274,7 @@ def reversed_declaration_cases():
 
 
 def alternating_rows(inst, matching):
-    """What `verify._Graph` holds, by name from `inst.pref` and
+    """What `verify._Graph` reads, by name from `inst.pref` and
     `inst.rank` alone: per vertex x, M(y) for each non-matching G_M edge
     (x, y) whose y is matched, in the name order of y; per man, his
     unmatched neighbours in name order; and the (+,+) edges sorted."""

@@ -494,6 +494,23 @@ def test_witnesses_build_their_positions_on_first_read(monkeypatch, small_ensemb
     assert checked > 300
 
 
+def test_len_of_a_witness_builds_no_view(small_ensemble):
+    # `len` counts the positions: a fresh witness, overlays and all,
+    # keeps its views by id unbuilt
+    counted = 0
+    for inst, _ in small_ensemble:
+        inst = parse_instance(serialize_instance(inst))
+        for e in sorted(inst.edges):
+            w = popular_edge(inst, e)
+            if w is None:
+                continue
+            size = len(w)
+            assert _unset(w, "pairs") and _unset(w, "_partner"), e
+            assert size == len(Matching(w.sorted_pairs())), e
+            counted += 1
+    assert counted > 100
+
+
 def _count_overlay_entries(monkeypatch):
     """The overlay entries each floored run writes, listed per run."""
     written = []

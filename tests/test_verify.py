@@ -1,6 +1,7 @@
 import gc
 import time
 import tracemalloc
+from functools import cached_property
 
 import pytest
 
@@ -158,19 +159,52 @@ def test_decompose_and_inverse_map_label_once(small_ensemble, monkeypatch):
 
 
 def test_alternating_rows_follow_names(small_ensemble):
-    # the flat graph's rows, and the (+,+) list, are in name order, also
-    # where it differs from vertex order; a man's unmatched neighbours
-    # are read off his list
+    # every vertex's arcs, and the (+,+) list, are in name order, also
+    # where it differs from vertex order: a matched man's from the men's
+    # half, a matched woman's from its transpose and an unmatched
+    # vertex's off its list; a man's unmatched neighbours are read off
+    # his list too
     cases = [(inst, m) for inst, report in small_ensemble for m in report.family]
     for inst, m in cases + list(reversed_declaration_cases()):
         g = _Graph(label_edges(inst, m))
-        names = inst.names
+        names, n = inst.names, len(inst.men)
         succ, free, pp = alternating_rows(inst, m)
-        rows = {v: g.arcs[g.start[v] : g.start[v + 1]] for v in range(len(names))}
-        assert {names[v]: [names[y] for y in row] for v, row in rows.items()} == succ
-        men = names[: len(inst.men)]
+        rows = {}
+        for v, p in enumerate(g.mate):
+            arcs, start = g.men if v < n else g.women
+            held = arcs[start[v] : start[v + 1]]
+            assert held == (g.out(v) if p >= 0 else [])
+            rows[names[v]] = [names[y] for y in g.out(v)]
+        assert rows == succ
+        men = names[:n]
         assert {a: sorted(names[w] for w in g.unmatched(x)) for x, a in enumerate(men)} == free
         assert [g.edge(e) for e in g.pp] == pp
+
+
+def _count_halves(monkeypatch):
+    """How often each half of `_Graph` is built, from here on."""
+    built = {"men": 0, "women": 0}
+    for name in built:
+
+        def counting(g, build=getattr(_Graph, name).func, name=name):
+            built[name] += 1
+            return build(g)
+
+        half = cached_property(counting)
+        half.__set_name__(_Graph, name)
+        monkeypatch.setattr(_Graph, name, half)
+    return built
+
+
+def test_stable_matchings_are_popular_without_a_digraph(small_ensemble, acceptance, monkeypatch):
+    # a stable matching has no (+,+) edge, which the blocking-pair scan
+    # finds before any half is built
+    built = _count_halves(monkeypatch)
+    cases = [(inst, m) for inst, report in small_ensemble for m in report.stable_set()]
+    big = acceptance[0]
+    for inst, m in cases + [(big, run(big))]:
+        assert is_popular(inst, m) == (True, None)
+    assert len(cases) > 40 and built == {"men": 0, "women": 0}
 
 
 def test_is_popular_examples(contested_hub):
@@ -324,10 +358,15 @@ def acceptance():
     return inst, dominant_two_level(inst)
 
 
+# The certificate `is_dominant` gives for the acceptance instance's
+# stable matching: an augmenting path in the pruned subgraph.
+STABLE_AUGMENTING_PATH = Certificate("augmenting-path", ("a1020", "b1058", "a2433", "b4371"))
+
+
 # The most memory (MB, tracemalloc) `is_dominant` may take above the
 # instance and matching on the acceptance instance's dominant matching:
-# the flat alternating digraph peaks at 3.9, where one list per vertex
-# peaked at 7.1.
+# the two flat halves of the alternating digraph peak at 3.8, where one
+# list per vertex peaked at 7.1.
 VERIFY_PEAK_MB = 5.0
 
 
@@ -381,10 +420,22 @@ def test_verify_at_scale(acceptance):
     assert cert == Certificate("pp-cycle", tuple(cycle.split()), (("a1000", "b7342"),))
     stable = run(inst)
     ok, cert = is_dominant(inst, stable)
-    assert (ok, cert) == (
-        False, Certificate("augmenting-path", ("a1020", "b1058", "a2433", "b4371"))
-    )
+    assert (ok, cert) == (False, STABLE_AUGMENTING_PATH)
     assert_certificate_replays(inst, stable, cert)
+
+
+def test_verify_at_scale_builds_what_its_answer_reads(acceptance, monkeypatch):
+    # the stable matching has no (+,+) edge, and the search from the
+    # unmatched men stops at its first man with an unmatched neighbour
+    # before reading a matched vertex's arcs; the full check of the
+    # dominant matching reads both halves, the women's for the two-edge
+    # paths, and builds each once
+    inst, dom = acceptance
+    built = _count_halves(monkeypatch)
+    assert is_dominant(inst, run(inst)) == (False, STABLE_AUGMENTING_PATH)
+    assert built == {"men": 0, "women": 0}
+    assert is_dominant(inst, dom) == (True, None)
+    assert built == {"men": 1, "women": 1}
 
 
 @pytest.mark.parametrize("pair", [("a1", "b9"), ("a2", "b2"), ("b1", "a1")])
