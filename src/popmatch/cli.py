@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .instance import (
     MAX_LISTED,
@@ -87,16 +87,31 @@ def _load_instance(path: str) -> Instance:
     return _parse_file(path, parse_instance)
 
 
-def _print_matching(matching: Matching) -> None:
-    # a write per block: unbuffered, each write is a system call
-    blocks = _blocks(matching)
-    sys.stdout.write(next(blocks, "{}\n"))
-    for block in blocks:
-        sys.stdout.write(block)
-
-
-def _matching_line(matching: Matching) -> str:
-    return " ".join(f"{m},{w}" for m, w in matching.sorted_pairs()) or "{}"
+def _emit(as_json: bool, fields: dict, text: Iterable = ()) -> None:
+    """Write a command's answer: `fields` as one JSON object, each
+    Matching in it as its sorted pairs, or else `text`, whose items are
+    lines and matchings.  A matching goes out one `serialize_matching`
+    block per write, "{}" if it is empty, and the lines between two
+    matchings in one write: unbuffered, each write is a system call."""
+    write = sys.stdout.write
+    if as_json:
+        write(json.dumps(fields, default=Matching.sorted_pairs))
+        write("\n")
+        return
+    lines = []
+    for item in text:
+        if not isinstance(item, Matching):
+            lines.append(f"{item}\n")
+            continue
+        if lines:
+            write("".join(lines))
+            lines.clear()
+        blocks = _blocks(item)
+        write(next(blocks, "{}\n"))
+        for block in blocks:
+            write(block)
+    if lines:
+        write("".join(lines))
 
 
 def _parse_edge(text: str) -> Tuple[str, str]:
@@ -126,10 +141,7 @@ def _cmd_solve(args) -> int:
     from . import gale_shapley
 
     result = gale_shapley.run(inst, levels=1 + (args.property == "dominant"))
-    if args.json:
-        print(json.dumps({"matching": result.sorted_pairs()}))
-    else:
-        _print_matching(result)
+    _emit(args.json, {"matching": result}, [result])
     return 0
 
 
@@ -148,12 +160,10 @@ def _cmd_verify(args) -> int:
         ok, cert = verify.is_popular(inst, matching)
     else:
         ok, cert = verify.is_dominant(inst, matching)
-    if args.json:
-        print(json.dumps({"verdict": ok, "certificate": cert and cert._asdict()}))
-    else:
-        print("true" if ok else "false")
-        if cert is not None:
-            print(f"certificate: {cert.kind} " + " ".join(cert.path))
+    lines = ["true" if ok else "false"]
+    if cert is not None:
+        lines.append(f"certificate: {cert.kind} " + " ".join(cert.path))
+    _emit(args.json, {"verdict": ok, "certificate": cert and cert._asdict()}, lines)
     return 0 if ok else 1
 
 
@@ -168,16 +178,11 @@ def _cmd_popular_edge(args) -> int:
     result = stable_with_edge(inst, edge)
     if result is None:
         result = dominant_with_edge(inst, edge)
-    if args.json:
-        out = {"found": result is not None}
-        if result is not None:
-            out["matching"] = result.sorted_pairs()
-        print(json.dumps(out))
-    elif result is None:
-        print("no popular matching contains this edge")
-    else:
-        _print_matching(result)
-    return 0 if result is not None else 1
+    if result is None:
+        _emit(args.json, {"found": False}, ["no popular matching contains this edge"])
+        return 1
+    _emit(args.json, {"found": True, "matching": result}, [result])
+    return 0
 
 
 def _cmd_popular_vs_stable(args) -> int:
@@ -185,19 +190,13 @@ def _cmd_popular_vs_stable(args) -> int:
 
     inst = _load_instance(args.instance)
     found = exists_unstable_popular(inst)
-    if args.json:
-        out = {"all_stable": found is None}
-        if found is not None:
-            out["matching"] = found[0].sorted_pairs()
-            out["blocking_pair"] = found[1]
-        print(json.dumps(out))
-    elif found is None:
-        print("all popular matchings are stable")
-    else:
-        matching, pair = found
-        _print_matching(matching)
-        print(f"blocking pair: {pair[0]} {pair[1]}")
-    return 0 if found is None else 1
+    if found is None:
+        _emit(args.json, {"all_stable": True}, ["all popular matchings are stable"])
+        return 0
+    matching, pair = found
+    fields = {"all_stable": False, "matching": matching, "blocking_pair": pair}
+    _emit(args.json, fields, [matching, "blocking pair: " + " ".join(pair)])
+    return 1
 
 
 def _cmd_min_cost(args) -> int:
@@ -212,24 +211,16 @@ def _cmd_min_cost(args) -> int:
         decimal = "inf" if total > 0 else "-inf"
     try:
         # Python refuses to print an int of more digits than
-        # sys.get_int_max_str_digits(), so format before printing.
-        if args.json:
-            cost = {
-                "numerator": total.numerator,
-                "denominator": total.denominator,
-                "decimal": decimal,
-            }
-            out = json.dumps({"matching": matching.sorted_pairs(), "cost": cost})
-        else:
-            out = f"cost: {total} ({decimal})"
+        # sys.get_int_max_str_digits(), so format before printing: the
+        # line holds the numerator and denominator the JSON does
+        line = f"cost: {total} ({decimal})"
     except ValueError:
         raise InstanceError(
             f"the total cost has more than {sys.get_int_max_str_digits()} "
             "digits, too many to print"
         )
-    if not args.json:
-        _print_matching(matching)
-    print(out)
+    cost = {"numerator": total.numerator, "denominator": total.denominator, "decimal": decimal}
+    _emit(args.json, {"matching": matching, "cost": cost}, [matching, line])
     return 0
 
 
@@ -239,10 +230,7 @@ def _cmd_enumerate(args) -> int:
         from .rotations import popular_edges
 
         edges = sorted(popular_edges(inst))
-        if args.json:
-            print(json.dumps({"edges": edges}))
-        else:
-            sys.stdout.write("".join(f"{m} {w}\n" for m, w in edges))
+        _emit(args.json, {"edges": edges}, (f"{m} {w}" for m, w in edges))
         return 0
     if args.what in ("stable", "dominant"):
         from .rotations import rotation_poset
@@ -257,10 +245,9 @@ def _cmd_enumerate(args) -> int:
             from .verify import is_popular
 
             family = [m for m in family if is_popular(inst, m)[0]]
-    if args.json:
-        print(json.dumps({"matchings": [m.sorted_pairs() for m in family]}))
-    else:
-        sys.stdout.write("".join(f"{_matching_line(m)}\n" for m in family))
+    # one line a matching, "{}" for the empty one
+    lines = (" ".join(f"{m},{w}" for m, w in matching) or "{}" for matching in family)
+    _emit(args.json, {"matchings": family}, lines)
     return 0
 
 
@@ -272,17 +259,13 @@ def _cmd_gen(args) -> int:
     text = serialize_instance(inst)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "written": args.output,
-                    "men": len(inst.men),
-                    "women": len(inst.women),
-                    "edges": inst.first[len(inst.men)],
-                }
-            )
-        )
+    fields = {
+        "written": args.output,
+        "men": len(inst.men),
+        "women": len(inst.women),
+        "edges": inst.first[len(inst.men)],
+    }
+    _emit(args.json, fields)
     return 0
 
 

@@ -52,17 +52,30 @@ def run(
     """
     if not floors:
         return LevelledMatching(inst, *_propose(inst, levels)[3:])
-    if levels not in (1, 2):
-        raise ValueError(f"levels must be 1 or 2, got {levels!r}")
-    held = []  # the floors by number, as `_floored` takes them
+    held = _held(inst, floors, levels, "acceptance floor ({},{}) is not an edge")
+    return _floored(inst, held, levels)
+
+
+def _held(
+    inst: Instance, floors: Mapping[str, Tuple[str, int]], levels: int, not_edge: str
+) -> List[Tuple[int, int, int]]:
+    """`floors` by number, as `_floored` takes them, each floor's edge
+    looked up once.  An InstanceError names the first floor that is not
+    an edge (`not_edge` formatted with its man and woman), then a
+    ValueError a `levels` other than 1 or 2, then one a floor's level
+    not below it."""
+    held = []
     for w, (m, lvl) in floors.items():
         s = inst.slot(m, w)
         if s is None:
-            raise InstanceError(f"acceptance floor ({m},{w}) is not an edge")
+            raise InstanceError(not_edge.format(m, w))
+        held.append((s[0], s[2], lvl))
+    if levels not in (1, 2):
+        raise ValueError(f"levels must be 1 or 2, got {levels!r}")
+    for w, (m, lvl) in floors.items():
         if lvl not in range(levels):
             raise ValueError(f"acceptance floor ({m},{w}) at level {lvl!r} of {levels}")
-        held.append((s[0], s[2], lvl))
-    return _floored(inst, held, levels)
+    return held
 
 
 class _Overlay(dict):
@@ -196,14 +209,11 @@ def forced(
     every woman and matches the same women (Gusfield-Irving 1989), so
     each of them holds her man in it too.
     """
-    for w, (m, _) in held.items():
-        if inst.slot(m, w) is None:
-            raise InstanceError(f"({m},{w}) is not an edge of the instance")
-    got = run(inst, held, levels=levels)
-    at, level = got._runs or (got.pos, got.lvl)  # the overlays: no list built
-    for w, (m, lvl) in held.items():
-        i, _, k = inst.slot(m, w)
-        if at[i] != k or level[i] != lvl:
+    by_number = _held(inst, held, levels, "({},{}) is not an edge of the instance")
+    got = _floored(inst, by_number, levels)
+    at, level = got._runs  # the overlays: no list built
+    for m, k, lvl in by_number:
+        if at[m] != k or level[m] != lvl:
             return None
     return got
 

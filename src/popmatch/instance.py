@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, lt
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -262,44 +262,48 @@ class Instance:
         if not isinstance(matching, Matching):
             raise InstanceError(f"not a Matching: {type(matching).__name__}")
         if isinstance(matching, LevelledMatching) and matching.inst is self:
-            adj, back, first = self.adj, self.back, self.first
-            mate = [-1] * len(self.names)
-            pos = list(map(len, adj))
-            for m, k in enumerate(matching.pos):
-                if k < pos[m]:
-                    w = adj[m][k]
-                    mate[m], mate[w] = w, m
-                    pos[m], pos[w] = k, back[first[m] + k]
-            return mate, pos
-        return self._number((None, m, w) for m, w in sorted(matching.pairs))
-
-    def _number(
-        self, pairs: Iterable[Tuple[Optional[int], str, str]]
-    ) -> Tuple[List[int], List[int]]:
-        """`mates` of the (line, man, woman) triples `pairs` gives.  The
-        first that is not an edge, or repeats a vertex, raises the error
-        `_error` gives for its line."""
+            men = matching.pos
+        else:
+            men = self._read(zip(repeat(None), sorted(matching.pairs)))
+        adj, back, first = self.adj, self.back, self.first
         mate = [-1] * len(self.names)
-        pos = list(map(len, self.adj))
-        back, first = self.back, self.first
-        for line, m, w in pairs:
-            i, j, k = self._pair(m, w, mate, line)
-            mate[i], mate[j] = j, i
-            pos[i], pos[j] = k, back[first[i] + k]
+        pos = list(map(len, adj))
+        for m, k in enumerate(men):
+            if k < pos[m]:
+                w = adj[m][k]
+                mate[m], mate[w] = w, m
+                pos[m], pos[w] = k, back[first[m] + k]
         return mate, pos
 
-    def _pair(self, m: str, w: str, mate: List[int], line: Optional[int]) -> Tuple[int, int, int]:
-        """`slot(m, w)` of a pair whose ends `mate` leaves unmatched;
-        else the error `_error` gives for line: not an edge, or a
-        vertex matched twice."""
-        s = self.slot(m, w)
-        if s is None:
-            raise _error(f"pair ({m},{w}) is not an edge of the instance", line)
-        if mate[s[0]] >= 0:
-            raise _error(f"vertex {m!r} matched twice", line)
-        if mate[s[1]] >= 0:
-            raise _error(f"vertex {w!r} matched twice", line)
-        return s
+    def _read(self, records: Iterable[Tuple[Optional[int], Sequence[str]]]) -> List[int]:
+        """The men's positions (`LevelledMatching.pos`) of the pairs of the
+        (line, (man, woman)) records given, each read with two lookups
+        of an id and one search of the man's list.  A record with a line
+        number is a split line of a matching file: a blank or '#' line
+        is skipped, and any other but a pair is a ParseError.  The first
+        pair that is not an edge, or repeats a vertex, raises the error
+        `_error` gives for its line."""
+        get, adj, n = self.index.get, self.adj, len(self.men)
+        mate = [-1] * len(adj)
+        pos = list(map(len, adj[:n]))
+        for line, parts in records:
+            if line and (len(parts) != 2 or parts[0][0] == "#"):
+                if not parts or parts[0][0] == "#":  # as `_records` skips it
+                    continue
+                raise ParseError("expected '<man> <woman>'", line)
+            m, w = parts
+            i, j = get(m, n), get(w)
+            try:
+                k = adj[i].index(j) if i < n else -1
+            except ValueError:
+                k = -1
+            if k < 0:
+                raise _error(f"pair ({m},{w}) is not an edge of the instance", line)
+            if mate[i] >= 0 or mate[j] >= 0:
+                twice = m if mate[i] >= 0 else w
+                raise _error(f"vertex {twice!r} matched twice", line)
+            mate[i], mate[j], pos[i] = j, i, k
+        return pos
 
     def has_edge(self, m: str, w: str) -> bool:
         """True if (m, w) is an edge with m a man."""
@@ -555,29 +559,10 @@ def serialize_instance(inst: Instance) -> str:
 def parse_matching(source: Union[str, Iterable[str]], inst: Instance) -> LevelledMatching:
     """Parse one '<man> <woman>' pair per line, the text or its lines as
     `str.splitlines` gives them, straight into a matching numbered on
-    inst, at level 0.  A ParseError names the first faulty line.
-
-    A pair's line is read with one split, two lookups of an id and one
-    search of the man's list; only a fault goes on to `Instance._pair`,
-    which names it as `Instance.mates` does."""
-    get, adj, n = inst.index.get, inst.adj, len(inst.men)
-    mate = [-1] * len(adj)
-    pos = list(map(len, adj[:n]))
-    for lineno, raw in enumerate(_lines(source), 1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":  # as `_records` skips it
-            continue
-        if len(parts) != 2:
-            raise ParseError("expected '<man> <woman>'", lineno)
-        i, j = get(parts[0], n), get(parts[1])
-        try:
-            k = adj[i].index(j) if i < n else -1
-        except ValueError:
-            k = -1
-        if k < 0 or mate[i] >= 0 or mate[j] >= 0:
-            i, j, k = inst._pair(*parts, mate, lineno)  # raises the line's fault
-        mate[i], mate[j], pos[i] = j, i, k
-    return LevelledMatching(inst, pos, [0] * n)
+    inst, at level 0, through the reader of `Instance.mates`.  A
+    ParseError names the first faulty line."""
+    pos = inst._read(enumerate(map(str.split, _lines(source)), 1))
+    return LevelledMatching(inst, pos, [0] * len(pos))
 
 
 def serialize_matching(matching: Matching) -> str:

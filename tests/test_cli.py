@@ -117,6 +117,79 @@ def test_solve_writes_its_matching_a_block_at_a_time(tmp_path, monkeypatch, bloc
             assert len(sys.stdout) == -(-text.count("\n") // block)
 
 
+# Every golden instance has an edge, so these pin what an empty answer
+# prints: (instance, command, exit code, text stdout, --json stdout,
+# stderr).  "bare" has no edge; in "beside", a2 and b2 have empty lists
+# beside the edge (a1,b1).
+EMPTY_CASES = [
+    ("bare", "solve --property stable", 0, "{}\n", '{"matching": []}\n', ""),
+    ("bare", "solve --property dominant", 0, "{}\n", '{"matching": []}\n', ""),
+    ("bare", "verify --property stable -m none.match", 0,
+     "true\n", '{"verdict": true, "certificate": null}\n', ""),
+    ("bare", "verify --property popular -m none.match", 0,
+     "true\n", '{"verdict": true, "certificate": null}\n', ""),
+    ("bare", "verify --property dominant -m none.match", 0,
+     "true\n", '{"verdict": true, "certificate": null}\n', ""),
+    ("bare", "verify --property popular -m one.match", 2, "", "",
+     "error: line 1: pair (a1,b1) is not an edge of the instance\n"),
+    ("bare", "popular-edge --edge a1,b1", 2, "", "",
+     "error: (a1,b1) is not an edge of the instance\n"),
+    ("bare", "popular-vs-stable", 0,
+     "all popular matchings are stable\n", '{"all_stable": true}\n', ""),
+    ("bare", "min-cost-dominant --costs none.costs", 0, "{}\ncost: 0 (0.0)\n",
+     '{"matching": [], "cost": {"numerator": 0, "denominator": 1, "decimal": "0.0"}}\n', ""),
+    ("bare", "enumerate --what matchings", 0, "{}\n", '{"matchings": [[]]}\n', ""),
+    ("bare", "enumerate --what stable", 0, "{}\n", '{"matchings": [[]]}\n', ""),
+    ("bare", "enumerate --what popular", 0, "{}\n", '{"matchings": [[]]}\n', ""),
+    ("bare", "enumerate --what dominant", 0, "{}\n", '{"matchings": [[]]}\n', ""),
+    ("bare", "enumerate --what popular-edges", 0, "", '{"edges": []}\n', ""),
+    ("beside", "solve --property stable", 0, "a1 b1\n", '{"matching": [["a1", "b1"]]}\n', ""),
+    ("beside", "solve --property dominant", 0, "a1 b1\n", '{"matching": [["a1", "b1"]]}\n', ""),
+    ("beside", "verify --property stable -m none.match", 1,
+     "false\ncertificate: blocking-pair a1 b1\n",
+     '{"verdict": false, "certificate": {"kind": "blocking-pair", "path": ["a1", "b1"], '
+     '"pp_edges": [["a1", "b1"]]}}\n', ""),
+    ("beside", "verify --property popular -m none.match", 1,
+     "false\ncertificate: pp-path-from-unmatched a1 b1\n",
+     '{"verdict": false, "certificate": {"kind": "pp-path-from-unmatched", "path": ["a1", "b1"], '
+     '"pp_edges": [["a1", "b1"]]}}\n', ""),
+    ("beside", "verify --property dominant -m one.match", 0,
+     "true\n", '{"verdict": true, "certificate": null}\n', ""),
+    ("beside", "popular-edge --edge a1,b1", 0,
+     "a1 b1\n", '{"found": true, "matching": [["a1", "b1"]]}\n', ""),
+    ("beside", "popular-edge --edge a2,b2", 2, "", "",
+     "error: (a2,b2) is not an edge of the instance\n"),
+    ("beside", "popular-vs-stable", 0,
+     "all popular matchings are stable\n", '{"all_stable": true}\n', ""),
+    ("beside", "min-cost-dominant --costs one.costs", 0, "a1 b1\ncost: 3 (3.0)\n",
+     '{"matching": [["a1", "b1"]], "cost": {"numerator": 3, "denominator": 1, "decimal": "3.0"}}\n',
+     ""),
+    ("beside", "enumerate --what matchings", 0,
+     "{}\na1,b1\n", '{"matchings": [[], [["a1", "b1"]]]}\n', ""),
+    ("beside", "enumerate --what stable", 0, "a1,b1\n", '{"matchings": [[["a1", "b1"]]]}\n', ""),
+    ("beside", "enumerate --what popular", 0, "a1,b1\n", '{"matchings": [[["a1", "b1"]]]}\n', ""),
+    ("beside", "enumerate --what dominant", 0, "a1,b1\n", '{"matchings": [[["a1", "b1"]]]}\n', ""),
+    ("beside", "enumerate --what popular-edges", 0, "a1 b1\n", '{"edges": [["a1", "b1"]]}\n', ""),
+    (None, "gen --men 0 --women 0 --density 0.5 --seed 1 -o g.pref", 0,
+     "", '{"written": "g.pref", "men": 0, "women": 0, "edges": 0}\n', ""),
+]
+
+
+def test_every_command_prints_an_empty_answer(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "bare.pref": "men: a1\nwomen: b1\na1:\nb1:\n",
+        "beside.pref": "men: a1 a2\nwomen: b1 b2\na1: b1\na2:\nb1: a1\nb2:\n",
+        "none.match": "", "one.match": "a1 b1\n", "none.costs": "", "one.costs": "a1 b1 3\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for inst, command, code, text, as_json, err in EMPTY_CASES:
+        argv = command.split() + (["-i", f"{inst}.pref"] if inst else [])
+        for extra, out in (([], text), (["--json"], as_json)):
+            assert run_cli(capsys, *argv, *extra) == (code, out, err), (argv, extra)
+
+
 def test_solve_rejects_algo_mismatch(shared_top_file, capsys):
     code, out, err = run_cli(
         capsys, "solve", "--property", "dominant", "--algo", "gs",

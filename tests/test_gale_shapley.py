@@ -124,6 +124,18 @@ def test_floor_must_name_an_edge(shared_top):
         run(shared_top, {"b2": ("a2", 0)})
     with pytest.raises(InstanceError, match=r"^acceptance floor \(a1,zz\) is not an edge$"):
         run(shared_top, {"zz": ("a1", 0)}, levels=2)
+    # run and forced check in one order: every floor an edge, then
+    # levels, then each floor's level
+    for levels in (0, 3):
+        with pytest.raises(InstanceError, match=r"^acceptance floor \(a2,b2\) is not an edge$"):
+            run(shared_top, {"b2": ("a2", 0)}, levels=levels)
+        with pytest.raises(InstanceError, match=r"^\(a2,b2\) is not an edge of the instance$"):
+            forced(shared_top, {"b2": ("a2", 0)}, levels)
+    floors = {"b1": ("a1", 5), "b2": ("a2", 0)}
+    with pytest.raises(InstanceError, match=r"^acceptance floor \(a2,b2\) is not an edge$"):
+        run(shared_top, floors)
+    with pytest.raises(ValueError, match="levels must be 1 or 2"):
+        run(shared_top, {"b1": ("a1", 5)}, levels=3)
 
 
 def test_acceptance_floor_rules(nested_fan):

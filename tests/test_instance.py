@@ -396,7 +396,7 @@ def test_printing_a_matching_peaks_below_the_engine_run(monkeypatch):
     for levels in (1, 2):
         got, _, engine = traced(run, inst, levels=levels)
         written.clear()
-        _, _, printing = traced(cli._print_matching, got)
+        _, _, printing = traced(cli._emit, False, {"matching": got}, [got])
         assert printing < engine / 2, (printing, engine)
         assert sum(written) == len(serialize_matching(got)) and len(written) > 1
 
@@ -624,7 +624,7 @@ def test_every_producer_leaves_an_unmatched_man_at_his_list_length(small_ensembl
                 continue
             seen.add(name)
             assert got.inst is inst and len(got.pos) == len(got.lvl) == n, name
-            # the positions `Instance._number` gives the pairs by id
+            # the positions `Instance.mates` gives the pairs by id
             assert got.pos == inst.mates(Matching(got.sorted_pairs()))[1][:n], name
     assert seen == {
         "run", "forced", "_floored", "rotations", "popular_edge", "parse_matching",

@@ -223,13 +223,13 @@ def test_transformations_number_an_id_matching_once(monkeypatch, contested_hub):
     dominant = [Matching(p.sorted_pairs()) for p in oracles.dominant_set(inst)]
     assert len(popular) > 1 and dominant
     calls = []
-    number = Instance._number
+    read = Instance._read
 
-    def spy(self, pairs):
+    def spy(self, records):
         calls.append(self)
-        return number(self, pairs)
+        return read(self, records)
 
-    monkeypatch.setattr(Instance, "_number", spy)
+    monkeypatch.setattr(Instance, "_read", spy)
     cases = [(f, p) for p in popular for f in (decompose, lift_to_dominant, lower_to_stable)]
     for f, p in cases + [(inverse_map, p) for p in dominant]:
         calls.clear()
