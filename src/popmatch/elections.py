@@ -8,9 +8,9 @@ abstains.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 from operator import lt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .instance import Instance, Matching
 
@@ -47,16 +47,24 @@ class LabeledGraph:
     def __init__(self, inst: Instance, mate: List[int], pos: List[int]):
         self.inst, self.mate, self.pos = inst, mate, pos
 
-    def rows(self) -> Iterator[Tuple[int, List[int]]]:
-        """Per man in number order, which is id order: his number and his
-        G_M neighbours but his partner, sorted."""
-        inst, pos, back = self.inst, self.pos, self.inst.back
-        for x in range(len(inst.men)):
-            row, f, k = inst.adj[x], inst.first[x], pos[x]
-            # he votes for the first k women and, if matched, holds the
-            # next one; beyond that only a woman's vote keeps an edge
-            voted = [w for i, w in enumerate(row[k + 1 :], f + k + 1) if back[i] < pos[w]]
-            yield x, sorted(chain(row[:k], voted))
+    def row(self, v: int) -> List[int]:
+        """Vertex v's G_M neighbours but its partner, sorted by number,
+        which is id order.  A man reads each woman's vote off `back`; a
+        woman reads the vote of each man below her partner by looking for
+        herself among the women he ranks above his own partner."""
+        inst, pos = self.inst, self.pos
+        adj, k = inst.adj, pos[v]
+        row = adj[v]
+        # v votes for the first k entries and, if matched, holds the
+        # next one; beyond that only the other end's vote keeps an edge
+        if v < len(inst.men):
+            back = inst.back
+            voted = [w for i, w in enumerate(row[k + 1 :], inst.first[v] + k + 1) if back[i] < pos[w]]
+        else:
+            voted = [x for x in row[k + 1 :] if v in adj[x][: pos[x]]]
+        voted += row[:k]
+        voted.sort()
+        return voted
 
     @cached_property
     def label(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
@@ -74,9 +82,9 @@ class LabeledGraph:
 
     @cached_property
     def gm_edges(self) -> frozenset:
-        names, mate = self.inst.names, self.mate
-        edges = [(x, w) for x, row in self.rows() for w in row]
-        edges += [(x, w) for x, w in enumerate(mate[: len(self.inst.men)]) if w >= 0]
+        names, mate, n = self.inst.names, self.mate, len(self.inst.men)
+        edges = [(x, w) for x in range(n) for w in self.row(x)]
+        edges += [(x, w) for x, w in enumerate(mate[:n]) if w >= 0]
         return frozenset((names[x], names[w]) for x, w in edges)
 
 
@@ -97,10 +105,8 @@ def compare(inst: Instance, first: Matching, second: Matching) -> ElectionResult
 
 def defeats(inst: Instance, first: Matching, second: Matching) -> bool:
     """True if first wins the election, or ties it while being larger."""
-    result = compare(inst, first, second)
-    if result.for_first != result.for_second:
-        return result.for_first > result.for_second
-    return len(first) > len(second)
+    for_first, for_second = compare(inst, first, second)
+    return (for_first, len(first)) > (for_second, len(second))
 
 
 def label_edges(inst: Instance, matching: Matching) -> LabeledGraph:

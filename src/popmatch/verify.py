@@ -12,43 +12,43 @@ with no (+,+) edge the matching is popular, as every stable matching
 is, and an edge with an unmatched end is a witness by itself.  The
 first condition is then a search from the unmatched vertices, one per
 side.  For the other two, mark the arcs of (+,+) edges in the men's
-part: a marked arc inside a strongly connected component closes a
-cycle, and a marked head that reaches another marked tail gives a
-two-edge path, found by one search of the women's part, which is the
-men's reversed.  Dominance also requires the absence of an augmenting
-path: no man reached from the unmatched men has an unmatched
-neighbour.  The partition is the closure of the blocking edges (and
-optionally the unmatched vertices) under the same arcs.  The check
-takes O(|V| + |E|) time, nothing in it recurses, and witnesses are
-reported in that order.  Every negative verdict carries a replayable
-certificate.
+part: they hold exactly when a marked head reaches a marked tail, which
+one search from the heads decides.  Only then is the witness named: a
+marked arc inside a strongly connected component closes a cycle, and a
+marked head that reaches another marked tail gives a two-edge path,
+found by one search of the women's part, which is the men's reversed
+under M.  Dominance also requires the absence of an augmenting path:
+no man reached from the unmatched men has an unmatched neighbour.  The
+partition is the closure of the blocking edges (and optionally the
+unmatched vertices) under the same arcs.  The check takes O(|V| + |E|)
+time, nothing in it recurses, and witnesses are reported in that
+order.  Every negative verdict carries a replayable certificate.
 
 Vertices are numbered in id order (`Instance`), and every search and
 tie-break here follows the numbers, so a certificate, like the
 verdict, is a function of the ids, not of the order they are declared.
 
-A check builds only what its answer reads, and each search stops once
-its answer is fixed.  An unmatched vertex votes for every edge, so its
-arcs, the partners of its matched neighbours, are read off its list.
-The matched men's arcs are laid out in one labelling pass when a
-search first reads one.  The matched women's are the men's reversed
-under M: woman w has an arc to M(x) for each tail x of an arc into
-M(w).  One counting sort of the men's arcs lays them out when a search
-first reads one.  Each half is flat, one list of arcs with an offset
-per vertex.  The (+,+) edges are number pairs, named only when a
+A check computes only what its answer reads, and each search stops once
+its answer is fixed.  A vertex's arcs are computed when a search first
+expands it, from its `LabeledGraph.row`, and kept for any later search
+that expands it again: a man reads each woman's vote off `back`, a
+woman looks for herself among the women each man below her partner
+ranks above his own, and an unmatched vertex, which votes for every
+edge, keeps its whole list.  So a popular matching with (+,+) edges
+costs the searches from the unmatched vertices and one search of the
+men's part from the marked heads: no component pass and no search from
+the marked tails.  The (+,+) edges are number pairs, named only when a
 certificate is built, and the search state is lists of ints (Tarjan's
-frames keep a vertex and an arc index).  Beside the instance, a check
-holds O(|V|) ints and one int per arc of each half it builds; a
-matching numbered on the instance, as `parse_matching` reads one, is
-never named.
+frames keep a vertex and an iterator over its arcs).  Beside the
+instance, a check holds O(|V|) ints and a tuple of arcs per vertex its
+searches expand; a matching numbered on the instance, as
+`parse_matching` reads one, is never named.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
-from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .elections import LabeledGraph, label_edges
 from .gale_shapley import _blocking
@@ -120,10 +120,11 @@ class _Search:
         return parent[v] != -2
 
 
-def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
+def _components(out: Callable[[int], Tuple[int, ...]], size: int) -> List[int]:
     """A strongly-connected-component label for each of the first `size`
-    vertices, whose arcs stay among them (Tarjan's algorithm with an
-    explicit call stack, each frame a vertex and its next arc)."""
+    vertices, whose arcs `out` gives and stay among them (Tarjan's
+    algorithm with an explicit call stack, each frame a vertex and an
+    iterator over its arcs)."""
     index = [-1] * size
     low = [0] * size
     comp = [-1] * size
@@ -135,20 +136,18 @@ def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        calls, at = [root], [start[root]]
+        calls, arcs = [root], [iter(out(root))]
         while calls:
             v = calls[-1]
-            i, end, lv = at[-1], start[v + 1], low[v]
-            while i < end:
-                w = arcs[i]
-                i += 1
+            lv = low[v]
+            for w in arcs[-1]:
                 if index[w] < 0:
-                    at[-1], low[v] = i, lv
+                    low[v] = lv
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     calls.append(w)
-                    at.append(start[w])
+                    arcs.append(iter(out(w)))
                     break
                 # a visited vertex without a component is still on the stack
                 if index[w] < lv and comp[w] < 0:
@@ -156,7 +155,7 @@ def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
             else:
                 low[v] = lv
                 calls.pop()
-                at.pop()
+                arcs.pop()
                 if calls and lv < low[calls[-1]]:
                     low[calls[-1]] = lv
                 if lv == index[v]:
@@ -169,65 +168,30 @@ def _components(arcs: List[int], start: Sequence[int], size: int) -> List[int]:
 
 
 class _Graph:
-    """The alternating digraph of a matching, each half built when a
-    search first reads it.
+    """The alternating digraph of a matching, a vertex's arcs computed
+    when a search first expands it.
 
     Vertices are numbered as in `Instance`, the men first; mate[v] is
     v's partner or -1.  `out(v)` gives the arcs out of v: M(y) for each
-    non-matching G_M edge (v, y) whose y is matched, in the order of y.
-    An unmatched vertex's are read off its list.  `men` and `women` hold
-    the matched vertices' as (arcs, start), the arcs out of v being
-    arcs[start[v]:start[v + 1]] and the offsets an array of machine
-    ints, with no int object apiece: `men` is one pass of
-    `LabeledGraph.rows`, and `women` its transpose under M, one counting
-    sort of it.  pp holds the (+,+) edges as (man, woman) numbers,
-    sorted, from the blocking-pair scan; they are named only in a
-    certificate."""
+    y of `LabeledGraph.row(v)` that is matched, so in the order of y,
+    kept once computed for every later search that expands v.  pp holds
+    the (+,+) edges as (man, woman) numbers, sorted, from the
+    blocking-pair scan; they are named only in a certificate."""
 
     def __init__(self, labeled: LabeledGraph):
         inst = labeled.inst
-        self.labeled = labeled
+        self.row = labeled.row
         self.names, self.adj, self.n_men = inst.names, inst.adj, len(inst.men)
         self.mate = labeled.mate
+        self.arcs: List[Optional[Tuple[int, ...]]] = [None] * len(self.mate)
         self.pp = [(x, w) for x, row in _blocking(inst, labeled.pos) for w in sorted(row)]
 
-    @cached_property
-    def men(self) -> Tuple[List[int], Sequence[int]]:
-        mate = self.mate
-        arcs: List[int] = []
-        start = array("q", [0]) * (self.n_men + 1)
-        for x, row in self.labeled.rows():
-            if mate[x] >= 0:
-                arcs += [mate[w] for w in row if mate[w] >= 0]
-            start[x + 1] = len(arcs)
-        return arcs, start
-
-    @cached_property
-    def women(self) -> Tuple[List[int], Sequence[int]]:
-        # woman w has an arc to M(x) for each arc x -> M(w) of the men's
-        # half, in x order: as many arcs as M(w) has coming in
-        arcs, start = self.men
-        mate, n = self.mate, self.n_men
-        fan = [0] * n
-        for a in arcs:
-            fan[a] += 1
-        offsets = array("q", [0]) * (len(mate) + 1)
-        offsets[n:] = array("q", accumulate([fan[m] if m >= 0 else 0 for m in mate[n:]], initial=0))
-        heads = [0] * len(arcs)
-        free = [offsets[w] if w >= 0 else 0 for w in mate[:n]]  # the next slot of M(a), by a
-        for x in range(n):
-            y = mate[x]
-            for a in arcs[start[x] : start[x + 1]]:
-                heads[free[a]] = y
-                free[a] += 1
-        return heads, offsets
-
-    def out(self, v: int) -> List[int]:
-        mate = self.mate
-        if mate[v] < 0:
-            return [mate[y] for y in sorted(self.adj[v]) if mate[y] >= 0]
-        arcs, start = self.men if v < self.n_men else self.women
-        return arcs[start[v] : start[v + 1]]
+    def out(self, v: int) -> Tuple[int, ...]:
+        arcs = self.arcs[v]
+        if arcs is None:
+            mate = self.mate
+            arcs = self.arcs[v] = tuple([mate[y] for y in self.row(v) if mate[y] >= 0])
+        return arcs
 
     @cached_property
     def reach(self) -> Tuple[_Search, _Search]:
@@ -291,10 +255,15 @@ def _violation(g: _Graph) -> Optional[Certificate]:
             return Certificate("pp-path-from-unmatched", chain + (y,), (g.edge(e),))
 
     # Every (+,+) edge now has both ends matched and marks the arc
-    # a -> M(b) of the men's half; the woman an arc crosses is the
-    # partner of its head.
-    arcs, start = g.men
-    comp = _components(arcs, start, g.n_men)
+    # a -> M(b) of the men's part; the woman an arc crosses is the
+    # partner of its head.  A marked arc closes a cycle iff its head
+    # reaches its own tail, and starts a two-edge path iff its head
+    # reaches another tail, so with no tail reached from a head the
+    # matching is popular; only a violation is named below.
+    tails = {a for a, _ in g.pp}
+    if not any(v in tails for v in _Search(g, [mate[b] for _, b in g.pp])):
+        return None
+    comp = _components(g.out, g.n_men)
     for e in g.pp:
         if comp[e[0]] == comp[mate[e[1]]]:
             # Every path from M(b) to a stays inside their component.
@@ -305,7 +274,7 @@ def _violation(g: _Graph) -> Optional[Certificate]:
 
     # No marked arc lies on a cycle, so a head never reaches its own
     # tail and every path found below is simple.  A man reaches a marked
-    # tail x in the men's half iff his partner is reached from M(x) in
+    # tail x in the men's part iff his partner is reached from M(x) in
     # the women's, its transpose under M.
     first_pp: Dict[int, Tuple[int, int]] = {}
     for e in g.pp:

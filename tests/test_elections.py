@@ -68,6 +68,7 @@ def test_defeats_breaks_ties_by_size(nested_fan, fan_matchings):
     assert defeats(nested_fan, perfect, near)  # tied 2-2, strictly larger
     assert not defeats(nested_fan, near, perfect)
     assert defeats(nested_fan, fan_matchings["swapped"], perfect)  # wins 4-2
+    assert not defeats(nested_fan, perfect, perfect)  # tied, and no larger
 
 
 def test_labels_and_pruned_graph(shared_top):

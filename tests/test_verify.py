@@ -1,7 +1,9 @@
 import gc
+import hashlib
+import random
 import time
 import tracemalloc
-from functools import cached_property
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,8 @@ from popmatch import (
     partition,
     run,
 )
+from popmatch import verify
+from popmatch.elections import LabeledGraph
 from popmatch.verify import Certificate, _Graph
 from conftest import (
     alternating_rows,
@@ -160,51 +164,49 @@ def test_decompose_and_inverse_map_label_once(small_ensemble, monkeypatch):
 
 def test_alternating_rows_follow_names(small_ensemble):
     # every vertex's arcs, and the (+,+) list, are in name order, also
-    # where it differs from vertex order: a matched man's from the men's
-    # half, a matched woman's from its transpose and an unmatched
-    # vertex's off its list; a man's unmatched neighbours are read off
-    # his list too
+    # where it differs from vertex order: a man's, a woman's and an
+    # unmatched vertex's all from `LabeledGraph.row`, and the same when
+    # read again; a man's unmatched neighbours are read off his list
     cases = [(inst, m) for inst, report in small_ensemble for m in report.family]
     for inst, m in cases + list(reversed_declaration_cases()):
         g = _Graph(label_edges(inst, m))
         names, n = inst.names, len(inst.men)
         succ, free, pp = alternating_rows(inst, m)
-        rows = {}
-        for v, p in enumerate(g.mate):
-            arcs, start = g.men if v < n else g.women
-            held = arcs[start[v] : start[v + 1]]
-            assert held == (g.out(v) if p >= 0 else [])
-            rows[names[v]] = [names[y] for y in g.out(v)]
+        rows = {names[v]: [names[y] for y in g.out(v)] for v in range(len(g.mate))}
         assert rows == succ
+        assert all(g.out(v) is g.arcs[v] for v in range(len(g.mate)))
         men = names[:n]
         assert {a: sorted(names[w] for w in g.unmatched(x)) for x, a in enumerate(men)} == free
         assert [g.edge(e) for e in g.pp] == pp
 
 
-def _count_halves(monkeypatch):
-    """How often each half of `_Graph` is built, from here on."""
-    built = {"men": 0, "women": 0}
-    for name in built:
+def _count_rows(monkeypatch):
+    """How many men and women `_Graph` computes the arcs of, from here
+    on; a Tarjan pass fails the test."""
+    computed = {"men": 0, "women": 0}
+    row = LabeledGraph.row
 
-        def counting(g, build=getattr(_Graph, name).func, name=name):
-            built[name] += 1
-            return build(g)
+    def counting(labeled, v):
+        computed["men" if v < len(labeled.inst.men) else "women"] += 1
+        return row(labeled, v)
 
-        half = cached_property(counting)
-        half.__set_name__(_Graph, name)
-        monkeypatch.setattr(_Graph, name, half)
-    return built
+    def components(out, size):
+        raise AssertionError("Tarjan's pass ran")
+
+    monkeypatch.setattr(LabeledGraph, "row", counting)
+    monkeypatch.setattr(verify, "_components", components)
+    return computed
 
 
 def test_stable_matchings_are_popular_without_a_digraph(small_ensemble, acceptance, monkeypatch):
     # a stable matching has no (+,+) edge, which the blocking-pair scan
-    # finds before any half is built
-    built = _count_halves(monkeypatch)
+    # finds before any vertex's arcs are computed
+    computed = _count_rows(monkeypatch)
     cases = [(inst, m) for inst, report in small_ensemble for m in report.stable_set()]
     big = acceptance[0]
     for inst, m in cases + [(big, run(big))]:
         assert is_popular(inst, m) == (True, None)
-    assert len(cases) > 40 and built == {"men": 0, "women": 0}
+    assert len(cases) > 40 and computed == {"men": 0, "women": 0}
 
 
 def test_is_popular_examples(contested_hub):
@@ -316,10 +318,12 @@ def test_cycle_witness_preferred_to_two_pp_path():
     assert_certificate_replays(inst, m, cert)
 
 
-def deep_chain(n, closed):
+def deep_chain(n, closed, second=False):
     """Men a0..an matched to b0..bn.  (a0,b1) is the only (+,+) edge and
     (+,-) edges (a_i,b_{i+1}) continue the alternating path a0-b1-a1-...-an;
-    when closed, (an,b0) turns it into one alternating cycle."""
+    when closed, (an,b0) turns it into one alternating cycle.  With
+    second, bn ranks a(n-1) first, so the path's last edge (a(n-1),bn)
+    is a second (+,+) edge."""
     men = [f"a{i}" for i in range(n + 1)]
     women = [f"b{i}" for i in range(n + 1)]
     pref = {men[i]: (women[i + 1], women[i]) for i in range(n)}
@@ -328,6 +332,8 @@ def deep_chain(n, closed):
     pref[women[1]] = (men[0], men[1])
     for i in range(2, n + 1):
         pref[women[i]] = (men[i], men[i - 1])
+    if second:
+        pref[women[n]] = pref[women[n]][::-1]
     inst = Instance(men, women, pref)
     return inst, Matching(zip(men, women))
 
@@ -351,6 +357,61 @@ def test_deep_chain_needs_no_recursion():
     assert_certificate_replays(inst, m, cert)
 
 
+def test_deep_chain_two_pp_path_at_scale():
+    # the only violation is the whole chain, from its first (+,+) edge
+    # to its second, found with no recursion
+    n = 50_000
+    for size in (4, n):
+        inst, m = deep_chain(size, closed=False, second=True)
+        path = ("a0",) + tuple(f"{v}{i}" for i in range(1, size) for v in "ba") + (f"b{size}",)
+        expected = Certificate("two-pp-path", path, (("a0", "b1"), (f"a{size - 1}", f"b{size}")))
+        for verifier in (is_popular, is_dominant):
+            assert verifier(inst, m) == (False, expected)
+        if size < n:
+            assert m not in classify(inst).popular_set()
+    assert_certificate_replays(inst, m, expected)
+
+
+def perfect_family(count):
+    """count seeded instances of 1-9 vertices per side, the sides equal
+    or one apart, each with a matching of the smaller side planted among
+    random further edges, and random lists; each gives that matching and
+    it less one random pair."""
+    rng = random.Random(36)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        k = min(9, max(1, n + rng.choice((-1, 0, 0, 1))))
+        men, women = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(k)]
+        planted = list(zip(rng.sample(men, min(n, k)), rng.sample(women, min(n, k))))
+        density = rng.random() / 2
+        edges = set(planted) | {(a, b) for a in men for b in women if rng.random() < density}
+        pref = {v: [] for v in men + women}
+        for a, b in sorted(edges):
+            pref[a].append(b)
+            pref[b].append(a)
+        for lst in pref.values():
+            rng.shuffle(lst)
+        inst = Instance(men, women, pref)
+        yield inst, Matching(planted)
+        planted.pop(rng.randrange(len(planted)))
+        yield inst, Matching(planted)
+
+
+# SHA-256 of the (verdict, certificate) pairs of `is_popular` and then
+# `is_dominant` on every matching of `perfect_family(2000)`, in order.
+PERFECT_FAMILY_SHA = "a5855a013eb92e68b2ef1e5c35fa7f57378853443317ad279ecca9f9515a86fd"
+
+
+def test_perfect_family_answers_are_pinned():
+    # few unmatched vertices, so many certificates are named by the
+    # cycle and two-edge-path phases
+    answers = [verifier(inst, m) for inst, m in perfect_family(2000) for verifier in (is_popular, is_dominant)]
+    kinds = Counter(cert.kind for _, cert in answers if cert is not None)
+    assert kinds["pp-cycle"] > 500 and kinds["two-pp-path"] > 100, kinds
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == PERFECT_FAMILY_SHA, (digest, kinds)
+
+
 @pytest.fixture(scope="module")
 def acceptance():
     """The acceptance instance and its dominant matching."""
@@ -365,9 +426,9 @@ STABLE_AUGMENTING_PATH = Certificate("augmenting-path", ("a1020", "b1058", "a243
 
 # The most memory (MB, tracemalloc) `is_dominant` may take above the
 # instance and matching on the acceptance instance's dominant matching:
-# the two flat halves of the alternating digraph peak at 3.8, where one
-# list per vertex peaked at 7.1.
-VERIFY_PEAK_MB = 5.0
+# it peaks at 1.8 with the arcs of the 1,645 men its searches expand,
+# where the whole digraph, laid out as two flat halves, peaked at 3.8.
+VERIFY_PEAK_MB = 2.7
 
 
 def test_verify_peak_stays_flat(acceptance):
@@ -426,16 +487,18 @@ def test_verify_at_scale(acceptance):
 
 def test_verify_at_scale_builds_what_its_answer_reads(acceptance, monkeypatch):
     # the stable matching has no (+,+) edge, and the search from the
-    # unmatched men stops at its first man with an unmatched neighbour
-    # before reading a matched vertex's arcs; the full check of the
-    # dominant matching reads both halves, the women's for the two-edge
-    # paths, and builds each once
+    # unmatched men stops at its first man with an unmatched neighbour,
+    # after expanding 120 men; the dominant matching is popular by the
+    # searches from the unmatched vertices and from the (+,+) edges'
+    # heads, which expand 1,645 of the 10,000 men, with no Tarjan pass
+    # and no woman's arcs
     inst, dom = acceptance
-    built = _count_halves(monkeypatch)
+    computed = _count_rows(monkeypatch)
     assert is_dominant(inst, run(inst)) == (False, STABLE_AUGMENTING_PATH)
-    assert built == {"men": 0, "women": 0}
+    assert computed == {"men": 120, "women": 0}
+    computed["men"] = 0
     assert is_dominant(inst, dom) == (True, None)
-    assert built == {"men": 1, "women": 1}
+    assert computed == {"men": 1645, "women": 0}
 
 
 @pytest.mark.parametrize("pair", [("a1", "b9"), ("a2", "b2"), ("b1", "a1")])
