@@ -173,8 +173,9 @@ def _cmd_popular_edge(args) -> int:
 
     inst = _load_instance(args.instance)
     edge = _parse_edge(args.edge)
-    # `popular_edge`'s answer without its route table: at most one run
-    # from empty arrays per level costs less than two rotation posets
+    # `popular_edge`'s answer without its route table: one run from empty
+    # arrays, then for a dominant edge one climb to level 2, costs less
+    # than walking two rotation posets
     result = stable_with_edge(inst, edge)
     if result is None:
         result = dominant_with_edge(inst, edge)

@@ -3,10 +3,13 @@
 One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors) and levelled proposers.  With two
 levels it runs deferred acceptance on the two-copy instance G' without
-building G'.  A floored run, such as the forced-edge query `forced`,
-resumes from the unforced run's final state, which the instance keeps
-per level, through private overlays that copy none of it; `is_stable`
-is the blocking-pair scan of G.
+building G'.  The instance keeps the unforced run's final state per
+level, the level-2 one climbed on from the level-1 one.  A floored run,
+such as the forced-edge query `forced`, resumes from it: when a floored
+woman holds a man below her floor there, through private overlays that
+copy none of it, and else with no proposal at all.  The rotation posets
+walk on from copies of it too.  `is_stable` is the blocking-pair scan
+of G.
 A result is a `LevelledMatching` in the numbers the loop keeps: each
 man's position on his list and his level, named only when read by id.
 
@@ -81,15 +84,38 @@ def _held(
 class _Overlay(dict):
     """A private write layer over the kept list `kept`: a read of an
     entry not written here reads the list, and the list is never
-    written.  A floored run's result reads two (`instance._merged`)."""
+    written.  A floored run's result reads two (`instance._merged`).
+    Made as `_Overlay()` with `kept` set after: no `__init__` frame."""
 
     __slots__ = ("kept",)
 
-    def __init__(self, kept: List[int]):
-        self.kept = kept
-
     def __missing__(self, i: int) -> int:
         return self.kept[i]
+
+
+# the instance attribute that keeps the unforced state, by `levels`
+_KEPT = {1: "unforced_state_1", 2: "unforced_state_2"}
+
+
+def _unforced(inst: Instance, levels: int) -> List[List[int]]:
+    """The unforced final state of `_propose` at `levels`, kept on the
+    instance from the first call on and never written after.  Level 1
+    is one run from empty arrays.  Level 2 climbs on from a copy of the
+    kept level-1 state, each man whose level-0 list ran out queued to
+    start it again at level 1: the proposals of the level-1 run are the
+    first ones of the level-2 run, in an order that does not change its
+    end (McVitie-Wilson 1971)."""
+    state = vars(inst).get(_KEPT[levels])
+    if state is None:
+        if levels == 1:
+            state = _propose(inst, 1)
+        else:
+            state = [a.copy() for a in _unforced(inst, 1)]
+            adj, at = inst.adj, state[3]
+            ran_out = [m for m, i in enumerate(at) if i == len(adj[m])]
+            state = _propose(inst, 2, (), state, ran_out)
+        vars(inst)[_KEPT[levels]] = state
+    return state
 
 
 def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching:
@@ -97,28 +123,49 @@ def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching
     woman on man m's list refuses every proposer she ranks below m at
     level l.  Cutting lists only adds refusals and the order of proposals
     does not matter (McVitie-Wilson 1971), so it resumes from the
-    unforced final state, kept on the instance from the first call at
-    `levels` on.  The run writes all five lists to private overlays of
-    the kept ones and copies none: the result is bound to the overlays
+    unforced final state (`_unforced`).  Only a floored woman who holds
+    a man below her floor there starts proposals: if none does, the
+    result is the unforced matching and `_propose` is not entered.
+    Else the run writes all five lists to private overlays of the kept
+    ones and copies none.  Either way the result is bound to overlays
     of `at` and `level` and builds its `pos` and `lvl` on first read.
     A run costs the proposals made beyond the unforced matching, and
     its overlays hold an entry for each man and woman they touch."""
-    key = f"unforced_state_{levels}"
-    if key not in vars(inst):
-        vars(inst)[key] = _propose(inst, levels)
-    state = list(map(_Overlay, vars(inst)[key]))
-    return LevelledMatching(inst, *_propose(inst, levels, held, state)[3:])
+    # read inline: on a forced query that proposes nothing, the call to
+    # `_unforced` added about 15% to its cost
+    state = getattr(inst, _KEPT[levels], None) or _unforced(inst, levels)
+    holds, pos = state[0], state[1]
+    adj, back, first = inst.adj, inst.back, inst.first
+    for m, k, lvl in held:
+        w = adj[m][k]
+        if holds[w] >= 0 and pos[w] > back[first[m] + k] - lvl * len(adj[w]):
+            break
+    else:
+        at = _Overlay()
+        at.kept = state[3]
+        level = _Overlay()
+        level.kept = state[4]
+        return LevelledMatching(inst, at, level)
+    overlays = []
+    for kept in state:
+        overlay = _Overlay()
+        overlay.kept = kept
+        overlays.append(overlay)
+    return LevelledMatching(inst, *_propose(inst, levels, held, overlays)[3:])
 
 
-def _propose(inst: Instance, levels: int, held=(), state=None) -> List[List[int]]:
+def _propose(
+    inst: Instance, levels: int, held=(), state=None, free=()
+) -> List[List[int]]:
     """The loop of `run`, on numbers: [holds, pos, next_ix, at, level],
     where woman w holds man holds[w] (-1: no one) at her position pos[w]
     and man m the woman before next_ix[m] on his list at level[m], at
     position at[m] (its length: he ran out of it at the top level).  It
-    starts from empty arrays, or goes on from `state`, which it changes,
-    with the men `held`'s women refuse.  `rotations` walks on from it."""
+    starts from empty arrays with every man free, or goes on from
+    `state`, which it changes, with the men of `free` and those `held`'s
+    women refuse free.  `rotations` walks on from its final state."""
     adj, back, first, n = inst.adj, inst.back, inst.first, len(inst.men)
-    queue = deque(range(n) if state is None else ())
+    queue = deque(range(n) if state is None else free)
     if state is None:
         if levels not in (1, 2):
             raise ValueError(f"levels must be 1 or 2, got {levels!r}")

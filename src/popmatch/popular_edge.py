@@ -148,30 +148,33 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
 
     The witness is that of `stable_with_edge` if there is one (smaller
     and blocking-pair-free), else that of `dominant_with_edge`.  The
-    first call on an instance keeps on it which of those routes finds
-    one for each edge, read off the rotation posets of G and G'
-    (`rotations.popular_routes`: O(m log m) time, one byte per edge),
-    and the engine's unforced state at both levels (`gale_shapley._floored`).
-    After it, a "no" is one lookup and a "yes" is one floored run on the
-    known route, resumed from the kept state through private overlays:
-    the proposals made beyond the unforced matching, and no list copied.
-    The witness holds the entries that run changed, and builds its
-    positions only when they are read.
+    first call on an instance keeps on it the engine's unforced state at
+    both levels (`gale_shapley._unforced`: one run from empty arrays and
+    one climb), then reads which of those routes finds a witness for
+    each edge off the rotation posets of G and G', walked on from copies
+    of that state (`rotations.popular_routes`: O(m log m) time, one byte
+    per edge, kept too).  After it, a "no" is one lookup, and a "yes" is
+    one floored run on the known route (`gale_shapley._floored`).  That
+    run makes no proposal when the unforced matching already holds the
+    pair at its level, and else resumes from the kept state through
+    private overlays: the proposals made beyond the unforced matching,
+    and no list copied.  The witness holds the entries that run changed,
+    and builds its positions only when they are read.
     """
     u, v = edge
     s = inst.slot(u, v)
     if s is None:
         raise InstanceError(f"({u},{v}) is not an edge of the instance")
-    routes = vars(inst).get("popular_routes")
-    if routes is None:
+    m, _, k = s
+    try:  # an attribute read costs less than `vars(inst).get`
+        first, table = inst.popular_routes
+    except AttributeError:
         from .rotations import popular_routes
 
-        routes = vars(inst)["popular_routes"] = popular_routes(inst)
-        for levels in (1, 2):
-            gale_shapley._floored(inst, (), levels)  # keeps the unforced state
-    first, table = routes
-    route = table[first[s[0]] + s[2]]
+        gale_shapley._unforced(inst, 2)  # kept at both levels: the posets walk on
+        first, table = vars(inst)["popular_routes"] = popular_routes(inst)
+    route = table[first[m] + k]
     if not route:
         return None
     levels = 1 + (route > 1)
-    return gale_shapley._floored(inst, [(s[0], s[2], route - levels)], levels)
+    return gale_shapley._floored(inst, [(m, k, route - levels)], levels)

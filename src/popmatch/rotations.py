@@ -8,7 +8,8 @@ are the projections of the stable matchings of G' (see
 chain of the lattice by one pointer walk and their precedence by
 Gusfield-Irving pair labelling, in O(m log m) on m edges; it walks
 each man once per level, on from where `gale_shapley.run` stops, so G'
-is never built.
+is never built, and from a copy of the engine's kept state where the
+instance keeps one.
 Its readers are here too: `stable_matchings` and
 `RotationPoset.distinct_pairs` list the closed sets through one decoder,
 each matching once, up to a count guard; `popular_routes` marks the
@@ -177,7 +178,10 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     The rotations are found on one maximal chain from the
     proposer-optimal matching, by one walk with a scan pointer per man
     (Gusfield 1987; Gusfield-Irving 3.3) that goes on from where the
-    proposals of `gale_shapley.run` stopped.  A man's successor is the
+    proposals of `gale_shapley.run` stopped: from copies of the unforced
+    state the instance keeps (`gale_shapley._unforced`), which the walk
+    leaves as it was, or else, for a one-shot poset, from a run of its
+    own that nothing keeps.  A man's successor is the
     holder of the first woman from his pointer on who strictly prefers
     him, his list scanned once per level as in `run`, so at levels=2 he
     may be his own successor: one level up, his woman prefers him.
@@ -198,7 +202,11 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     adj, back, first = inst.adj, inst.back, inst.first
     deg = list(map(len, adj))
     n = len(inst.men)
-    holder, _, scan, _, level = gale_shapley._propose(inst, levels)
+    kept = vars(inst).get(gale_shapley._KEPT.get(levels))  # a bad `levels`: none
+    if kept is None:
+        holder, _, scan, _, level = gale_shapley._propose(inst, levels)
+    else:  # the walk writes `holder` and `scan` and only reads `level`
+        holder, scan, level = kept[0].copy(), kept[2].copy(), kept[4]
     # woman w keys man m at level l on his k-th woman by levels * deg[w]
     # minus her rank of him in G', that is (l + 1) * deg[w] - back[first[m] + k]
     held: List[Chain] = [()] * len(adj)
@@ -296,7 +304,9 @@ def popular_routes(inst: Instance) -> Tuple[array, bytearray]:
     several keeps the least, the first forced run `popular_edge` would
     try, and 0 means no popular matching holds it.  O(m log m) for the
     two posets, each dropped once its chains are read; the table keeps
-    one byte per edge.
+    one byte per edge.  Each poset walks on from the unforced state the
+    instance keeps at its level, if it keeps one (`popular_edge` has it
+    keep both first), and else from a run of its own.
     """
     first = inst.first
     table = bytearray(first[-1])

@@ -235,15 +235,19 @@ def test_queries_leave_the_kept_state_alone():
 
 
 def test_floored_runs_never_write_the_kept_lists():
-    # the kept lists at both levels stay the same objects with the same
-    # contents through every edge's query, each popular witness lifted
-    # to a dominant and lowered to a stable matching in between
+    # the kept lists at both levels are the unforced runs' after the
+    # first query, and stay the same objects with the same contents
+    # through every edge's query, each popular witness lifted to a
+    # dominant and lowered to a stable matching in between
     for inst in (generate_random(12, 12, 0.3, 5), generate_random(40, 40, 0.15, 2)):
         inst = parse_instance(serialize_instance(inst))
         edges = sorted(inst.edges)
         popular_edge(inst, edges[0])  # keeps the unforced state per level
         kept = {lv: list(vars(inst)[f"unforced_state_{lv}"]) for lv in (1, 2)}
         contents = {lv: [a.copy() for a in lists] for lv, lists in kept.items()}
+        # the first call walked both rotation posets on from copies of them
+        for lv, lists in contents.items():
+            assert lists == gale_shapley._propose(inst, lv), lv
         floored = 0
         for e in edges:
             got = popular_edge(inst, e)
@@ -257,3 +261,23 @@ def test_floored_runs_never_write_the_kept_lists():
             assert len(now) == 5 and all(a is b for a, b in zip(now, lists)), lv
             assert [type(a) for a in now] == [list] * 5, lv
             assert now == contents[lv], lv
+
+
+def test_level_two_state_climbs_from_the_level_one_state():
+    # the kept level-2 state goes on from a copy of the kept level-1 one,
+    # and ends list for list where the two-level run from empty arrays
+    # ends; the level-1 state it started from is left as it was
+    insts = [ensemble_instance(seed) for seed in range(200)]
+    insts += [parse_instance(cyclic_text(n)) for n in range(1, 8)]
+    insts += [parse_instance(blocks_text(k)) for k in range(1, 5)]
+    insts.append(generate_random(10_000, 10_000, 0.002, seed=7))  # the acceptance instance
+    climbed = 0
+    for inst in insts:
+        one = gale_shapley._unforced(inst, 1)
+        before = [a.copy() for a in one]
+        two = gale_shapley._unforced(inst, 2)
+        assert two == gale_shapley._propose(inst, 2)
+        assert vars(inst)["unforced_state_1"] is one and one == before
+        assert all(a is not b for a, b in zip(one, two))
+        climbed += any(two[4])  # some man climbed to level 1
+    assert climbed > 50

@@ -301,6 +301,30 @@ def test_serialize_round_trip(shared_top, contested_hub, nested_fan):
     assert serialize_instance(shared_top) == SHARED_TOP_TEXT
 
 
+def assert_back_ranks(inst, code):
+    """`back` is of typecode `code` and holds, at man m's k-th edge, his
+    rank on the list of the k-th woman on his."""
+    adj, back, first = inst.adj, inst.back, inst.first
+    assert back.typecode == code and len(back) == first[len(inst.men)]
+    assert all(
+        adj[w][back[first[m] + k]] == m for m in range(len(inst.men)) for k, w in enumerate(adj[m])
+    )
+
+
+@pytest.mark.parametrize("longest,code", [(65536, "H"), (65537, "I")])
+def test_back_takes_four_bytes_past_65536_ranks(longest, code):
+    # b0 lists every man: 65,536 ranks fit two bytes, 65,537 take four;
+    # built and parsed only, with no engine run
+    men = [f"a{i}" for i in range(longest)]
+    pref = {m: ["b0"] for m in men}
+    pref["b0"] = men[::-1]
+    inst = Instance(men, ["b0"], pref)
+    parsed = parse_instance(serialize_instance(inst))
+    assert parsed == inst
+    for one in (inst, parsed):
+        assert_back_ranks(one, code)
+
+
 @pytest.mark.parametrize("longest,code", [(256, "B"), (257, "H")])
 def test_back_holds_ranks_in_the_narrowest_unsigned_ints(longest, code):
     # b0 lists every man: 256 ranks fit one byte, 257 take two
@@ -315,13 +339,7 @@ def test_back_holds_ranks_in_the_narrowest_unsigned_ints(longest, code):
         rng.shuffle(lst)
     inst, reverse = Instance(men, women, pref), Instance(men[::-1], women[::-1], pref)
     for one in (inst, reverse, parse_instance(serialize_instance(inst))):
-        adj, back, first = one.adj, one.back, one.first
-        assert back.typecode == code and len(back) == first[len(one.men)]
-        assert all(
-            adj[w][back[first[m] + k]] == m
-            for m in range(len(one.men))
-            for k, w in enumerate(adj[m])
-        )
+        assert_back_ranks(one, code)
     for levels in (1, 2):
         got, again = run(inst, levels=levels), run(reverse, levels=levels)
         assert got == again and got.level == again.level

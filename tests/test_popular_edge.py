@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import json
 import pickle
@@ -35,7 +36,9 @@ from popmatch.elections import MINUS, PLUS, label_edges
 from popmatch.instance import LevelledMatching
 from popmatch.popular_edge import NotPopularError
 from popmatch.rotations import popular_routes
-from conftest import blocks_text, cyclic_text, gm_adj, induced, measured_child
+from conftest import (
+    blocks_text, cyclic_text, ensemble_instance, gm_adj, induced, measured_child,
+)
 from test_instance import _unset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,14 +348,17 @@ def test_popular_edges_read_the_posets(small_ensemble):
 
 
 def _count_runs(monkeypatch, counts):
-    """Counts floored runs, rotation posets and runs of the engine from
-    empty arrays, these per level."""
+    """Counts floored runs, rotation posets, runs of the engine from
+    empty arrays, these per level, and climbs of the kept level-1 state
+    to level 2."""
     propose = gale_shapley._propose
 
-    def from_empty(inst, levels, held=(), state=None):
+    def from_empty(inst, levels, held=(), state=None, free=()):
         if state is None:
             counts[f"empty{levels}"] = counts.get(f"empty{levels}", 0) + 1
-        return propose(inst, levels, held, state)
+        elif type(state[0]) is list:
+            counts["climb"] = counts.get("climb", 0) + 1
+        return propose(inst, levels, held, state, free)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -367,31 +373,33 @@ def _count_runs(monkeypatch, counts):
 
 
 def test_later_queries_run_at_most_one_forced_run(monkeypatch):
-    # the first query builds the two rotation posets and keeps the
-    # unforced state at both levels; after it a "yes" is one floored run
-    # resumed from that state, a "no" none, and no query starts the
-    # engine from empty arrays
+    # the first query keeps the unforced state at both levels, by one
+    # run from empty arrays at level 1 and one climb from it to level 2,
+    # and walks the two rotation posets on from copies of it; after it a
+    # "yes" is one floored run resumed from that state, a "no" none, and
+    # no query starts the engine from empty arrays
     inst = parse_instance(serialize_instance(generate_random(30, 30, 0.2, 3)))
     counts = {}
     _count_runs(monkeypatch, counts)
     edges = sorted(inst.edges)
     popular_edge(inst, edges[0])
-    started = {"empty1": 2, "empty2": 2, "poset": 2}
-    assert {k: counts[k] for k in started} == started
+    started = {"empty1": 1, "climb": 1, "poset": 2}
+    assert {k: v for k, v in counts.items() if k != "floored"} == started
     answers = {True: 0, False: 0}
     for e in edges:
         before = counts.get("floored", 0)
         got = popular_edge(inst, e)
         assert counts.get("floored", 0) - before == (got is not None), e
         answers[got is not None] += 1
-    assert {k: counts[k] for k in started} == started
+    assert {k: v for k, v in counts.items() if k != "floored"} == started
     assert answers[True] and answers[False]
 
 
 def test_cli_popular_edge_starts_once_per_level(monkeypatch, tmp_path, capsys):
     # each `popular-edge` call runs the engine from empty arrays at most
-    # once per level: the stable route, then the dominant one at level 0
-    # and at level 1 resume from the state of the first run at their level
+    # once in all: the stable route runs it at level 1, and the dominant
+    # one at level 0 and at level 1 resumes from the level-2 state, which
+    # climbs on from the level-1 one
     from popmatch import cli
 
     path = tmp_path / "inst.pref"
@@ -402,9 +410,68 @@ def test_cli_popular_edge_starts_once_per_level(monkeypatch, tmp_path, capsys):
         counts.clear()
         codes.add(cli.main(["popular-edge", "--edge", f"{m},{w}", "-i", str(path)]))
         capsys.readouterr()
-        assert counts.get("empty1", 0) <= 1 and counts.get("empty2", 0) <= 1, (m, w, counts)
+        assert counts.get("empty1", 0) == 1 and "empty2" not in counts, (m, w, counts)
+        assert counts.get("climb", 0) <= 1 and "poset" not in counts, (m, w, counts)
         assert counts.get("floored", 0) in (1, 2, 3)
     assert codes == {0, 1}
+
+
+def test_posets_walk_on_from_the_kept_state(monkeypatch):
+    # a one-shot poset runs the engine itself and keeps nothing; once the
+    # instance keeps the unforced state, the walk goes on from copies of
+    # it, runs no engine, finds the same rotations, precedence and chains,
+    # and leaves the kept lists as they were
+    insts = [ensemble_instance(seed) for seed in range(120)]
+    insts += [parse_instance(cyclic_text(n)) for n in range(2, 7)]
+    insts += [parse_instance(blocks_text(k)) for k in range(1, 5)]
+    insts.append(generate_random(60, 60, 0.1, 3))
+    counts = {}
+    _count_runs(monkeypatch, counts)
+    rotated = 0
+    for inst in insts:
+        for levels in (1, 2):
+            counts.clear()
+            rotations.rotation_poset(inst, levels)
+            assert counts == {f"empty{levels}": 1, "poset": 1}, counts
+            assert not any(k.startswith("unforced_state") for k in vars(inst))
+        for levels in (2, 1):
+            fresh = rotations.rotation_poset(inst, levels)
+            kept = gale_shapley._unforced(inst, levels)
+            contents = [a.copy() for a in kept]
+            counts.clear()
+            walked = rotations.rotation_poset(inst, levels)
+            assert counts == {"poset": 1}, counts
+            assert walked.preds == fresh.preds and walked.chains == fresh.chains
+            assert walked.held == fresh.held
+            assert vars(inst)[f"unforced_state_{levels}"] is kept and kept == contents
+            rotated += len(walked.preds) > 0
+    assert rotated > 60
+
+
+# SHA-256 of every edge's `popular_edge` answer, (pos, lvl) or None, on
+# `pinned_instances()`, the edges of each instance in sorted order.
+POPULAR_EDGE_SHA = "8563f8d119705fc666465d758303aae15f5ed60cfdb2666181d1791f718362fb"
+
+
+def pinned_instances():
+    yield from (ensemble_instance(seed) for seed in range(200))
+    yield from (generate_random(30, 30, 0.2, seed) for seed in range(1, 6))
+    yield generate_random(300, 300, 0.03, 1)
+    yield from (parse_instance(cyclic_text(n)) for n in range(2, 8))
+    yield from (parse_instance(blocks_text(k)) for k in range(1, 5))
+
+
+def test_popular_edge_answers_are_pinned():
+    answers = []
+    for inst in pinned_instances():
+        for e in sorted(inst.edges):
+            got = popular_edge(inst, e)
+            answers.append(None if got is None else (got.pos, got.lvl))
+    assert len(answers) == 5961
+    assert sum(got is not None for got in answers) == 1623
+    assert sum(got is not None and any(got[1]) for got in answers) > 100
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == POPULAR_EDGE_SHA, digest
 
 
 # How far the peak RSS of parsing the edge-queries instance and answering
@@ -512,13 +579,14 @@ def test_len_of_a_witness_builds_no_view(small_ensemble):
 
 
 def _count_overlay_entries(monkeypatch):
-    """The overlay entries each floored run writes, listed per run."""
+    """The overlay entries each floored run that proposes writes, listed
+    per run; the climb to the level-2 state, on plain lists, is not one."""
     written = []
     propose = gale_shapley._propose
 
-    def counted(inst, levels, held=(), state=None):
-        got = propose(inst, levels, held, state)
-        if state is not None:
+    def counted(inst, levels, held=(), state=None, free=()):
+        got = propose(inst, levels, held, state, free)
+        if state is not None and type(state[0]) is not list:
             assert all(type(a) is gale_shapley._Overlay for a in got)
             written.append(sum(map(len, got)))
         return got
@@ -528,16 +596,19 @@ def _count_overlay_entries(monkeypatch):
 
 
 # The overlay entries written in all by the floored runs of the query
-# list in `test_floored_runs_write_what_they_change`: 50 "yes" answers,
-# from none to 905 entries each.  Copying a kept list instead adds one
-# entry per man or woman to every run.
+# list in `test_floored_runs_write_what_they_change`, and how many of its
+# 50 "yes" answers make a run that proposes (from 25 to 905 entries
+# each): the other 41 find their floors met in the kept state.  Copying
+# a kept list instead adds one entry per man or woman to every run.
 WRITTEN_ENTRIES = 4365
+PROPOSING_QUERIES = 9
 
 
 def test_floored_runs_write_what_they_change(monkeypatch):
-    # a deterministic work count: forcing a pair of the unforced matching
-    # at either level moves no one and writes no overlay entry, and the
-    # entries written by a fixed seeded list of queries are pinned
+    # deterministic work counts: forcing a pair of the unforced matching
+    # at either level enters no proposal loop, and the proposing runs of
+    # a fixed seeded list of queries and the entries they write are
+    # pinned
     inst = generate_random(200, 200, 0.1, 29)
     stable, dominant = run(inst), dominant_two_level(inst)
     rng = random.Random(29)
@@ -550,8 +621,7 @@ def test_floored_runs_write_what_they_change(monkeypatch):
         assert stable_with_edge(inst, (m, w)) == stable
     for m, w in dominant.sorted_pairs():
         assert gale_shapley.forced(inst, {w: (m, dominant.level[m])}, 2) == dominant
-    assert written == [0] * (len(stable) + len(dominant))
-    written.clear()
+    assert written == []
     answers = [popular_edge(inst, e) is not None for e in queries]
-    assert len(written) == sum(answers) and 0 < sum(answers) < len(queries)
-    assert sum(written) == WRITTEN_ENTRIES, written
+    assert sum(answers) == 50 and 0 not in written
+    assert (len(written), sum(written)) == (PROPOSING_QUERIES, WRITTEN_ENTRIES), written
