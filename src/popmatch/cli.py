@@ -126,9 +126,12 @@ def _max_enum() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        limit = int(raw)
+        if limit >= 0:
+            return limit
     except ValueError:
-        raise InstanceError(f"POPMATCH_MAX_ENUM must be an integer, got {raw!r}")
+        pass
+    raise InstanceError(f"POPMATCH_MAX_ENUM must be a non-negative integer, got {raw!r}")
 
 
 def _cmd_solve(args) -> int:

@@ -4,12 +4,15 @@ One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors) and levelled proposers.  With two
 levels it runs deferred acceptance on the two-copy instance G' without
 building G'.  The instance keeps the unforced run's final state per
-level, the level-2 one climbed on from the level-1 one.  A floored run,
+level, the level-2 one climbed on from the level-1 one, and beside it
+one pair of empty overlays of its `at` and `level`.  A floored run,
 such as the forced-edge query `forced`, resumes from it: when a floored
 woman holds a man below her floor there, through private overlays that
-copy none of it, and else with no proposal at all.  The rotation posets
-walk on from copies of it too.  `is_stable` is the blocking-pair scan
-of G.
+copy none of it, and else with no proposal at all, its result then a
+new witness bound to that shared pair (`_unmoved`), which is all a
+`popular_edge` "yes" on a pair the kept matching holds costs.  The
+rotation posets walk on from copies of it too.  `is_stable` is the
+blocking-pair scan of G.
 A result is a `LevelledMatching` in the numbers the loop keeps: each
 man's position on his list and his level, named only when read by id.
 
@@ -93,8 +96,10 @@ class _Overlay(dict):
         return self.kept[i]
 
 
-# the instance attribute that keeps the unforced state, by `levels`
+# the instance attributes that keep the unforced state and the empty
+# overlays of its `at` and `level` that `_unmoved` shares, by `levels`
 _KEPT = {1: "unforced_state_1", 2: "unforced_state_2"}
+_UNMOVED = {1: "unforced_overlays_1", 2: "unforced_overlays_2"}
 
 
 def _unforced(inst: Instance, levels: int) -> List[List[int]]:
@@ -104,7 +109,8 @@ def _unforced(inst: Instance, levels: int) -> List[List[int]]:
     kept level-1 state, each man whose level-0 list ran out queued to
     start it again at level 1: the proposals of the level-1 run are the
     first ones of the level-2 run, in an order that does not change its
-    end (McVitie-Wilson 1971)."""
+    end (McVitie-Wilson 1971).  Beside it goes one pair of empty
+    overlays of its `at` and `level`, which `_unmoved` shares."""
     state = vars(inst).get(_KEPT[levels])
     if state is None:
         if levels == 1:
@@ -115,7 +121,21 @@ def _unforced(inst: Instance, levels: int) -> List[List[int]]:
             ran_out = [m for m, i in enumerate(at) if i == len(adj[m])]
             state = _propose(inst, 2, (), state, ran_out)
         vars(inst)[_KEPT[levels]] = state
+        at, level = _Overlay(), _Overlay()
+        at.kept, level.kept = state[3], state[4]
+        vars(inst)[_UNMOVED[levels]] = at, level
     return state
+
+
+def _unmoved(inst: Instance, levels: int) -> LevelledMatching:
+    """The kept unforced matching at `levels` as a new witness, bound
+    through the shared empty overlays, which nothing writes (a witness
+    builds its own lists on first read), and made without running
+    `LevelledMatching.__init__`."""
+    got = object.__new__(LevelledMatching)
+    got.inst = inst
+    got._runs = getattr(inst, _UNMOVED[levels])
+    return got
 
 
 def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching:
@@ -125,12 +145,15 @@ def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching
     does not matter (McVitie-Wilson 1971), so it resumes from the
     unforced final state (`_unforced`).  Only a floored woman who holds
     a man below her floor there starts proposals: if none does, the
-    result is the unforced matching and `_propose` is not entered.
+    result is the unforced matching, `_unmoved`'s witness on the shared
+    empty overlays, and no overlay is made and `_propose` not entered.
     Else the run writes all five lists to private overlays of the kept
     ones and copies none.  Either way the result is bound to overlays
     of `at` and `level` and builds its `pos` and `lvl` on first read.
     A run costs the proposals made beyond the unforced matching, and
-    its overlays hold an entry for each man and woman they touch."""
+    its overlays hold an entry for each man and woman they touch.
+    `popular_edge` skips the call where its route table marks the pair
+    as held by the unforced matching."""
     # read inline: on a forced query that proposes nothing, the call to
     # `_unforced` added about 15% to its cost
     state = getattr(inst, _KEPT[levels], None) or _unforced(inst, levels)
@@ -141,11 +164,7 @@ def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching
         if holds[w] >= 0 and pos[w] > back[first[m] + k] - lvl * len(adj[w]):
             break
     else:
-        at = _Overlay()
-        at.kept = state[3]
-        level = _Overlay()
-        level.kept = state[4]
-        return LevelledMatching(inst, at, level)
+        return _unmoved(inst, levels)
     overlays = []
     for kept in state:
         overlay = _Overlay()

@@ -153,10 +153,12 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
     one climb), then reads which of those routes finds a witness for
     each edge off the rotation posets of G and G', walked on from copies
     of that state (`rotations.popular_routes`: O(m log m) time, one byte
-    per edge, kept too).  After it, a "no" is one lookup, and a "yes" is
-    one floored run on the known route (`gale_shapley._floored`).  That
-    run makes no proposal when the unforced matching already holds the
-    pair at its level, and else resumes from the kept state through
+    per edge, kept too).  After it, a "no" is one lookup.  A "yes" on a
+    pair the kept unforced matching holds at its route's level, which
+    the table marks, is one lookup too: the witness is a new one bound
+    to the kept lists through empty overlays (`gale_shapley._unmoved`),
+    with no forced run.  Any other "yes" is one floored run on the known
+    route (`gale_shapley._floored`), resumed from the kept state through
     private overlays: the proposals made beyond the unforced matching,
     and no list copied.  The witness holds the entries that run changed,
     and builds its positions only when they are read.
@@ -176,5 +178,7 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
     route = table[first[m] + k]
     if not route:
         return None
-    levels = 1 + (route > 1)
-    return gale_shapley._floored(inst, [(m, k, route - levels)], levels)
+    levels = 1 + (route & 3 > 1)
+    if route & 4:
+        return gale_shapley._unmoved(inst, levels)
+    return gale_shapley._floored(inst, [(m, k, (route & 3) - levels)], levels)

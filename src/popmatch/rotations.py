@@ -299,23 +299,29 @@ def popular_routes(inst: Instance) -> Tuple[array, bytearray]:
     An edge is popular iff a stable matching of G or of G' holds it (the
     paper), that is iff it is a stable pair of one of them: a start pair
     or a pair some rotation moves onto (Gusfield-Irving 1989, ch. 3), as
-    the posets' chains list them.  A stable pair of G has the byte 1 and
-    one of G' with the man at level l the byte 2 + l; an edge that is
-    several keeps the least, the first forced run `popular_edge` would
-    try, and 0 means no popular matching holds it.  O(m log m) for the
-    two posets, each dropped once its chains are read; the table keeps
-    one byte per edge.  Each poset walks on from the unforced state the
-    instance keeps at its level, if it keeps one (`popular_edge` has it
-    keep both first), and else from a run of its own.
+    the posets' chains list them.  A byte's low two bits give the route:
+    1 for a stable pair of G and 2 + l for one of G' with the man at
+    level l; an edge that is several keeps the least, the first forced
+    run `popular_edge` would try, and 0 means no popular matching holds
+    it.  Bit 2 (value 4) is set when that route's poset starts the man's
+    chain with the pair, that is, when the unforced state kept at that
+    level already holds it, so that `popular_edge` answers with no
+    forced run.  The bytes are thus 0, 1, 2, 3, 5, 6 and 7.  O(m log m)
+    for the two posets, each dropped once its chains are read; the
+    table keeps one byte per edge.  Each poset walks on from the
+    unforced state the instance keeps at its level, if it keeps one
+    (`popular_edge` has it keep both first), and else from a run of its
+    own.
     """
     first = inst.first
     table = bytearray(first[-1])
     for levels in (2, 1):
         poset = rotation_poset(inst, levels)
         for m in range(len(inst.men)):
-            for k, _, lvl in poset.partners(m):
-                if not 0 < table[first[m] + k] < levels + lvl:
-                    table[first[m] + k] = levels + lvl
+            for k, r, lvl in poset.partners(m):
+                if not 0 < table[first[m] + k] & 3 < levels + lvl:
+                    # rotation -1 is the start
+                    table[first[m] + k] = levels + lvl | (r < 0) << 2
         del poset
     return first, table
 

@@ -510,9 +510,10 @@ def test_enumerate_guard_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POPMATCH_MAX_ENUM", "39")
     code, out, _ = run_cli(capsys, "enumerate", "--what", "matchings", "-i", str(path))
     assert code == 0 and out
-    monkeypatch.setenv("POPMATCH_MAX_ENUM", "nope")
-    code, _, err = run_cli(capsys, "enumerate", "--what", "matchings", "-i", str(path))
-    assert code == 2 and "POPMATCH_MAX_ENUM" in err
+    for raw in ("nope", "-3"):
+        monkeypatch.setenv("POPMATCH_MAX_ENUM", raw)
+        code, _, err = run_cli(capsys, "enumerate", "--what", "matchings", "-i", str(path))
+        assert code == 2 and "POPMATCH_MAX_ENUM" in err, raw
 
 
 def test_out_of_memory_is_exit_2(shared_top_file, capsys, monkeypatch):

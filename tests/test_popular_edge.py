@@ -327,13 +327,30 @@ def test_popular_edge_rejects_what_is_no_edge(shared_top):
 
 
 def test_routes_take_one_byte_per_edge(contested_hub):
-    for inst in (contested_hub, parse_instance(blocks_text(3)), parse_instance(cyclic_text(4))):
+    # the low two bits are the route, and bit 2 marks exactly the pairs
+    # the unforced state kept at the route's level holds
+    insts = [contested_hub, parse_instance(blocks_text(3)), parse_instance(cyclic_text(4))]
+    insts += [generate_random(30, 30, 0.2, seed) for seed in range(1, 4)]
+    marked = unmarked = 0
+    for inst in insts:
         first, table = popular_routes(inst)
         assert isinstance(table, bytearray) and len(table) == len(inst.edges)
         # the instance's own edge offsets, not a copy
         assert first is inst.first
         assert list(first) == [sum(map(len, inst.adj[:m])) for m in range(len(inst.men) + 1)]
-        assert set(table) <= {0, 1, 2, 3}
+        assert set(table) <= {0, 1, 2, 3, 5, 6, 7}
+        for m, lst in enumerate(inst.adj[: len(inst.men)]):
+            for k in range(len(lst)):
+                route = table[first[m] + k] & 3
+                if not route:
+                    continue
+                levels = 1 + (route > 1)
+                state = gale_shapley._unforced(inst, levels)
+                held = (state[3][m], state[4][m]) == (k, route - levels)
+                assert bool(table[first[m] + k] & 4) == held, (m, k)
+                marked += held
+                unmarked += not held
+    assert marked and unmarked
 
 
 def test_popular_edges_read_the_posets(small_ensemble):
@@ -376,23 +393,28 @@ def test_later_queries_run_at_most_one_forced_run(monkeypatch):
     # the first query keeps the unforced state at both levels, by one
     # run from empty arrays at level 1 and one climb from it to level 2,
     # and walks the two rotation posets on from copies of it; after it a
-    # "yes" is one floored run resumed from that state, a "no" none, and
-    # no query starts the engine from empty arrays
-    inst = parse_instance(serialize_instance(generate_random(30, 30, 0.2, 3)))
+    # "yes" the route table marks is no floored run, any other "yes" one
+    # resumed from that state, a "no" none, and no query starts the
+    # engine from empty arrays; seed 2 has unmarked "yes" answers on
+    # all three routes
+    inst = parse_instance(serialize_instance(generate_random(30, 30, 0.2, 2)))
     counts = {}
     _count_runs(monkeypatch, counts)
     edges = sorted(inst.edges)
     popular_edge(inst, edges[0])
     started = {"empty1": 1, "climb": 1, "poset": 2}
     assert {k: v for k, v in counts.items() if k != "floored"} == started
-    answers = {True: 0, False: 0}
+    first, table = inst.popular_routes
+    answers = {"marked": 0, "floored": 0, "no": 0}
     for e in edges:
         before = counts.get("floored", 0)
         got = popular_edge(inst, e)
-        assert counts.get("floored", 0) - before == (got is not None), e
-        answers[got is not None] += 1
+        m, _, k = inst.slot(*e)
+        kind = "no" if got is None else "marked" if table[first[m] + k] & 4 else "floored"
+        assert counts.get("floored", 0) - before == (kind == "floored"), e
+        answers[kind] += 1
     assert {k: v for k, v in counts.items() if k != "floored"} == started
-    assert answers[True] and answers[False]
+    assert all(answers.values()), answers
 
 
 def test_cli_popular_edge_starts_once_per_level(monkeypatch, tmp_path, capsys):
@@ -472,6 +494,48 @@ def test_popular_edge_answers_are_pinned():
     assert sum(got is not None and any(got[1]) for got in answers) > 100
     digest = hashlib.sha256(repr(answers).encode()).hexdigest()
     assert digest == POPULAR_EDGE_SHA, digest
+
+
+def test_shared_overlays_stay_private():
+    # a "yes" the route table marks is a new witness bound to the empty
+    # overlays kept beside the unforced state at its level: reading,
+    # writing, copying or pickling a witness never writes them or the
+    # kept lists, and it stands for what the floored run finds
+    marked = 0
+    for inst in pinned_instances():
+        edges = sorted(inst.edges)
+        if not edges:
+            continue
+        got = [(e, popular_edge(inst, e)) for e in edges]
+        first, table = inst.popular_routes
+        by_level = {1: [], 2: []}
+        for e, w in got:
+            m, _, k = inst.slot(*e)
+            route = table[first[m] + k]
+            if route & 4:
+                levels = 1 + (route & 3 > 1)
+                by_level[levels].append((e, w, (m, k, (route & 3) - levels)))
+        for levels, witnesses in by_level.items():
+            kept = vars(inst)[f"unforced_state_{levels}"]
+            for e, w, held in witnesses[:3]:
+                floored = gale_shapley._floored(inst, [held], levels)
+                for twin in (w, copy.copy(w), pickle.loads(pickle.dumps(w))):
+                    assert twin == floored and hash(twin) == hash(floored), e
+                    assert (twin.pos, twin.lvl) == (floored.pos, floored.lvl), e
+            if len(witnesses) >= 2:
+                (_, one, _), (_, two, _) = witnesses[:2]
+                assert one is not two
+                one.pos[0] += 1
+                one.lvl[0] += 1
+                assert (two.pos, two.lvl) == (kept[3], kept[4]) != (one.pos, one.lvl)
+            marked += len(witnesses)
+        for levels in (1, 2):
+            at, level = vars(inst)[f"unforced_overlays_{levels}"]
+            kept = vars(inst)[f"unforced_state_{levels}"]
+            assert at == level == {} and (at.kept, level.kept) == (kept[3], kept[4])
+            assert at.kept is kept[3] and level.kept is kept[4]
+            assert kept == gale_shapley._propose(inst, levels)
+    assert marked > 1000
 
 
 # How far the peak RSS of parsing the edge-queries instance and answering
