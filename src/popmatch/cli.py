@@ -114,11 +114,19 @@ def _emit(as_json: bool, fields: dict, text: Iterable = ()) -> None:
         write("".join(lines))
 
 
-def _parse_edge(text: str) -> Tuple[str, str]:
+def _parse_edge(text: str, inst: Instance) -> Tuple[str, str]:
+    """`--edge`'s (man, woman): split at its one comma, or, where ids
+    hold commas, at the one comma that names an edge of `inst`."""
     parts = text.split(",")
-    if len(parts) != 2 or not all(parts):
+    if len(parts) == 2 and all(parts):
+        return parts[0], parts[1]
+    splits = ((",".join(parts[:i]), ",".join(parts[i:])) for i in range(1, len(parts)))
+    named = [edge for edge in splits if inst.slot(*edge) is not None]
+    if len(named) > 1:
+        raise InstanceError(f"--edge {text!r} names more than one edge")
+    if not named:
         raise InstanceError(f"--edge expects 'u,v', got {text!r}")
-    return parts[0], parts[1]
+    return named[0]
 
 
 def _max_enum() -> Optional[int]:
@@ -175,7 +183,7 @@ def _cmd_popular_edge(args) -> int:
     from .popular_edge import dominant_with_edge
 
     inst = _load_instance(args.instance)
-    edge = _parse_edge(args.edge)
+    edge = _parse_edge(args.edge, inst)
     # `popular_edge`'s answer without its route table: one run from empty
     # arrays, then for a dominant edge one climb to level 2, costs less
     # than walking two rotation posets

@@ -4,15 +4,13 @@ One proposal loop covers plain deferred acceptance, forced-edge runs
 (via per-woman acceptance floors) and levelled proposers.  With two
 levels it runs deferred acceptance on the two-copy instance G' without
 building G'.  The instance keeps the unforced run's final state per
-level, the level-2 one climbed on from the level-1 one, and beside it
-one pair of empty overlays of its `at` and `level`.  A floored run,
-such as the forced-edge query `forced`, resumes from it: when a floored
-woman holds a man below her floor there, through private overlays that
-copy none of it, and else with no proposal at all, its result then a
-new witness bound to that shared pair (`_unmoved`), which is all a
-`popular_edge` "yes" on a pair the kept matching holds costs.  The
-rotation posets walk on from copies of it too.  `is_stable` is the
-blocking-pair scan of G.
+level, the level-2 one climbed on from the level-1 one.  A floored run,
+such as the forced-edge query `forced`, resumes from it through private
+overlays that copy none of it; the rotation posets walk on from copies
+of it.  Beside it the instance keeps one pair of empty overlays of its
+`at` and `level`, through which `_unmoved` gives the unforced matching
+as a new witness with no run: a `popular_edge` "yes" on a pair the
+kept matching holds.  `is_stable` is the blocking-pair scan of G.
 A result is a `LevelledMatching` in the numbers the loop keeps: each
 man's position on his list and his level, named only when read by id.
 
@@ -131,7 +129,8 @@ def _unmoved(inst: Instance, levels: int) -> LevelledMatching:
     """The kept unforced matching at `levels` as a new witness, bound
     through the shared empty overlays, which nothing writes (a witness
     builds its own lists on first read), and made without running
-    `LevelledMatching.__init__`."""
+    `LevelledMatching.__init__`: `popular_edge`'s answer where its route
+    table marks the pair as held by that matching."""
     got = object.__new__(LevelledMatching)
     got.inst = inst
     got._runs = getattr(inst, _UNMOVED[levels])
@@ -143,30 +142,16 @@ def _floored(inst: Instance, held: List[tuple], levels: int) -> LevelledMatching
     woman on man m's list refuses every proposer she ranks below m at
     level l.  Cutting lists only adds refusals and the order of proposals
     does not matter (McVitie-Wilson 1971), so it resumes from the
-    unforced final state (`_unforced`).  Only a floored woman who holds
-    a man below her floor there starts proposals: if none does, the
-    result is the unforced matching, `_unmoved`'s witness on the shared
-    empty overlays, and no overlay is made and `_propose` not entered.
-    Else the run writes all five lists to private overlays of the kept
-    ones and copies none.  Either way the result is bound to overlays
-    of `at` and `level` and builds its `pos` and `lvl` on first read.
-    A run costs the proposals made beyond the unforced matching, and
-    its overlays hold an entry for each man and woman they touch.
-    `popular_edge` skips the call where its route table marks the pair
-    as held by the unforced matching."""
-    # read inline: on a forced query that proposes nothing, the call to
-    # `_unforced` added about 15% to its cost
-    state = getattr(inst, _KEPT[levels], None) or _unforced(inst, levels)
-    holds, pos = state[0], state[1]
-    adj, back, first = inst.adj, inst.back, inst.first
-    for m, k, lvl in held:
-        w = adj[m][k]
-        if holds[w] >= 0 and pos[w] > back[first[m] + k] - lvl * len(adj[w]):
-            break
-    else:
-        return _unmoved(inst, levels)
+    unforced final state (`_unforced`), writing all five lists to
+    private overlays of the kept ones and copying none.  Proposals start
+    only from the men floored women refuse, so a run whose floors the
+    kept state meets queues no one and writes nothing.  The result is
+    bound to the overlays of `at` and `level` and builds its `pos` and
+    `lvl` on first read.  A run costs the proposals made beyond the
+    unforced matching, and its overlays hold an entry for each man and
+    woman they touch."""
     overlays = []
-    for kept in state:
+    for kept in _unforced(inst, levels):
         overlay = _Overlay()
         overlay.kept = kept
         overlays.append(overlay)
@@ -266,14 +251,15 @@ def forced(
     """The men-optimal stable matching (of G' with levels=2) in which each
     woman w of `held` holds the man at the level held[w], if one exists.
 
-    One floored `run` in which each such woman refuses anyone below her
-    man at his level, which is deferred acceptance on the instance with
-    her list cut below him, resumed from the kept unforced state.  If
-    she holds him there, no cut pair blocks the result, since she ranks
-    every cut man below him.  A stable matching holding all the pairs is
-    stable in the cut instance, where the run's result is the worst for
-    every woman and matches the same women (Gusfield-Irving 1989), so
-    each of them holds her man in it too.
+    One floored `run` (`_floored`) in which each such woman refuses
+    anyone below her man at his level, which is deferred acceptance on
+    the instance with her list cut below him, resumed from the kept
+    unforced state, so pairs that state holds cost no proposal.  If she
+    holds him at the end, no cut pair blocks the result, since she
+    ranks every cut man below him.  A stable matching holding all the
+    pairs is stable in the cut instance, where the run's result is the
+    worst for every woman and matches the same women (Gusfield-Irving
+    1989), so each of them holds her man in it too.
     """
     by_number = _held(inst, held, levels, "({},{}) is not an edge of the instance")
     got = _floored(inst, by_number, levels)

@@ -156,12 +156,15 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
     per edge, kept too).  After it, a "no" is one lookup.  A "yes" on a
     pair the kept unforced matching holds at its route's level, which
     the table marks, is one lookup too: the witness is a new one bound
-    to the kept lists through empty overlays (`gale_shapley._unmoved`),
-    with no forced run.  Any other "yes" is one floored run on the known
-    route (`gale_shapley._floored`), resumed from the kept state through
-    private overlays: the proposals made beyond the unforced matching,
-    and no list copied.  The witness holds the entries that run changed,
-    and builds its positions only when they are read.
+    to the kept lists through empty overlays (`gale_shapley._unmoved`).
+    Any other "yes" is one floored run on the known route
+    (`gale_shapley._floored`), resumed from the kept state through
+    private overlays, which always proposes: the unforced matching at
+    that level is the worst stable one for every woman, so the floored
+    woman holds a man below her floor there.  It makes the proposals
+    beyond the unforced matching and copies no list; the witness holds
+    the entries that run changed, and builds its positions only when
+    they are read.
     """
     u, v = edge
     s = inst.slot(u, v)
@@ -169,13 +172,13 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
         raise InstanceError(f"({u},{v}) is not an edge of the instance")
     m, _, k = s
     try:  # an attribute read costs less than `vars(inst).get`
-        first, table = inst.popular_routes
+        table = inst.popular_routes
     except AttributeError:
         from .rotations import popular_routes
 
         gale_shapley._unforced(inst, 2)  # kept at both levels: the posets walk on
-        first, table = vars(inst)["popular_routes"] = popular_routes(inst)
-    route = table[first[m] + k]
+        table = vars(inst)["popular_routes"] = popular_routes(inst)
+    route = table[inst.first[m] + k]
     if not route:
         return None
     levels = 1 + (route & 3 > 1)

@@ -21,7 +21,6 @@ decides whether every popular matching is stable.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
@@ -291,10 +290,9 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     return RotationPoset(inst, levels, preds, chains, held)
 
 
-def popular_routes(inst: Instance) -> Tuple[array, bytearray]:
+def popular_routes(inst: Instance) -> bytearray:
     """For each edge, which forced run finds a popular matching holding
-    it: (first, table), man m's k-th edge having the byte
-    table[first[m] + k], with the instance's own edge offsets `first`.
+    it: man m's k-th edge has the byte at `inst.first[m] + k`.
 
     An edge is popular iff a stable matching of G or of G' holds it (the
     paper), that is iff it is a stable pair of one of them: a start pair
@@ -306,12 +304,13 @@ def popular_routes(inst: Instance) -> Tuple[array, bytearray]:
     it.  Bit 2 (value 4) is set when that route's poset starts the man's
     chain with the pair, that is, when the unforced state kept at that
     level already holds it, so that `popular_edge` answers with no
-    forced run.  The bytes are thus 0, 1, 2, 3, 5, 6 and 7.  O(m log m)
-    for the two posets, each dropped once its chains are read; the
-    table keeps one byte per edge.  Each poset walks on from the
-    unforced state the instance keeps at its level, if it keeps one
-    (`popular_edge` has it keep both first), and else from a run of its
-    own.
+    forced run; a route with it clear is a pair that state does not
+    hold, whose forced run proposes.  The bytes are thus 0, 1, 2, 3, 5,
+    6 and 7.  O(m log m) for the two posets, each dropped once its
+    chains are read; the table keeps one byte per edge.  Each poset
+    walks on from the unforced state the instance keeps at its level,
+    if it keeps one (`popular_edge` has it keep both first), and else
+    from a run of its own.
     """
     first = inst.first
     table = bytearray(first[-1])
@@ -323,7 +322,7 @@ def popular_routes(inst: Instance) -> Tuple[array, bytearray]:
                     # rotation -1 is the start
                     table[first[m] + k] = levels + lvl | (r < 0) << 2
         del poset
-    return first, table
+    return table
 
 
 def popular_edges(inst: Instance) -> Set[Tuple[str, str]]:
@@ -331,7 +330,7 @@ def popular_edges(inst: Instance) -> Set[Tuple[str, str]]:
     `popular_routes` marks, in O(m log m).  `oracles.popular_edges` is
     the exhaustive reference."""
     names = inst.names
-    marks = iter(popular_routes(inst)[1])  # one byte per edge, man by man
+    marks = iter(popular_routes(inst))  # one byte per edge, man by man
     return {(names[m], names[w]) for m in range(len(inst.men)) for w in inst.adj[m] if next(marks)}
 
 
@@ -387,8 +386,8 @@ def exists_unstable_popular(
         return chain[i][1] if i < len(chain) else None
 
     def precedes(x: int, y: int) -> bool:
-        # x <= y in the poset; preds lie earlier on the chain, so no
-        # rotation before x can lead back to x
+        # x <= y in the poset, never for y = -1, the start; preds lie
+        # earlier on the chain, so no rotation before x can lead back to x
         if x >= y:
             return x == y
         stack, seen = [y], {y}
@@ -415,9 +414,9 @@ def exists_unstable_popular(
             rc = reached(held[b], 2 * len(adj[b]) - back[first[a] + k] - 1)
             if ra is None or rb is None or rc == -1:
                 continue
-            if rd is not None and (rd <= ra or rb >= 0 and precedes(rd, rb)):
+            if rd is not None and (rd <= ra or precedes(rd, rb)):
                 continue
-            if rc is not None and (rc <= rb or ra >= 0 and precedes(rc, ra)):
+            if rc is not None and (rc <= rb or precedes(rc, ra)):
                 continue
             closed = 0
             stack = [r for r in (ra, rb) if r >= 0]

@@ -256,6 +256,26 @@ def test_popular_edge_bad_edge_syntax(shared_top_file, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_popular_edge_ids_with_commas(tmp_path, capsys):
+    # ids may hold commas: text with several names the edge its one split
+    # names, and an error if no split or more than one does
+    path = tmp_path / "inst.pref"
+    path.write_text(
+        "men: a,1 a x\nwomen: b1 c y,z\n"
+        "a,1: b1\na: c\nx: y,z\nb1: a,1\nc: a\ny,z: x\n"
+    )
+    for edge in ("a,1,b1", "x,y,z"):
+        out = "a c\na,1 b1\nx y,z\n"
+        assert run_cli(capsys, "popular-edge", "--edge", edge, "-i", str(path)) == (0, out, "")
+    code, out, err = run_cli(capsys, "popular-edge", "--edge", "a,1,b2", "-i", str(path))
+    assert (code, out, err) == (2, "", "error: --edge expects 'u,v', got 'a,1,b2'\n")
+    path.write_text("men: a,1 a\nwomen: b 1,b\na,1: b\na: 1,b\nb: a,1\n1,b: a\n")
+    code, out, err = run_cli(capsys, "popular-edge", "--edge", "a,1,b", "-i", str(path))
+    assert (code, out, err) == (2, "", "error: --edge 'a,1,b' names more than one edge\n")
+    code, out, err = run_cli(capsys, "popular-edge", "--edge", "a,", "-i", str(path))
+    assert (code, out, err) == (2, "", "error: --edge expects 'u,v', got 'a,'\n")
+
+
 def test_popular_vs_stable(shared_top_file, contested_hub_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "popular-vs-stable", "-i", shared_top_file)
     assert code == 1

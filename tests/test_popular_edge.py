@@ -333,10 +333,9 @@ def test_routes_take_one_byte_per_edge(contested_hub):
     insts += [generate_random(30, 30, 0.2, seed) for seed in range(1, 4)]
     marked = unmarked = 0
     for inst in insts:
-        first, table = popular_routes(inst)
+        table, first = popular_routes(inst), inst.first
         assert isinstance(table, bytearray) and len(table) == len(inst.edges)
-        # the instance's own edge offsets, not a copy
-        assert first is inst.first
+        # indexed by the instance's own edge offsets
         assert list(first) == [sum(map(len, inst.adj[:m])) for m in range(len(inst.men) + 1)]
         assert set(table) <= {0, 1, 2, 3, 5, 6, 7}
         for m, lst in enumerate(inst.adj[: len(inst.men)]):
@@ -404,7 +403,7 @@ def test_later_queries_run_at_most_one_forced_run(monkeypatch):
     popular_edge(inst, edges[0])
     started = {"empty1": 1, "climb": 1, "poset": 2}
     assert {k: v for k, v in counts.items() if k != "floored"} == started
-    first, table = inst.popular_routes
+    table, first = inst.popular_routes, inst.first
     answers = {"marked": 0, "floored": 0, "no": 0}
     for e in edges:
         before = counts.get("floored", 0)
@@ -507,7 +506,7 @@ def test_shared_overlays_stay_private():
         if not edges:
             continue
         got = [(e, popular_edge(inst, e)) for e in edges]
-        first, table = inst.popular_routes
+        table, first = inst.popular_routes, inst.first
         by_level = {1: [], 2: []}
         for e, w in got:
             m, _, k = inst.slot(*e)
@@ -661,17 +660,19 @@ def _count_overlay_entries(monkeypatch):
 
 # The overlay entries written in all by the floored runs of the query
 # list in `test_floored_runs_write_what_they_change`, and how many of its
-# 50 "yes" answers make a run that proposes (from 25 to 905 entries
-# each): the other 41 find their floors met in the kept state.  Copying
-# a kept list instead adds one entry per man or woman to every run.
+# 50 "yes" answers make a floored run (from 25 to 905 entries each): the
+# other 41 are pairs the route table marks, answered with no run.
+# Copying a kept list instead adds one entry per man or woman to every
+# run.
 WRITTEN_ENTRIES = 4365
 PROPOSING_QUERIES = 9
 
 
 def test_floored_runs_write_what_they_change(monkeypatch):
     # deterministic work counts: forcing a pair of the unforced matching
-    # at either level enters no proposal loop, and the proposing runs of
-    # a fixed seeded list of queries and the entries they write are
+    # at either level queues no one and writes no overlay entry, every
+    # floored run a `popular_edge` query makes writes some, and the runs
+    # of a fixed seeded list of queries and the entries they write are
     # pinned
     inst = generate_random(200, 200, 0.1, 29)
     stable, dominant = run(inst), dominant_two_level(inst)
@@ -685,7 +686,15 @@ def test_floored_runs_write_what_they_change(monkeypatch):
         assert stable_with_edge(inst, (m, w)) == stable
     for m, w in dominant.sorted_pairs():
         assert gale_shapley.forced(inst, {w: (m, dominant.level[m])}, 2) == dominant
-    assert written == []
+    assert written == [0] * (len(stable) + len(dominant))
+    written.clear()
     answers = [popular_edge(inst, e) is not None for e in queries]
     assert sum(answers) == 50 and 0 not in written
     assert (len(written), sum(written)) == (PROPOSING_QUERIES, WRITTEN_ENTRIES), written
+    # an unmarked "yes" always proposes: the unforced matching at its
+    # route's level is the worst stable one for every woman
+    written.clear()
+    for other in pinned_instances():
+        for e in sorted(other.edges):
+            popular_edge(other, e)
+    assert len(written) > 100 and 0 not in written

@@ -7,7 +7,9 @@ the matchings it finds, written in small blocks and read into vertex
 numbers, and the rotation poset of G'.  On the reversed declaration, whose numbers follow the ids and
 not the declared order, it runs every id-order tie-break too: the
 stability and dominance checks on matchings that fail them, `exists_unstable_popular`, `min_cost_dominant`, the
-listing of G''s stable matchings and `popular_edges`.  Its output under
+listing of G''s stable matchings and `popular_edges`; on it and on the
+fixture it asks `popular_edge`, `stable_with_edge` and
+`dominant_with_edge` about every edge.  Its output under
 the floor Python must equal its output under this one.  The test skips
 only where no Python of the floor's minor version starts.
 """
@@ -34,8 +36,9 @@ import os, sys, tempfile
 from fractions import Fraction
 import popmatch
 from popmatch import (
-    cli, exists_unstable_popular, is_dominant, is_popular, is_stable, min_cost_dominant,
-    parse_instance, parse_matching, popular_edges, run, serialize_matching, stable_matchings,
+    cli, dominant_with_edge, exists_unstable_popular, is_dominant, is_popular, is_stable,
+    min_cost_dominant, parse_instance, parse_matching, popular_edge, popular_edges, run,
+    serialize_matching, stable_matchings, stable_with_edge,
 )
 from popmatch.rotations import rotation_poset
 
@@ -43,12 +46,14 @@ print(sys.version_info[:2] >= tuple(map(int, sys.argv[1].split("."))))
 print([type(getattr(popmatch, name)).__name__ for name in popmatch.__all__])
 cli._CHUNK = 7  # blocks shorter than most lines, each decoded to its last line end
 popmatch.instance._BLOCK = 2  # matchings written two pairs a block
+loaded = []
 for text in sys.argv[2:]:
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "inst.pref")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         inst = cli._load_instance(path)
+    loaded.append(inst)
     print(inst == parse_instance(text), inst, inst.back[: inst.first[1]][:5])
     for levels in (1, 2):
         found = run(inst, levels=levels)
@@ -69,6 +74,13 @@ best, cost = min_cost_dominant(inst, dict.fromkeys(inst.edges, Fraction(1)))
 print(levelled(best), cost)
 print([levelled(m) for m in stable_matchings(inst, levels=2)])
 print(sorted(popular_edges(inst)))
+
+# the edge queries on the nested fan and the reversed declaration
+for inst in (loaded[0], loaded[-1]):
+    for edge in sorted(inst.edges):
+        for query in (popular_edge, stable_with_edge, dominant_with_edge):
+            found = query(inst, edge)
+            print(edge, query.__name__, found and levelled(found))
 """
 
 
