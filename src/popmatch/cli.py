@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .instance import (
@@ -38,35 +38,39 @@ _CHUNK = 1 << 16
 
 def _lines(fh, path: str) -> Iterator[str]:
     """The lines of a binary file's UTF-8 text, as `str.splitlines` gives
-    them.  Each block read is decoded up to its last '\\n', or '\\r' not
-    at its end: neither byte occurs inside a UTF-8 sequence, and no such
-    cut splits a '\\r\\n', so each part's lines are lines of the whole
-    text.  An invalid byte is an InstanceError that gives its offset in
-    the file."""
-    rest = bytearray()  # the bytes read after the last cut
-    done = 0  # the bytes before it
-    while True:
-        data = fh.read(_CHUNK)
-        if data:
-            # searched from the new bytes on, so a long line costs linear
-            # time; a '\r' held at the end is no longer the last byte
-            start = len(rest)
-            rest += data
-            cut = 1 + max(rest.rfind(b"\n", start), rest.rfind(b"\r", max(start - 1, 0), -1))
-            if not cut:
-                continue
-        else:
-            cut = len(rest)
-        try:
-            text = rest[:cut].decode()
-        except UnicodeDecodeError as exc:
-            at = done + exc.start
-            raise InstanceError(f"{path}: not valid UTF-8 ({exc.reason} at byte {at})")
-        del rest[:cut]
-        done += cut
-        yield from text.splitlines()
-        if not data:
-            return
+    them, chained from each block's.  Each block read is decoded up to
+    its last '\\n', or '\\r' not at its end: neither byte occurs inside a
+    UTF-8 sequence, and no such cut splits a '\\r\\n', so each part's
+    lines are lines of the whole text.  An invalid byte is an
+    InstanceError that gives its offset in the file."""
+
+    def blocks():
+        rest = bytearray()  # the bytes read after the last cut
+        done = 0  # the bytes before it
+        while True:
+            data = fh.read(_CHUNK)
+            if data:
+                # searched from the new bytes on, so a long line costs
+                # linear time; a '\r' held at the end is no longer the last byte
+                start = len(rest)
+                rest += data
+                cut = 1 + max(rest.rfind(b"\n", start), rest.rfind(b"\r", max(start - 1, 0), -1))
+                if not cut:
+                    continue
+            else:
+                cut = len(rest)
+            try:
+                text = rest[:cut].decode()
+            except UnicodeDecodeError as exc:
+                at = done + exc.start
+                raise InstanceError(f"{path}: not valid UTF-8 ({exc.reason} at byte {at})")
+            del rest[:cut]
+            done += cut
+            yield text.splitlines()
+            if not data:
+                return
+
+    return chain.from_iterable(blocks())
 
 
 def _parse_file(path: str, parse: Callable, *args):
@@ -95,6 +99,8 @@ def _emit(as_json: bool, fields: dict, text: Iterable = ()) -> None:
     matchings in one write: unbuffered, each write is a system call."""
     write = sys.stdout.write
     if as_json:
+        import json
+
         write(json.dumps(fields, default=Matching.sorted_pairs))
         write("\n")
         return

@@ -26,7 +26,8 @@ File format (PREF v1):
 
 The first two content lines declare the sides; every further line gives
 one vertex's neighbors in decreasing order of preference.  Vertex ids
-are opaque tokens without whitespace or ':'.  A matching file has one
+are opaque tokens without whitespace or ':' that do not start with '#'
+(a line that does is a comment).  A matching file has one
 ``<man> <woman>`` pair per line.  An error in a file is a ParseError
 that names its line.
 """
@@ -91,11 +92,12 @@ def _numbering(men: Sequence[str], women: Sequence[str]) -> Dict[str, int]:
 
 
 def _check_ids(ids: Sequence[str], known: set, line: Optional[int] = None) -> None:
-    """Add declared ids to known, rejecting repeated and malformed ones."""
+    """Add declared ids to known, rejecting repeated and malformed ones
+    (a leading '#' would make the id's list line or pair a comment)."""
     for v in ids:
         if v in known:
             raise _error(f"duplicate vertex id {v!r}", line)
-        if ":" in v or v.split() != [v]:  # or empty, or holding whitespace
+        if ":" in v or v.split() != [v] or v[0] == "#":  # or empty, or holding whitespace
             raise _error(f"invalid vertex id {v!r}", line)
         known.add(v)
 
@@ -126,8 +128,8 @@ class Instance:
     owner's list, which no valid file has, goes to a side map.  At its
     peak a parse holds the numbered lists, `back` and the lines of its
     input not yet read, which the CLI hands `parse_instance` one block
-    of the file at a time: about 1.04 times what the instance keeps when
-    no list is long (1.03 to 1.12 when the whole text is given).
+    of the file at a time: 1.03 to 1.09 times what the instance keeps
+    when no list is long (1.03 to 1.11 when the whole text is given).
     """
 
     def __init__(
@@ -288,7 +290,7 @@ class Instance:
         pos = list(map(len, adj[:n]))
         for line, parts in records:
             if line and (len(parts) != 2 or parts[0][0] == "#"):
-                if not parts or parts[0][0] == "#":  # as `_records` skips it
+                if not parts or parts[0][0] == "#":  # a blank or comment line
                     continue
                 raise ParseError("expected '<man> <woman>'", line)
             m, w = parts
@@ -489,37 +491,38 @@ def _lines(source: Union[str, Iterable[str]]) -> Iterable[str]:
     gives them; a text's lines are let go as read."""
     if isinstance(source, str):
         lines = source.splitlines()[::-1]
-        return (lines.pop() for _ in range(len(lines)))
+        return map(lines.pop, repeat(-1, len(lines)))
     return source
-
-
-def _records(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
-    """(line number, stripped line) for each line of source (`_lines`)
-    that is neither blank nor a '#' comment: the record loop of the
-    instance and cost formats, which `parse_matching` reads as it does."""
-    for lineno, raw in enumerate(_lines(source), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
 
 
 def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
     """Parse the PREF v1 format into a validated Instance; the source is
-    the text, or its lines as `str.splitlines` gives them."""
+    the text, or its lines as `str.splitlines` gives them.  A line is
+    split at its first ':' as read, and stripped whole only if it has no
+    ':' or its head is empty or starts with '#'."""
     sides: list = []
     stray: dict = {}  # undeclared owner -> (its list, its line)
     known: set = set()
-    for lineno, line in _records(source):
+    index: dict = {}  # empty until both sides are declared
+    for lineno, line in enumerate(_lines(source), 1):
         head, sep, tail = line.partition(":")
-        if not sep:
-            raise ParseError("malformed line (missing ':')", lineno)
         head = head.strip()
-        items = tail.split()
-        if len(sides) < 2:
+        if not sep or not head or head[0] == "#":
+            line = line.strip()  # blank, a comment, a fault or an empty head
+            if not line or line[0] == "#":
+                continue
+            if not sep:
+                raise ParseError("malformed line (missing ':')", lineno)
+        v = index.get(head)
+        if v is None and len(sides) < 2:
             side = ("men", "women")[len(sides)]
             if head != side:
                 raise ParseError(f"expected '{side}:' declaration", lineno)
-            _check_ids(items, known, lineno)
+            items = tail.split()  # none empty or holding whitespace
+            ids = known.union(items)  # short by a repeat, on one side or both
+            if ":" in tail or "#" in tail or len(ids) < len(known) + len(items):
+                _check_ids(items, known, lineno)  # names the first fault
+            known = ids
             sides.append(tuple(items))
             if len(sides) == 2:
                 known.clear()  # index holds the ids from here on
@@ -528,9 +531,9 @@ def parse_instance(source: Union[str, Iterable[str]]) -> Instance:
                 adj: list = [()] * len(index)
                 lines = array("i", [0]) * len(index)  # each list's line, 0 if none
             continue
-        v = index.get(head)
         if lines[v] if v is not None else head in stray:
             raise ParseError(f"duplicate preference line for {head!r}", lineno)
+        items = tail.split()
         try:
             lst = tuple(map(number, items))
         except KeyError:

@@ -16,7 +16,7 @@ import sys
 from math import lcm
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
-from .instance import Instance, InstanceError, LevelledMatching, ParseError, _records
+from .instance import Instance, InstanceError, LevelledMatching, ParseError, _lines
 from .rotations import rotation_poset
 
 Edge = Tuple[str, str]
@@ -36,8 +36,9 @@ def parse_costs(source: Union[str, Iterable[str]], inst: Instance) -> CostFuncti
     costs: CostFunction = {}
     index, n = inst.index, len(inst.men)
     listed: Dict[int, frozenset] = {}  # a man's women, numbered, on first use
-    for lineno, line in _records(source):
-        parts = line.split()
+    for lineno, parts in enumerate(map(str.split, _lines(source)), 1):
+        if not parts or parts[0][0] == "#":  # a blank or comment line
+            continue
         if len(parts) != 3:
             raise ParseError("expected '<man> <woman> <cost>'", lineno)
         m, w, val = parts

@@ -750,7 +750,8 @@ def test_a_line_longer_than_a_block_is_read_in_linear_time(tmp_path, monkeypatch
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
     # numpy is imported on first use: gen and the oracles; parsing, the
     # proposal engine, the rotation poset and the verifiers, which label
-    # edges off the int lists, never load it
+    # edges off the int lists, never load it.  json is loaded for --json
+    # alone, so no text answer here loads it
     path = tmp_path / "inst.pref"
     path.write_text(CONTESTED_HUB_TEXT)
     costs = tmp_path / "c.costs"
@@ -774,7 +775,7 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = popmatch.cli.main(argv + i)\n"
         "    loaded.append((code, 'numpy' in sys.modules))\n"
-        "print(loaded)\n"
+        "print(loaded, 'json' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(path), str(costs), str(matching)],
@@ -783,7 +784,7 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "[False, (0, False), (0, False), (1, False), (0, False),"
-        " (1, False), (1, False), (1, False), (0, False)]\n"
+        " (1, False), (1, False), (1, False), (0, False)] False\n"
     )
 
 

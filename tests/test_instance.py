@@ -50,6 +50,12 @@ def test_parse_basic(shared_top):
 def test_parse_ignores_comments_and_blanks():
     inst = parse_instance("# header\n\nmen: a\nwomen: b\n# mid\na: b\nb: a\n")
     assert inst.edges == {("a", "b")}
+    # indented comments, one holding a ':', a comment between the
+    # declarations, a line of spaces and tabs, a padded head and CRLF
+    rows = ["  # x: y", "men: a c", "\t#c", "women: b", " \t ", " a : b ", "\t# a: c", "c:", "b:\ta "]
+    text = "\r\n".join(rows) + "\r\n"
+    want = Instance(("a", "c"), ("b",), {"a": ("b",), "b": ("a",), "c": ()})
+    assert parse_instance(text) == parse_instance(text.splitlines()) == want
 
 
 def test_empty_preference_lists_allowed():
@@ -86,6 +92,13 @@ PARSE_ERRORS = [
     ("men: a\nwomen: b\na:\nb: a\n", "'b' lists 'a' but 'a' does not list 'b'", 4),
     ("men: a:x\nwomen: b\n", "invalid vertex id 'a:x'", 1),
     ("# no declarations\n", "missing men:/women:", None),
+    ("men: a\n  # women: b\n \t\n", "missing men:/women:", None),
+    ("men: a\r\n\t#c\r\nwomen: b\r\n a  b \r\n", "':'", 4),
+    ("men: a\nwomen: b\n: b\n", "preference list for unknown vertex ''", 3),
+    (" : a\nmen: a\n", "expected 'men:' declaration", 1),
+    # a line that starts with '#' is a comment, so no id may
+    ("men: a #c\nwomen: b\n", "invalid vertex id '#c'", 1),
+    ("men: a\nwomen: b#c #c\n", "invalid vertex id '#c'", 2),
     # two faults: within a list the first entry at fault is named, and
     # every list is checked before adjacency is
     ("men: a\nwomen: b c\na: b b x\n", "duplicate entry 'b' in list of 'a'", 3),
@@ -197,6 +210,7 @@ INSTANCE_ERRORS = [
     ("colon-in-id", ("a:x",), ("b",), {}, "invalid vertex id 'a:x'"),
     ("space-in-id", ("a x",), ("b",), {}, "invalid vertex id"),
     ("empty-id", ("",), ("b",), {}, "invalid vertex id"),
+    ("hash-id", ("#a",), ("b",), {}, "invalid vertex id '#a'"),
     ("unknown-owner", ("a",), ("b",), {"c": ()}, "preference list for unknown vertex 'c'"),
     ("unknown-neighbor", ("a",), ("b",), {"a": ("x",)}, "unknown neighbor 'x' in list of 'a'"),
     ("own-side", ("a", "c"), ("b",), {"a": ("c",)}, "'a' lists 'c' on its own side"),
@@ -283,6 +297,21 @@ def mixed_lengths(seed):
     for lst in pref.values():
         rng.shuffle(lst)
     return Instance(men, women, pref)
+
+
+@pytest.mark.parametrize("a", ["a", "a#", "#a"])
+def test_what_the_constructor_accepts_round_trips(a):
+    # an instance and a matching written out read back as they were; an
+    # id starting with '#' would make its lines comments, so it is refused
+    try:
+        inst = Instance([a, "c"], ["b"], {a: ["b"], "b": [a, "c"], "c": ["b"]})
+    except InstanceError as exc:
+        assert str(exc) == f"invalid vertex id {a!r}" and a.startswith("#")
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
+    found = run(inst)
+    assert found.sorted_pairs() == ((a, "b"),)
+    assert parse_matching(serialize_matching(found), inst) == found
 
 
 def test_serialize_round_trip(shared_top, contested_hub, nested_fan):

@@ -1,6 +1,7 @@
 """The package under the oldest Python that pyproject.toml declares.
 
-The smoke script imports every public name, reads a fixture, an
+The smoke script imports every public name, reads a fixture, a second
+one written with comments, blank lines, tabs and CRLF line ends, an
 instance with 40-entry lists and one declared in reverse from files in
 small blocks, and runs the proposal engine at both levels, the verifiers on
 the matchings it finds, written in small blocks and read into vertex
@@ -27,7 +28,7 @@ import popmatch
 from popmatch import (
     Instance, generate_random, is_dominant, is_stable, parse_instance, run, serialize_instance,
 )
-from conftest import NESTED_FAN_TEXT
+from conftest import CONTESTED_HUB_TEXT, NESTED_FAN_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,6 +128,17 @@ def long_lists_text():
     return "\n".join(lines) + "\n"
 
 
+def messy_text(text):
+    # the lines a parse sets apart: indented comments, one holding a
+    # ':', blank lines of spaces and tabs, padded heads, tabs between
+    # ids and CRLF line ends
+    rows = ["  # x: y"]
+    for k, row in enumerate(text.splitlines()):
+        head, _, tail = row.partition(":")
+        rows += ["\t#c" if k % 2 else " \t ", f" {head}\t:\t" + "\t ".join(tail.split()) + " "]
+    return "\r\n".join(rows) + "\r\n"
+
+
 def test_smoke_runs_under_the_declared_floor():
     version = floor_version()
     python = floor_python(version)
@@ -137,7 +149,9 @@ def test_smoke_runs_under_the_declared_floor():
     reversed_text = serialize_instance(Instance(base.men[::-1], base.women[::-1], base.pref))
     inst = parse_instance(reversed_text)  # whose matchings fail the checks the smoke runs
     assert not is_stable(inst, run(inst, levels=2))[0] and not is_dominant(inst, run(inst))[0]
-    argv = ["-c", SMOKE, version, NESTED_FAN_TEXT, long_lists_text(), reversed_text]
+    messy = messy_text(CONTESTED_HUB_TEXT)
+    assert parse_instance(messy) == parse_instance(CONTESTED_HUB_TEXT)
+    argv = ["-c", SMOKE, version, NESTED_FAN_TEXT, messy, long_lists_text(), reversed_text]
     outputs = {}
     for exe in (python, sys.executable):
         proc = subprocess.run(
