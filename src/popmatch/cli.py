@@ -334,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="A minimum-cost dominant matching, exactly: a cheapest stable "
         "matching of G', found as the cheapest closed set of its rotation poset by "
         "one minimum cut. Ties go to the least sorted pairs, then to the least "
-        "levels in men's id order. Polynomial: O(m log m) to find the R "
-        "rotations of G' on m edges, then one max flow on R + 2 nodes.",
+        "levels in men's id order. Polynomial: O(m log m) for the R rotations of G' "
+        "on m edges and their precedence, then one max flow on R + 2 nodes.",
     )
     p.add_argument("--costs", required=True, help="cost file: '<man> <woman> <cost>' lines")
     common(p)
@@ -347,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("matchings", "stable", "popular", "dominant", "popular-edges"),
         required=True,
         help="stable, dominant: read off the rotation poset of G or G', at most 100,000 "
-        "stable matchings; popular-edges: the pairs of both posets, in O(m log m); "
+        "stable matchings; popular-edges: the pairs of both posets, in O(m); "
         "matchings, popular: exhaustive search, at most POPMATCH_MAX_ENUM edges (default 36) "
         "and 100,000 matchings",
     )

@@ -142,9 +142,9 @@ def min_cost_dominant(inst: Instance, costs: CostFunction) -> Tuple[LevelledMatc
     digit for his partner below the cost, in base |women| + 1.  Then they
     go to the least levels in men's id order: levels only rise as
     rotations are added, and the cut returns the least of the cheapest
-    closed sets.  Costs O(m log m) for the R rotations of G' on m edges,
-    then one max flow on R + 2 nodes whose capacities have O(n log n)
-    bits for n men.
+    closed sets.  Costs O(m log m) for the R rotations of G' on m edges
+    and their `preds`, then one max flow on R + 2 nodes whose capacities
+    have O(n log n) bits for n men.
     """
     from fractions import Fraction
 

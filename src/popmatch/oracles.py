@@ -28,11 +28,10 @@ def enumerate_matchings(
     EnumerationGuardError past `max_edges` edges, or as soon as it would
     hold more than `limit` matchings (no limit by default)."""
     max_edges = DEFAULT_MAX_EDGES if max_edges is None else max_edges
+    count = inst.first[len(inst.men)]  # refused before any edge is named
+    if count > max_edges:
+        raise EnumerationGuardError(f"{count} edges exceed the enumeration guard of {max_edges}")
     edges = sorted(inst.edges)
-    if len(edges) > max_edges:
-        raise EnumerationGuardError(
-            f"{len(edges)} edges exceed the enumeration guard of {max_edges}"
-        )
     # each matching as a bitmask of its edges, so that a family refused
     # at the guard has not filled memory first
     out = [0]

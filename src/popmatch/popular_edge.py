@@ -152,8 +152,8 @@ def popular_edge(inst: Instance, edge: Tuple[str, str]) -> Optional[LevelledMatc
     both levels (`gale_shapley._unforced`: one run from empty arrays and
     one climb), then reads which of those routes finds a witness for
     each edge off the rotation posets of G and G', walked on from copies
-    of that state (`rotations.popular_routes`: O(m log m) time, one byte
-    per edge, kept too).  After it, a "no" is one lookup.  A "yes" on a
+    of that state (`rotations.popular_routes`: O(m) time, one byte per
+    edge, kept too).  After it, a "no" is one lookup.  A "yes" on a
     pair the kept unforced matching holds at its route's level, which
     the table marks, is one lookup too: the witness is a new one bound
     to the kept lists through empty overlays (`gale_shapley._unmoved`).

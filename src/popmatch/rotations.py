@@ -5,11 +5,11 @@ rotations of a closed set eliminated (Irving, Leather and Gusfield,
 J. ACM 1987; Gusfield-Irving 1989, ch. 3), and the dominant matchings
 are the projections of the stable matchings of G' (see
 `gale_shapley`).  `rotation_poset` finds every rotation on one maximal
-chain of the lattice by one pointer walk and their precedence by
-Gusfield-Irving pair labelling, in O(m log m) on m edges; it walks
+chain of the lattice by one pointer walk, in O(m) on m edges; it walks
 each man once per level, on from where `gale_shapley.run` stops, so G'
 is never built, and from a copy of the engine's kept state where the
-instance keeps one.
+instance keeps one.  Their precedence, `RotationPoset.preds`, is
+labelled from the walk's chains on first read, in O(m log m).
 Its readers are here too: `stable_matchings` and
 `RotationPoset.distinct_pairs` list the closed sets through one decoder,
 each matching once, up to a count guard; `popular_routes` marks the
@@ -22,8 +22,10 @@ decides whether every popular matching is stable.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
+from itertools import count
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from . import gale_shapley
 from .instance import MAX_LISTED, EnumerationGuardError, Instance, LevelledMatching
@@ -34,28 +36,52 @@ Chain = List[Tuple[int, int]]
 _key = itemgetter(0)
 
 
-class RotationPoset(NamedTuple):
+class RotationPoset:
     """The rotations of G (of the implicit G' with levels=2) and their
     precedence.
 
     Man m's index l * deg(m) + k stands for the k-th woman of his list
     at level l, and levels * deg(m) for no one; it only rises as he
     moves, as his proposals in `gale_shapley.run` do.  Rotation r is the
-    r-th on one maximal chain of the lattice, and `preds[r]` holds
-    rotations that precede it, all earlier on the chain; the order is
-    their transitive closure.  A closed set holds the preds of each
-    member, and the closed sets are the stable matchings.  Along the
-    chain, `chains[m]` lists man m's indices, and `held[w]` the men
-    woman w holds, each as a `Chain` keyed by levels * |w's list| minus
-    her rank of him in G' (level 1 first), which rises as she gains; a
+    r-th on one maximal chain of the lattice.  Along the chain,
+    `chains[m]` lists man m's indices, and `held[w]` the men woman w
+    holds, each as a `Chain` keyed by levels * |w's list| minus her
+    rank of him in G' (level 1 first), which rises as she gains; a
     man's `held` is empty.
     """
 
-    inst: Instance
-    levels: int
-    preds: List[Set[int]]
-    chains: List[Chain]
-    held: List[Chain]
+    def __init__(self, inst: Instance, levels: int, chains: List[Chain], held: List[Chain]):
+        self.inst, self.levels, self.chains, self.held = inst, levels, chains, held
+
+    @cached_property
+    def preds(self) -> List[Set[int]]:
+        """`preds[r]` holds rotations that precede rotation r, all earlier
+        on the chain; the order is their transitive closure, and the
+        closed sets, each holding the preds of its members, are the
+        stable matchings.  Labelled off the chains on first read, in
+        O(m log m) for m edges (Gusfield-Irving 1989, ch. 3): p precedes
+        r when r takes from a man the woman p gave him (type 1: the
+        entry before on his chain), or when r moves a man past a woman p
+        moved above him (type 2: the first entry of her `held` whose key
+        beats his, by a binary search; her keys only rise)."""
+        adj, back, first, held = self.inst.adj, self.inst.back, self.inst.first, self.held
+        deg = list(map(len, adj))
+        preds = [set() for _ in range(1 + max((c[-1][1] for c in self.chains), default=-1))]
+        for m, chain in enumerate(self.chains):
+            if len(chain) < 2:
+                continue  # he never moves
+            lst, f = adj[m], first[m]
+            for (frm, last), (to, r) in zip(chain, chain[1:]):
+                before = preds[r]
+                if last >= 0:
+                    before.add(last)
+                for i in range(frm + 1, to):
+                    lvl, k = divmod(i, deg[m])
+                    hers = held[lst[k]]
+                    key = (lvl + 1) * deg[lst[k]] - back[f + k]
+                    if key > hers[0][0]:  # else the entry is her start, rotation -1
+                        before.add(hers[bisect_right(hers, key, key=_key)][1])
+        return preds
 
     def matching(self, closed: int) -> LevelledMatching:
         """The stable matching that eliminating a closed set, given as a
@@ -190,13 +216,8 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
     resumes from the man below it.  A man with no successor (his list
     ends at the top level, or the next woman is unmatched, so in every
     stable matching) never moves again, and neither does any man whose
-    successor never moves, so a stack that reaches one is dead.
-
-    A rotation precedes another when it gives a man the woman the other
-    takes from him (type 1: the last rotation on his chain), or when it
-    moves a woman above a man whom the other moves past her (type 2),
-    found by a binary search in her `held` keys.  O(m) for the walk and
-    O(m log m) for the labelling, for m edges.
+    successor never moves, so a stack that reaches one is dead.  O(m)
+    for m edges; the precedence is labelled when `preds` is first read.
     """
     adj, back, first = inst.adj, inst.back, inst.first
     deg = list(map(len, adj))
@@ -238,23 +259,11 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
         scan[m] = levels * size
         return -1
 
-    preds: List[Set[int]] = []
+    numbers = count()
 
     def eliminate(cycle: List[int]) -> None:
         # each man takes the woman at his scan pointer, held by the next
-        r = len(preds)
-        before = set()
-        for m in cycle:
-            frm, last = chains[m][-1]
-            if last >= 0:
-                before.add(last)
-            lst, f = adj[m], first[m]
-            for i in range(frm + 1, scan[m]):
-                lvl, k = divmod(i, deg[m])
-                hers = held[lst[k]]
-                j = bisect_right(hers, (lvl + 1) * deg[lst[k]] - back[f + k], key=_key)
-                if j:
-                    before.add(hers[j][1])
+        r = next(numbers)
         for m in cycle:
             i = scan[m]
             chains[m].append((i, r))
@@ -263,7 +272,6 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
             w = adj[m][k]
             holder[w] = m
             held[w].append(((lvl + 1) * deg[w] - back[first[m] + k], r))
-        preds.append(before)
 
     dead = bytearray(n)
     stack: List[int] = []
@@ -287,7 +295,7 @@ def rotation_poset(inst: Instance, levels: int = 1) -> RotationPoset:
             else:
                 depth[m] = len(stack)
                 stack.append(m)
-    return RotationPoset(inst, levels, preds, chains, held)
+    return RotationPoset(inst, levels, chains, held)
 
 
 def popular_routes(inst: Instance) -> bytearray:
@@ -301,16 +309,19 @@ def popular_routes(inst: Instance) -> bytearray:
     1 for a stable pair of G and 2 + l for one of G' with the man at
     level l; an edge that is several keeps the least, the first forced
     run `popular_edge` would try, and 0 means no popular matching holds
-    it.  Bit 2 (value 4) is set when that route's poset starts the man's
-    chain with the pair, that is, when the unforced state kept at that
-    level already holds it, so that `popular_edge` answers with no
-    forced run; a route with it clear is a pair that state does not
-    hold, whose forced run proposes.  The bytes are thus 0, 1, 2, 3, 5,
-    6 and 7.  O(m log m) for the two posets, each dropped once its
-    chains are read; the table keeps one byte per edge.  Each poset
-    walks on from the unforced state the instance keeps at its level,
-    if it keeps one (`popular_edge` has it keep both first), and else
-    from a run of its own.
+    it.  Each poset writes its routes as read, G' first, so that G's
+    route 1 overwrites: a pair listed at both levels of G' has been a
+    stable pair of G on every instance tried (a test checks the random
+    and hard families).  Bit 2 (value 4) is set when that route's poset
+    starts the man's chain with the pair, that is, when the unforced
+    state kept at that level already holds it, so that `popular_edge`
+    answers with no forced run; a route with it clear is a pair that
+    state does not hold, whose forced run proposes.  The bytes are thus
+    0, 1, 2, 3, 5, 6 and 7.  O(m) for the two posets' walks, each
+    dropped once its chains are read; the table keeps one byte per
+    edge.  Each poset walks on from the unforced state the instance
+    keeps at its level, if it keeps one (`popular_edge` has it keep
+    both first), and else from a run of its own.
     """
     first = inst.first
     table = bytearray(first[-1])
@@ -318,16 +329,15 @@ def popular_routes(inst: Instance) -> bytearray:
         poset = rotation_poset(inst, levels)
         for m in range(len(inst.men)):
             for k, r, lvl in poset.partners(m):
-                if not 0 < table[first[m] + k] & 3 < levels + lvl:
-                    # rotation -1 is the start
-                    table[first[m] + k] = levels + lvl | (r < 0) << 2
+                # rotation -1 is the start
+                table[first[m] + k] = levels + lvl | (r < 0) << 2
         del poset
     return table
 
 
 def popular_edges(inst: Instance) -> Set[Tuple[str, str]]:
     """The popular edges, those some popular matching holds: the edges
-    `popular_routes` marks, in O(m log m).  `oracles.popular_edges` is
+    `popular_routes` marks, in O(m).  `oracles.popular_edges` is
     the exhaustive reference."""
     names = inst.names
     marks = iter(popular_routes(inst))  # one byte per edge, man by man
@@ -371,10 +381,11 @@ def exists_unstable_popular(
     share b's, so those pairs compare by chain index; C below A and D
     below B need a search back over `preds`.
 
-    Costs O(m log m) for the poset on m edges, then a binary search per
-    woman for B, and per edge two for A and C and at most two searches
-    back over precedence that enter no rotation earlier on the chain than
-    the one sought; nothing of R² bits is built for the R rotations.
+    Costs O(m log m) for the poset and its `preds` on m edges, then a
+    binary search per woman for B, and per edge two for A and C and at
+    most two searches back over precedence that enter no rotation
+    earlier on the chain than the one sought; nothing of R² bits is
+    built for the R rotations.
     """
     poset = rotation_poset(inst, 2)
     adj, back, first, names = inst.adj, inst.back, inst.first, inst.names

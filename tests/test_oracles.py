@@ -26,8 +26,11 @@ def test_enumerate_includes_empty_and_is_sorted(shared_top):
 
 def test_enumeration_guard():
     inst = generate_random(7, 7, 1.0, seed=0)
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(EnumerationGuardError, match="49 edges exceed"):
         enumerate_matchings(inst)
+    # refused before the edges are named: `edges` is a view the
+    # instance would keep
+    assert "edges" not in vars(inst)
     assert len(enumerate_matchings(inst, max_edges=49)) > 0
 
 

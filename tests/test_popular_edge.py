@@ -352,6 +352,49 @@ def test_routes_take_one_byte_per_edge(contested_hub):
     assert marked and unmarked
 
 
+def test_routes_walk_without_labelling(monkeypatch):
+    # the route table reads only the posets' chains: no binary search of
+    # precedence labelling runs for it, and a poset labels its `preds` on
+    # first read, once
+    searches = []
+    bisect_right = rotations.bisect_right
+    monkeypatch.setattr(
+        rotations, "bisect_right", lambda *a, **kw: searches.append(1) or bisect_right(*a, **kw)
+    )
+    inst = generate_random(40, 40, 0.2, 1)
+    popular_routes(inst)
+    assert not searches
+    poset = rotations.rotation_poset(inst, 2)
+    assert not searches and "preds" not in vars(poset)
+    preds = poset.preds
+    labelled = len(searches)
+    assert labelled > 0 and poset.preds is preds and len(searches) == labelled
+
+
+def test_both_levels_of_gprime_are_stable_pairs_of_g():
+    # `popular_routes` writes each poset's routes as read, G' first, so a
+    # pair G''s poset lists at both levels would keep route 3, not the
+    # least, were it not a stable pair of G, whose route 1 overwrites
+    insts = [ensemble_instance(seed) for seed in range(200)]
+    insts += [generate_random(30, 40, 0.15, seed) for seed in range(20)]
+    insts += [generate_random(12, 6, 0.6, seed) for seed in range(20)]
+    insts += [generate_random(6, 12, 0.6, seed) for seed in range(20)]
+    insts += [parse_instance(cyclic_text(n)) for n in range(2, 40)]
+    insts += [parse_instance(blocks_text(k)) for k in (1, 5, 50)]
+    both = 0
+    for inst in insts:
+        gprime = rotations.rotation_poset(inst, 2)
+        pairs = [set(), set()]
+        for m in range(len(inst.men)):
+            for k, _, lvl in gprime.partners(m):
+                pairs[lvl].add((m, k))
+        twice = pairs[0] & pairs[1]
+        stable = rotations.rotation_poset(inst, 1)
+        assert twice <= {(m, k) for m in range(len(inst.men)) for k, _, _ in stable.partners(m)}
+        both += len(twice)
+    assert both > 1000
+
+
 def test_popular_edges_read_the_posets(small_ensemble):
     # the package name is the poset reader; the exhaustive oracle stays
     # in `oracles` as its reference

@@ -200,13 +200,14 @@ def test_all_stable_at_scale():
 
 def test_memory_stays_within_the_poset(monkeypatch):
     # no structure quadratic in the number of rotations: the scan peaks
-    # near the peak of building the poset it reads, taken as that build
-    # returns, before the scan allocates anything else
+    # near the peak of building the poset it reads, with its precedence,
+    # taken as that build returns, before the scan allocates anything else
     inst = parse_instance(blocks_text(5_000))
     peaks = []
 
     def traced_poset(*args):
         poset = rotation_poset(*args)
+        poset.preds
         peaks.append(tracemalloc.get_traced_memory()[1])
         return poset
 
